@@ -94,16 +94,17 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _solve_cp(inst: Instance, args: argparse.Namespace) -> dict[str, object]:
     started = time.perf_counter()
+    best = best_lb(inst).best
     result, sched = solve_full(
         inst,
         node_budget=args.node_budget,
         time_budget=args.time_limit,
         seed=args.seed,
+        lb_floor=best,
     )
     elapsed = time.perf_counter() - started
-    report = best_lb(inst)
     row: dict[str, object] = {
-        "best_lb": report.best,
+        "best_lb": best,
         "lb": result.lower_bound,
         "ub": result.objective,
         "iterations": 0,

@@ -22,6 +22,23 @@ pairwise disjunctive reasoning, timetable reasoning over mandatory parts of
 cumulatives, exclusion filtering).  Every incumbent is re-checked against the
 raw constraints by an independent evaluator before it is stored.
 
+Propagation is event driven: the AC-3 queue (Mackworth, 1977) applied to
+bounds.  Compilation numbers one propagator per task window, offset,
+precedence, disjunctive and cumulative, with two watch lists: task -> the
+propagators reading its bounds, choice -> those whose menu, delta table,
+guard, presence or weight reads its domain.  A propagator that moves a task
+bound queues that task's watchers (not itself: each is idempotent).  The root
+queues every propagator; a child starts from its parent's fixpoint, so it
+queues only the watchers of the variable its branching edit changed and of
+the objective tasks the incumbent cap moved.  Domains change inside
+propagation only through exclusion filtering, which runs first, so presence
+and each group's active members are computed once per call (an exclusion
+that narrows a domain recomputes them and queues everything).  Every
+propagator narrows monotonically and a failure stays a failure, so by the
+chaotic-iteration argument any visiting order reaches the round-robin
+sweep's greatest fixpoint and fail/no-fail outcome; only the name of the
+failing constraint may differ.
+
 Determinism: with a node budget, results are a pure function of (model, seed,
 budget); nothing reads the clock except the optional wall-clock budget, which
 is documented as non-deterministic.
@@ -30,7 +47,9 @@ is documented as non-deterministic.
 from __future__ import annotations
 
 import time as _time
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 INF = float("inf")
 
@@ -279,18 +298,19 @@ class _Compiled:
         ]
 
         def compile_delta(link):
+            """(const, None), or (0, (ca, cb, table, |root ca|, |root cb|,
+            min, max)) with the table's extremes over the root domains."""
             if link.table is None:
                 return (link.delta, None)
             ca, cb, table = link.table
-            return (0, (self.cidx[ca], self.cidx[cb], table))
+            va, vb = model.choices[ca].values, model.choices[cb].values
+            root = [table[(a, b)] for a in va for b in vb]
+            return (0, (self.cidx[ca], self.cidx[cb], table, len(va), len(vb),
+                        min(root), max(root)))
 
-        self.offsets = [
+        self.links = [  # offsets, then precedences
             (self.tidx[l.pred], self.tidx[l.succ], *compile_delta(l))
-            for l in model.constraints.offsets
-        ]
-        self.precedences = [
-            (self.tidx[l.pred], self.tidx[l.succ], *compile_delta(l))
-            for l in model.constraints.precedences
+            for l in model.constraints.offsets + model.constraints.precedences
         ]
 
         def compile_member(m: Member):
@@ -326,6 +346,37 @@ class _Compiled:
         )
         self.elastic_flag = [t.elastic for t in self.tasks]
 
+        # Propagator numbering: task windows, offsets, precedences,
+        # disjunctives, cumulatives, in that order (the root queue order).
+        nt = len(self.tasks)
+        self.prec0 = nt + len(model.constraints.offsets)
+        self.disj0 = nt + len(self.links)
+        self.cum0 = self.disj0 + len(self.disjunctives)
+        self.nprops = self.cum0 + len(self.cumulatives)
+        task_watch: list[list[int]] = [[] for _ in range(nt)]
+        choice_watch: list[list[int]] = [[] for _ in self.choices]
+
+        menu_ci = [m and m[0] for m in self.menus]
+
+        def reads(p: int, ti: int, *cis) -> None:
+            """Propagator p reads task ti's bounds and presence and choices cis."""
+            task_watch[ti].append(p)
+            for ci in (self.presence[ti] and self.presence[ti][0], *cis):
+                if ci is not None:
+                    choice_watch[ci].append(p)
+
+        for ti in range(nt):
+            reads(ti, ti, menu_ci[ti])
+        for p, (pi, si, _, table) in enumerate(self.links, nt):
+            reads(p, pi)
+            reads(p, si, *(table[:2] if table else ()))
+        self.groups = [g[1] for g in self.disjunctives] + [c[2] for c in self.cumulatives]
+        for p, members in enumerate(self.groups, self.disj0):
+            for ti, _, wci, guard in members:  # a cumulative lifts by min duration
+                reads(p, ti, wci, guard and guard[0], menu_ci[ti] if p >= self.cum0 else None)
+        self.task_watch = tuple(tuple(sorted(set(w))) for w in task_watch)
+        self.choice_watch = tuple(tuple(sorted(set(w))) for w in choice_watch)
+
     # -- state helpers ------------------------------------------------------
 
     def root_state(self) -> State:
@@ -334,7 +385,7 @@ class _Compiled:
             [t.lct for t in self.tasks],
             [t.est for t in self.tasks],
             [t.lct for t in self.tasks],
-            [c.values for c in self.choices],
+            [tuple(c.values) for c in self.choices],
         )
 
     def present_state(self, st: State, ti: int) -> int:
@@ -348,25 +399,6 @@ class _Compiled:
             return -1
         return 1 if len(dom) == 1 else 0
 
-    def _guard_state(self, st: State, guard) -> int:
-        if guard is None:
-            return 1
-        ci, val = guard
-        dom = st.domains[ci]
-        if val not in dom:
-            return -1
-        return 1 if len(dom) == 1 else 0
-
-    def member_active(self, st: State, member) -> int:
-        """+1 active-certain, -1 never active, 0 undecided."""
-        pres = self.present_state(st, member[0])
-        gua = self._guard_state(st, member[3])
-        if pres == -1 or gua == -1:
-            return -1
-        if pres == 1 and gua == 1:
-            return 1
-        return 0
-
     def duration_bounds(self, st: State, ti: int) -> tuple[int, int]:
         t = self.tasks[ti]
         if t.duration is not None:
@@ -378,122 +410,88 @@ class _Compiled:
             return min(durs), max(durs)
         return 0, max(0, st.e_hi[ti] - st.s_lo[ti])
 
-    def min_weight(self, st: State, member) -> int:
-        if member[2] is None:
-            return member[1]
-        return min(st.domains[member[2]])
-
     def delta_bounds(self, st: State, const: int, table) -> tuple[int, int]:
         if table is None:
             return const, const
-        ca, cb, mapping = table
+        ca, cb, mapping, na, nb, rmin, rmax = table
         da, db = st.domains[ca], st.domains[cb]
         if len(da) == 1 and len(db) == 1:
             d = mapping[(da[0], db[0])]
             return d, d
+        if len(da) == na and len(db) == nb:
+            return rmin, rmax  # domains only shrink: both are still the root's
         vals = [mapping[(va, vb)] for va in da for vb in db]
         return min(vals), max(vals)
 
     # -- propagation --------------------------------------------------------
 
-    def propagate(self, st: State, obj_cap: float) -> str | None:
-        """Shrink bounds to a fixpoint; return a violated constraint id or None."""
+    def propagate(self, st: State, obj_cap: float, _seed=None) -> str | None:
+        """Shrink bounds to a fixpoint; return a violated constraint id or None.
+
+        ``_seed`` is the branching decision (kind, index) that made ``st``
+        from a parent state already at a fixpoint; None queues everything."""
+        pres = [self.present_state(st, ti) for ti in range(len(self.tasks))]
+        moved: list[int] = []
         if obj_cap < INF:
             cap = int(obj_cap)
             for ti in self.obj_tasks:
-                if self.present_state(st, ti) == 1 and st.e_hi[ti] > cap:
+                if pres[ti] == 1 and st.e_hi[ti] > cap:
                     st.e_hi[ti] = cap
+                    moved.append(ti)
 
-        changed = True
+        fail, narrowed = self._filter_exclusions(st.domains)
+        if fail is not None:
+            return fail
+        if narrowed:
+            pres = [self.present_state(st, ti) for ti in range(len(self.tasks))]
+        if _seed is None or narrowed:
+            queue = deque(range(self.nprops))
+        else:
+            kind, idx = _seed
+            queue = deque((self.choice_watch if kind == "choice" else self.task_watch)[idx])
+        inq = [False] * self.nprops
+        for p in queue:
+            inq[p] = True
+        active: list = [None] * (self.nprops - self.disj0)
+
+        def wake() -> None:
+            for ti in moved:
+                for q in self.task_watch[ti]:
+                    if not inq[q]:
+                        inq[q] = True
+                        queue.append(q)
+            moved.clear()
+
+        wake()
+        while queue:
+            p = queue.popleft()
+            if p < self.disj0:
+                fail = self._window_or_link(st, p, pres, moved)
+            else:
+                g = p - self.disj0
+                if active[g] is None:
+                    active[g] = self._active_members(st, p, pres)
+                if p < self.cum0:
+                    fail = self._disjunctive(st, g, active[g], moved)
+                else:
+                    fail = self._cumulative(st, p - self.cum0, active[g], moved)
+            if fail is not None:
+                return fail
+            if moved:
+                wake()
+            inq[p] = False  # idempotent: its own moves need no second run
+        return None
+
+    def _filter_exclusions(self, domains) -> tuple[str | None, bool]:
+        """Exclusion filtering to its own fixpoint: (failure, domains narrowed)."""
+        narrowed, changed = False, bool(self.exclusions)
         while changed:
             changed = False
-
-            for ti in range(len(self.tasks)):
-                if self.present_state(st, ti) != 1:
-                    continue
-                dmin, dmax = self.duration_bounds(st, ti)
-                lo = max(st.e_lo[ti], st.s_lo[ti] + dmin)
-                hi = min(st.e_hi[ti], st.s_hi[ti] + dmax)
-                slo = max(st.s_lo[ti], lo - dmax)
-                shi = min(st.s_hi[ti], hi - dmin)
-                if lo != st.e_lo[ti] or hi != st.e_hi[ti]:
-                    st.e_lo[ti], st.e_hi[ti] = lo, hi
-                    changed = True
-                if slo != st.s_lo[ti] or shi != st.s_hi[ti]:
-                    st.s_lo[ti], st.s_hi[ti] = slo, shi
-                    changed = True
-                if st.s_lo[ti] > st.s_hi[ti] or st.e_lo[ti] > st.e_hi[ti]:
-                    return f"task:{self.tids[ti]}"
-
-            for pi, si, const, table in self.offsets:
-                if self.present_state(st, pi) != 1 or self.present_state(st, si) != 1:
-                    continue
-                dmin, dmax = self.delta_bounds(st, const, table)
-                if st.s_lo[si] < st.e_lo[pi] + dmin:
-                    st.s_lo[si] = st.e_lo[pi] + dmin
-                    changed = True
-                if st.s_hi[si] > st.e_hi[pi] + dmax:
-                    st.s_hi[si] = st.e_hi[pi] + dmax
-                    changed = True
-                if st.e_lo[pi] < st.s_lo[si] - dmax:
-                    st.e_lo[pi] = st.s_lo[si] - dmax
-                    changed = True
-                if st.e_hi[pi] > st.s_hi[si] - dmin:
-                    st.e_hi[pi] = st.s_hi[si] - dmin
-                    changed = True
-                if st.s_lo[si] > st.s_hi[si] or st.e_lo[pi] > st.e_hi[pi]:
-                    return f"offset:{self.tids[pi]}->{self.tids[si]}"
-
-            for pi, si, const, table in self.precedences:
-                if self.present_state(st, pi) != 1 or self.present_state(st, si) != 1:
-                    continue
-                dmin, _ = self.delta_bounds(st, const, table)
-                if st.s_lo[si] < st.e_lo[pi] + dmin:
-                    st.s_lo[si] = st.e_lo[pi] + dmin
-                    changed = True
-                if st.e_hi[pi] > st.s_hi[si] - dmin:
-                    st.e_hi[pi] = st.s_hi[si] - dmin
-                    changed = True
-                if st.s_lo[si] > st.s_hi[si] or st.e_lo[pi] > st.e_hi[pi]:
-                    return f"precedence:{self.tids[pi]}->{self.tids[si]}"
-
-            for gid, members in self.disjunctives:
-                active = [m[0] for m in members if self.member_active(st, m) == 1]
-                for x in range(len(active)):
-                    a = active[x]
-                    for y in range(x + 1, len(active)):
-                        b = active[y]
-                        a_first = st.e_lo[a] <= st.s_hi[b]
-                        b_first = st.e_lo[b] <= st.s_hi[a]
-                        if not a_first and not b_first:
-                            return f"disjunctive:{gid}"
-                        if a_first and not b_first:
-                            if st.s_lo[b] < st.e_lo[a]:
-                                st.s_lo[b] = st.e_lo[a]
-                                changed = True
-                            if st.e_hi[a] > st.s_hi[b]:
-                                st.e_hi[a] = st.s_hi[b]
-                                changed = True
-                        elif b_first and not a_first:
-                            if st.s_lo[a] < st.e_lo[b]:
-                                st.s_lo[a] = st.e_lo[b]
-                                changed = True
-                            if st.e_hi[b] > st.s_hi[a]:
-                                st.e_hi[b] = st.s_hi[a]
-                                changed = True
-
-            for cid, cap, members in self.cumulatives:
-                fail = self._timetable(st, cid, cap, members)
-                if fail is not None:
-                    return fail
-                if self._lift_starts(st, cap, members):
-                    changed = True
-
             for fp in self.exclusions:
                 unfixed = None
                 dead = False
                 for ci, val in fp:
-                    dom = st.domains[ci]
+                    dom = domains[ci]
                     if val not in dom:
                         dead = True
                         break
@@ -505,26 +503,103 @@ class _Compiled:
                 if dead or unfixed == -1:
                     continue
                 if unfixed is None:
-                    return "exclusion"
+                    return "exclusion", narrowed
                 ci, val = unfixed
-                st.domains[ci] = tuple(v for v in st.domains[ci] if v != val)
-                changed = True
-                if not st.domains[ci]:
-                    return "exclusion"
+                domains[ci] = tuple(v for v in domains[ci] if v != val)
+                narrowed = changed = True
+                if not domains[ci]:
+                    return "exclusion", narrowed
+        return None, narrowed
+
+    def _active_members(self, st: State, p: int, pres: list[int]) -> list:
+        """Active-certain members of group propagator ``p``: task indices for
+        a disjunctive, (task, min weight, min duration) with a positive weight
+        for a cumulative."""
+        dom = st.domains
+        members = [
+            m for m in self.groups[p - self.disj0]
+            if pres[m[0]] == 1 and (m[3] is None or dom[m[3][0]] == (m[3][1],))
+        ]
+        if p < self.cum0:
+            return [m[0] for m in members]
+        weighted = [(m[0], m[1] if m[2] is None else min(dom[m[2]])) for m in members]
+        return [(ti, w, self.duration_bounds(st, ti)[0]) for ti, w in weighted if w > 0]
+
+    def _window_or_link(self, st: State, p: int, pres: list[int], moved) -> str | None:
+        """Run a task-window (p < #tasks), offset or precedence propagator."""
+        s_lo, s_hi, e_lo, e_hi = st.s_lo, st.s_hi, st.e_lo, st.e_hi
+        if p < len(self.tasks):
+            ti = p
+            if pres[ti] != 1:
+                return None
+            dmin, dmax = self.duration_bounds(st, ti)
+            lo = max(e_lo[ti], s_lo[ti] + dmin)
+            hi = min(e_hi[ti], s_hi[ti] + dmax)
+            slo = max(s_lo[ti], lo - dmax)
+            shi = min(s_hi[ti], hi - dmin)
+            if lo != e_lo[ti] or hi != e_hi[ti] or slo != s_lo[ti] or shi != s_hi[ti]:
+                e_lo[ti], e_hi[ti], s_lo[ti], s_hi[ti] = lo, hi, slo, shi
+                moved.append(ti)
+            if s_lo[ti] > s_hi[ti] or e_lo[ti] > e_hi[ti]:
+                return f"task:{self.tids[ti]}"
+            return None
+        is_offset = p < self.prec0
+        pi, si, const, table = self.links[p - len(self.tasks)]
+        if pres[pi] != 1 or pres[si] != 1:
+            return None
+        dmin, dmax = self.delta_bounds(st, const, table)
+        if s_lo[si] < e_lo[pi] + dmin:
+            s_lo[si] = e_lo[pi] + dmin
+            moved.append(si)
+        if is_offset:
+            if s_hi[si] > e_hi[pi] + dmax:
+                s_hi[si] = e_hi[pi] + dmax
+                moved.append(si)
+            if e_lo[pi] < s_lo[si] - dmax:
+                e_lo[pi] = s_lo[si] - dmax
+                moved.append(pi)
+        if e_hi[pi] > s_hi[si] - dmin:
+            e_hi[pi] = s_hi[si] - dmin
+            moved.append(pi)
+        if s_lo[si] > s_hi[si] or e_lo[pi] > e_hi[pi]:
+            kind = "offset" if is_offset else "precedence"
+            return f"{kind}:{self.tids[pi]}->{self.tids[si]}"
         return None
 
-    def _mandatory_events(self, st: State, members):
+    def _disjunctive(self, st: State, g: int, active: list[int], moved) -> str | None:
+        s_lo, s_hi, e_lo, e_hi = st.s_lo, st.s_hi, st.e_lo, st.e_hi
+        for x in range(len(active)):
+            a = active[x]
+            for y in range(x + 1, len(active)):
+                b = active[y]
+                a_first = e_lo[a] <= s_hi[b]
+                b_first = e_lo[b] <= s_hi[a]
+                if a_first != b_first:
+                    first, second = (a, b) if a_first else (b, a)
+                    if s_lo[second] < e_lo[first]:
+                        s_lo[second] = e_lo[first]
+                        moved.append(second)
+                    if e_hi[first] > s_hi[second]:
+                        e_hi[first] = s_hi[second]
+                        moved.append(first)
+                elif not a_first:
+                    return f"disjunctive:{self.disjunctives[g][0]}"
+        return None
+
+    def _cumulative(self, st: State, c: int, active: list, moved) -> str | None:
+        cid, cap, _ = self.cumulatives[c]
+        events, own = self._mandatory_events(st, active)
+        if self._timetable(events, cap):
+            return f"cumulative:{cid}"
+        self._lift_starts(st, cap, active, events, own, moved)
+        return None
+
+    def _mandatory_events(self, st: State, active: list):
         """Sorted profile events over mandatory parts of active-certain members,
         plus each contributing member's own (lo, hi, weight) span."""
         events: list[tuple[int, int]] = []
         own: dict[int, tuple[int, int, int]] = {}
-        for m in members:
-            if self.member_active(st, m) != 1:
-                continue
-            ti = m[0]
-            w = self.min_weight(st, m)
-            if w <= 0:
-                continue
+        for ti, w, _ in active:
             lo, hi = st.s_hi[ti], st.e_lo[ti]
             if lo < hi:
                 events.append((lo, w))
@@ -533,44 +608,29 @@ class _Compiled:
         events.sort()
         return events, own
 
-    def _timetable(self, st: State, cid: str, cap: int, members) -> str | None:
-        events, _ = self._mandatory_events(st, members)
-        level = 0
-        for _, delta in events:
-            level += delta
-            if level > cap:
-                return f"cumulative:{cid}"
-        return None
+    @staticmethod
+    def _timetable(events, cap: int) -> bool:
+        """True when the mandatory profile exceeds the capacity somewhere."""
+        return any(level > cap for level in accumulate(delta for _, delta in events))
 
-    def _lift_starts(self, st: State, cap: int, members) -> bool:
+    def _lift_starts(self, st: State, cap: int, active, events, own, moved) -> None:
         """Push earliest starts of unfixed active members past profile stretches
         that cannot accommodate them.  Exact: the member's own mandatory part is
         subtracted from the profile before testing.  Lifting past the window is
-        left to the task-window check on the next fixpoint round."""
-        events, own = self._mandatory_events(st, members)
-        if not events:
-            return False
+        left to the member's task-window propagator, which the move queues."""
         segs = _profile_segments(events)
         if not segs:
-            return False
-        moved_any = False
-        for m in members:
-            ti = m[0]
+            return
+        for ti, w, dmin in active:
             if st.s_lo[ti] >= st.s_hi[ti]:
                 continue  # fixed or empty: the profile sweep already covers it
-            if self.member_active(st, m) != 1:
-                continue
-            dmin, _ = self.duration_bounds(st, ti)
             if dmin <= 0:
-                continue
-            w = self.min_weight(st, m)
-            if w <= 0:
                 continue
             mine = own.get(ti)
             t = st.s_lo[ti]
-            moved = True
-            while moved:
-                moved = False
+            moved_t = True
+            while moved_t:
+                moved_t = False
                 for seg_lo, seg_hi, level in segs:
                     if seg_hi <= t or seg_lo >= t + dmin:
                         continue
@@ -591,14 +651,13 @@ class _Compiled:
                             continue
                         if lvl + w > cap:
                             t = phi
-                            moved = True
+                            moved_t = True
                             break
-                    if moved:
+                    if moved_t:
                         break
             if t > st.s_lo[ti]:
                 st.s_lo[ti] = t
-                moved_any = True
-        return moved_any
+                moved.append(ti)
 
     # -- node bound and leaf extraction ---------------------------------------
 
@@ -850,11 +909,12 @@ def solve(
     nodes = 0
     stack: list[list] = []
 
-    def process(state: State) -> None:
-        """Propagate one node; record a leaf or push a search frame."""
+    def process(state: State, edit=None) -> None:
+        """Propagate one node (``edit``: the parent's branching decision that
+        made it); record a leaf or push a search frame."""
         nonlocal nodes, incumbent, ub
         nodes += 1
-        fail = comp.propagate(state, ub - 1 if incumbent is not None else INF)
+        fail = comp.propagate(state, ub - 1 if incumbent is not None else INF, edit)
         if fail is not None:
             return
         lb = comp.node_lb(state)
@@ -871,7 +931,7 @@ def solve(
                 incumbent, ub = asg, obj
                 history.append((nodes, obj))
             return
-        stack.append([state, _child_edits(state, branch), 0, lb])
+        stack.append([state, _child_edits(state, branch), 0, lb, branch])
 
     process(comp.root_state())
 
@@ -895,7 +955,7 @@ def solve(
         frame[2] += 1
         child = frame[0].copy()
         edit(child)
-        process(child)
+        process(child, frame[4])
 
     wall = _time.perf_counter() - t0
     if incumbent is not None:

@@ -385,6 +385,31 @@ def _require_int(value: object, where: str) -> int:
     return value
 
 
+def _require_array(value: object, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected a JSON array, got {value!r}")
+    return value
+
+
+def _require_object(value: object, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {value!r}")
+    return value
+
+
+def _rows(value: object, name: str, fields: set[str]) -> list[dict]:
+    """The rows of an array-of-objects field, each with exactly ``fields``."""
+    rows = [_require_object(row, f"{name} row") for row in _require_array(value, name)]
+    for row in rows:
+        extra = set(row) - fields
+        if extra:
+            raise ValueError(f"unknown {name} fields: {sorted(extra)}")
+        missing = fields - set(row)
+        if missing:
+            raise ValueError(f"{name} row misses fields: {sorted(missing)}")
+    return rows
+
+
 def instance_to_json(inst: Instance) -> str:
     doc = {
         "jobs": list(inst.jobs),
@@ -419,40 +444,38 @@ def instance_from_json(text: str) -> Instance:
     if missing:
         raise ValueError(f"missing instance fields: {sorted(missing)}")
 
-    machines: dict[str, str] = {}
-    for row in doc["machines"]:
-        extra = set(row) - {"id", "stage"}
-        if extra:
-            raise ValueError(f"unknown machine fields: {sorted(extra)}")
-        machines[str(row["id"])] = str(row["stage"])
-    transport: dict[tuple[str, str], int] = {}
-    for row in doc["transport"]:
-        extra = set(row) - {"from", "to", "t"}
-        if extra:
-            raise ValueError(f"unknown transport fields: {sorted(extra)}")
-        transport[(str(row["from"]), str(row["to"]))] = _require_int(row["t"], "transport.t")
-    proc_time: dict[tuple[str, str, int], int] = {}
-    for row in doc["proc_time"]:
-        extra = set(row) - {"job", "stage", "w", "p"}
-        if extra:
-            raise ValueError(f"unknown proc_time fields: {sorted(extra)}")
-        key = (str(row["job"]), str(row["stage"]), _require_int(row["w"], "proc_time.w"))
-        proc_time[key] = _require_int(row["p"], "proc_time.p")
+    machines = {
+        str(row["id"]): str(row["stage"])
+        for row in _rows(doc["machines"], "machine", {"id", "stage"})
+    }
+    transport = {
+        (str(row["from"]), str(row["to"])): _require_int(row["t"], "transport.t")
+        for row in _rows(doc["transport"], "transport", {"from", "to", "t"})
+    }
+    proc_time = {
+        (str(row["job"]), str(row["stage"]), _require_int(row["w"], "proc_time.w")):
+            _require_int(row["p"], "proc_time.p")
+        for row in _rows(doc["proc_time"], "proc_time", {"job", "stage", "w", "p"})
+    }
+
+    def ints(name: str) -> dict[str, int]:
+        fields = _require_object(doc[name], name)
+        return {str(k): _require_int(v, name) for k, v in fields.items()}
 
     return Instance(
-        jobs=tuple(str(j) for j in doc["jobs"]),
-        stages=tuple(str(s) for s in doc["stages"]),
+        jobs=tuple(str(j) for j in _require_array(doc["jobs"], "jobs")),
+        stages=tuple(str(s) for s in _require_array(doc["stages"], "stages")),
         machines=machines,
         eligible_stages={
-            str(j): tuple(str(s) for s in elig)
-            for j, elig in doc["eligible_stages"].items()
+            str(j): tuple(str(s) for s in _require_array(elig, f"eligible_stages.{j}"))
+            for j, elig in _require_object(doc["eligible_stages"], "eligible_stages").items()
         },
-        buffer_in={str(m): _require_int(c, "buffer_in") for m, c in doc["buffer_in"].items()},
-        buffer_out={str(m): _require_int(c, "buffer_out") for m, c in doc["buffer_out"].items()},
+        buffer_in=ints("buffer_in"),
+        buffer_out=ints("buffer_out"),
         transport=transport,
         workers_total=_require_int(doc["workers_total"], "workers_total"),
-        workers_min={str(s): _require_int(w, "workers_min") for s, w in doc["workers_min"].items()},
-        workers_max={str(s): _require_int(w, "workers_max") for s, w in doc["workers_max"].items()},
+        workers_min=ints("workers_min"),
+        workers_max=ints("workers_max"),
         proc_time=proc_time,
     )
 
@@ -485,17 +508,21 @@ def schedule_from_json(text: str) -> Schedule:
     if missing:
         raise ValueError(f"missing schedule fields: {sorted(missing)}")
 
-    machine_of = {_parse_op_key(k): str(m) for k, m in doc["machine_of"].items()}
+    machine_of = {
+        _parse_op_key(k): str(m)
+        for k, m in _require_object(doc["machine_of"], "machine_of").items()
+    }
     workers_of = {
-        _parse_op_key(k): _require_int(w, "workers_of") for k, w in doc["workers_of"].items()
+        _parse_op_key(k): _require_int(w, "workers_of")
+        for k, w in _require_object(doc["workers_of"], "workers_of").items()
     }
     wait_before: dict[Op, Interval] = {}
     process: dict[Op, Interval] = {}
     wait_after: dict[Op, Interval] = {}
-    for key, triple in doc["intervals"].items():
-        extra = set(triple) - {"wb", "pr", "wa"}
-        if extra:
-            raise ValueError(f"unknown interval fields for {key}: {sorted(extra)}")
+    for key, triple in _require_object(doc["intervals"], "intervals").items():
+        triple = _require_object(triple, f"intervals.{key}")
+        if set(triple) != {"wb", "pr", "wa"}:
+            raise ValueError(f"interval fields for {key} must be wb, pr, wa: {sorted(triple)}")
         op = _parse_op_key(key)
         for name, target in (("wb", wait_before), ("pr", process), ("wa", wait_after)):
             pair = triple[name]

@@ -429,3 +429,327 @@ def lp_lower_bound(inst: Instance) -> Fraction:
     cost = [zero] * n
     cost[0] = one
     return simplex_min(cost, rows, rhs)
+
+
+# ------------------------------------------------------- round-robin fixpoint
+
+
+class RoundRobinFixpoint:
+    """Reference bounds propagation: the engine's original loop, which sweeps
+    every task window, offset, precedence, disjunctive, cumulative and
+    exclusion in turn until a whole sweep changes nothing.
+
+    It reads an engine model by attribute only and works on plain lists
+    (``s_lo``, ``s_hi``, ``e_lo``, ``e_hi``, ``domains``) indexed like the
+    model's task and choice dicts, so it shares no code with the engine.
+    """
+
+    def __init__(self, model) -> None:
+        self.tids = list(model.tasks)
+        self.tidx = {t: i for i, t in enumerate(self.tids)}
+        self.cidx = {c: i for i, c in enumerate(model.choices)}
+        self.tasks = [model.tasks[t] for t in self.tids]
+        self.presence = [
+            None if t.presence is None else (self.cidx[t.presence[0]], t.presence[1])
+            for t in self.tasks
+        ]
+        self.menus = [
+            None if t.duration_menu is None
+            else (self.cidx[t.duration_menu[0]], t.duration_menu[1])
+            for t in self.tasks
+        ]
+
+        def compile_delta(link):
+            if link.table is None:
+                return (link.delta, None)
+            ca, cb, table = link.table
+            return (0, (self.cidx[ca], self.cidx[cb], table))
+
+        cons = model.constraints
+        self.offsets = [
+            (self.tidx[l.pred], self.tidx[l.succ], *compile_delta(l)) for l in cons.offsets
+        ]
+        self.precedences = [
+            (self.tidx[l.pred], self.tidx[l.succ], *compile_delta(l))
+            for l in cons.precedences
+        ]
+
+        def compile_member(m):
+            return (
+                self.tidx[m.task],
+                m.weight,
+                None if m.weight_choice is None else self.cidx[m.weight_choice],
+                None if m.guard is None else (self.cidx[m.guard[0]], m.guard[1]),
+            )
+
+        self.disjunctives = [
+            (g.id, [compile_member(m) for m in g.members]) for g in cons.disjunctives
+        ]
+        self.cumulatives = [
+            (c.id, c.capacity, [compile_member(m) for m in c.members])
+            for c in cons.cumulatives
+        ]
+        self.exclusions = [
+            [(self.cidx[cid], val) for cid, val in ex.fingerprint] for ex in cons.exclusions
+        ]
+        self.obj_tasks = [self.tidx[t] for t in model.objective_tasks]
+
+    def present_state(self, st, ti: int) -> int:
+        p = self.presence[ti]
+        if p is None:
+            return 1
+        ci, val = p
+        dom = st.domains[ci]
+        if val not in dom:
+            return -1
+        return 1 if len(dom) == 1 else 0
+
+    def _guard_state(self, st, guard) -> int:
+        if guard is None:
+            return 1
+        ci, val = guard
+        dom = st.domains[ci]
+        if val not in dom:
+            return -1
+        return 1 if len(dom) == 1 else 0
+
+    def member_active(self, st, member) -> int:
+        pres = self.present_state(st, member[0])
+        gua = self._guard_state(st, member[3])
+        if pres == -1 or gua == -1:
+            return -1
+        if pres == 1 and gua == 1:
+            return 1
+        return 0
+
+    def duration_bounds(self, st, ti: int) -> tuple[int, int]:
+        t = self.tasks[ti]
+        if t.duration is not None:
+            return t.duration, t.duration
+        menu = self.menus[ti]
+        if menu is not None:
+            ci, table = menu
+            durs = [table[v] for v in st.domains[ci]]
+            return min(durs), max(durs)
+        return 0, max(0, st.e_hi[ti] - st.s_lo[ti])
+
+    def min_weight(self, st, member) -> int:
+        if member[2] is None:
+            return member[1]
+        return min(st.domains[member[2]])
+
+    def delta_bounds(self, st, const: int, table) -> tuple[int, int]:
+        if table is None:
+            return const, const
+        ca, cb, mapping = table
+        da, db = st.domains[ca], st.domains[cb]
+        if len(da) == 1 and len(db) == 1:
+            d = mapping[(da[0], db[0])]
+            return d, d
+        vals = [mapping[(va, vb)] for va in da for vb in db]
+        return min(vals), max(vals)
+
+    def propagate(self, st, obj_cap: float) -> str | None:
+        """Shrink ``st`` in place to a fixpoint; return a failure id or None."""
+        if obj_cap < float("inf"):
+            cap = int(obj_cap)
+            for ti in self.obj_tasks:
+                if self.present_state(st, ti) == 1 and st.e_hi[ti] > cap:
+                    st.e_hi[ti] = cap
+
+        changed = True
+        while changed:
+            changed = False
+
+            for ti in range(len(self.tasks)):
+                if self.present_state(st, ti) != 1:
+                    continue
+                dmin, dmax = self.duration_bounds(st, ti)
+                lo = max(st.e_lo[ti], st.s_lo[ti] + dmin)
+                hi = min(st.e_hi[ti], st.s_hi[ti] + dmax)
+                slo = max(st.s_lo[ti], lo - dmax)
+                shi = min(st.s_hi[ti], hi - dmin)
+                if lo != st.e_lo[ti] or hi != st.e_hi[ti]:
+                    st.e_lo[ti], st.e_hi[ti] = lo, hi
+                    changed = True
+                if slo != st.s_lo[ti] or shi != st.s_hi[ti]:
+                    st.s_lo[ti], st.s_hi[ti] = slo, shi
+                    changed = True
+                if st.s_lo[ti] > st.s_hi[ti] or st.e_lo[ti] > st.e_hi[ti]:
+                    return f"task:{self.tids[ti]}"
+
+            for pi, si, const, table in self.offsets:
+                if self.present_state(st, pi) != 1 or self.present_state(st, si) != 1:
+                    continue
+                dmin, dmax = self.delta_bounds(st, const, table)
+                if st.s_lo[si] < st.e_lo[pi] + dmin:
+                    st.s_lo[si] = st.e_lo[pi] + dmin
+                    changed = True
+                if st.s_hi[si] > st.e_hi[pi] + dmax:
+                    st.s_hi[si] = st.e_hi[pi] + dmax
+                    changed = True
+                if st.e_lo[pi] < st.s_lo[si] - dmax:
+                    st.e_lo[pi] = st.s_lo[si] - dmax
+                    changed = True
+                if st.e_hi[pi] > st.s_hi[si] - dmin:
+                    st.e_hi[pi] = st.s_hi[si] - dmin
+                    changed = True
+                if st.s_lo[si] > st.s_hi[si] or st.e_lo[pi] > st.e_hi[pi]:
+                    return f"offset:{self.tids[pi]}->{self.tids[si]}"
+
+            for pi, si, const, table in self.precedences:
+                if self.present_state(st, pi) != 1 or self.present_state(st, si) != 1:
+                    continue
+                dmin, _ = self.delta_bounds(st, const, table)
+                if st.s_lo[si] < st.e_lo[pi] + dmin:
+                    st.s_lo[si] = st.e_lo[pi] + dmin
+                    changed = True
+                if st.e_hi[pi] > st.s_hi[si] - dmin:
+                    st.e_hi[pi] = st.s_hi[si] - dmin
+                    changed = True
+                if st.s_lo[si] > st.s_hi[si] or st.e_lo[pi] > st.e_hi[pi]:
+                    return f"precedence:{self.tids[pi]}->{self.tids[si]}"
+
+            for gid, members in self.disjunctives:
+                active = [m[0] for m in members if self.member_active(st, m) == 1]
+                for x in range(len(active)):
+                    a = active[x]
+                    for y in range(x + 1, len(active)):
+                        b = active[y]
+                        a_first = st.e_lo[a] <= st.s_hi[b]
+                        b_first = st.e_lo[b] <= st.s_hi[a]
+                        if not a_first and not b_first:
+                            return f"disjunctive:{gid}"
+                        if a_first and not b_first:
+                            if st.s_lo[b] < st.e_lo[a]:
+                                st.s_lo[b] = st.e_lo[a]
+                                changed = True
+                            if st.e_hi[a] > st.s_hi[b]:
+                                st.e_hi[a] = st.s_hi[b]
+                                changed = True
+                        elif b_first and not a_first:
+                            if st.s_lo[a] < st.e_lo[b]:
+                                st.s_lo[a] = st.e_lo[b]
+                                changed = True
+                            if st.e_hi[b] > st.s_hi[a]:
+                                st.e_hi[b] = st.s_hi[a]
+                                changed = True
+
+            for cid, cap, members in self.cumulatives:
+                fail = self._timetable(st, cid, cap, members)
+                if fail is not None:
+                    return fail
+                if self._lift_starts(st, cap, members):
+                    changed = True
+
+            for fp in self.exclusions:
+                unfixed = None
+                dead = False
+                for ci, val in fp:
+                    dom = st.domains[ci]
+                    if val not in dom:
+                        dead = True
+                        break
+                    if len(dom) > 1:
+                        if unfixed is not None:
+                            unfixed = -1  # more than one undecided choice
+                            break
+                        unfixed = (ci, val)
+                if dead or unfixed == -1:
+                    continue
+                if unfixed is None:
+                    return "exclusion"
+                ci, val = unfixed
+                st.domains[ci] = tuple(v for v in st.domains[ci] if v != val)
+                changed = True
+                if not st.domains[ci]:
+                    return "exclusion"
+        return None
+
+    def _mandatory_events(self, st, members):
+        events: list[tuple[int, int]] = []
+        own: dict[int, tuple[int, int, int]] = {}
+        for m in members:
+            if self.member_active(st, m) != 1:
+                continue
+            ti = m[0]
+            w = self.min_weight(st, m)
+            if w <= 0:
+                continue
+            lo, hi = st.s_hi[ti], st.e_lo[ti]
+            if lo < hi:
+                events.append((lo, w))
+                events.append((hi, -w))
+                own[ti] = (lo, hi, w)
+        events.sort()
+        return events, own
+
+    def _timetable(self, st, cid: str, cap: int, members) -> str | None:
+        events, _ = self._mandatory_events(st, members)
+        level = 0
+        for _, delta in events:
+            level += delta
+            if level > cap:
+                return f"cumulative:{cid}"
+        return None
+
+    def _lift_starts(self, st, cap: int, members) -> bool:
+        events, own = self._mandatory_events(st, members)
+        if not events:
+            return False
+        segs = []
+        level = 0
+        prev = None
+        for point, delta in events:
+            if prev is not None and point > prev and level > 0:
+                segs.append((prev, point, level))
+            level += delta
+            prev = point
+        if not segs:
+            return False
+        moved_any = False
+        for m in members:
+            ti = m[0]
+            if st.s_lo[ti] >= st.s_hi[ti]:
+                continue
+            if self.member_active(st, m) != 1:
+                continue
+            dmin, _ = self.duration_bounds(st, ti)
+            if dmin <= 0:
+                continue
+            w = self.min_weight(st, m)
+            if w <= 0:
+                continue
+            mine = own.get(ti)
+            t = st.s_lo[ti]
+            moved = True
+            while moved:
+                moved = False
+                for seg_lo, seg_hi, level in segs:
+                    if seg_hi <= t or seg_lo >= t + dmin:
+                        continue
+                    if mine is None or mine[1] <= seg_lo or mine[0] >= seg_hi:
+                        pieces = ((seg_lo, seg_hi, level),)
+                    else:
+                        olo, ohi, ow = mine
+                        a, b = max(seg_lo, olo), min(seg_hi, ohi)
+                        pieces = tuple(
+                            p for p in (
+                                (seg_lo, a, level),
+                                (a, b, level - ow),
+                                (b, seg_hi, level),
+                            ) if p[0] < p[1]
+                        )
+                    for plo, phi, lvl in pieces:
+                        if phi <= t or plo >= t + dmin:
+                            continue
+                        if lvl + w > cap:
+                            t = phi
+                            moved = True
+                            break
+                    if moved:
+                        break
+            if t > st.s_lo[ti]:
+                st.s_lo[ti] = t
+                moved_any = True
+        return moved_any

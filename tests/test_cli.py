@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hffs.cli import CSV_HEADER, main
 
 
@@ -136,3 +138,49 @@ def test_report_with_no_rows_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", str(empty))
     assert code == 1
     assert "no result rows" in err
+
+
+def _broken_instance(tmp_path, capsys, mutate):
+    path = gen_instance(tmp_path, capsys)
+    blob = json.loads(path.read_text())
+    mutate(blob)
+    path.write_text(json.dumps(blob))
+    return path
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda b: b["transport"][0].pop("t"),
+        lambda b: b["machines"][0].pop("id"),
+        lambda b: b["proc_time"][0].pop("w"),
+        lambda b: b.__setitem__("jobs", "abc"),
+        lambda b: b.__setitem__("buffer_in", [2]),
+        lambda b: b.__setitem__("eligible_stages", "s1"),
+    ],
+    ids=["transport-t", "machine-id", "proc-w", "jobs-string", "buffer-list", "elig-string"],
+)
+@pytest.mark.parametrize("command", ["bounds", "solve", "validate"])
+def test_bad_instance_gives_one_error_line(tmp_path, capsys, mutate, command):
+    path = _broken_instance(tmp_path, capsys, mutate)
+    argv = [command, str(path)]
+    if command == "validate":
+        argv.append(str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_bad_schedule_gives_one_error_line(tmp_path, capsys):
+    path = gen_instance(tmp_path, capsys)
+    bad = tmp_path / "sched.json"
+    blob = {"machine_of": [], "workers_of": {}, "intervals": {}, "makespan": 1}
+    bad.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "validate", str(path), str(bad))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -3,8 +3,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hffs.engine import (
+    INF,
     Assignment,
     ChoiceVar,
     ConditionalBound,
@@ -19,9 +22,14 @@ from hffs.engine import (
     TaskVar,
     check_assignment,
     evaluate_objective,
+    _child_edits,
+    _pick_branch,
     propagate,
+    root_state,
     solve,
 )
+
+from oracles import RoundRobinFixpoint
 
 
 def model_of(tasks, choices=None, objective=None, **cons) -> EngineModel:
@@ -326,3 +334,179 @@ def test_bound_and_incumbent_are_consistent():
     assert res.status == "optimal"
     assert res.lower_bound == res.objective == 6
     assert check_assignment(m, res.incumbent) == []
+
+
+def bounds_of(state):
+    return (state.s_lo, state.s_hi, state.e_lo, state.e_hi, [tuple(d) for d in state.domains])
+
+
+def first_child_fixpoints(model, pick):
+    """Root fixpoint, then child ``pick`` of the first branching decision,
+    propagated from its edit alone; returns it with the oracle's fixpoint."""
+    comp, state = root_state(model)
+    assert comp.propagate(state, INF) is None
+    branch = _pick_branch(comp, state)
+    child = state.copy()
+    _child_edits(state, branch)[pick](child)
+    reference = child.copy()
+    assert comp.propagate(child, INF, branch) is None
+    assert RoundRobinFixpoint(model).propagate(reference, INF) is None
+    return child, reference
+
+
+def test_choice_edit_wakes_a_guarded_disjunctive():
+    m = model_of(
+        [
+            TaskVar("a", duration=3, est=2, lct=6),
+            TaskVar("b", duration=2, est=0, lct=5),
+        ],
+        choices=[ChoiceVar("c", (0, 1))],
+        disjunctives=[Disjunctive("d", (Member("a"), Member("b", guard=("c", 1))))],
+    )
+    child, reference = first_child_fixpoints(m, 1)
+    assert child.e_hi[task_index(m, "b")] == 3  # b now runs before a
+    assert bounds_of(child) == bounds_of(reference)
+
+
+def test_choice_edit_wakes_a_weighted_cumulative():
+    m = model_of(
+        [
+            TaskVar("a", duration=4, est=0, lct=4),
+            TaskVar("b", duration=2, est=0, lct=10),
+        ],
+        choices=[ChoiceVar("w", (1, 2))],
+        cumulatives=[Cumulative("pool", 2, (Member("a"), Member("b", weight_choice="w")))],
+    )
+    child, reference = first_child_fixpoints(m, 1)
+    assert child.s_lo[task_index(m, "b")] == 4  # weight 2 does not fit beside a
+    assert bounds_of(child) == bounds_of(reference)
+
+
+def test_choice_edit_wakes_a_cumulative_through_a_member_duration():
+    # b's window moves nothing when its menu fixes the longer duration, so
+    # only the cumulative, which lifts by minimum duration, sees the edit.
+    m = model_of(
+        [
+            TaskVar("a", duration=1, est=0, lct=5),
+            TaskVar("b", duration_menu=("d", {0: 1, 1: 5}), est=0, lct=12),
+            TaskVar("c", duration=1, est=6, lct=11),
+            TaskVar("x", duration=1, est=3, lct=4),
+        ],
+        choices=[ChoiceVar("d", (0, 1))],
+        offsets=[OffsetLink("a", "b"), OffsetLink("b", "c")],
+        cumulatives=[Cumulative("pool", 1, (Member("b"), Member("x")))],
+    )
+    child, reference = first_child_fixpoints(m, 1)
+    assert child.s_lo[task_index(m, "b")] == 4  # [1, 6) would overlap x
+    assert bounds_of(child) == bounds_of(reference)
+
+
+@st.composite
+def small_models(draw):
+    """Small random engine models exercising every propagator kind: menus,
+    presence, offsets and precedences with delta tables, guarded disjunctives,
+    weighted cumulatives and exclusions."""
+    small = st.integers(0, 3)
+    choices = [
+        ChoiceVar(f"c{i}", tuple(sorted(draw(st.sets(small, min_size=2, max_size=3)))))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    cids = [c.id for c in choices]
+    values = {c.id: c.values for c in choices}
+
+    def ref():
+        cid = draw(st.sampled_from(cids))
+        return cid, draw(st.sampled_from(values[cid]))
+
+    tasks = []
+    for i in range(draw(st.integers(2, 5))):
+        est = draw(small)
+        window = dict(est=est, lct=est + draw(st.integers(4, 16)),
+                      presence=ref() if draw(st.booleans()) else None)
+        mode = draw(st.sampled_from(("fixed", "menu", "elastic")))
+        if mode == "fixed":
+            tasks.append(TaskVar(f"t{i}", duration=draw(st.integers(0, 4)), **window))
+        elif mode == "menu":
+            cid = draw(st.sampled_from(cids))
+            menu = {v: draw(st.integers(0, 4)) for v in values[cid]}
+            tasks.append(TaskVar(f"t{i}", duration_menu=(cid, menu), **window))
+        else:
+            tasks.append(TaskVar(f"t{i}", elastic=True, **window))
+    tids = [t.id for t in tasks]
+
+    def link(kind):
+        pred, succ = draw(st.lists(st.sampled_from(tids), min_size=2, max_size=2, unique=True))
+        if draw(st.booleans()):
+            return kind(pred, succ, draw(st.integers(-1, 3)))
+        ca, cb = draw(st.sampled_from(cids)), draw(st.sampled_from(cids))
+        table = {(a, b): draw(st.integers(0, 3)) for a in values[ca] for b in values[cb]}
+        return kind(pred, succ, table=(ca, cb, table))
+
+    def members():
+        chosen = draw(st.lists(st.sampled_from(tids), min_size=1, max_size=4, unique=True))
+        return tuple(
+            Member(
+                tid,
+                weight=draw(st.integers(0, 2)),
+                weight_choice=draw(st.sampled_from(cids)) if draw(st.booleans()) else None,
+                guard=ref() if draw(st.booleans()) else None,
+            )
+            for tid in chosen
+        )
+
+    n = st.integers(0, 2)
+    return model_of(
+        tasks,
+        choices=choices,
+        objective=draw(st.lists(st.sampled_from(tids), min_size=1, unique=True)),
+        offsets=[link(OffsetLink) for _ in range(draw(n))],
+        precedences=[link(Precedence) for _ in range(draw(n))],
+        disjunctives=[Disjunctive(f"d{i}", members()) for i in range(draw(n))],
+        cumulatives=[
+            Cumulative(f"r{i}", draw(st.integers(1, 3)), members())
+            for i in range(draw(n))
+        ],
+        exclusions=[
+            Exclusion(tuple(dict(ref() for _ in range(draw(st.integers(1, 2)))).items()))
+            for _ in range(draw(n))
+        ],
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    model=small_models(),
+    caps=st.lists(st.one_of(st.none(), st.integers(4, 24)), min_size=1, max_size=8),
+)
+def test_queue_fixpoint_matches_round_robin_oracle(model, caps):
+    """The queue-driven propagate reaches the round-robin loop's fixpoint, at
+    the root and at the first nodes of the search tree (each child queued only
+    from its branching edit and the incumbent cap), or fails exactly when the
+    loop fails."""
+    oracle = RoundRobinFixpoint(model)
+    state, fail = propagate(model)
+    reference = root_state(model)[1]
+    assert (fail is None) == (oracle.propagate(reference, INF) is None)
+    if fail is None:
+        assert bounds_of(state) == bounds_of(reference)
+
+    comp, root = root_state(model)
+    stack = [(root, None)]
+    for visit in range(40):
+        if not stack:
+            break
+        state, edit = stack.pop()
+        cap = caps[visit % len(caps)]
+        cap = INF if cap is None else cap
+        reference = state.copy()
+        fail = comp.propagate(state, cap, edit)
+        assert (fail is None) == (oracle.propagate(reference, cap) is None)
+        if fail is not None:
+            continue
+        assert bounds_of(state) == bounds_of(reference)
+        branch = _pick_branch(comp, state)
+        if branch is not None:
+            for child_edit in reversed(_child_edits(state, branch)):
+                child = state.copy()
+                child_edit(child)
+                stack.append((child, branch))

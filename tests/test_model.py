@@ -1,6 +1,7 @@
 """Instance and schedule data model: validation, baseline schedule, JSON."""
 
 import random
+import re
 
 import pytest
 
@@ -222,4 +223,74 @@ def test_schedule_json_rejects_unknown_field():
     blob = json.loads(schedule_to_json(serial_schedule(two_stage_instance())))
     blob["oops"] = []
     with pytest.raises(ValueError):
+        schedule_from_json(json.dumps(blob))
+
+
+def _instance_blob():
+    import json
+
+    return json.loads(instance_to_json(two_stage_instance()))
+
+
+@pytest.mark.parametrize(
+    "field, row, key",
+    [("transport", 0, "t"), ("machines", 0, "stage"), ("proc_time", 0, "p")],
+)
+def test_instance_json_names_a_missing_row_field(field, row, key):
+    import json
+
+    blob = _instance_blob()
+    del blob[field][row][key]
+    with pytest.raises(ValueError, match=rf"misses fields: \['{key}'\]"):
+        instance_from_json(json.dumps(blob))
+
+
+@pytest.mark.parametrize(
+    "field, value, where",
+    [
+        ("jobs", "abc", "jobs"),
+        ("stages", {"s1": 1}, "stages"),
+        ("machines", "m1", "machine"),
+        ("transport", [1], "transport row"),
+        ("eligible_stages", ["s1"], "eligible_stages"),
+        ("buffer_in", [1], "buffer_in"),
+        ("buffer_out", 3, "buffer_out"),
+        ("workers_min", "1", "workers_min"),
+        ("workers_max", None, "workers_max"),
+    ],
+)
+def test_instance_json_rejects_ill_shaped_fields(field, value, where):
+    import json
+
+    blob = _instance_blob()
+    blob[field] = value
+    with pytest.raises(ValueError, match=f"^{where}: expected a JSON"):
+        instance_from_json(json.dumps(blob))
+
+
+def test_instance_json_rejects_a_non_array_stage_chain():
+    import json
+
+    blob = _instance_blob()
+    blob["eligible_stages"]["a"] = "s1"
+    with pytest.raises(ValueError, match="eligible_stages.a"):
+        instance_from_json(json.dumps(blob))
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (lambda b: b.__setitem__("machine_of", []), "machine_of"),
+        (lambda b: b.__setitem__("workers_of", 2), "workers_of"),
+        (lambda b: b.__setitem__("intervals", "x"), "intervals"),
+        (lambda b: b["intervals"].__setitem__("a|s1", [0, 1]), "intervals.a|s1"),
+        (lambda b: b["intervals"]["a|s1"].pop("pr"), "interval fields for a|s1"),
+    ],
+)
+def test_schedule_json_rejects_ill_shaped_fields(mutate, where):
+    import json
+
+    blob = json.loads(schedule_to_json(serial_schedule(two_stage_instance())))
+    mutate(blob)
+    with pytest.raises(ValueError, match=f"^{re.escape(where)}"):
         schedule_from_json(json.dumps(blob))
