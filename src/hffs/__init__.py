@@ -18,7 +18,6 @@ from .engine import (
     Cumulative,
     Disjunctive,
     EngineModel,
-    Exclusion,
     Member,
     OffsetLink,
     Precedence,
@@ -33,7 +32,7 @@ from .engine import (
 from .full_model import FullEncoding, build_full, solve_full
 from .instance_gen import GenSpec, generate
 from .lbbd import BendersCut, Budgets, IterationRecord, RunLog, fingerprint_of, gaps, run
-from .master import MasterNoIncumbent, MasterSolution, build_master, relaxed_duration, solve_master
+from .master import MasterSolution, build_master, relaxed_duration, solve_master
 from .model import (
     Instance,
     Interval,
@@ -61,13 +60,11 @@ __all__ = [
     "Cumulative",
     "Disjunctive",
     "EngineModel",
-    "Exclusion",
     "FullEncoding",
     "GenSpec",
     "Instance",
     "Interval",
     "IterationRecord",
-    "MasterNoIncumbent",
     "MasterSolution",
     "Member",
     "OffsetLink",

@@ -98,15 +98,15 @@ def _transport_prefix(inst: Instance, job: str) -> dict[str, int]:
 
 def shortest_transport(inst: Instance, job: str) -> int:
     """Cost of the cheapest machine path through the job's eligible stages."""
-    elig = inst.eligible_stages[job]
-    if len(elig) <= 1:
-        return 0
-    return _transport_prefix(inst, job)[elig[-1]]
+    return _transport_prefix(inst, job)[inst.eligible_stages[job][-1]]
 
 
 def lb1_stage_load(inst: Instance) -> int:
     """Max over stages of the stage's total relaxed load spread over its machines."""
-    pbar = relaxed_times(inst)
+    return _lb1(inst, relaxed_times(inst))
+
+
+def _lb1(inst: Instance, pbar: dict[Op, int]) -> int:
     best = 0
     for s in inst.stages:
         load = sum(pbar[(j, s)] for j in inst.jobs if (j, s) in pbar)
@@ -116,24 +116,27 @@ def lb1_stage_load(inst: Instance) -> int:
 
 def lb2_job_path(inst: Instance) -> int:
     """Max over jobs of relaxed processing total plus shortest transport path."""
-    pbar = relaxed_times(inst)
+    transport_min = {j: shortest_transport(inst, j) for j in inst.jobs}
+    return _lb2(inst, relaxed_times(inst), transport_min)
+
+
+def _lb2(inst: Instance, pbar: dict[Op, int], transport_min: dict[str, int]) -> int:
     best = 0
     for j in inst.jobs:
         total = sum(pbar[(j, s)] for s in inst.eligible_stages[j])
-        best = max(best, total + shortest_transport(inst, j))
+        best = max(best, total + transport_min[j])
     return best
 
 
-def _stage_heads(inst: Instance) -> dict[Op, tuple[int, int]]:
+def _stage_heads(
+    inst: Instance, pbar: dict[Op, int], prefixes: dict[str, dict[str, int]]
+) -> dict[Op, tuple[int, int]]:
     """Per operation: (relaxed work before the stage, cheapest transport up to it)."""
-    pbar = relaxed_times(inst)
     heads: dict[Op, tuple[int, int]] = {}
     for j in inst.jobs:
-        elig = inst.eligible_stages[j]
-        prefix_t = _transport_prefix(inst, j) if len(elig) > 1 else {elig[0]: 0}
         acc = 0
-        for s in elig:
-            heads[(j, s)] = (acc, prefix_t[s])
+        for s in inst.eligible_stages[j]:
+            heads[(j, s)] = (acc, prefixes[j][s])
             acc += pbar[(j, s)]
     return heads
 
@@ -141,7 +144,11 @@ def _stage_heads(inst: Instance) -> dict[Op, tuple[int, int]]:
 def lb3_stage_head(inst: Instance) -> int:
     """Stage load bound shifted by the earliest possible arrival at the stage."""
     pbar = relaxed_times(inst)
-    heads = _stage_heads(inst)
+    prefixes = {j: _transport_prefix(inst, j) for j in inst.jobs}
+    return _lb3(inst, pbar, _stage_heads(inst, pbar, prefixes))
+
+
+def _lb3(inst: Instance, pbar: dict[Op, int], heads: dict[Op, tuple[int, int]]) -> int:
     best = 0
     for s in inst.stages:
         eligible_jobs = [j for j in inst.jobs if (j, s) in pbar]
@@ -154,9 +161,8 @@ def lb3_stage_head(inst: Instance) -> int:
     return best
 
 
-def _two_stage_parts(inst: Instance) -> dict[str, Fraction | None]:
+def _two_stage_parts(inst: Instance, pbar: dict[Op, int]) -> dict[str, Fraction | None]:
     """Best ratio per two-stage bound over all consecutive stage pairs."""
-    pbar = relaxed_times(inst)
     parts: dict[str, Fraction | None] = {"lb4": None, "lb5": None, "lb6": None, "lb7": None}
 
     def bump(key: str, value: Fraction) -> None:
@@ -202,7 +208,8 @@ def _two_stage_parts(inst: Instance) -> dict[str, Fraction | None]:
 
 def lb_two_stage(inst: Instance) -> int | None:
     """Max of the four pair bounds, or None when no stage pair qualifies."""
-    present = [v for v in _two_stage_parts(inst).values() if v is not None]
+    parts = _two_stage_parts(inst, relaxed_times(inst))
+    present = [v for v in parts.values() if v is not None]
     return math.ceil(max(present)) if present else None
 
 
@@ -238,12 +245,17 @@ def _lb8_exact(inst: Instance) -> Fraction:
 
 
 def best_lb(inst: Instance) -> BoundReport:
-    """Compute every bound and their maximum."""
-    parts = _two_stage_parts(inst)
+    """Compute every bound and their maximum, with the relaxed times and
+    each job's transport prefix computed once and shared."""
+    pbar = relaxed_times(inst)
+    prefixes = {j: _transport_prefix(inst, j) for j in inst.jobs}
+    transport_min = {j: prefixes[j][inst.eligible_stages[j][-1]] for j in inst.jobs}
+    heads = _stage_heads(inst, pbar, prefixes)
+    parts = _two_stage_parts(inst, pbar)
     values: dict[str, int | None] = {
-        "lb1": lb1_stage_load(inst),
-        "lb2": lb2_job_path(inst),
-        "lb3": lb3_stage_head(inst),
+        "lb1": _lb1(inst, pbar),
+        "lb2": _lb2(inst, pbar, transport_min),
+        "lb3": _lb3(inst, pbar, heads),
         "lb4": None if parts["lb4"] is None else math.ceil(parts["lb4"]),
         "lb5": None if parts["lb5"] is None else math.ceil(parts["lb5"]),
         "lb6": None if parts["lb6"] is None else math.ceil(parts["lb6"]),
@@ -253,7 +265,7 @@ def best_lb(inst: Instance) -> BoundReport:
     return BoundReport(
         **values,  # type: ignore[arg-type]
         best=max(v for v in values.values() if v is not None),
-        relaxed_times=relaxed_times(inst),
-        transport_min={j: shortest_transport(inst, j) for j in inst.jobs},
-        per_stage_head=_stage_heads(inst),
+        relaxed_times=pbar,
+        transport_min=transport_min,
+        per_stage_head=heads,
     )

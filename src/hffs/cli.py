@@ -99,7 +99,6 @@ def _solve_cp(inst: Instance, args: argparse.Namespace) -> dict[str, object]:
         inst,
         node_budget=args.node_budget,
         time_budget=args.time_limit,
-        seed=args.seed,
         lb_floor=best,
     )
     elapsed = time.perf_counter() - started
@@ -127,7 +126,7 @@ def _solve_lbbd(inst: Instance, args: argparse.Namespace) -> dict[str, object]:
         max_iterations=args.max_iterations,
     )
     started = time.perf_counter()
-    log = run(inst, budgets=budgets, seed=args.seed)
+    log = run(inst, budgets=budgets)
     elapsed = time.perf_counter() - started
     return {
         "best_lb": log.best_lb,
@@ -415,7 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--master-time-limit", type=float, default=None)
     p_solve.add_argument("--node-budget", type=int, default=None)
     p_solve.add_argument("--max-iterations", type=int, default=None)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument(
+        "--seed", type=int, default=0,
+        help="accepted for compatibility; the search is deterministic and ignores it",
+    )
     p_solve.add_argument("-o", "--output", default=None)
     p_solve.add_argument("--runlog", default=None)
     p_solve.set_defaults(func=_cmd_solve)

@@ -9,9 +9,9 @@ The engine minimises makespan over a model made of:
 - ConstraintSet: exact-offset links (start(succ) = end(pred) + delta, the
   delta possibly a table over two choice values), precedence links
   (end(pred) + delta <= start(succ)), disjunctive groups, weighted cumulative
-  resources, conditional objective bounds ("if this exact choice fingerprint
-  holds, the objective is at least this value" -- the logic-cut form), and
-  fingerprint exclusions ("not all of these choice values simultaneously").
+  resources, and conditional objective bounds ("if this exact choice
+  fingerprint holds, the objective is at least this value" -- the logic-cut
+  form).
 
 Search is depth-first branch and bound: choice variables first (machine-kind
 before worker-kind, then model order; values in domain order), then
@@ -19,8 +19,8 @@ chronological start-time fixing, then remaining elastic end fixing.  The
 first descent therefore behaves like a greedy earliest-start dive.  Bounds
 propagation runs at every node (time windows through offsets and precedences,
 pairwise disjunctive reasoning, timetable reasoning over mandatory parts of
-cumulatives, exclusion filtering).  Every incumbent is re-checked against the
-raw constraints by an independent evaluator before it is stored.
+cumulatives).  Every incumbent is re-checked against the raw constraints by
+an independent evaluator before it is stored.
 
 Propagation is event driven: the AC-3 queue (Mackworth, 1977) applied to
 bounds.  Compilation numbers one propagator per task window, offset,
@@ -30,18 +30,19 @@ guard, presence or weight reads its domain.  A propagator that moves a task
 bound queues that task's watchers (not itself: each is idempotent).  The root
 queues every propagator; a child starts from its parent's fixpoint, so it
 queues only the watchers of the variable its branching edit changed and of
-the objective tasks the incumbent cap moved.  Domains change inside
-propagation only through exclusion filtering, which runs first, so presence
-and each group's active members are computed once per call (an exclusion
-that narrows a domain recomputes them and queues everything).  Every
-propagator narrows monotonically and a failure stays a failure, so by the
-chaotic-iteration argument any visiting order reaches the round-robin
-sweep's greatest fixpoint and fail/no-fail outcome; only the name of the
-failing constraint may differ.
+the objective tasks the incumbent cap moved.  No propagator narrows a choice
+domain, so presence and each group's active members are computed once per
+call.  A guard or delta table whose choices have one-value root domains is
+decided before search and compiled away: the member is unguarded, the delta
+a constant, and neither watches the choice.  Every propagator narrows
+monotonically and a failure stays a failure, so by the chaotic-iteration
+argument any visiting order reaches the round-robin sweep's greatest
+fixpoint and fail/no-fail outcome; only the name of the failing constraint
+may differ.
 
-Determinism: with a node budget, results are a pure function of (model, seed,
-budget); nothing reads the clock except the optional wall-clock budget, which
-is documented as non-deterministic.
+Determinism: the search draws no randomness.  With a node budget, results
+are a pure function of (model, budget, hint); nothing reads the clock except
+the optional wall-clock budget, which is documented as non-deterministic.
 """
 
 from __future__ import annotations
@@ -130,13 +131,6 @@ class ConditionalBound:
     bound: int
 
 
-@dataclass(frozen=True, slots=True)
-class Exclusion:
-    """Forbid the exact simultaneous assignment of all listed choice values."""
-
-    fingerprint: tuple[tuple[str, int], ...]
-
-
 @dataclass(slots=True)
 class ConstraintSet:
     offsets: list[OffsetLink] = field(default_factory=list)
@@ -144,7 +138,6 @@ class ConstraintSet:
     disjunctives: list[Disjunctive] = field(default_factory=list)
     cumulatives: list[Cumulative] = field(default_factory=list)
     conditional_bounds: list[ConditionalBound] = field(default_factory=list)
-    exclusions: list[Exclusion] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -263,12 +256,6 @@ def check_model(model: EngineModel) -> None:
         for cid, _ in cb.fingerprint:
             if cid not in choices:
                 raise ValueError(f"conditional bound references unknown choice {cid}")
-    for ex in cs.exclusions:
-        if not ex.fingerprint:
-            raise ValueError("exclusion with empty fingerprint forbids everything")
-        for cid, _ in ex.fingerprint:
-            if cid not in choices:
-                raise ValueError(f"exclusion references unknown choice {cid}")
     for tid in model.objective_tasks:
         if tid not in tasks:
             raise ValueError(f"objective references unknown task {tid}")
@@ -279,7 +266,6 @@ class _Compiled:
 
     def __init__(self, model: EngineModel) -> None:
         check_model(model)
-        self.model = model
         self.tids = list(model.tasks)
         self.tidx = {t: i for i, t in enumerate(self.tids)}
         self.cids = list(model.choices)
@@ -299,12 +285,15 @@ class _Compiled:
 
         def compile_delta(link):
             """(const, None), or (0, (ca, cb, table, |root ca|, |root cb|,
-            min, max)) with the table's extremes over the root domains."""
+            min, max)) with the table's extremes over the root domains; a
+            table over two one-value root domains is a constant."""
             if link.table is None:
                 return (link.delta, None)
             ca, cb, table = link.table
             va, vb = model.choices[ca].values, model.choices[cb].values
             root = [table[(a, b)] for a in va for b in vb]
+            if len(root) == 1:
+                return (root[0], None)
             return (0, (self.cidx[ca], self.cidx[cb], table, len(va), len(vb),
                         min(root), max(root)))
 
@@ -314,11 +303,16 @@ class _Compiled:
         ]
 
         def compile_member(m: Member):
+            """(task, weight, weight choice, guard); a guard that the root
+            domain already decides true is dropped."""
+            guard = m.guard
+            if guard is not None and tuple(model.choices[guard[0]].values) == (guard[1],):
+                guard = None
             return (
                 self.tidx[m.task],
                 m.weight,
                 None if m.weight_choice is None else self.cidx[m.weight_choice],
-                None if m.guard is None else (self.cidx[m.guard[0]], m.guard[1]),
+                None if guard is None else (self.cidx[guard[0]], guard[1]),
             )
 
         self.disjunctives = [
@@ -332,10 +326,6 @@ class _Compiled:
         self.cond_bounds = [
             ([(self.cidx[cid], val) for cid, val in cb.fingerprint], cb.bound)
             for cb in model.constraints.conditional_bounds
-        ]
-        self.exclusions = [
-            [(self.cidx[cid], val) for cid, val in ex.fingerprint]
-            for ex in model.constraints.exclusions
         ]
         self.obj_tasks = [self.tidx[t] for t in model.objective_tasks]
         self.floor = model.objective_floor
@@ -425,10 +415,10 @@ class _Compiled:
 
     # -- propagation --------------------------------------------------------
 
-    def propagate(self, st: State, obj_cap: float, _seed=None) -> str | None:
+    def propagate(self, st: State, obj_cap: float, _edit=None) -> str | None:
         """Shrink bounds to a fixpoint; return a violated constraint id or None.
 
-        ``_seed`` is the branching decision (kind, index) that made ``st``
+        ``_edit`` is the branching decision (kind, index) that made ``st``
         from a parent state already at a fixpoint; None queues everything."""
         pres = [self.present_state(st, ti) for ti in range(len(self.tasks))]
         moved: list[int] = []
@@ -439,15 +429,10 @@ class _Compiled:
                     st.e_hi[ti] = cap
                     moved.append(ti)
 
-        fail, narrowed = self._filter_exclusions(st.domains)
-        if fail is not None:
-            return fail
-        if narrowed:
-            pres = [self.present_state(st, ti) for ti in range(len(self.tasks))]
-        if _seed is None or narrowed:
+        if _edit is None:
             queue = deque(range(self.nprops))
         else:
-            kind, idx = _seed
+            kind, idx = _edit
             queue = deque((self.choice_watch if kind == "choice" else self.task_watch)[idx])
         inq = [False] * self.nprops
         for p in queue:
@@ -481,35 +466,6 @@ class _Compiled:
                 wake()
             inq[p] = False  # idempotent: its own moves need no second run
         return None
-
-    def _filter_exclusions(self, domains) -> tuple[str | None, bool]:
-        """Exclusion filtering to its own fixpoint: (failure, domains narrowed)."""
-        narrowed, changed = False, bool(self.exclusions)
-        while changed:
-            changed = False
-            for fp in self.exclusions:
-                unfixed = None
-                dead = False
-                for ci, val in fp:
-                    dom = domains[ci]
-                    if val not in dom:
-                        dead = True
-                        break
-                    if len(dom) > 1:
-                        if unfixed is not None:
-                            unfixed = -1  # more than one undecided choice
-                            break
-                        unfixed = (ci, val)
-                if dead or unfixed == -1:
-                    continue
-                if unfixed is None:
-                    return "exclusion", narrowed
-                ci, val = unfixed
-                domains[ci] = tuple(v for v in domains[ci] if v != val)
-                narrowed = changed = True
-                if not domains[ci]:
-                    return "exclusion", narrowed
-        return None, narrowed
 
     def _active_members(self, st: State, p: int, pres: list[int]) -> list:
         """Active-certain members of group propagator ``p``: task indices for
@@ -791,9 +747,6 @@ def check_assignment(model: EngineModel, asg: Assignment) -> list[str]:
                 v.append(f"cumulative {cum.id}: capacity {cum.capacity} exceeded")
                 break
 
-    for ex in model.constraints.exclusions:
-        if all(choices[cid] == val for cid, val in ex.fingerprint):
-            v.append("excluded fingerprint assigned")
     return v
 
 
@@ -880,7 +833,6 @@ def solve(
     *,
     node_budget: int | None = None,
     time_budget: float | None = None,
-    seed: int = 0,
     hint: Assignment | None = None,
 ) -> SearchResult:
     """Anytime branch-and-bound minimisation of the model's makespan.
@@ -891,7 +843,6 @@ def solve(
     the incumbent.  The returned lower bound is proven: no feasible assignment
     has an objective below it.
     """
-    del seed  # reserved; the search is deterministic and draws no randomness
     comp = _Compiled(model)
     t0 = _time.perf_counter()
 

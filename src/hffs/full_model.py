@@ -5,10 +5,15 @@ worker choice, and a wait/process/wait task triple chained by zero-delta
 offsets; the chosen machine's process task is the operation's interval, so no
 separate synchronisation layer is needed.  Machine-dependent transport deltas
 between consecutive operations of a job are exact offsets on the surrounding
-waits.  Per machine there is a no-overlap group over process tasks and one
-entry and one exit buffer cumulative over the wait tasks; a single global
-cumulative with worker-count weights caps crew usage.  Redundant stage-order
-precedences between consecutive process tasks help propagation.
+waits; since the waits are nonnegative and transport is at least 0, they also
+order consecutive process tasks.  Per machine there is a no-overlap group
+over process tasks and one entry and one exit buffer cumulative over the wait
+tasks; a single global cumulative with worker-count weights caps crew usage.
+
+A ``machine_of`` map pins every machine choice to one value.  The pinned
+model is the decomposition's subproblem: the engine compiles its one-value
+guards and transport tables away, so it searches exactly the model with
+fixed machines.
 
 The solver is warm-started from the serial baseline schedule, which also
 bounds the horizon, and its objective floor is seeded from the bound module,
@@ -29,7 +34,6 @@ from .engine import (
     EngineModel,
     Member,
     OffsetLink,
-    Precedence,
     SearchResult,
     TaskVar,
     solve,
@@ -59,13 +63,19 @@ class FullEncoding:
 
 
 def build_full(
-    inst: Instance, *, horizon: int | None = None, lb_floor: int = 0
+    inst: Instance,
+    *,
+    horizon: int | None = None,
+    lb_floor: int = 0,
+    machine_of: dict[Op, str] | None = None,
 ) -> FullEncoding:
-    """Encode the complete problem.  ``horizon`` defaults to the serial
-    baseline makespan (a valid upper bound); ``lb_floor`` must be a proven
-    lower bound (0 is always safe)."""
+    """Encode the complete problem, or with ``machine_of`` (a machine per
+    operation) the problem under that fixed assignment.  ``horizon``
+    defaults to the serial baseline makespan under the same machines (a
+    valid upper bound); ``lb_floor`` must be a proven lower bound of the
+    encoded problem (0 is always safe)."""
     if horizon is None:
-        horizon = serial_schedule(inst).makespan
+        horizon = serial_schedule(inst, machine_of).makespan
     ops = tuple(inst.ops())
     stage_machines = {s: inst.machines_of(s) for s in inst.stages}
     idx_of = {op: k for k, op in enumerate(ops)}
@@ -81,7 +91,9 @@ def build_full(
 
     for k, (j, s) in enumerate(ops):
         machs = stage_machines[s]
-        mc = ChoiceVar(f"m{k}", tuple(range(len(machs))), kind="machine")
+        pinned = machine_of is not None
+        values = (machs.index(machine_of[(j, s)]),) if pinned else tuple(range(len(machs)))
+        mc = ChoiceVar(f"m{k}", values, kind="machine")
         window = tuple(inst.worker_window(s))
         wc = ChoiceVar(f"w{k}", window, kind="worker")
         choices[mc.id] = mc
@@ -95,7 +107,8 @@ def build_full(
         tasks[wa.id] = wa
         cs.offsets.append(OffsetLink(wb.id, pr.id, 0))
         cs.offsets.append(OffsetLink(pr.id, wa.id, 0))
-        for i, m in enumerate(machs):
+        for i in mc.values:
+            m = machs[i]
             proc_members[m].append(Member(pr.id, guard=(mc.id, i)))
             in_members[m].append(Member(wb.id, guard=(mc.id, i)))
             out_members[m].append(Member(wa.id, guard=(mc.id, i)))
@@ -107,14 +120,13 @@ def build_full(
         for a, b in zip(chain, chain[1:]):
             ka, kb = idx_of[(j, a)], idx_of[(j, b)]
             table = {
-                (ia, ib): inst.transport[(ma, mb)]
-                for ia, ma in enumerate(stage_machines[a])
-                for ib, mb in enumerate(stage_machines[b])
+                (ia, ib): inst.transport[(stage_machines[a][ia], stage_machines[b][ib])]
+                for ia in choices[f"m{ka}"].values
+                for ib in choices[f"m{kb}"].values
             }
             cs.offsets.append(
                 OffsetLink(f"wa{ka}", f"wb{kb}", table=(f"m{ka}", f"m{kb}", table))
             )
-            cs.precedences.append(Precedence(f"pr{ka}", f"pr{kb}", 0))
 
     for m in inst.machines:
         if proc_members[m]:
@@ -177,12 +189,27 @@ def assignment_to_schedule(enc: FullEncoding, asg: Assignment) -> Schedule:
     return Schedule(machine_of, workers_of, wb, pr, wa, makespan)
 
 
+def incumbent_schedule(
+    inst: Instance, enc: FullEncoding, result: SearchResult
+) -> Schedule | None:
+    """Decode the search's incumbent and re-check it with the independent
+    validator; None when the search found no incumbent."""
+    if result.incumbent is None:
+        return None
+    schedule = assignment_to_schedule(enc, result.incumbent)
+    bad = validate_schedule(inst, schedule)
+    if bad:
+        raise RuntimeError(f"solver produced an invalid schedule: {bad[0]}")
+    if result.objective != schedule.makespan:
+        raise RuntimeError("objective exceeds the incumbent makespan: an unsound floor")
+    return schedule
+
+
 def solve_full(
     inst: Instance,
     *,
     node_budget: int | None = None,
     time_budget: float | None = None,
-    seed: int = 0,
     lb_floor: int | None = None,
 ) -> tuple[SearchResult, Schedule | None]:
     """Solve the monolithic model; the returned schedule (when an incumbent
@@ -195,22 +222,10 @@ def solve_full(
         lb_floor = best_lb(inst).best
     base = serial_schedule(inst)
     enc = build_full(inst, horizon=base.makespan, lb_floor=lb_floor)
-    hint = schedule_to_assignment(enc, base)
     result = solve(
         enc.model,
         node_budget=node_budget,
         time_budget=time_budget,
-        seed=seed,
-        hint=hint,
+        hint=schedule_to_assignment(enc, base),
     )
-    schedule: Schedule | None = None
-    if result.incumbent is not None:
-        schedule = assignment_to_schedule(enc, result.incumbent)
-        bad = validate_schedule(inst, schedule)
-        if bad:
-            raise RuntimeError(f"solver produced an invalid schedule: {bad[0]}")
-        if result.objective != schedule.makespan:
-            raise RuntimeError(
-                "objective exceeds the incumbent makespan: an unsound floor"
-            )
-    return result, schedule
+    return result, incumbent_schedule(inst, enc, result)

@@ -7,13 +7,16 @@ subproblem under that assignment for a feasible schedule.  A subproblem
 solved to proven optimality installs an optimality cut (full machine
 fingerprint, objective at least zeta); a subproblem that only times out
 updates the upper bound, installs NO cut (a cut from a non-optimal incumbent
-could overconstrain), and doubles the subproblem node budget; a provably
-infeasible subproblem installs a fingerprint exclusion.  Termination: bound
-meets upper bound (optimal), or iteration/time budget (feasible with gap).
+could overconstrain), and doubles the subproblem node budget.  Only
+optimality cuts are needed (Hooker, "Planning and scheduling by logic-based
+Benders decomposition", Oper. Res. 55(3), 2007): the serial schedule under
+any machine assignment is feasible and warm-starts every subproblem, so no
+subproblem is infeasible.  Termination: bound meets upper bound (optimal),
+or iteration/time budget (feasible with gap).
 
 Determinism: with pure node budgets the run never reads the clock for
 decisions and the serialized RunLog omits wall-clock fields, so identical
-(instance, seed, budgets) give byte-identical JSON.
+(instance, budgets) give byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ def gaps(best_lb_value: float, lb: float, ub: float) -> tuple[float, float]:
     return original, real
 
 
-def run(inst: Instance, budgets: Budgets = Budgets(), seed: int = 0) -> RunLog:
+def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
     """Run the decomposition to optimality or budget; see the module docstring
     for the cut policy.  The returned log carries the best validated schedule."""
     errors = validate_instance(inst)
@@ -168,7 +171,6 @@ def run(inst: Instance, budgets: Budgets = Budgets(), seed: int = 0) -> RunLog:
     ub: int | None = None
     best_sched: Schedule | None = None
     cuts: list[BendersCut] = []
-    exclusions: list[Fingerprint] = []
     known_cut_fps: set[Fingerprint] = set()
     log = RunLog(best_lb=seed_lb, lb=lb, ub=None, status="unknown")
     sub_nodes = budgets.sub_nodes
@@ -191,8 +193,6 @@ def run(inst: Instance, budgets: Budgets = Budgets(), seed: int = 0) -> RunLog:
             lb,
             node_budget=budgets.master_nodes,
             time_budget=clip(budgets.master_time),
-            seed=seed,
-            exclusions=exclusions,
         )
         total_nodes += msol.nodes
         lb = max(lb, msol.lower_bound)
@@ -211,7 +211,6 @@ def run(inst: Instance, budgets: Budgets = Budgets(), seed: int = 0) -> RunLog:
             msol,
             node_budget=sub_nodes,
             time_budget=clip(budgets.sub_time),
-            seed=seed,
             lb_floor=lb,
         )
         total_nodes += sres.nodes
@@ -222,8 +221,6 @@ def run(inst: Instance, budgets: Budgets = Budgets(), seed: int = 0) -> RunLog:
             if fp not in known_cut_fps:
                 cuts.append(BendersCut(fingerprint=fp, zeta=sres.zeta))
                 known_cut_fps.add(fp)
-        elif sres.status == "infeasible":
-            exclusions.append(fp)
         elif sub_nodes is not None:
             sub_nodes *= 2  # incumbent kept, cut withheld, budget doubled
         log.iterations.append(

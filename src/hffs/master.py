@@ -9,7 +9,9 @@ capacity |machines of the stage| and a global worker cumulative weighted by
 each stage's minimum worker count are kept as redundant strength.  Every cut
 is installed as a conditional bound over the full machine fingerprint, and
 the objective is floored at the caller's proven lower bound, so the master's
-proven bound is valid for the original problem.
+proven bound is valid for the original problem.  Cuts only raise the
+objective and forbid no assignment, so the serial assignment that
+warm-starts every solve stays feasible and the master always returns one.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from .engine import (
     Cumulative,
     Disjunctive,
     EngineModel,
-    Exclusion,
     Member,
     Precedence,
     TaskVar,
-    check_assignment,
+    check_assignment,  # noqa: F401 -- looked up here by perfbench/tracer.py
     solve,
 )
 from .model import Instance, Op, serial_schedule, validate_instance
@@ -56,11 +57,6 @@ class MasterEncoding:
     stage_machines: dict[str, tuple[str, ...]]
 
 
-class MasterNoIncumbent(RuntimeError):
-    """The master search stopped without any incumbent (never infeasibility:
-    the master always admits the serial assignment)."""
-
-
 def relaxed_duration(inst: Instance, job: str, stage: str) -> int:
     return min(inst.proc_time[(job, stage, w)] for w in inst.worker_window(stage))
 
@@ -83,12 +79,11 @@ def build_master(
     cuts: Sequence,
     lb_floor: int,
     *,
-    exclusions: Sequence[Fingerprint] = (),
     horizon: int | None = None,
 ) -> MasterEncoding:
     """Encode the relaxation.  ``cuts`` need ``fingerprint`` (a tuple of
     ((job, stage), machine id) pairs over all operations) and ``zeta``
-    attributes; ``exclusions`` are fingerprints to forbid outright."""
+    attributes."""
     if horizon is None:
         horizon = serial_schedule(inst).makespan
     ops = tuple(inst.ops())
@@ -128,7 +123,6 @@ def build_master(
             cs.precedences.append(
                 Precedence(f"t{ka}", f"t{kb}", table=(f"m{ka}", f"m{kb}", table))
             )
-            cs.precedences.append(Precedence(f"t{ka}", f"t{kb}", 0))
 
     for m in inst.machines:
         if machine_members[m]:
@@ -155,8 +149,6 @@ def build_master(
         cs.conditional_bounds.append(
             ConditionalBound(_choice_fingerprint(enc, cut.fingerprint), cut.zeta)
         )
-    for fp in exclusions:
-        cs.exclusions.append(Exclusion(_choice_fingerprint(enc, fp)))
     return enc
 
 
@@ -181,31 +173,19 @@ def solve_master(
     *,
     node_budget: int | None = None,
     time_budget: float | None = None,
-    seed: int = 0,
-    exclusions: Sequence[Fingerprint] = (),
 ) -> MasterSolution:
     """Anytime master solve; the returned bound is proven for the original
-    problem.  Raises MasterNoIncumbent when the budget expires before any
-    incumbent (distinct from infeasibility; all-but-unreachable because the
-    serial assignment warm-starts the search)."""
+    problem, and the serial warm start gives an incumbent at every budget."""
     errors = validate_instance(inst)
     if errors:
         raise ValueError(f"invalid instance: {errors[0]}")
-    enc = build_master(inst, cuts, lb_floor, exclusions=exclusions)
-    hint = _serial_hint(enc, inst)
-    if check_assignment(enc.model, hint):
-        hint = None  # the serial fingerprint was excluded by a cut
+    enc = build_master(inst, cuts, lb_floor)
     result = solve(
         enc.model,
         node_budget=node_budget,
         time_budget=time_budget,
-        seed=seed,
-        hint=hint,
+        hint=_serial_hint(enc, inst),
     )
-    if result.incumbent is None:
-        raise MasterNoIncumbent(
-            f"no master incumbent within budget (status {result.status})"
-        )
     machine_seq: dict[str, tuple[str, ...]] = {}
     for k, (j, s) in enumerate(enc.ops):
         m = enc.stage_machines[s][result.incumbent.choices[f"m{k}"]]

@@ -1,30 +1,28 @@
 """Restricted subproblem: machines fixed by a master solution, workers and
 timing free, all original constraints active.
 
-Per operation the encoding keeps one worker choice selecting the processing
-duration and the wait/process/wait triple with chain equality.  Transport
-offsets between consecutive assigned machines are exact constants, machine
-no-overlap groups and buffer cumulatives cover only the operations assigned
-to each machine, and the global worker cumulative is weighted by the chosen
-count.  Any optimum here is feasible for the original problem, so it yields
-an upper bound; the returned schedule is re-validated by the full validator.
+The encoding is the monolithic model's (``full_model.build_full``) with every
+machine choice pinned to the master's machine.  The engine compiles the
+one-value guards and transport tables away, so what it searches is one
+worker choice per operation selecting the processing duration, the
+wait/process/wait triple with chain equality, exact transport constants
+between consecutive assigned machines, machine no-overlap groups and buffer
+cumulatives over only the operations assigned to each machine, and the
+global worker cumulative weighted by the chosen count.  Any optimum here is
+feasible for the original problem, so it yields an upper bound; the returned
+schedule is decoded and re-validated by the full model's own step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import (
-    Assignment,
-    ChoiceVar,
-    ConstraintSet,
-    Cumulative,
-    Disjunctive,
-    EngineModel,
-    Member,
-    OffsetLink,
-    TaskVar,
-    solve,
+from .engine import solve
+from .full_model import (
+    FullEncoding,
+    build_full,
+    incumbent_schedule,
+    schedule_to_assignment,
 )
 from .master import MasterSolution
 from .model import (
@@ -33,15 +31,8 @@ from .model import (
     Schedule,
     serial_schedule,
     validate_instance,
-    validate_schedule,
+    validate_schedule,  # noqa: F401 -- looked up here by perfbench/tracer.py
 )
-
-
-@dataclass(frozen=True, slots=True)
-class SubEncoding:
-    model: EngineModel
-    ops: tuple[Op, ...]
-    machine_of: dict[Op, str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,103 +66,14 @@ def build_sub(
     *,
     horizon: int | None = None,
     lb_floor: int = 0,
-) -> SubEncoding:
-    """Encode the subproblem under the master's fixed machine assignment."""
-    machine_of = _assigned_machines(inst, msol)
-    if horizon is None:
-        horizon = serial_schedule(inst, machine_of).makespan
-    ops = tuple(inst.ops())
-    idx_of = {op: k for k, op in enumerate(ops)}
-
-    tasks: dict[str, TaskVar] = {}
-    choices: dict[str, ChoiceVar] = {}
-    cs = ConstraintSet()
-    proc_members: dict[str, list[Member]] = {}
-    in_members: dict[str, list[Member]] = {}
-    out_members: dict[str, list[Member]] = {}
-    worker_members: list[Member] = []
-    last_wa: dict[str, str] = {}
-
-    for k, (j, s) in enumerate(ops):
-        window = tuple(inst.worker_window(s))
-        wc = ChoiceVar(f"w{k}", window, kind="worker")
-        choices[wc.id] = wc
-        menu = {w: inst.proc_time[(j, s, w)] for w in window}
-        wb = TaskVar(f"wb{k}", elastic=True, est=0, lct=horizon)
-        pr = TaskVar(f"pr{k}", duration_menu=(wc.id, menu), est=0, lct=horizon)
-        wa = TaskVar(f"wa{k}", elastic=True, est=0, lct=horizon)
-        tasks[wb.id] = wb
-        tasks[pr.id] = pr
-        tasks[wa.id] = wa
-        cs.offsets.append(OffsetLink(wb.id, pr.id, 0))
-        cs.offsets.append(OffsetLink(pr.id, wa.id, 0))
-        m = machine_of[(j, s)]
-        proc_members.setdefault(m, []).append(Member(pr.id))
-        in_members.setdefault(m, []).append(Member(wb.id))
-        out_members.setdefault(m, []).append(Member(wa.id))
-        worker_members.append(Member(pr.id, weight_choice=wc.id))
-        last_wa[j] = wa.id
-
-    for j in inst.jobs:
-        chain = inst.eligible_stages[j]
-        for a, b in zip(chain, chain[1:]):
-            ka, kb = idx_of[(j, a)], idx_of[(j, b)]
-            delta = inst.transport[(machine_of[(j, a)], machine_of[(j, b)])]
-            cs.offsets.append(OffsetLink(f"wa{ka}", f"wb{kb}", delta))
-
-    for m, members in proc_members.items():
-        cs.disjunctives.append(Disjunctive(f"mach:{m}", tuple(members)))
-        cs.cumulatives.append(
-            Cumulative(f"in:{m}", inst.buffer_in[m], tuple(in_members[m]))
-        )
-        cs.cumulatives.append(
-            Cumulative(f"out:{m}", inst.buffer_out[m], tuple(out_members[m]))
-        )
-    cs.cumulatives.append(
-        Cumulative("workers", inst.workers_total, tuple(worker_members))
+) -> FullEncoding:
+    """Encode the subproblem: the full model pinned to the master's machines."""
+    return build_full(
+        inst,
+        horizon=horizon,
+        lb_floor=lb_floor,
+        machine_of=_assigned_machines(inst, msol),
     )
-
-    model = EngineModel(
-        tasks=tasks,
-        choices=choices,
-        constraints=cs,
-        objective_tasks=[last_wa[j] for j in inst.jobs],
-        objective_floor=lb_floor,
-    )
-    return SubEncoding(model=model, ops=ops, machine_of=machine_of)
-
-
-def _serial_hint(enc: SubEncoding, inst: Instance) -> Assignment:
-    base = serial_schedule(inst, enc.machine_of)
-    choices: dict[str, int] = {}
-    starts: dict[str, int] = {}
-    ends: dict[str, int] = {}
-    for k, op in enumerate(enc.ops):
-        choices[f"w{k}"] = base.workers_of[op]
-        for prefix, table in (
-            ("wb", base.wait_before),
-            ("pr", base.process),
-            ("wa", base.wait_after),
-        ):
-            lo, hi = table[op]
-            starts[f"{prefix}{k}"] = lo
-            ends[f"{prefix}{k}"] = hi
-    return Assignment(choices=choices, starts=starts, ends=ends)
-
-
-def assignment_to_schedule(enc: SubEncoding, asg: Assignment) -> Schedule:
-    machine_of = dict(enc.machine_of)
-    workers_of: dict[Op, int] = {}
-    wb: dict[Op, tuple[int, int]] = {}
-    pr: dict[Op, tuple[int, int]] = {}
-    wa: dict[Op, tuple[int, int]] = {}
-    for k, op in enumerate(enc.ops):
-        workers_of[op] = asg.choices[f"w{k}"]
-        wb[op] = (asg.starts[f"wb{k}"], asg.ends[f"wb{k}"])
-        pr[op] = (asg.starts[f"pr{k}"], asg.ends[f"pr{k}"])
-        wa[op] = (asg.starts[f"wa{k}"], asg.ends[f"wa{k}"])
-    makespan = max(end for _, end in wa.values())
-    return Schedule(machine_of, workers_of, wb, pr, wa, makespan)
 
 
 def solve_sub(
@@ -180,7 +82,6 @@ def solve_sub(
     *,
     node_budget: int | None = None,
     time_budget: float | None = None,
-    seed: int = 0,
     lb_floor: int = 0,
 ) -> SubResult:
     """Anytime subproblem solve.  ``lb_floor`` may be any proven lower bound
@@ -189,28 +90,17 @@ def solve_sub(
     errors = validate_instance(inst)
     if errors:
         raise ValueError(f"invalid instance: {errors[0]}")
-    enc = build_sub(inst, msol, lb_floor=lb_floor)
-    hint = _serial_hint(enc, inst)
+    base = serial_schedule(inst, _assigned_machines(inst, msol))
+    enc = build_sub(inst, msol, horizon=base.makespan, lb_floor=lb_floor)
     result = solve(
         enc.model,
         node_budget=node_budget,
         time_budget=time_budget,
-        seed=seed,
-        hint=hint,
+        hint=schedule_to_assignment(enc, base),
     )
-    schedule: Schedule | None = None
-    if result.incumbent is not None:
-        schedule = assignment_to_schedule(enc, result.incumbent)
-        bad = validate_schedule(inst, schedule)
-        if bad:
-            raise RuntimeError(f"subproblem produced an invalid schedule: {bad[0]}")
-        if result.objective != schedule.makespan:
-            raise RuntimeError(
-                "objective exceeds the incumbent makespan: an unsound floor"
-            )
     return SubResult(
         zeta=result.objective,
-        schedule=schedule,
+        schedule=incumbent_schedule(inst, enc, result),
         status=result.status,
         nodes=result.nodes,
         wall_time=result.wall_time,

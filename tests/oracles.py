@@ -436,8 +436,8 @@ def lp_lower_bound(inst: Instance) -> Fraction:
 
 class RoundRobinFixpoint:
     """Reference bounds propagation: the engine's original loop, which sweeps
-    every task window, offset, precedence, disjunctive, cumulative and
-    exclusion in turn until a whole sweep changes nothing.
+    every task window, offset, precedence, disjunctive and cumulative in
+    turn until a whole sweep changes nothing.
 
     It reads an engine model by attribute only and works on plain lists
     (``s_lo``, ``s_hi``, ``e_lo``, ``e_hi``, ``domains``) indexed like the
@@ -488,9 +488,6 @@ class RoundRobinFixpoint:
         self.cumulatives = [
             (c.id, c.capacity, [compile_member(m) for m in c.members])
             for c in cons.cumulatives
-        ]
-        self.exclusions = [
-            [(self.cidx[cid], val) for cid, val in ex.fingerprint] for ex in cons.exclusions
         ]
         self.obj_tasks = [self.tidx[t] for t in model.objective_tasks]
 
@@ -641,29 +638,6 @@ class RoundRobinFixpoint:
                     return fail
                 if self._lift_starts(st, cap, members):
                     changed = True
-
-            for fp in self.exclusions:
-                unfixed = None
-                dead = False
-                for ci, val in fp:
-                    dom = st.domains[ci]
-                    if val not in dom:
-                        dead = True
-                        break
-                    if len(dom) > 1:
-                        if unfixed is not None:
-                            unfixed = -1  # more than one undecided choice
-                            break
-                        unfixed = (ci, val)
-                if dead or unfixed == -1:
-                    continue
-                if unfixed is None:
-                    return "exclusion"
-                ci, val = unfixed
-                st.domains[ci] = tuple(v for v in st.domains[ci] if v != val)
-                changed = True
-                if not st.domains[ci]:
-                    return "exclusion"
         return None
 
     def _mandatory_events(self, st, members):

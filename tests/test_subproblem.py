@@ -29,14 +29,28 @@ def two_stage_instance():
     )
 
 
-def test_encoding_has_one_choice_and_three_tasks_per_operation():
-    inst = two_stage_instance()
-    enc = build_sub(inst, fixed({"a": ("m1", "m2"), "b": ("m1", "m2")}))
-    assert len(enc.ops) == 4
+def test_encoding_pins_each_machine_choice_to_one_value():
+    inst = make_instance(
+        jobs={"a": ["s1", "s2"], "b": ["s1", "s2"]},
+        stage_machines={"s1": ("m11", "m12"), "s2": ("m21",)},
+        proc={("a", "s1", 1): 2, ("a", "s2", 1): 3,
+              ("b", "s1", 1): 3, ("b", "s2", 1): 2},
+        transport={("m11", "m21"): 1, ("m12", "m21"): 2},
+    )
+    enc = build_sub(inst, fixed({"a": ("m12", "m21"), "b": ("m11", "m21")}))
+    assert enc.ops == (("a", "s1"), ("a", "s2"), ("b", "s1"), ("b", "s2"))
     assert len(enc.model.tasks) == 12
-    assert len(enc.model.choices) == 4
-    ids = {d.id for d in enc.model.constraints.disjunctives}
-    assert ids == {"mach:m1", "mach:m2"}
+    # one worker choice and one machine choice per operation; the machine
+    # choice has the pinned machine's index as its only value
+    assert {cid: c.values for cid, c in enc.model.choices.items() if c.kind == "machine"} == {
+        "m0": (1,), "m1": (0,), "m2": (0,), "m3": (0,)}
+    assert sum(c.kind == "worker" for c in enc.model.choices.values()) == 4
+    # each machine's group holds only the operations pinned to it
+    groups = {d.id: [m.task for m in d.members] for d in enc.model.constraints.disjunctives}
+    assert groups == {"mach:m11": ["pr2"], "mach:m12": ["pr0"], "mach:m21": ["pr1", "pr3"]}
+    # each transport table has the one pair of pinned machines
+    tables = [l.table[2] for l in enc.model.constraints.offsets if l.table is not None]
+    assert tables == [{(1, 0): 2}, {(0, 0): 1}]
 
 
 def test_single_job_chain_completes_at_speedup_plus_transport():
@@ -157,7 +171,7 @@ def test_subproblem_is_deterministic_across_seeds():
     inst = sample_tiny(rng)
     seq = {j: tuple(inst.machines_of(s)[0] for s in inst.eligible_stages[j])
            for j in inst.jobs}
-    a = solve_sub(inst, fixed(seq), seed=0)
-    b = solve_sub(inst, fixed(seq), seed=11)
+    a = solve_sub(inst, fixed(seq))
+    b = solve_sub(inst, fixed(seq))
     assert (a.zeta, a.nodes, a.status) == (b.zeta, b.nodes, b.status)
     assert a.schedule.process == b.schedule.process
