@@ -32,7 +32,7 @@ from .engine import (
 from .full_model import FullEncoding, build_full, solve_full
 from .instance_gen import GenSpec, generate
 from .lbbd import BendersCut, Budgets, IterationRecord, RunLog, fingerprint_of, gaps, run
-from .master import MasterSolution, build_master, relaxed_duration, solve_master
+from .master import MasterSolution, build_master, solve_master
 from .model import (
     Instance,
     Interval,
@@ -89,7 +89,6 @@ __all__ = [
     "instance_to_json",
     "makespan_of",
     "propagate",
-    "relaxed_duration",
     "run",
     "schedule_from_json",
     "schedule_to_json",

@@ -121,7 +121,6 @@ def _solve_lbbd(inst: Instance, args: argparse.Namespace) -> dict[str, object]:
         master_nodes=args.node_budget,
         master_time=args.master_time_limit,
         sub_nodes=args.node_budget,
-        sub_time=None,
         total_time=args.time_limit,
         max_iterations=args.max_iterations,
     )

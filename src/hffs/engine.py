@@ -4,7 +4,7 @@ The engine minimises makespan over a model made of:
 
 - TaskVar: a half-open interval with a fixed duration, a duration selected
   from a menu by a choice variable, or an elastic (free nonnegative) duration;
-  optionally present only when a guard choice takes a given value;
+  every task is always present (alternatives are guarded group members);
 - ChoiceVar: a finite integer domain (machine index, worker count, ...);
 - ConstraintSet: exact-offset links (start(succ) = end(pred) + delta, the
   delta possibly a table over two choice values), precedence links
@@ -26,15 +26,15 @@ Propagation is event driven: the AC-3 queue (Mackworth, 1977) applied to
 bounds.  Compilation numbers one propagator per task window, offset,
 precedence, disjunctive and cumulative, with two watch lists: task -> the
 propagators reading its bounds, choice -> those whose menu, delta table,
-guard, presence or weight reads its domain.  A propagator that moves a task
-bound queues that task's watchers (not itself: each is idempotent).  The root
+guard or weight reads its domain.  A propagator that moves a task bound
+queues that task's watchers (not itself: each is idempotent).  The root
 queues every propagator; a child starts from its parent's fixpoint, so it
 queues only the watchers of the variable its branching edit changed and of
 the objective tasks the incumbent cap moved.  No propagator narrows a choice
-domain, so presence and each group's active members are computed once per
-call.  A guard or delta table whose choices have one-value root domains is
-decided before search and compiled away: the member is unguarded, the delta
-a constant, and neither watches the choice.  Every propagator narrows
+domain, so each group's active members are computed once per call.  A guard
+or delta table whose choices have one-value root domains is decided before
+search and compiled away: the member is unguarded, the delta a constant, and
+neither watches the choice.  Every propagator narrows
 monotonically and a failure stays a failure, so by the chaotic-iteration
 argument any visiting order reaches the round-robin sweep's greatest
 fixpoint and fail/no-fail outcome; only the name of the failing constraint
@@ -74,7 +74,6 @@ class TaskVar:
     elastic: bool = False
     est: int = 0
     lct: int = 0
-    presence: tuple[str, int] | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +150,7 @@ class EngineModel:
 
 @dataclass(frozen=True, slots=True)
 class Assignment:
-    """A complete concrete assignment (absent tasks may be omitted)."""
+    """A complete concrete assignment: every choice and every task."""
 
     choices: dict[str, int]
     starts: dict[str, int]
@@ -217,8 +216,6 @@ def check_model(model: EngineModel) -> None:
                 raise ValueError(f"task {tid} has a negative menu duration")
         if t.est < 0 or t.lct < t.est:
             raise ValueError(f"task {tid} has an invalid window [{t.est},{t.lct}]")
-        if t.presence is not None and t.presence[0] not in choices:
-            raise ValueError(f"task {tid} presence references unknown choice")
 
     def check_member(where: str, m: Member) -> None:
         if m.task not in tasks:
@@ -273,10 +270,6 @@ class _Compiled:
         self.tasks = [model.tasks[t] for t in self.tids]
         self.choices = [model.choices[c] for c in self.cids]
 
-        self.presence = [
-            None if t.presence is None else (self.cidx[t.presence[0]], t.presence[1])
-            for t in self.tasks
-        ]
         self.menus = [
             None if t.duration_menu is None
             else (self.cidx[t.duration_menu[0]], t.duration_menu[1])
@@ -349,9 +342,9 @@ class _Compiled:
         menu_ci = [m and m[0] for m in self.menus]
 
         def reads(p: int, ti: int, *cis) -> None:
-            """Propagator p reads task ti's bounds and presence and choices cis."""
+            """Propagator p reads task ti's bounds and choices cis."""
             task_watch[ti].append(p)
-            for ci in (self.presence[ti] and self.presence[ti][0], *cis):
+            for ci in cis:
                 if ci is not None:
                     choice_watch[ci].append(p)
 
@@ -377,17 +370,6 @@ class _Compiled:
             [t.lct for t in self.tasks],
             [tuple(c.values) for c in self.choices],
         )
-
-    def present_state(self, st: State, ti: int) -> int:
-        """+1 present-certain, -1 absent-certain, 0 undecided."""
-        p = self.presence[ti]
-        if p is None:
-            return 1
-        ci, val = p
-        dom = st.domains[ci]
-        if val not in dom:
-            return -1
-        return 1 if len(dom) == 1 else 0
 
     def duration_bounds(self, st: State, ti: int) -> tuple[int, int]:
         t = self.tasks[ti]
@@ -420,12 +402,11 @@ class _Compiled:
 
         ``_edit`` is the branching decision (kind, index) that made ``st``
         from a parent state already at a fixpoint; None queues everything."""
-        pres = [self.present_state(st, ti) for ti in range(len(self.tasks))]
         moved: list[int] = []
         if obj_cap < INF:
             cap = int(obj_cap)
             for ti in self.obj_tasks:
-                if pres[ti] == 1 and st.e_hi[ti] > cap:
+                if st.e_hi[ti] > cap:
                     st.e_hi[ti] = cap
                     moved.append(ti)
 
@@ -451,11 +432,11 @@ class _Compiled:
         while queue:
             p = queue.popleft()
             if p < self.disj0:
-                fail = self._window_or_link(st, p, pres, moved)
+                fail = self._window_or_link(st, p, moved)
             else:
                 g = p - self.disj0
                 if active[g] is None:
-                    active[g] = self._active_members(st, p, pres)
+                    active[g] = self._active_members(st, p)
                 if p < self.cum0:
                     fail = self._disjunctive(st, g, active[g], moved)
                 else:
@@ -467,27 +448,25 @@ class _Compiled:
             inq[p] = False  # idempotent: its own moves need no second run
         return None
 
-    def _active_members(self, st: State, p: int, pres: list[int]) -> list:
+    def _active_members(self, st: State, p: int) -> list:
         """Active-certain members of group propagator ``p``: task indices for
         a disjunctive, (task, min weight, min duration) with a positive weight
         for a cumulative."""
         dom = st.domains
         members = [
             m for m in self.groups[p - self.disj0]
-            if pres[m[0]] == 1 and (m[3] is None or dom[m[3][0]] == (m[3][1],))
+            if m[3] is None or dom[m[3][0]] == (m[3][1],)
         ]
         if p < self.cum0:
             return [m[0] for m in members]
         weighted = [(m[0], m[1] if m[2] is None else min(dom[m[2]])) for m in members]
         return [(ti, w, self.duration_bounds(st, ti)[0]) for ti, w in weighted if w > 0]
 
-    def _window_or_link(self, st: State, p: int, pres: list[int], moved) -> str | None:
+    def _window_or_link(self, st: State, p: int, moved) -> str | None:
         """Run a task-window (p < #tasks), offset or precedence propagator."""
         s_lo, s_hi, e_lo, e_hi = st.s_lo, st.s_hi, st.e_lo, st.e_hi
         if p < len(self.tasks):
             ti = p
-            if pres[ti] != 1:
-                return None
             dmin, dmax = self.duration_bounds(st, ti)
             lo = max(e_lo[ti], s_lo[ti] + dmin)
             hi = min(e_hi[ti], s_hi[ti] + dmax)
@@ -501,8 +480,6 @@ class _Compiled:
             return None
         is_offset = p < self.prec0
         pi, si, const, table = self.links[p - len(self.tasks)]
-        if pres[pi] != 1 or pres[si] != 1:
-            return None
         dmin, dmax = self.delta_bounds(st, const, table)
         if s_lo[si] < e_lo[pi] + dmin:
             s_lo[si] = e_lo[pi] + dmin
@@ -620,7 +597,7 @@ class _Compiled:
     def node_lb(self, st: State) -> int:
         lb = self.floor
         for ti in self.obj_tasks:
-            if self.present_state(st, ti) == 1 and st.e_lo[ti] > lb:
+            if st.e_lo[ti] > lb:
                 lb = st.e_lo[ti]
         for fp, bound in self.cond_bounds:
             if bound > lb and all(
@@ -634,13 +611,11 @@ class _Compiled:
         choices = {
             self.cids[ci]: st.domains[ci][0] for ci in range(len(self.choices))
         }
-        starts: dict[str, int] = {}
-        ends: dict[str, int] = {}
-        for ti in range(len(self.tasks)):
-            if self.present_state(st, ti) == 1:
-                starts[self.tids[ti]] = st.s_lo[ti]
-                ends[self.tids[ti]] = st.e_lo[ti]
-        return Assignment(choices=choices, starts=starts, ends=ends)
+        return Assignment(
+            choices=choices,
+            starts=dict(zip(self.tids, st.s_lo)),
+            ends=dict(zip(self.tids, st.e_lo)),
+        )
 
 
 def _profile_segments(events: list[tuple[int, int]]):
@@ -668,15 +643,10 @@ def check_assignment(model: EngineModel, asg: Assignment) -> list[str]:
     if v:
         return v
 
-    def present(t: TaskVar) -> bool:
-        return t.presence is None or choices[t.presence[0]] == t.presence[1]
-
     spans: dict[str, tuple[int, int]] = {}
     for tid, t in model.tasks.items():
-        if not present(t):
-            continue
         if tid not in asg.starts or tid not in asg.ends:
-            v.append(f"task {tid} present but unassigned")
+            v.append(f"task {tid} unassigned")
             continue
         s, e = asg.starts[tid], asg.ends[tid]
         spans[tid] = (s, e)
@@ -700,26 +670,22 @@ def check_assignment(model: EngineModel, asg: Assignment) -> list[str]:
         return table.get((choices[ca], choices[cb]))
 
     for link in model.constraints.offsets:
-        if link.pred in spans and link.succ in spans:
-            d = delta_of(link)
-            if d is None:
-                v.append(f"offset {link.pred}->{link.succ}: no delta for choices")
-            elif spans[link.succ][0] != spans[link.pred][1] + d:
-                v.append(
-                    f"offset {link.pred}->{link.succ}: "
-                    f"{spans[link.succ][0]} != {spans[link.pred][1]} + {d}"
-                )
+        d = delta_of(link)
+        if d is None:
+            v.append(f"offset {link.pred}->{link.succ}: no delta for choices")
+        elif spans[link.succ][0] != spans[link.pred][1] + d:
+            v.append(
+                f"offset {link.pred}->{link.succ}: "
+                f"{spans[link.succ][0]} != {spans[link.pred][1]} + {d}"
+            )
     for link in model.constraints.precedences:
-        if link.pred in spans and link.succ in spans:
-            d = delta_of(link)
-            if d is None:
-                v.append(f"precedence {link.pred}->{link.succ}: no delta for choices")
-            elif spans[link.pred][1] + d > spans[link.succ][0]:
-                v.append(f"precedence {link.pred}->{link.succ} violated")
+        d = delta_of(link)
+        if d is None:
+            v.append(f"precedence {link.pred}->{link.succ}: no delta for choices")
+        elif spans[link.pred][1] + d > spans[link.succ][0]:
+            v.append(f"precedence {link.pred}->{link.succ} violated")
 
     def active(m: Member) -> bool:
-        if not present(model.tasks[m.task]):
-            return False
         return m.guard is None or choices[m.guard[0]] == m.guard[1]
 
     for group in model.constraints.disjunctives:
@@ -755,9 +721,7 @@ def evaluate_objective(model: EngineModel, asg: Assignment) -> int:
     floor and by any conditional bound whose fingerprint the assignment hits."""
     value = model.objective_floor
     for tid in model.objective_tasks:
-        t = model.tasks[tid]
-        if t.presence is None or asg.choices[t.presence[0]] == t.presence[1]:
-            value = max(value, asg.ends[tid])
+        value = max(value, asg.ends[tid])
     for cb in model.constraints.conditional_bounds:
         if cb.bound > value and all(
             asg.choices[cid] == val for cid, val in cb.fingerprint
@@ -790,8 +754,6 @@ def _pick_branch(comp: _Compiled, st: State):
             return ("choice", ci)
     best = None
     for ti in range(len(comp.tasks)):
-        if comp.present_state(st, ti) != 1:
-            continue
         if st.s_lo[ti] < st.s_hi[ti]:
             key = (st.s_lo[ti], 1 if comp.elastic_flag[ti] else 0, ti)
             if best is None or key < best:
@@ -799,8 +761,6 @@ def _pick_branch(comp: _Compiled, st: State):
     if best is not None:
         return ("start", best[2])
     for ti in range(len(comp.tasks)):
-        if comp.present_state(st, ti) != 1:
-            continue
         if st.e_lo[ti] < st.e_hi[ti]:
             return ("end", ti)
     return None

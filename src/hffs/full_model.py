@@ -191,11 +191,9 @@ def assignment_to_schedule(enc: FullEncoding, asg: Assignment) -> Schedule:
 
 def incumbent_schedule(
     inst: Instance, enc: FullEncoding, result: SearchResult
-) -> Schedule | None:
-    """Decode the search's incumbent and re-check it with the independent
-    validator; None when the search found no incumbent."""
-    if result.incumbent is None:
-        return None
+) -> Schedule:
+    """Decode the search's incumbent (the serial hint guarantees one) and
+    re-check it with the independent validator."""
     schedule = assignment_to_schedule(enc, result.incumbent)
     bad = validate_schedule(inst, schedule)
     if bad:
@@ -211,10 +209,10 @@ def solve_full(
     node_budget: int | None = None,
     time_budget: float | None = None,
     lb_floor: int | None = None,
-) -> tuple[SearchResult, Schedule | None]:
-    """Solve the monolithic model; the returned schedule (when an incumbent
-    exists, which the serial warm start guarantees) has passed the full
-    validator.  ``lb_floor`` defaults to the bound module's best value."""
+) -> tuple[SearchResult, Schedule]:
+    """Solve the monolithic model; the returned schedule (the serial warm
+    start guarantees an incumbent) has passed the full validator.
+    ``lb_floor`` defaults to the bound module's best value."""
     errors = validate_instance(inst)
     if errors:
         raise ValueError(f"invalid instance: {errors[0]}")

@@ -54,17 +54,12 @@ class Budgets:
     master_nodes: int | None = None
     master_time: float | None = None
     sub_nodes: int | None = None
-    sub_time: float | None = None
     total_time: float | None = None
     max_iterations: int | None = None
 
     @property
     def deterministic(self) -> bool:
-        return (
-            self.master_time is None
-            and self.sub_time is None
-            and self.total_time is None
-        )
+        return self.master_time is None and self.total_time is None
 
 
 @dataclass(slots=True)
@@ -210,11 +205,11 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
             inst,
             msol,
             node_budget=sub_nodes,
-            time_budget=clip(budgets.sub_time),
+            time_budget=remaining(),
             lb_floor=lb,
         )
         total_nodes += sres.nodes
-        if sres.zeta is not None and (ub is None or sres.zeta < ub):
+        if ub is None or sres.zeta < ub:
             ub = sres.zeta
             best_sched = sres.schedule
         if sres.status == "optimal":

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .bounds import relaxed_times
 from .engine import (
     Assignment,
     ChoiceVar,
@@ -57,10 +58,6 @@ class MasterEncoding:
     stage_machines: dict[str, tuple[str, ...]]
 
 
-def relaxed_duration(inst: Instance, job: str, stage: str) -> int:
-    return min(inst.proc_time[(job, stage, w)] for w in inst.worker_window(stage))
-
-
 def _choice_fingerprint(
     enc: MasterEncoding, fingerprint: Fingerprint
 ) -> tuple[tuple[str, int], ...]:
@@ -89,6 +86,7 @@ def build_master(
     ops = tuple(inst.ops())
     stage_machines = {s: inst.machines_of(s) for s in inst.stages}
     idx_of = {op: k for k, op in enumerate(ops)}
+    relaxed = relaxed_times(inst)
 
     tasks: dict[str, TaskVar] = {}
     choices: dict[str, ChoiceVar] = {}
@@ -102,8 +100,7 @@ def build_master(
         machs = stage_machines[s]
         mc = ChoiceVar(f"m{k}", tuple(range(len(machs))), kind="machine")
         choices[mc.id] = mc
-        task = TaskVar(f"t{k}", duration=relaxed_duration(inst, j, s), est=0,
-                       lct=horizon)
+        task = TaskVar(f"t{k}", duration=relaxed[(j, s)], est=0, lct=horizon)
         tasks[task.id] = task
         for i, m in enumerate(machs):
             machine_members[m].append(Member(task.id, guard=(mc.id, i)))

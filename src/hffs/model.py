@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 
 Op = tuple[str, str]
 Interval = tuple[int, int]
@@ -208,13 +209,15 @@ def validate_instance(inst: Instance) -> list[str]:
 
     # Transport coverage: every machine pair a job could traverse between
     # consecutive eligible stages needs an entry.
-    needed_pairs: set[tuple[str, str]] = set()
+    stage_pairs: set[tuple[str, str]] = set()
     for j in inst.jobs:
         elig = inst.eligible_stages.get(j, ())
-        for a, b in zip(elig, elig[1:]):
-            for m in inst.machines_of(a):
-                for n in inst.machines_of(b):
-                    needed_pairs.add((m, n))
+        stage_pairs.update(zip(elig, elig[1:]))
+    needed_pairs = {
+        pair
+        for a, b in stage_pairs
+        for pair in product(inst.machines_of(a), inst.machines_of(b))
+    }
     for pair in sorted(needed_pairs):
         if pair not in inst.transport:
             v.append(f"missing transport entry for machine pair {pair[0]} -> {pair[1]}")

@@ -37,8 +37,8 @@ from .model import (
 
 @dataclass(frozen=True, slots=True)
 class SubResult:
-    zeta: int | None
-    schedule: Schedule | None
+    zeta: int
+    schedule: Schedule
     status: str
     nodes: int
     wall_time: float

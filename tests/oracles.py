@@ -449,10 +449,6 @@ class RoundRobinFixpoint:
         self.tidx = {t: i for i, t in enumerate(self.tids)}
         self.cidx = {c: i for i, c in enumerate(model.choices)}
         self.tasks = [model.tasks[t] for t in self.tids]
-        self.presence = [
-            None if t.presence is None else (self.cidx[t.presence[0]], t.presence[1])
-            for t in self.tasks
-        ]
         self.menus = [
             None if t.duration_menu is None
             else (self.cidx[t.duration_menu[0]], t.duration_menu[1])
@@ -491,17 +487,9 @@ class RoundRobinFixpoint:
         ]
         self.obj_tasks = [self.tidx[t] for t in model.objective_tasks]
 
-    def present_state(self, st, ti: int) -> int:
-        p = self.presence[ti]
-        if p is None:
-            return 1
-        ci, val = p
-        dom = st.domains[ci]
-        if val not in dom:
-            return -1
-        return 1 if len(dom) == 1 else 0
-
-    def _guard_state(self, st, guard) -> int:
+    def member_active(self, st, member) -> int:
+        """+1 guard certain, -1 guard impossible, 0 undecided."""
+        guard = member[3]
         if guard is None:
             return 1
         ci, val = guard
@@ -509,15 +497,6 @@ class RoundRobinFixpoint:
         if val not in dom:
             return -1
         return 1 if len(dom) == 1 else 0
-
-    def member_active(self, st, member) -> int:
-        pres = self.present_state(st, member[0])
-        gua = self._guard_state(st, member[3])
-        if pres == -1 or gua == -1:
-            return -1
-        if pres == 1 and gua == 1:
-            return 1
-        return 0
 
     def duration_bounds(self, st, ti: int) -> tuple[int, int]:
         t = self.tasks[ti]
@@ -551,7 +530,7 @@ class RoundRobinFixpoint:
         if obj_cap < float("inf"):
             cap = int(obj_cap)
             for ti in self.obj_tasks:
-                if self.present_state(st, ti) == 1 and st.e_hi[ti] > cap:
+                if st.e_hi[ti] > cap:
                     st.e_hi[ti] = cap
 
         changed = True
@@ -559,8 +538,6 @@ class RoundRobinFixpoint:
             changed = False
 
             for ti in range(len(self.tasks)):
-                if self.present_state(st, ti) != 1:
-                    continue
                 dmin, dmax = self.duration_bounds(st, ti)
                 lo = max(st.e_lo[ti], st.s_lo[ti] + dmin)
                 hi = min(st.e_hi[ti], st.s_hi[ti] + dmax)
@@ -576,8 +553,6 @@ class RoundRobinFixpoint:
                     return f"task:{self.tids[ti]}"
 
             for pi, si, const, table in self.offsets:
-                if self.present_state(st, pi) != 1 or self.present_state(st, si) != 1:
-                    continue
                 dmin, dmax = self.delta_bounds(st, const, table)
                 if st.s_lo[si] < st.e_lo[pi] + dmin:
                     st.s_lo[si] = st.e_lo[pi] + dmin
@@ -595,8 +570,6 @@ class RoundRobinFixpoint:
                     return f"offset:{self.tids[pi]}->{self.tids[si]}"
 
             for pi, si, const, table in self.precedences:
-                if self.present_state(st, pi) != 1 or self.present_state(st, si) != 1:
-                    continue
                 dmin, _ = self.delta_bounds(st, const, table)
                 if st.s_lo[si] < st.e_lo[pi] + dmin:
                     st.s_lo[si] = st.e_lo[pi] + dmin

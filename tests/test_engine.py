@@ -157,20 +157,6 @@ def test_solve_duration_menu_picks_cheapest():
     assert res.incumbent.choices["w"] == 2
 
 
-def test_solve_presence_only_selected_alternative_runs():
-    # two optional copies of one job step, guarded by a machine choice
-    m = model_of(
-        [
-            TaskVar("on1", duration=5, est=0, lct=30, presence=("m", 0)),
-            TaskVar("on2", duration=2, est=0, lct=30, presence=("m", 1)),
-        ],
-        choices=[ChoiceVar("m", (0, 1), kind="machine")],
-    )
-    res = solve(m)
-    assert res.objective == 2
-    assert res.incumbent.choices["m"] == 1
-
-
 def test_conditional_bound_lifts_matched_fingerprint():
     m = model_of(
         [TaskVar("a", duration_menu=("m", {0: 4, 1: 5}), est=0, lct=30)],
@@ -210,14 +196,10 @@ def test_malformed_model_errors_before_search():
 def enumerate_optimum(model: EngineModel) -> int | None:
     """Exhaustive ground-truth: try every choice combo and start tuple."""
     choice_ids = list(model.choices)
+    tids = list(model.tasks)
     best = None
     for combo in itertools.product(*(model.choices[c].values for c in choice_ids)):
         chosen = dict(zip(choice_ids, combo))
-        active = []
-        for tid, t in model.tasks.items():
-            if t.presence is not None and chosen[t.presence[0]] != t.presence[1]:
-                continue
-            active.append(tid)
 
         def dur(tid: str) -> int:
             t = model.tasks[tid]
@@ -228,13 +210,13 @@ def enumerate_optimum(model: EngineModel) -> int | None:
 
         ranges = [
             range(model.tasks[tid].est, model.tasks[tid].lct - dur(tid) + 1)
-            for tid in active
+            for tid in tids
         ]
         for starts in itertools.product(*ranges):
             asg = Assignment(
                 choices=chosen,
-                starts=dict(zip(active, starts)),
-                ends={tid: s + dur(tid) for tid, s in zip(active, starts)},
+                starts=dict(zip(tids, starts)),
+                ends={tid: s + dur(tid) for tid, s in zip(tids, starts)},
             )
             if check_assignment(model, asg):
                 continue
@@ -268,12 +250,12 @@ def test_solve_matches_exhaustive_enumeration():
     assert res.objective == enumerate_optimum(m)
 
 
-def test_solve_matches_enumeration_with_offsets_and_presence():
+def test_solve_matches_enumeration_with_offsets_and_guards():
     tasks = [
         TaskVar("x", duration=2, est=0, lct=9),
         TaskVar("y", duration=1, est=0, lct=9),
-        TaskVar("z0", duration=3, est=0, lct=9, presence=("m", 0)),
-        TaskVar("z1", duration=1, est=0, lct=9, presence=("m", 1)),
+        TaskVar("z0", duration=3, est=0, lct=9),
+        TaskVar("z1", duration=1, est=0, lct=9),
     ]
     m = model_of(
         tasks,
@@ -392,9 +374,9 @@ def test_choice_edit_wakes_a_cumulative_through_a_member_duration():
 @st.composite
 def small_models(draw):
     """Small random engine models exercising every propagator kind: menus,
-    presence, offsets and precedences with delta tables, guarded disjunctives
-    and weighted cumulatives.  Choices may have one-value domains, whose
-    guards and delta tables the engine resolves when it compiles."""
+    offsets and precedences with delta tables, guarded disjunctives and
+    weighted cumulatives.  Choices may have one-value domains, whose guards
+    and delta tables the engine resolves when it compiles."""
     small = st.integers(0, 3)
     choices = [
         ChoiceVar(f"c{i}", tuple(sorted(draw(st.sets(small, min_size=1, max_size=3)))))
@@ -410,8 +392,7 @@ def small_models(draw):
     tasks = []
     for i in range(draw(st.integers(2, 5))):
         est = draw(small)
-        window = dict(est=est, lct=est + draw(st.integers(4, 16)),
-                      presence=ref() if draw(st.booleans()) else None)
+        window = dict(est=est, lct=est + draw(st.integers(4, 16)))
         mode = draw(st.sampled_from(("fixed", "menu", "elastic")))
         if mode == "fixed":
             tasks.append(TaskVar(f"t{i}", duration=draw(st.integers(0, 4)), **window))

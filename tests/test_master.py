@@ -7,19 +7,8 @@ import pytest
 from conftest import make_instance, sample_tiny
 from hffs.bounds import best_lb
 from hffs.lbbd import BendersCut
-from hffs.master import relaxed_duration, solve_master
+from hffs.master import solve_master
 from oracles import brute_force_optimum
-
-
-def test_relaxed_duration_is_the_worker_minimum():
-    inst = make_instance(
-        jobs={"a": ["s1"]},
-        stage_machines={"s1": ("m1",)},
-        proc={("a", "s1", 1): 9, ("a", "s1", 2): 5, ("a", "s1", 3): 3},
-        transport={},
-        workers_total=3,
-    )
-    assert relaxed_duration(inst, "a", "s1") == 3
 
 
 def test_master_never_exceeds_the_true_optimum():

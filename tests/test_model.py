@@ -49,6 +49,30 @@ def test_missing_transport_is_flagged():
     assert any("transport" in v for v in validate_instance(inst))
 
 
+def test_missing_transport_entries_are_listed_in_order():
+    # two machines per stage; job b skips s2, so s1 -> s3 pairs are needed too
+    inst = make_instance(
+        jobs={"a": ["s1", "s2", "s3"], "b": ["s1", "s3"]},
+        stage_machines={"s1": ["m1", "m2"], "s2": ["m3", "m4"], "s3": ["m5", "m6"]},
+        proc={
+            ("a", "s1", 1): 2,
+            ("a", "s2", 1): 3,
+            ("a", "s3", 1): 1,
+            ("b", "s1", 1): 2,
+            ("b", "s3", 1): 2,
+        },
+        transport={("m1", "m3"): 1, ("m2", "m5"): 2, ("m5", "m1"): 1},
+    )
+    missing = [v for v in validate_instance(inst) if v.startswith("missing transport")]
+    assert missing == [
+        f"missing transport entry for machine pair {m} -> {n}"
+        for m, n in (
+            ("m1", "m4"), ("m1", "m5"), ("m1", "m6"), ("m2", "m3"), ("m2", "m4"),
+            ("m2", "m6"), ("m3", "m5"), ("m3", "m6"), ("m4", "m5"), ("m4", "m6"),
+        )
+    ]
+
+
 def test_missing_processing_entry_is_flagged():
     inst = make_instance(
         jobs={"a": ["s1"]},
