@@ -27,18 +27,24 @@ bounds.  Compilation numbers one propagator per task window, offset,
 precedence, disjunctive and cumulative, with two watch lists: task -> the
 propagators reading its bounds, choice -> those whose menu, delta table,
 guard or weight reads its domain.  A propagator that moves a task bound
-queues that task's watchers (not itself: each is idempotent).  The root
-queues every propagator; a child starts from its parent's fixpoint, so it
-queues only the watchers of the variable its branching edit changed and of
-the objective tasks the incumbent cap moved.  No propagator narrows a choice
-domain, so each group's active members are computed once per call.  A guard
-or delta table whose choices have one-value root domains is decided before
-search and compiled away: the member is unguarded, the delta a constant, and
-neither watches the choice.  Every propagator narrows
-monotonically and a failure stays a failure, so by the chaotic-iteration
-argument any visiting order reaches the round-robin sweep's greatest
-fixpoint and fail/no-fail outcome; only the name of the failing constraint
-may differ.
+queues that task's watchers (not itself: each is idempotent).  The queue is
+two FIFOs: windows and links always run before disjunctives and cumulatives,
+cheap propagators first (Schulte & Stuckey, TOPLAS 31(1), 2008).  The root
+first runs every window and link once in a topological order of the tasks
+by links (Kahn; each task's window, then its outgoing links; tasks on a link
+cycle follow in index order), which settles lower bounds along each chain in
+one pass, then queues that order reversed, which carries upper bounds back
+up the chains, and every group propagator.  A child starts from its
+parent's fixpoint, so it queues only the watchers of the variable its
+branching edit changed and of the objective tasks the incumbent cap moved.
+No propagator narrows a choice domain, so each group's active members are
+computed once per call.  A guard or delta table whose choices have one-value
+root domains is decided before search and compiled away: the member is
+unguarded, the delta a constant, and neither watches the choice.  Every
+propagator narrows monotonically and a failure stays a failure, so by the
+chaotic-iteration argument any visiting order (the root sweep and the two
+FIFOs are such orders) reaches the round-robin sweep's greatest fixpoint and
+fail/no-fail outcome; only the name of the failing constraint may differ.
 
 Determinism: the search draws no randomness.  With a node budget, results
 are a pure function of (model, budget, hint); nothing reads the clock except
@@ -330,7 +336,7 @@ class _Compiled:
         self.elastic_flag = [t.elastic for t in self.tasks]
 
         # Propagator numbering: task windows, offsets, precedences,
-        # disjunctives, cumulatives, in that order (the root queue order).
+        # disjunctives, cumulatives, in that order.
         nt = len(self.tasks)
         self.prec0 = nt + len(model.constraints.offsets)
         self.disj0 = nt + len(self.links)
@@ -359,6 +365,24 @@ class _Compiled:
                 reads(p, ti, wci, guard and guard[0], menu_ci[ti] if p >= self.cum0 else None)
         self.task_watch = tuple(tuple(sorted(set(w))) for w in task_watch)
         self.choice_watch = tuple(tuple(sorted(set(w))) for w in choice_watch)
+
+        # Root sweep: tasks in Kahn's topological order by links (tasks on a
+        # link cycle, or behind one, follow in index order), each task's
+        # window followed by its outgoing links.
+        out: list[list[int]] = [[] for _ in range(nt)]
+        indeg = [0] * nt
+        for p, (pi, si, _, _) in enumerate(self.links, nt):
+            out[pi].append(p)
+            indeg[si] += 1
+        order = [ti for ti in range(nt) if indeg[ti] == 0]
+        for ti in order:  # grows while it is read: a FIFO
+            for p in out[ti]:
+                si = self.links[p - nt][1]
+                indeg[si] -= 1
+                if indeg[si] == 0:
+                    order.append(si)
+        order += [ti for ti in range(nt) if indeg[ti] > 0]
+        self.sweep = tuple(p for ti in order for p in (ti, *out[ti]))
 
     # -- state helpers ------------------------------------------------------
 
@@ -401,7 +425,9 @@ class _Compiled:
         """Shrink bounds to a fixpoint; return a violated constraint id or None.
 
         ``_edit`` is the branching decision (kind, index) that made ``st``
-        from a parent state already at a fixpoint; None queues everything."""
+        from a parent state already at a fixpoint; None is the root, which
+        sweeps windows and links once in topological order and then queues
+        everything."""
         moved: list[int] = []
         if obj_cap < INF:
             cap = int(obj_cap)
@@ -410,31 +436,39 @@ class _Compiled:
                     st.e_hi[ti] = cap
                     moved.append(ti)
 
+        disj0 = self.disj0
         if _edit is None:
-            queue = deque(range(self.nprops))
+            for p in self.sweep:
+                fail = self._window_or_link(st, p, moved)
+                if fail is not None:
+                    return fail
+            moved.clear()  # everything is queued below
+            seeds = (*reversed(self.sweep), *range(disj0, self.nprops))
         else:
             kind, idx = _edit
-            queue = deque((self.choice_watch if kind == "choice" else self.task_watch)[idx])
+            seeds = (self.choice_watch if kind == "choice" else self.task_watch)[idx]
+        cheap, groups = queues = (deque(), deque())  # windows and links first
         inq = [False] * self.nprops
-        for p in queue:
+        for p in seeds:
             inq[p] = True
-        active: list = [None] * (self.nprops - self.disj0)
+            queues[p >= disj0].append(p)
+        active: list = [None] * (self.nprops - disj0)
 
         def wake() -> None:
             for ti in moved:
                 for q in self.task_watch[ti]:
                     if not inq[q]:
                         inq[q] = True
-                        queue.append(q)
+                        queues[q >= disj0].append(q)
             moved.clear()
 
         wake()
-        while queue:
-            p = queue.popleft()
-            if p < self.disj0:
+        while cheap or groups:
+            p = cheap.popleft() if cheap else groups.popleft()
+            if p < disj0:
                 fail = self._window_or_link(st, p, moved)
             else:
-                g = p - self.disj0
+                g = p - disj0
                 if active[g] is None:
                     active[g] = self._active_members(st, p)
                 if p < self.cum0:

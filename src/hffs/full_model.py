@@ -115,15 +115,21 @@ def build_full(
         worker_members.append(Member(pr.id, weight_choice=wc.id))
         last_wa[j] = wa.id
 
+    # One transport table per (stage pair, machine domains), shared by every
+    # job that crosses it; the engine only reads tables.
+    tables: dict[tuple, dict[tuple[int, int], int]] = {}
     for j in inst.jobs:
         chain = inst.eligible_stages[j]
         for a, b in zip(chain, chain[1:]):
             ka, kb = idx_of[(j, a)], idx_of[(j, b)]
-            table = {
-                (ia, ib): inst.transport[(stage_machines[a][ia], stage_machines[b][ib])]
-                for ia in choices[f"m{ka}"].values
-                for ib in choices[f"m{kb}"].values
-            }
+            da, db = choices[f"m{ka}"].values, choices[f"m{kb}"].values
+            table = tables.get((a, b, da, db))
+            if table is None:
+                table = tables[(a, b, da, db)] = {
+                    (ia, ib): inst.transport[(stage_machines[a][ia], stage_machines[b][ib])]
+                    for ia in da
+                    for ib in db
+                }
             cs.offsets.append(
                 OffsetLink(f"wa{ka}", f"wb{kb}", table=(f"m{ka}", f"m{kb}", table))
             )

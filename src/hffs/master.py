@@ -108,15 +108,19 @@ def build_master(
         worker_members.append(Member(task.id, weight=inst.workers_min[s]))
         last_task[j] = task.id
 
+    # One transport table per stage pair, shared by every job that crosses it.
+    tables: dict[tuple[str, str], dict[tuple[int, int], int]] = {}
     for j in inst.jobs:
         chain = inst.eligible_stages[j]
         for a, b in zip(chain, chain[1:]):
             ka, kb = idx_of[(j, a)], idx_of[(j, b)]
-            table = {
-                (ia, ib): inst.transport[(ma, mb)]
-                for ia, ma in enumerate(stage_machines[a])
-                for ib, mb in enumerate(stage_machines[b])
-            }
+            table = tables.get((a, b))
+            if table is None:
+                table = tables[(a, b)] = {
+                    (ia, ib): inst.transport[(ma, mb)]
+                    for ia, ma in enumerate(stage_machines[a])
+                    for ib, mb in enumerate(stage_machines[b])
+                }
             cs.precedences.append(
                 Precedence(f"t{ka}", f"t{kb}", table=(f"m{ka}", f"m{kb}", table))
             )

@@ -204,7 +204,7 @@ def validate_instance(inst: Instance) -> list[str]:
     for (j, s, w) in inst.proc_time:
         if (j, s) not in known_ops:
             v.append(f"processing time listed for non-eligible pair ({j},{s})")
-        elif s in inst.workers_min and w not in inst.worker_window(s):
+        elif s in inst.workers_min and s in inst.workers_max and w not in inst.worker_window(s):
             v.append(f"processing time listed for inadmissible worker count ({j},{s},{w})")
 
     # Transport coverage: every machine pair a job could traverse between

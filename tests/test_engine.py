@@ -376,7 +376,10 @@ def small_models(draw):
     """Small random engine models exercising every propagator kind: menus,
     offsets and precedences with delta tables, guarded disjunctives and
     weighted cumulatives.  Choices may have one-value domains, whose guards
-    and delta tables the engine resolves when it compiles."""
+    and delta tables the engine resolves when it compiles.  Some models
+    also carry a path of offsets and precedences through all of their (up
+    to 8) tasks, sometimes closed into a cycle: the engine's topological
+    root sweep and its cycle fallback."""
     small = st.integers(0, 3)
     choices = [
         ChoiceVar(f"c{i}", tuple(sorted(draw(st.sets(small, min_size=1, max_size=3)))))
@@ -389,10 +392,12 @@ def small_models(draw):
         cid = draw(st.sampled_from(cids))
         return cid, draw(st.sampled_from(values[cid]))
 
+    path = draw(st.booleans())
+    span = st.integers(20, 48) if path else st.integers(4, 16)
     tasks = []
-    for i in range(draw(st.integers(2, 5))):
+    for i in range(draw(st.integers(2, 8 if path else 5))):
         est = draw(small)
-        window = dict(est=est, lct=est + draw(st.integers(4, 16)))
+        window = dict(est=est, lct=est + draw(span))
         mode = draw(st.sampled_from(("fixed", "menu", "elastic")))
         if mode == "fixed":
             tasks.append(TaskVar(f"t{i}", duration=draw(st.integers(0, 4)), **window))
@@ -404,8 +409,9 @@ def small_models(draw):
             tasks.append(TaskVar(f"t{i}", elastic=True, **window))
     tids = [t.id for t in tasks]
 
-    def link(kind):
-        pred, succ = draw(st.lists(st.sampled_from(tids), min_size=2, max_size=2, unique=True))
+    def link(kind, pred=None, succ=None):
+        if pred is None:
+            pred, succ = draw(st.lists(st.sampled_from(tids), min_size=2, max_size=2, unique=True))
         if draw(st.booleans()):
             return kind(pred, succ, draw(st.integers(-1, 3)))
         ca, cb = draw(st.sampled_from(cids)), draw(st.sampled_from(cids))
@@ -425,12 +431,24 @@ def small_models(draw):
         )
 
     n = st.integers(0, 2)
+    offsets = [link(OffsetLink) for _ in range(draw(n))]
+    precedences = [link(Precedence) for _ in range(draw(n))]
+    if path:
+        order = draw(st.permutations(tids))
+        pairs = list(zip(order, order[1:]))
+        if draw(st.booleans()):
+            pairs.append((order[-1], order[0]))
+        for pred, succ in pairs:
+            if draw(st.booleans()):
+                offsets.append(link(OffsetLink, pred, succ))
+            else:
+                precedences.append(link(Precedence, pred, succ))
     return model_of(
         tasks,
         choices=choices,
         objective=draw(st.lists(st.sampled_from(tids), min_size=1, unique=True)),
-        offsets=[link(OffsetLink) for _ in range(draw(n))],
-        precedences=[link(Precedence) for _ in range(draw(n))],
+        offsets=offsets,
+        precedences=precedences,
         disjunctives=[Disjunctive(f"d{i}", members()) for i in range(draw(n))],
         cumulatives=[
             Cumulative(f"r{i}", draw(st.integers(1, 3)), members())
