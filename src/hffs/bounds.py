@@ -75,15 +75,24 @@ def relaxed_times(inst: Instance) -> dict[Op, int]:
     }
 
 
-def _transport_prefix(inst: Instance, job: str) -> dict[str, int]:
-    """Cheapest total transport from the job's first eligible stage up to each
-    eligible stage, minimised over machine choices (layered shortest path)."""
-    elig = inst.eligible_stages[job]
+def _stage_machines(inst: Instance) -> dict[str, list[str]]:
+    """Each stage's machines in machine order (one pass over the machines)."""
+    machines: dict[str, list[str]] = {}
+    for m, s in inst.machines.items():
+        machines.setdefault(s, []).append(m)
+    return machines
+
+
+def _transport_prefix(
+    inst: Instance, elig: tuple[str, ...], machines: dict[str, list[str]]
+) -> dict[str, int]:
+    """Cheapest total transport from the chain's first stage up to each of
+    its stages, minimised over machine choices (layered shortest path)."""
     best: dict[str, int] = {elig[0]: 0}
-    layer = {m: 0 for m in inst.machines_of(elig[0])}
-    for prev, cur in zip(elig, elig[1:]):
+    layer = {m: 0 for m in machines.get(elig[0], ())}
+    for cur in elig[1:]:
         nxt: dict[str, int] = {}
-        for n in inst.machines_of(cur):
+        for n in machines.get(cur, ()):
             costs = []
             for m, acc in layer.items():
                 t = inst.transport.get((m, n))
@@ -96,9 +105,22 @@ def _transport_prefix(inst: Instance, job: str) -> dict[str, int]:
     return best
 
 
+def _transport_prefixes(inst: Instance) -> dict[str, dict[str, int]]:
+    """Each job's transport prefix, computed once per distinct eligible-stage
+    chain (jobs on one chain share the dict)."""
+    machines = _stage_machines(inst)
+    by_chain: dict[tuple[str, ...], dict[str, int]] = {}
+    for j in inst.jobs:
+        chain = inst.eligible_stages[j]
+        if chain not in by_chain:
+            by_chain[chain] = _transport_prefix(inst, chain, machines)
+    return {j: by_chain[inst.eligible_stages[j]] for j in inst.jobs}
+
+
 def shortest_transport(inst: Instance, job: str) -> int:
     """Cost of the cheapest machine path through the job's eligible stages."""
-    return _transport_prefix(inst, job)[inst.eligible_stages[job][-1]]
+    elig = inst.eligible_stages[job]
+    return _transport_prefix(inst, elig, _stage_machines(inst))[elig[-1]]
 
 
 def lb1_stage_load(inst: Instance) -> int:
@@ -116,7 +138,8 @@ def _lb1(inst: Instance, pbar: dict[Op, int]) -> int:
 
 def lb2_job_path(inst: Instance) -> int:
     """Max over jobs of relaxed processing total plus shortest transport path."""
-    transport_min = {j: shortest_transport(inst, j) for j in inst.jobs}
+    prefixes = _transport_prefixes(inst)
+    transport_min = {j: prefixes[j][inst.eligible_stages[j][-1]] for j in inst.jobs}
     return _lb2(inst, relaxed_times(inst), transport_min)
 
 
@@ -144,7 +167,7 @@ def _stage_heads(
 def lb3_stage_head(inst: Instance) -> int:
     """Stage load bound shifted by the earliest possible arrival at the stage."""
     pbar = relaxed_times(inst)
-    prefixes = {j: _transport_prefix(inst, j) for j in inst.jobs}
+    prefixes = _transport_prefixes(inst)
     return _lb3(inst, pbar, _stage_heads(inst, pbar, prefixes))
 
 
@@ -248,7 +271,7 @@ def best_lb(inst: Instance) -> BoundReport:
     """Compute every bound and their maximum, with the relaxed times and
     each job's transport prefix computed once and shared."""
     pbar = relaxed_times(inst)
-    prefixes = {j: _transport_prefix(inst, j) for j in inst.jobs}
+    prefixes = _transport_prefixes(inst)
     transport_min = {j: prefixes[j][inst.eligible_stages[j][-1]] for j in inst.jobs}
     heads = _stage_heads(inst, pbar, prefixes)
     parts = _two_stage_parts(inst, pbar)

@@ -37,14 +37,19 @@ one pass, then queues that order reversed, which carries upper bounds back
 up the chains, and every group propagator.  A child starts from its
 parent's fixpoint, so it queues only the watchers of the variable its
 branching edit changed and of the objective tasks the incumbent cap moved.
-No propagator narrows a choice domain, so each group's active members are
-computed once per call.  A guard or delta table whose choices have one-value
-root domains is decided before search and compiled away: the member is
-unguarded, the delta a constant, and neither watches the choice.  Every
-propagator narrows monotonically and a failure stays a failure, so by the
-chaotic-iteration argument any visiting order (the root sweep and the two
-FIFOs are such orders) reaches the round-robin sweep's greatest fixpoint and
-fail/no-fail outcome; only the name of the failing constraint may differ.
+No propagator narrows a choice domain, so choice-derived data changes only
+at a choice edit.  Each group's active members live in the search state: the
+root starts an empty list, a start or end edit shares the parent's, and a
+choice edit copies it and empties the entries of the choice's watchers; a
+group fills its entry when it next runs.  A menu's duration extremes over
+the root domain are computed at compile time and serve every state whose
+domain is still the root's.  A guard or delta table whose choices have
+one-value root domains is decided before search and compiled away: the
+member is unguarded, the delta a constant, and neither watches the choice.
+Every propagator narrows monotonically and a failure stays a failure, so by
+the chaotic-iteration argument any visiting order (the root sweep and the
+two FIFOs are such orders) reaches the round-robin sweep's greatest fixpoint
+and fail/no-fail outcome; only the name of the failing constraint may differ.
 
 Determinism: the search draws no randomness.  With a node budget, results
 are a pure function of (model, budget, hint); nothing reads the clock except
@@ -175,21 +180,27 @@ class SearchResult:
 
 
 class State:
-    """Mutable search state: task time bounds plus choice domains."""
+    """Mutable search state: task time bounds plus choice domains.
 
-    __slots__ = ("s_lo", "s_hi", "e_lo", "e_hi", "domains")
+    ``active`` holds one entry per group propagator, its active members or
+    None when not yet computed; ``propagate`` keeps it.  A copy shares the
+    list, and ``propagate`` gives a state its own copy after a choice edit, so
+    states that share a list have equal domains."""
 
-    def __init__(self, s_lo, s_hi, e_lo, e_hi, domains):
+    __slots__ = ("s_lo", "s_hi", "e_lo", "e_hi", "domains", "active")
+
+    def __init__(self, s_lo, s_hi, e_lo, e_hi, domains, active=None):
         self.s_lo = s_lo
         self.s_hi = s_hi
         self.e_lo = e_lo
         self.e_hi = e_hi
         self.domains = domains
+        self.active = active
 
     def copy(self) -> "State":
         return State(
             list(self.s_lo), list(self.s_hi), list(self.e_lo), list(self.e_hi),
-            list(self.domains),
+            list(self.domains), self.active,
         )
 
 
@@ -276,11 +287,15 @@ class _Compiled:
         self.tasks = [model.tasks[t] for t in self.tids]
         self.choices = [model.choices[c] for c in self.cids]
 
-        self.menus = [
-            None if t.duration_menu is None
-            else (self.cidx[t.duration_menu[0]], t.duration_menu[1])
-            for t in self.tasks
-        ]
+        def compile_menu(t: TaskVar):
+            """None, or (choice, table, |root domain|, root min, root max)."""
+            if t.duration_menu is None:
+                return None
+            cid, table = t.duration_menu
+            root = [table[v] for v in model.choices[cid].values]
+            return (self.cidx[cid], table, len(root), min(root), max(root))
+
+        self.menus = [compile_menu(t) for t in self.tasks]
 
         def compile_delta(link):
             """(const, None), or (0, (ca, cb, table, |root ca|, |root cb|,
@@ -360,6 +375,7 @@ class _Compiled:
             reads(p, pi)
             reads(p, si, *(table[:2] if table else ()))
         self.groups = [g[1] for g in self.disjunctives] + [c[2] for c in self.cumulatives]
+        self.interned: dict = {}  # states keep active lists: share equal entries
         for p, members in enumerate(self.groups, self.disj0):
             for ti, _, wci, guard in members:  # a cumulative lifts by min duration
                 reads(p, ti, wci, guard and guard[0], menu_ci[ti] if p >= self.cum0 else None)
@@ -401,8 +417,14 @@ class _Compiled:
             return t.duration, t.duration
         menu = self.menus[ti]
         if menu is not None:
-            ci, table = menu
-            durs = [table[v] for v in st.domains[ci]]
+            ci, table, n, rmin, rmax = menu
+            dom = st.domains[ci]
+            if len(dom) == 1:
+                d = table[dom[0]]
+                return d, d
+            if len(dom) == n:
+                return rmin, rmax  # domains only shrink: still the root's
+            durs = [table[v] for v in dom]
             return min(durs), max(durs)
         return 0, max(0, st.e_hi[ti] - st.s_lo[ti])
 
@@ -438,6 +460,7 @@ class _Compiled:
 
         disj0 = self.disj0
         if _edit is None:
+            st.active = [None] * (self.nprops - disj0)
             for p in self.sweep:
                 fail = self._window_or_link(st, p, moved)
                 if fail is not None:
@@ -447,12 +470,17 @@ class _Compiled:
         else:
             kind, idx = _edit
             seeds = (self.choice_watch if kind == "choice" else self.task_watch)[idx]
+            if kind == "choice":
+                st.active = list(st.active)  # the parent's domains differ
+                for p in seeds:
+                    if p >= disj0:
+                        st.active[p - disj0] = None
+        active = st.active
         cheap, groups = queues = (deque(), deque())  # windows and links first
         inq = [False] * self.nprops
         for p in seeds:
             inq[p] = True
             queues[p >= disj0].append(p)
-        active: list = [None] * (self.nprops - disj0)
 
         def wake() -> None:
             for ti in moved:
@@ -494,7 +522,8 @@ class _Compiled:
         if p < self.cum0:
             return [m[0] for m in members]
         weighted = [(m[0], m[1] if m[2] is None else min(dom[m[2]])) for m in members]
-        return [(ti, w, self.duration_bounds(st, ti)[0]) for ti, w in weighted if w > 0]
+        entries = [(ti, w, self.duration_bounds(st, ti)[0]) for ti, w in weighted if w > 0]
+        return [self.interned.setdefault(e, e) for e in entries]
 
     def _window_or_link(self, st: State, p: int, moved) -> str | None:
         """Run a task-window (p < #tasks), offset or precedence propagator."""

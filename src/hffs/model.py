@@ -332,19 +332,10 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list[str]:
                 )
 
     for m in sorted(inst.machines):
-        entry = [
-            (sched.wait_before[op], 1)
-            for op in expected_ops
-            if sched.machine_of[op] == m
-        ]
-        if _sweep_max(entry) > inst.buffer_in[m]:
+        ops = [op for op, _ in by_machine.get(m, ())]
+        if _sweep_max([(sched.wait_before[op], 1) for op in ops]) > inst.buffer_in[m]:
             v.append(f"machine {m}: entry buffer capacity {inst.buffer_in[m]} exceeded")
-        exits = [
-            (sched.wait_after[op], 1)
-            for op in expected_ops
-            if sched.machine_of[op] == m
-        ]
-        if _sweep_max(exits) > inst.buffer_out[m]:
+        if _sweep_max([(sched.wait_after[op], 1) for op in ops]) > inst.buffer_out[m]:
             v.append(f"machine {m}: exit buffer capacity {inst.buffer_out[m]} exceeded")
 
     usage = [(sched.process[op], sched.workers_of[op]) for op in expected_ops]
@@ -385,6 +376,12 @@ def _parse_op_key(key: str) -> Op:
 def _require_int(value: object, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _require_id(value: object, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: expected a string id, got {value!r}")
     return value
 
 
@@ -448,29 +445,38 @@ def instance_from_json(text: str) -> Instance:
         raise ValueError(f"missing instance fields: {sorted(missing)}")
 
     machines = {
-        str(row["id"]): str(row["stage"])
+        _require_id(row["id"], "machine.id"): _require_id(row["stage"], "machine.stage")
         for row in _rows(doc["machines"], "machine", {"id", "stage"})
     }
     transport = {
-        (str(row["from"]), str(row["to"])): _require_int(row["t"], "transport.t")
+        (_require_id(row["from"], "transport.from"), _require_id(row["to"], "transport.to")):
+            _require_int(row["t"], "transport.t")
         for row in _rows(doc["transport"], "transport", {"from", "to", "t"})
     }
     proc_time = {
-        (str(row["job"]), str(row["stage"]), _require_int(row["w"], "proc_time.w")):
-            _require_int(row["p"], "proc_time.p")
+        (
+            _require_id(row["job"], "proc_time.job"),
+            _require_id(row["stage"], "proc_time.stage"),
+            _require_int(row["w"], "proc_time.w"),
+        ): _require_int(row["p"], "proc_time.p")
         for row in _rows(doc["proc_time"], "proc_time", {"job", "stage", "w", "p"})
     }
 
     def ints(name: str) -> dict[str, int]:
         fields = _require_object(doc[name], name)
-        return {str(k): _require_int(v, name) for k, v in fields.items()}
+        return {k: _require_int(v, name) for k, v in fields.items()}
 
     return Instance(
-        jobs=tuple(str(j) for j in _require_array(doc["jobs"], "jobs")),
-        stages=tuple(str(s) for s in _require_array(doc["stages"], "stages")),
+        jobs=tuple(_require_id(j, "jobs") for j in _require_array(doc["jobs"], "jobs")),
+        stages=tuple(
+            _require_id(s, "stages") for s in _require_array(doc["stages"], "stages")
+        ),
         machines=machines,
         eligible_stages={
-            str(j): tuple(str(s) for s in _require_array(elig, f"eligible_stages.{j}"))
+            j: tuple(
+                _require_id(s, f"eligible_stages.{j}")
+                for s in _require_array(elig, f"eligible_stages.{j}")
+            )
             for j, elig in _require_object(doc["eligible_stages"], "eligible_stages").items()
         },
         buffer_in=ints("buffer_in"),
@@ -512,7 +518,7 @@ def schedule_from_json(text: str) -> Schedule:
         raise ValueError(f"missing schedule fields: {sorted(missing)}")
 
     machine_of = {
-        _parse_op_key(k): str(m)
+        _parse_op_key(k): _require_id(m, "machine_of")
         for k, m in _require_object(doc["machine_of"], "machine_of").items()
     }
     workers_of = {

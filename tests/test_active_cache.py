@@ -1,0 +1,143 @@
+"""Choice-derived data carried by the search: each state's active-member
+lists and the compiled menu extremes equal a fresh recomputation at every
+node, and a node made by a start or end edit recomputes no active list."""
+
+import pytest
+from hypothesis import assume, given, settings
+
+from hffs.bounds import best_lb
+from hffs.engine import (
+    INF,
+    ChoiceVar,
+    Cumulative,
+    Member,
+    TaskVar,
+    _child_edits,
+    _Compiled,
+    _pick_branch,
+    evaluate_objective,
+    root_state,
+)
+from hffs.instance_gen import GenSpec, generate
+from hffs.master import solve_master
+from hffs.subproblem import solve_sub
+
+from test_engine import model_of, small_models
+from test_root_sweep import full_model_and_hint, master_model_and_hint
+
+
+def assert_cache_matches_recomputation(comp, state, settled):
+    """Every computed active list equals a fresh one (all are computed when
+    ``settled``), and every menu task's duration bounds equal a scan of its
+    domain."""
+    assert len(state.active) == len(comp.groups)
+    for g, cached in enumerate(state.active):
+        assert cached is not None or not settled
+        if cached is not None:
+            assert cached == comp._active_members(state, comp.disj0 + g)
+    for ti, menu in enumerate(comp.menus):
+        if menu is not None:
+            durations = [menu[1][v] for v in state.domains[menu[0]]]
+            assert comp.duration_bounds(state, ti) == (min(durations), max(durations))
+
+
+def walk(model, cap, nodes=40):
+    """Depth-first through the first ``nodes`` nodes, checking the cache after
+    each propagate; returns the edit kinds seen."""
+    comp, root = root_state(model)
+    stack = [(root, None)]
+    kinds = []
+    while stack and len(kinds) < nodes:
+        state, edit = stack.pop()
+        kinds.append(None if edit is None else edit[0])
+        fail = comp.propagate(state, cap, edit)
+        assert_cache_matches_recomputation(comp, state, fail is None)
+        if fail is not None:
+            continue
+        branch = _pick_branch(comp, state)
+        if branch is not None:
+            for child_edit in reversed(_child_edits(state, branch)):
+                child = state.copy()
+                child_edit(child)
+                stack.append((child, branch))
+    return kinds
+
+
+def members(model):
+    cons = model.constraints
+    return [m for g in cons.disjunctives + cons.cumulatives for m in g.members]
+
+
+def has_choice_data(model):
+    return (any(m.guard is not None for m in members(model))
+            and any(m.weight_choice is not None for m in members(model))
+            and any(t.duration_menu is not None for t in model.tasks.values()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(model=small_models())
+def test_small_model_cache_matches_recomputation(model):
+    assume(has_choice_data(model))
+    walk(model, INF)
+
+
+@pytest.mark.parametrize("make", [full_model_and_hint, master_model_and_hint],
+                         ids=["full-group1", "master-group2"])
+def test_real_model_cache_matches_recomputation(make):
+    """The full model has guards, weight choices and menus; the master has
+    guards only."""
+    model, hint = make()
+    assert any(m.guard is not None for m in members(model))
+    assert len(walk(model, evaluate_objective(model, hint) - 1)) == 40
+
+
+def test_a_root_call_recomputes_and_a_partial_domain_scans_the_menu():
+    """Domains narrowed by hand, as no search edit narrows them: a root call
+    recomputes every active list, even one shared with an earlier state, and
+    a menu over a domain that is neither the root's nor one value is
+    scanned."""
+    model = model_of(
+        [
+            TaskVar("a", duration_menu=("c", {0: 2, 1: 5, 2: 3}), lct=20),
+            TaskVar("b", duration=2, lct=20),
+        ],
+        choices=[ChoiceVar("c", (0, 1, 2))],
+        cumulatives=[Cumulative("r", 1, (Member("a", guard=("c", 1)), Member("b")))],
+    )
+    comp, root = root_state(model)
+    assert comp.propagate(root, INF) is None
+    assert root.active == [[(1, 1, 2)]]
+    assert comp.duration_bounds(root, 0) == (2, 5)
+    state = root.copy()
+    state.domains[0] = (1, 2)
+    assert comp.duration_bounds(state, 0) == (3, 5)
+    state.domains[0] = (1,)
+    assert comp.propagate(state, INF) is None
+    assert state.active == [[(0, 1, 5), (1, 1, 2)]]
+    assert root.active == [[(1, 1, 2)]]
+
+
+def test_start_and_end_edits_compute_no_active_members(monkeypatch):
+    """On a pinned subproblem search, a group's active members are computed
+    at the root and after choice edits only; the timing edits share them."""
+    inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))
+    floor = best_lb(inst).best
+    msol = solve_master(inst, [], floor, node_budget=25)
+
+    kinds, calls = [], []
+    propagate, active_members = _Compiled.propagate, _Compiled._active_members
+
+    def tracked(self, st, cap, _edit=None):
+        kinds.append(None if _edit is None else _edit[0])
+        return propagate(self, st, cap, _edit)
+
+    def counted(self, st, p):
+        calls.append(kinds[-1])
+        return active_members(self, st, p)
+
+    monkeypatch.setattr(_Compiled, "propagate", tracked)
+    monkeypatch.setattr(_Compiled, "_active_members", counted)
+    res = solve_sub(inst, msol, node_budget=200, lb_floor=max(floor, msol.lower_bound))
+    assert res.nodes == len(kinds) == 200
+    assert "start" in kinds and None in calls and "choice" in calls
+    assert "start" not in calls and "end" not in calls

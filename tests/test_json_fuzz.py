@@ -147,3 +147,48 @@ def test_truncated_json_text_is_one_value_error(which, cut):
     text = json.dumps(doc)
     result = parsed_or_value_error(parse, text[: cut % len(text)])
     assert isinstance(result, ValueError)
+
+
+def id_fields(doc):
+    """(path, field) of every id in an instance document: the field is the
+    name the parser's error gives."""
+    yield from ((("jobs", i), "jobs") for i in range(len(doc["jobs"])))
+    yield from ((("stages", i), "stages") for i in range(len(doc["stages"])))
+    for name, row_name, keys in (
+        ("machines", "machine", ("id", "stage")),
+        ("transport", "transport", ("from", "to")),
+        ("proc_time", "proc_time", ("job", "stage")),
+    ):
+        for i in range(len(doc[name])):
+            yield from (((name, i, k), f"{row_name}.{k}") for k in keys)
+    for j, elig in doc["eligible_stages"].items():
+        yield from ((("eligible_stages", j, i), f"eligible_stages.{j}") for i in range(len(elig)))
+
+
+def replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def test_non_string_ids_are_one_value_error():
+    """A null or integer id is rejected by the name of its field, never read
+    as its str(); the CLI answers with one error line."""
+    cases = [("instance", replaced(INSTANCE_DOC, path, v), field)
+             for path, field in id_fields(INSTANCE_DOC) for v in (None, 0, 7)]
+    cases += [("schedule", replaced(SCHEDULE_DOC, ("machine_of", key), v), "machine_of")
+              for key in SCHEDULE_DOC["machine_of"] for v in (None, 0, 7)]
+    parsers = {"instance": instance_from_json, "schedule": schedule_from_json}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {which: os.path.join(tmp, f"{which}.json") for which in parsers}
+        for which, doc, field in cases:
+            result = parsed_or_value_error(parsers[which], json.dumps(doc))
+            assert isinstance(result, ValueError) and str(result).startswith(f"{field}: ")
+            docs = {"instance": INSTANCE_DOC, "schedule": SCHEDULE_DOC, which: doc}
+            for name, path in files.items():
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(docs[name]))
+            assert_one_error_line(*run_cli("validate", files["instance"], files["schedule"]))
