@@ -29,7 +29,7 @@ from .engine import (
     propagate,
     solve,
 )
-from .full_model import FullEncoding, build_full, solve_full
+from .full_model import Encoding, build_full, solve_full
 from .instance_gen import GenSpec, generate
 from .lbbd import BendersCut, Budgets, IterationRecord, RunLog, fingerprint_of, gaps, run
 from .master import MasterSolution, build_master, solve_master
@@ -59,8 +59,8 @@ __all__ = [
     "ConstraintSet",
     "Cumulative",
     "Disjunctive",
+    "Encoding",
     "EngineModel",
-    "FullEncoding",
     "GenSpec",
     "Instance",
     "Interval",

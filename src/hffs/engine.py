@@ -61,7 +61,6 @@ from __future__ import annotations
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 INF = float("inf")
 
@@ -585,9 +584,15 @@ class _Compiled:
     def _cumulative(self, st: State, c: int, active: list, moved) -> str | None:
         cid, cap, _ = self.cumulatives[c]
         events, own = self._mandatory_events(st, active)
-        if self._timetable(events, cap):
+        # Events sort by (time, delta), so at each time point the running
+        # level peaks after the point's last event.  That peak is the level of
+        # the segment starting there, and after the final event the level is
+        # 0.  With cap >= 0 (check_model), the mandatory profile exceeds the
+        # capacity exactly when some segment's level does.
+        segs = _profile_segments(events)
+        if any(level > cap for _, _, level in segs):
             return f"cumulative:{cid}"
-        self._lift_starts(st, cap, active, events, own, moved)
+        self._lift_starts(st, cap, active, segs, own, moved)
         return None
 
     def _mandatory_events(self, st: State, active: list):
@@ -604,17 +609,11 @@ class _Compiled:
         events.sort()
         return events, own
 
-    @staticmethod
-    def _timetable(events, cap: int) -> bool:
-        """True when the mandatory profile exceeds the capacity somewhere."""
-        return any(level > cap for level in accumulate(delta for _, delta in events))
-
-    def _lift_starts(self, st: State, cap: int, active, events, own, moved) -> None:
+    def _lift_starts(self, st: State, cap: int, active, segs, own, moved) -> None:
         """Push earliest starts of unfixed active members past profile stretches
         that cannot accommodate them.  Exact: the member's own mandatory part is
         subtracted from the profile before testing.  Lifting past the window is
         left to the member's task-window propagator, which the move queues."""
-        segs = _profile_segments(events)
         if not segs:
             return
         for ti, w, dmin in active:

@@ -22,7 +22,7 @@ so a feasible incumbent exists at every budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bounds import best_lb
 from .engine import (
@@ -42,6 +42,7 @@ from .model import (
     Instance,
     Op,
     Schedule,
+    makespan_of,
     serial_schedule,
     validate_instance,
     validate_schedule,
@@ -49,12 +50,14 @@ from .model import (
 
 
 @dataclass(frozen=True, slots=True)
-class FullEncoding:
-    """Engine model plus the indexing needed to decode incumbents.
+class Encoding:
+    """Engine model plus the indexing needed to decode incumbents, for the
+    full model, the subproblem and the master alike.
 
     Task ids are ``wb{k}``/``pr{k}``/``wa{k}`` and choice ids ``m{k}``/``w{k}``
     where ``k`` is the operation's position in ``ops``; machine choice values
-    are indices into ``stage_machines[stage]``.
+    are indices into ``stage_machines[stage]``.  The master has only the
+    ``pr{k}`` tasks and the ``m{k}`` choices.
     """
 
     model: EngineModel
@@ -68,7 +71,7 @@ def build_full(
     horizon: int | None = None,
     lb_floor: int = 0,
     machine_of: dict[Op, str] | None = None,
-) -> FullEncoding:
+) -> Encoding:
     """Encode the complete problem, or with ``machine_of`` (a machine per
     operation) the problem under that fixed assignment.  ``horizon``
     defaults to the serial baseline makespan under the same machines (a
@@ -78,7 +81,6 @@ def build_full(
         horizon = serial_schedule(inst, machine_of).makespan
     ops = tuple(inst.ops())
     stage_machines = {s: inst.machines_of(s) for s in inst.stages}
-    idx_of = {op: k for k, op in enumerate(ops)}
 
     tasks: dict[str, TaskVar] = {}
     choices: dict[str, ChoiceVar] = {}
@@ -115,24 +117,10 @@ def build_full(
         worker_members.append(Member(pr.id, weight_choice=wc.id))
         last_wa[j] = wa.id
 
-    # One transport table per (stage pair, machine domains), shared by every
-    # job that crosses it; the engine only reads tables.
-    tables: dict[tuple, dict[tuple[int, int], int]] = {}
-    for j in inst.jobs:
-        chain = inst.eligible_stages[j]
-        for a, b in zip(chain, chain[1:]):
-            ka, kb = idx_of[(j, a)], idx_of[(j, b)]
-            da, db = choices[f"m{ka}"].values, choices[f"m{kb}"].values
-            table = tables.get((a, b, da, db))
-            if table is None:
-                table = tables[(a, b, da, db)] = {
-                    (ia, ib): inst.transport[(stage_machines[a][ia], stage_machines[b][ib])]
-                    for ia in da
-                    for ib in db
-                }
-            cs.offsets.append(
-                OffsetLink(f"wa{ka}", f"wb{kb}", table=(f"m{ka}", f"m{kb}", table))
-            )
+    for ka, kb, table in transport_tables(inst, ops, stage_machines, choices):
+        cs.offsets.append(
+            OffsetLink(f"wa{ka}", f"wb{kb}", table=(f"m{ka}", f"m{kb}", table))
+        )
 
     for m in inst.machines:
         if proc_members[m]:
@@ -154,11 +142,42 @@ def build_full(
         objective_tasks=[last_wa[j] for j in inst.jobs],
         objective_floor=lb_floor,
     )
-    return FullEncoding(model=model, ops=ops, stage_machines=stage_machines)
+    return Encoding(model=model, ops=ops, stage_machines=stage_machines)
 
 
-def schedule_to_assignment(enc: FullEncoding, sched: Schedule) -> Assignment:
-    """Translate a Schedule into the encoding's engine assignment."""
+def transport_tables(
+    inst: Instance,
+    ops: tuple[Op, ...],
+    stage_machines: dict[str, tuple[str, ...]],
+    choices: dict[str, ChoiceVar],
+) -> list[tuple[int, int, dict[tuple[int, int], int]]]:
+    """(ka, kb, table) for every pair of consecutive operations of a job, by
+    position in ``ops``: the transport time per pair of values of the choices
+    ``m{ka}`` and ``m{kb}``.  One table per stage pair and machine domains,
+    shared by every job that crosses it; the engine only reads tables."""
+    idx_of = {op: k for k, op in enumerate(ops)}
+    tables: dict[tuple, dict[tuple[int, int], int]] = {}
+    links = []
+    for j in inst.jobs:
+        chain = inst.eligible_stages[j]
+        for a, b in zip(chain, chain[1:]):
+            ka, kb = idx_of[(j, a)], idx_of[(j, b)]
+            da, db = choices[f"m{ka}"].values, choices[f"m{kb}"].values
+            table = tables.get((a, b, da, db))
+            if table is None:
+                table = tables[(a, b, da, db)] = {
+                    (ia, ib): inst.transport[(stage_machines[a][ia], stage_machines[b][ib])]
+                    for ia in da
+                    for ib in db
+                }
+            links.append((ka, kb, table))
+    return links
+
+
+def schedule_to_assignment(enc: Encoding, sched: Schedule) -> Assignment:
+    """Translate a Schedule into the encoding's engine assignment.  Only the
+    encoding's own variables are set: the master has no worker choices and
+    no waits, and its relaxed task takes the schedule's process interval."""
     choices: dict[str, int] = {}
     starts: dict[str, int] = {}
     ends: dict[str, int] = {}
@@ -174,29 +193,39 @@ def schedule_to_assignment(enc: FullEncoding, sched: Schedule) -> Assignment:
             lo, hi = table[op]
             starts[f"{prefix}{k}"] = lo
             ends[f"{prefix}{k}"] = hi
-    return Assignment(choices=choices, starts=starts, ends=ends)
+    tasks, own_choices = enc.model.tasks, enc.model.choices
+    return Assignment(
+        choices={c: v for c, v in choices.items() if c in own_choices},
+        starts={t: v for t, v in starts.items() if t in tasks},
+        ends={t: v for t, v in ends.items() if t in tasks},
+    )
 
 
-def assignment_to_schedule(enc: FullEncoding, asg: Assignment) -> Schedule:
-    """Decode an engine assignment back into a Schedule."""
-    machine_of: dict[Op, str] = {}
+def machine_map(enc: Encoding, asg: Assignment) -> dict[Op, str]:
+    """The machine that each operation's choice selects in ``asg``."""
+    return {
+        op: enc.stage_machines[op[1]][asg.choices[f"m{k}"]]
+        for k, op in enumerate(enc.ops)
+    }
+
+
+def assignment_to_schedule(enc: Encoding, asg: Assignment) -> Schedule:
+    """Decode an engine assignment of the full model back into a Schedule."""
     workers_of: dict[Op, int] = {}
     wb: dict[Op, tuple[int, int]] = {}
     pr: dict[Op, tuple[int, int]] = {}
     wa: dict[Op, tuple[int, int]] = {}
     for k, op in enumerate(enc.ops):
-        _, s = op
-        machine_of[op] = enc.stage_machines[s][asg.choices[f"m{k}"]]
         workers_of[op] = asg.choices[f"w{k}"]
         wb[op] = (asg.starts[f"wb{k}"], asg.ends[f"wb{k}"])
         pr[op] = (asg.starts[f"pr{k}"], asg.ends[f"pr{k}"])
         wa[op] = (asg.starts[f"wa{k}"], asg.ends[f"wa{k}"])
-    makespan = max(end for _, end in wa.values())
-    return Schedule(machine_of, workers_of, wb, pr, wa, makespan)
+    sched = Schedule(machine_map(enc, asg), workers_of, wb, pr, wa, 0)
+    return replace(sched, makespan=makespan_of(sched))
 
 
 def incumbent_schedule(
-    inst: Instance, enc: FullEncoding, result: SearchResult
+    inst: Instance, enc: Encoding, result: SearchResult
 ) -> Schedule:
     """Decode the search's incumbent (the serial hint guarantees one) and
     re-check it with the independent validator."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .bounds import best_lb
 from .master import MasterSolution, solve_master
@@ -87,42 +87,16 @@ class RunLog:
     schedule: Schedule | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "best_lb": self.best_lb,
-            "lb": self.lb,
-            "ub": self.ub,
-            "status": self.status,
-            "nodes": self.nodes,
-            "wall_time": self.wall_time,
-            "iterations": [
-                {
-                    "k": it.k,
-                    "master_lb": it.master_lb,
-                    "jstar_hash": it.jstar_hash,
-                    "zeta": it.zeta,
-                    "lb": it.lb,
-                    "ub": it.ub,
-                    "master_nodes": it.master_nodes,
-                    "sub_nodes": it.sub_nodes,
-                    "wall_time": it.wall_time,
-                }
-                for it in self.iterations
-            ],
-            "schedule": (
-                None if self.schedule is None
-                else json.loads(schedule_to_json(self.schedule))
-            ),
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["iterations"] = [asdict(it) for it in self.iterations]
+        if self.schedule is not None:
+            payload["schedule"] = json.loads(schedule_to_json(self.schedule))
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def fingerprint_of(inst: Instance, msol: MasterSolution) -> Fingerprint:
     """Canonical (op, machine) tuple over all operations in instance order."""
-    pairs = []
-    for j in inst.jobs:
-        for s, m in zip(inst.eligible_stages[j], msol.machine_seq[j]):
-            pairs.append(((j, s), m))
-    return tuple(pairs)
+    return tuple((op, msol.machine_of[op]) for op in inst.ops())
 
 
 def _hash_fingerprint(fp: Fingerprint) -> str:
@@ -165,26 +139,23 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
     lb = seed_lb
     ub: int | None = None
     best_sched: Schedule | None = None
-    cuts: list[BendersCut] = []
-    known_cut_fps: set[Fingerprint] = set()
+    cuts: dict[Fingerprint, BendersCut] = {}
     log = RunLog(best_lb=seed_lb, lb=lb, ub=None, status="unknown")
     sub_nodes = budgets.sub_nodes
     total_nodes = 0
-    status = "feasible"
     k = 0
 
     while True:
-        if budgets.max_iterations is not None and k >= budgets.max_iterations:
-            status = "feasible" if ub is not None else "unknown"
-            break
         rem = remaining()
-        if rem is not None and rem <= 0:
+        if (budgets.max_iterations is not None and k >= budgets.max_iterations) or (
+            rem is not None and rem <= 0
+        ):
             status = "feasible" if ub is not None else "unknown"
             break
         k += 1
         msol = solve_master(
             inst,
-            cuts,
+            cuts.values(),
             lb,
             node_budget=budgets.master_nodes,
             time_budget=clip(budgets.master_time),
@@ -213,9 +184,8 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
             ub = sres.zeta
             best_sched = sres.schedule
         if sres.status == "optimal":
-            if fp not in known_cut_fps:
-                cuts.append(BendersCut(fingerprint=fp, zeta=sres.zeta))
-                known_cut_fps.add(fp)
+            if fp not in cuts:
+                cuts[fp] = BendersCut(fingerprint=fp, zeta=sres.zeta)
         elif sub_nodes is not None:
             sub_nodes *= 2  # incumbent kept, cut withheld, budget doubled
         log.iterations.append(
@@ -225,7 +195,7 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
                 None if deterministic else msol.wall_time + sres.wall_time,
             )
         )
-        if ub is not None and lb >= ub:
+        if lb >= ub:
             status = "optimal"
             break
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .engine import solve
 from .full_model import (
-    FullEncoding,
+    Encoding,
     build_full,
     incumbent_schedule,
     schedule_to_assignment,
@@ -46,18 +46,16 @@ class SubResult:
 
 
 def _assigned_machines(inst: Instance, msol: MasterSolution) -> dict[Op, str]:
-    """Validate coverage of the master's machine sequences and flatten them."""
-    machine_of: dict[Op, str] = {}
-    for j in inst.jobs:
-        chain = inst.eligible_stages[j]
-        seq = msol.machine_seq.get(j)
-        if seq is None or len(seq) != len(chain):
-            raise ValueError(f"machine sequence for job {j} does not cover {chain}")
-        for s, m in zip(chain, seq):
-            if m not in inst.machines or inst.machines[m] != s:
-                raise ValueError(f"machine {m} is not in stage {s} (job {j})")
-            machine_of[(j, s)] = m
-    return machine_of
+    """Check that the master's machine map covers every operation exactly
+    once and that each machine belongs to its operation's stage."""
+    ops = set(inst.ops())
+    if msol.machine_of.keys() != ops:
+        odd = min(ops ^ msol.machine_of.keys())
+        raise ValueError(f"machine map does not cover exactly the operations: {odd}")
+    for (j, s), m in msol.machine_of.items():
+        if inst.machines.get(m) != s:
+            raise ValueError(f"machine {m} is not in stage {s} (job {j})")
+    return msol.machine_of
 
 
 def build_sub(
@@ -66,7 +64,7 @@ def build_sub(
     *,
     horizon: int | None = None,
     lb_floor: int = 0,
-) -> FullEncoding:
+) -> Encoding:
     """Encode the subproblem: the full model pinned to the master's machines."""
     return build_full(
         inst,

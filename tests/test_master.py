@@ -6,8 +6,11 @@ import pytest
 
 from conftest import make_instance, sample_tiny
 from hffs.bounds import best_lb
+from hffs.engine import check_assignment
+from hffs.full_model import schedule_to_assignment
 from hffs.lbbd import BendersCut
-from hffs.master import solve_master
+from hffs.master import build_master, solve_master
+from hffs.model import serial_schedule
 from oracles import brute_force_optimum
 
 
@@ -24,6 +27,20 @@ def test_master_never_exceeds_the_true_optimum():
         assert sol.objective <= opt
 
 
+def test_serial_warm_start_sets_exactly_the_master_variables():
+    # The shared warm start drops the full model's worker choices and waits,
+    # so the master's incumbent never carries variables its model lacks.
+    rng = random.Random(4104)
+    for _ in range(4):
+        inst = sample_tiny(rng)
+        base = serial_schedule(inst)
+        enc = build_master(inst, [], 0, horizon=base.makespan)
+        hint = schedule_to_assignment(enc, base)
+        assert hint.choices.keys() == enc.model.choices.keys()
+        assert hint.starts.keys() == hint.ends.keys() == enc.model.tasks.keys()
+        assert check_assignment(enc.model, hint) == []
+
+
 def test_single_stage_master_packs_two_machines():
     inst = make_instance(
         jobs={"a": ["s1"], "b": ["s1"], "c": ["s1"]},
@@ -37,9 +54,8 @@ def test_single_stage_master_packs_two_machines():
     assert sol.objective == 4
     assert sol.lower_bound == 4
     assert sol.status == "optimal"
-    assert set(sol.machine_seq) == {"a", "b", "c"}
-    assert all(len(seq) == 1 and seq[0] in ("m1", "m2")
-               for seq in sol.machine_seq.values())
+    assert set(sol.machine_of) == {("a", "s1"), ("b", "s1"), ("c", "s1")}
+    assert all(m in ("m1", "m2") for m in sol.machine_of.values())
 
 
 def test_transport_acts_as_a_minimum_delay():
@@ -51,7 +67,7 @@ def test_transport_acts_as_a_minimum_delay():
     )
     sol = solve_master(inst, [], 0)
     assert sol.objective == 3 + 2 + 4
-    assert sol.machine_seq["j"] == ("m1", "m22")
+    assert sol.machine_of == {("j", "s1"): "m1", ("j", "s2"): "m22"}
 
 
 def test_objective_floor_lifts_bound_and_incumbent():
@@ -100,7 +116,7 @@ def test_master_routes_around_a_cut_fingerprint():
     )
     cut = BendersCut(((("a", "s1"), "m11"),), 45)
     sol = solve_master(inst, [cut], 0)
-    assert sol.machine_seq["a"] == ("m12",)
+    assert sol.machine_of == {("a", "s1"): "m12"}
     assert sol.objective == 3
     assert sol.lower_bound == 3
 
@@ -121,5 +137,5 @@ def test_master_is_deterministic_across_seeds():
     inst = sample_tiny(rng)
     a = solve_master(inst, [], 0)
     b = solve_master(inst, [], 0)
-    assert (a.machine_seq, a.lower_bound, a.objective, a.nodes, a.status) == (
-        b.machine_seq, b.lower_bound, b.objective, b.nodes, b.status)
+    assert (a.machine_of, a.lower_bound, a.objective, a.nodes, a.status) == (
+        b.machine_of, b.lower_bound, b.objective, b.nodes, b.status)

@@ -1,0 +1,91 @@
+"""Pinned node-budget results of the decomposition's master.
+
+Each master runs with the floor the decomposition loop would pass it first
+(the bound module's best value).  Statuses, bounds, node counts, incumbent
+histories and the hash of the returned machine fingerprint must not move
+when the master's encoding is only restated; a change here means search or
+propagation strength changed and must be reported as such.  The cut cases
+install a cut on the instance's own cut-free 25-node fingerprint, so the
+fingerprint-to-choice translation is exercised on a real model.
+"""
+
+import pytest
+
+import hffs.master as master
+from hffs.bounds import best_lb
+from hffs.instance_gen import GenSpec, generate
+from hffs.lbbd import BendersCut, _hash_fingerprint, fingerprint_of
+
+# (jobs, stages, variant, seed, master nodes, cut) ->
+# (status, objective, lower_bound, nodes, ub_history, fingerprint hash).
+MASTER = {
+    (20, 3, 2, 0, 25, False): ("feasible", 329, 53, 25, [(0, 329)], "63fddc41b4ae15f5"),
+    (20, 3, 2, 0, 200, False): ("feasible", 70, 53, 200, [
+        (0, 329), (76, 74), (96, 73), (118, 72), (170, 71), (195, 70)], "63fddc41b4ae15f5"),
+    (20, 3, 2, 1, 25, False): ("feasible", 352, 57, 25, [(0, 352)], "cc5ff2b8c60ed942"),
+    (20, 3, 2, 1, 200, False): ("feasible", 70, 57, 200, [
+        (0, 352), (81, 71), (107, 70)], "cc5ff2b8c60ed942"),
+    (20, 3, 2, 2, 25, False): ("feasible", 336, 57, 25, [(0, 336)], "4835f97b631f3375"),
+    (20, 3, 2, 2, 200, False): ("feasible", 74, 57, 200, [
+        (0, 336), (86, 80), (100, 76), (121, 75), (144, 74)], "4835f97b631f3375"),
+    (20, 3, 2, 3, 25, False): ("feasible", 448, 66, 25, [(0, 448)], "f3c654cee69459b4"),
+    (20, 3, 2, 3, 200, False): ("feasible", 92, 66, 200, [
+        (0, 448), (52, 92)], "f3c654cee69459b4"),
+    (3, 2, 1, 0, 25, False): ("optimal", 9, 9, 25, [
+        (0, 19), (9, 13), (20, 9)], "fdfdedb11eec459c"),
+    (3, 2, 1, 0, 200, False): ("optimal", 9, 9, 27, [
+        (0, 19), (9, 13), (20, 9)], "fdfdedb11eec459c"),
+    (3, 3, 1, 1, 25, False): ("feasible", 9, 4, 25, [
+        (0, 15), (9, 11), (17, 9)], "3e9e185b70d506aa"),
+    (3, 3, 1, 1, 200, False): ("optimal", 4, 4, 49, [
+        (0, 15), (9, 11), (17, 9), (30, 6), (37, 5), (46, 4)], "6b94b36593f28191"),
+    (4, 2, 1, 2, 25, False): ("feasible", 17, 13, 25, [
+        (0, 39), (13, 17)], "6a05ca42dd31f0a9"),
+    (4, 2, 1, 2, 200, False): ("optimal", 13, 13, 57, [
+        (0, 39), (13, 17), (28, 15), (47, 13)], "0f343140f497c8ec"),
+    (4, 3, 1, 3, 25, False): ("feasible", 28, 22, 25, [
+        (0, 64), (19, 28)], "bc9c12a7a13180e0"),
+    (4, 3, 1, 3, 200, False): ("optimal", 22, 22, 129, [
+        (0, 64), (19, 28), (44, 27), (80, 24), (98, 23), (119, 22)], "9629852dffe38144"),
+    (5, 2, 1, 4, 25, False): ("feasible", 26, 9, 25, [
+        (0, 56), (19, 26)], "bd1406cfb1e443da"),
+    (5, 2, 1, 4, 200, False): ("feasible", 13, 9, 200, [
+        (0, 56), (19, 26), (26, 25), (37, 21), (48, 20), (96, 18), (130, 17),
+        (151, 15), (177, 14), (189, 13)], "6d1caa51a6ac14e3"),
+    (5, 3, 1, 5, 25, False): ("feasible", 37, 14, 25, [
+        (0, 98), (25, 37)], "01544a837b7f0b15"),
+    (5, 3, 1, 5, 200, False): ("feasible", 26, 14, 200, [
+        (0, 98), (25, 37), (43, 34), (74, 33), (98, 30), (121, 29), (154, 27),
+        (190, 26)], "7ae8bd5c0635a181"),
+    (20, 3, 2, 0, 25, True): ("feasible", 658, 53, 25, [(0, 658)], "63fddc41b4ae15f5"),
+    (20, 3, 2, 0, 200, True): ("feasible", 70, 53, 200, [
+        (0, 658), (77, 80), (85, 77), (109, 73), (134, 72), (158, 71),
+        (182, 70)], "6ae91dd24c86d81c"),
+    (3, 2, 1, 0, 25, True): ("optimal", 9, 9, 25, [
+        (0, 19), (9, 13), (21, 9)], "b9108826dbcd1d78"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MASTER), ids=str)
+def test_solve_master_node_budget_results_are_pinned(key, monkeypatch):
+    jobs, stages, variant, seed, nodes, cut = key
+    inst = generate(GenSpec(group=2, jobs=jobs, stages=stages, variant=variant, seed=seed))
+    floor = best_lb(inst).best
+    cuts = []
+    if cut:
+        first = master.solve_master(inst, [], floor, node_budget=25)
+        cuts = [BendersCut(fingerprint_of(inst, first), 2 * first.objective)]
+
+    searches = []
+
+    def recording_solve(*args, **kwargs):
+        searches.append(engine_solve(*args, **kwargs))
+        return searches[-1]
+
+    engine_solve = master.solve
+    monkeypatch.setattr(master, "solve", recording_solve)
+    sol = master.solve_master(inst, cuts, floor, node_budget=nodes)
+    assert len(searches) == 1
+    got = (sol.status, sol.objective, sol.lower_bound, sol.nodes,
+           searches[0].ub_history, _hash_fingerprint(fingerprint_of(inst, sol)))
+    assert got == MASTER[key]

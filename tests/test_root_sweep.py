@@ -21,7 +21,7 @@ from hffs.engine import (
 )
 from hffs.full_model import build_full, schedule_to_assignment
 from hffs.instance_gen import GenSpec, generate
-from hffs.master import _serial_hint, build_master
+from hffs.master import build_master
 from hffs.model import serial_schedule
 
 from oracles import RoundRobinFixpoint
@@ -37,8 +37,9 @@ def full_model_and_hint(seed=0):
 
 def master_model_and_hint():
     inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))
-    enc = build_master(inst, [], best_lb(inst).best)
-    return enc.model, _serial_hint(enc, inst)
+    base = serial_schedule(inst)
+    enc = build_master(inst, [], best_lb(inst).best, horizon=base.makespan)
+    return enc.model, schedule_to_assignment(enc, base)
 
 
 @pytest.mark.parametrize("make", [full_model_and_hint, master_model_and_hint],

@@ -12,9 +12,9 @@ from hffs.subproblem import build_sub, solve_sub
 from oracles import brute_force_optimum
 
 
-def fixed(machine_seq):
+def fixed(machine_of):
     """Wrap a machine map in the solution shape the subproblem expects."""
-    return MasterSolution(machine_seq=machine_seq, lower_bound=0,
+    return MasterSolution(machine_of=machine_of, lower_bound=0,
                           status="optimal", objective=0, nodes=0, wall_time=0.0)
 
 
@@ -29,6 +29,10 @@ def two_stage_instance():
     )
 
 
+# Both jobs of two_stage_instance on its only machines.
+STRAIGHT = {("a", "s1"): "m1", ("a", "s2"): "m2", ("b", "s1"): "m1", ("b", "s2"): "m2"}
+
+
 def test_encoding_pins_each_machine_choice_to_one_value():
     inst = make_instance(
         jobs={"a": ["s1", "s2"], "b": ["s1", "s2"]},
@@ -37,7 +41,8 @@ def test_encoding_pins_each_machine_choice_to_one_value():
               ("b", "s1", 1): 3, ("b", "s2", 1): 2},
         transport={("m11", "m21"): 1, ("m12", "m21"): 2},
     )
-    enc = build_sub(inst, fixed({"a": ("m12", "m21"), "b": ("m11", "m21")}))
+    enc = build_sub(inst, fixed({("a", "s1"): "m12", ("a", "s2"): "m21",
+                               ("b", "s1"): "m11", ("b", "s2"): "m21"}))
     assert enc.ops == (("a", "s1"), ("a", "s2"), ("b", "s1"), ("b", "s2"))
     assert len(enc.model.tasks) == 12
     # one worker choice and one machine choice per operation; the machine
@@ -62,7 +67,7 @@ def test_single_job_chain_completes_at_speedup_plus_transport():
         transport={("m1", "m2"): 2},
         workers_total=3,
     )
-    res = solve_sub(inst, fixed({"j": ("m1", "m2")}))
+    res = solve_sub(inst, fixed({("j", "s1"): "m1", ("j", "s2"): "m2"}))
     assert res.status == "optimal"
     assert res.zeta == 3 + 2 + 2
     assert res.schedule is not None
@@ -79,7 +84,7 @@ def test_zero_entry_buffer_forces_zero_length_waits():
         buffer_in=0,
         buffer_out=0,
     )
-    res = solve_sub(inst, fixed({"a": ("m1",), "b": ("m1",)}))
+    res = solve_sub(inst, fixed({("a", "s1"): "m1", ("b", "s1"): "m1"}))
     assert res.zeta == 7
     for op in inst.ops():
         lo, hi = res.schedule.wait_before[op]
@@ -90,7 +95,7 @@ def test_zero_entry_buffer_forces_zero_length_waits():
 
 def test_two_job_two_stage_optimum_with_overlap():
     inst = two_stage_instance()
-    res = solve_sub(inst, fixed({"a": ("m1", "m2"), "b": ("m1", "m2")}))
+    res = solve_sub(inst, fixed(STRAIGHT))
     # a: s1 [0,2) -> s2 [3,6); b: s1 [2,5) -> s2 [6,8)
     assert res.zeta == 8
     assert res.status == "optimal"
@@ -106,7 +111,7 @@ def test_worker_pool_blocks_double_crewing():
         transport={},
         workers_total=2,
     )
-    res = solve_sub(inst, fixed({"a": ("m1",), "b": ("m2",)}))
+    res = solve_sub(inst, fixed({("a", "s1"): "m1", ("b", "s1"): "m2"}))
     # two crews of two would need four workers; best is 6 either way
     assert res.zeta == 6
 
@@ -130,10 +135,7 @@ def test_minimum_over_all_machine_maps_is_the_true_optimum():
         ops = inst.ops()
         best = None
         for combo in itertools.product(*(inst.machines_of(s) for _, s in ops)):
-            seq: dict[str, tuple[str, ...]] = {}
-            for (j, _), m in zip(ops, combo):
-                seq[j] = seq.get(j, ()) + (m,)
-            res = solve_sub(inst, fixed(seq))
+            res = solve_sub(inst, fixed(dict(zip(ops, combo))))
             assert res.status == "optimal"
             best = res.zeta if best is None else min(best, res.zeta)
         assert best == brute_force_optimum(inst)
@@ -141,26 +143,29 @@ def test_minimum_over_all_machine_maps_is_the_true_optimum():
 
 def test_schedule_repeats_the_fixed_machines():
     inst = two_stage_instance()
-    res = solve_sub(inst, fixed({"a": ("m1", "m2"), "b": ("m1", "m2")}))
+    res = solve_sub(inst, fixed(STRAIGHT))
     assert res.schedule.machine_of[("a", "s1")] == "m1"
     assert res.schedule.machine_of[("b", "s2")] == "m2"
 
 
 def test_malformed_machine_sequences_are_rejected():
     inst = two_stage_instance()
+    missing_op = {op: m for op, m in STRAIGHT.items() if op != ("a", "s2")}
     with pytest.raises(ValueError, match="does not cover"):
-        solve_sub(inst, fixed({"a": ("m1",), "b": ("m1", "m2")}))
+        solve_sub(inst, fixed(missing_op))
     with pytest.raises(ValueError, match="not in stage"):
-        solve_sub(inst, fixed({"a": ("m2", "m2"), "b": ("m1", "m2")}))
+        solve_sub(inst, fixed({**STRAIGHT, ("a", "s1"): "m2"}))
+    missing_job = {op: m for op, m in STRAIGHT.items() if op[0] != "b"}
     with pytest.raises(ValueError, match="does not cover"):
-        solve_sub(inst, fixed({"a": ("m1", "m2")}))
+        solve_sub(inst, fixed(missing_job))
+    with pytest.raises(ValueError, match="does not cover"):
+        solve_sub(inst, fixed({**STRAIGHT, ("c", "s1"): "m1"}))
 
 
 def test_floor_below_the_optimum_changes_nothing():
     inst = two_stage_instance()
-    seq = {"a": ("m1", "m2"), "b": ("m1", "m2")}
-    plain = solve_sub(inst, fixed(seq))
-    floored = solve_sub(inst, fixed(seq), lb_floor=5)
+    plain = solve_sub(inst, fixed(STRAIGHT))
+    floored = solve_sub(inst, fixed(STRAIGHT), lb_floor=5)
     assert floored.zeta == plain.zeta == 8
     assert floored.lower_bound >= 5
     assert validate_schedule(inst, floored.schedule) == []
@@ -169,9 +174,8 @@ def test_floor_below_the_optimum_changes_nothing():
 def test_subproblem_is_deterministic_across_seeds():
     rng = random.Random(4202)
     inst = sample_tiny(rng)
-    seq = {j: tuple(inst.machines_of(s)[0] for s in inst.eligible_stages[j])
-           for j in inst.jobs}
-    a = solve_sub(inst, fixed(seq))
-    b = solve_sub(inst, fixed(seq))
+    machine_of = {op: inst.machines_of(op[1])[0] for op in inst.ops()}
+    a = solve_sub(inst, fixed(machine_of))
+    b = solve_sub(inst, fixed(machine_of))
     assert (a.zeta, a.nodes, a.status) == (b.zeta, b.nodes, b.status)
     assert a.schedule.process == b.schedule.process
