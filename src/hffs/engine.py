@@ -4,7 +4,7 @@ The engine minimises makespan over a model made of:
 
 - TaskVar: a half-open interval with a fixed duration, a duration selected
   from a menu by a choice variable, or an elastic (free nonnegative) duration;
-  every task is always present (alternatives are guarded group members);
+  every task is always present;
 - ChoiceVar: a finite integer domain (machine index, worker count, ...);
 - ConstraintSet: exact-offset links (start(succ) = end(pred) + delta, the
   delta possibly a table over two choice values), precedence links
@@ -12,6 +12,12 @@ The engine minimises makespan over a model made of:
   resources, and conditional objective bounds ("if this exact choice
   fingerprint holds, the objective is at least this value" -- the logic-cut
   form).
+
+A group member either always belongs to its group or is routed by a choice
+(``Member.on``): it belongs to exactly the groups whose ``value`` that choice
+takes, the alternative pattern of Laborie, Rogerie, Shaw & Vilim (Constraints
+23(2), 2018).  Groups that one choice routes between (the machines of one
+stage) share one member tuple, a family, which is read and compiled once.
 
 Search is depth-first branch and bound: choice variables first (machine-kind
 before worker-kind, then model order; values in domain order), then
@@ -24,32 +30,41 @@ an independent evaluator before it is stored.
 
 Propagation is event driven: the AC-3 queue (Mackworth, 1977) applied to
 bounds.  Compilation numbers one propagator per task window, offset,
-precedence, disjunctive and cumulative, with two watch lists: task -> the
-propagators reading its bounds, choice -> those whose menu, delta table,
-guard or weight reads its domain.  A propagator that moves a task bound
-queues that task's watchers (not itself: each is idempotent).  The queue is
-two FIFOs: windows and links always run before disjunctives and cumulatives,
-cheap propagators first (Schulte & Stuckey, TOPLAS 31(1), 2008).  The root
-first runs every window and link once in a topological order of the tasks
-by links (Kahn; each task's window, then its outgoing links; tasks on a link
-cycle follow in index order), which settles lower bounds along each chain in
-one pass, then queues that order reversed, which carries upper bounds back
-up the chains, and every group propagator.  A child starts from its
-parent's fixpoint, so it queues only the watchers of the variable its
-branching edit changed and of the objective tasks the incumbent cap moved.
-No propagator narrows a choice domain, so choice-derived data changes only
-at a choice edit.  Each group's active members live in the search state: the
-root starts an empty list, a start or end edit shares the parent's, and a
-choice edit copies it and empties the entries of the choice's watchers; a
-group fills its entry when it next runs.  A menu's duration extremes over
-the root domain are computed at compile time and serve every state whose
-domain is still the root's.  A guard or delta table whose choices have
-one-value root domains is decided before search and compiled away: the
-member is unguarded, the delta a constant, and neither watches the choice.
+precedence, disjunctive and cumulative, with watch lists: task -> the
+propagators reading its bounds, choice -> those whose menu, delta table or
+weight reads its domain, and for a routed member one entry per (task,
+choice) that maps a value to the groups of that value.  A routed member
+sits in no group until its choice is decided, so a choice edit to v seeds
+and empties the active lists of only the value-v groups that route on the
+choice, and adds those groups to the watchers of the tasks it routes, which
+the search state carries (the root adds them for every one-value domain).  A
+propagator that moves a task bound queues that task's watchers (not itself:
+each is idempotent).  The queue is two FIFOs: windows and links always run
+before disjunctives and cumulatives, cheap propagators first (Schulte &
+Stuckey, TOPLAS 31(1), 2008).  The root first runs every window and link
+once in a topological order of the tasks by links (Kahn; each task's window,
+then its outgoing links; tasks on a link cycle follow in index order), which
+settles lower bounds along each chain in one pass, then queues that order
+reversed, which carries upper bounds back up the chains, and every group
+propagator.  A child starts from its parent's fixpoint, so it queues only
+the watchers of the variable its branching edit changed and of the objective
+tasks the incumbent cap moved.  No propagator narrows a choice domain, so
+choice-derived data changes only at a choice edit.  Each group's active
+members live in the search state: the root starts an empty list, a start or
+end edit shares the parent's, and a choice edit copies it and empties the
+entries of the groups it seeds; a group fills its entry when it next runs.
+The tasks' watcher lists are kept the same way.
+A menu's duration extremes over the root domain are computed at compile
+time and serve every state whose domain is still the root's.  A member
+routed by a choice whose root domain is one value v sits unconditionally in
+the family's value-v groups and in no other, and a delta table whose choices
+have one-value root domains is a constant; neither watches the choice.
 Every propagator narrows monotonically and a failure stays a failure, so by
 the chaotic-iteration argument any visiting order (the root sweep and the
 two FIFOs are such orders) reaches the round-robin sweep's greatest fixpoint
 and fail/no-fail outcome; only the name of the failing constraint may differ.
+A group reads the bounds of its active members only, so not waking it for
+the moves of a member that is not active leaves that fixpoint unchanged.
 
 Determinism: the search draws no randomness.  With a node budget, results
 are a pure function of (model, budget, hint); nothing reads the clock except
@@ -88,12 +103,14 @@ class TaskVar:
 
 @dataclass(frozen=True, slots=True)
 class Member:
-    """Guarded membership of a task in a disjunctive group or cumulative."""
+    """Membership of a task in a disjunctive group or cumulative: always, or,
+    when routed ``on`` a choice, exactly while that choice takes the group's
+    ``value``."""
 
     task: str
     weight: int = 1
     weight_choice: str | None = None
-    guard: tuple[str, int] | None = None
+    on: str | None = None
 
 
 Delta = tuple[str, str, dict[tuple[int, int], int]]
@@ -123,6 +140,7 @@ class Precedence:
 class Disjunctive:
     id: str
     members: tuple[Member, ...]
+    value: int | None = None  # the value that routes a routed member here
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,6 +148,7 @@ class Cumulative:
     id: str
     capacity: int
     members: tuple[Member, ...]
+    value: int | None = None  # the value that routes a routed member here
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,24 +201,27 @@ class State:
     """Mutable search state: task time bounds plus choice domains.
 
     ``active`` holds one entry per group propagator, its active members or
-    None when not yet computed; ``propagate`` keeps it.  A copy shares the
-    list, and ``propagate`` gives a state its own copy after a choice edit, so
-    states that share a list have equal domains."""
+    None when not yet computed, and ``watch`` one entry per task, the
+    propagators its moves wake, routed groups included once their choice is
+    decided; ``propagate`` keeps both.  A copy shares the lists, and
+    ``propagate`` gives a state its own copies after a choice edit, so states
+    that share a list have equal domains."""
 
-    __slots__ = ("s_lo", "s_hi", "e_lo", "e_hi", "domains", "active")
+    __slots__ = ("s_lo", "s_hi", "e_lo", "e_hi", "domains", "active", "watch")
 
-    def __init__(self, s_lo, s_hi, e_lo, e_hi, domains, active=None):
+    def __init__(self, s_lo, s_hi, e_lo, e_hi, domains, active=None, watch=None):
         self.s_lo = s_lo
         self.s_hi = s_hi
         self.e_lo = e_lo
         self.e_hi = e_hi
         self.domains = domains
         self.active = active
+        self.watch = watch
 
     def copy(self) -> "State":
         return State(
             list(self.s_lo), list(self.s_hi), list(self.e_lo), list(self.e_hi),
-            list(self.domains), self.active,
+            list(self.domains), self.active, self.watch,
         )
 
 
@@ -233,15 +255,23 @@ def check_model(model: EngineModel) -> None:
         if t.est < 0 or t.lct < t.est:
             raise ValueError(f"task {tid} has an invalid window [{t.est},{t.lct}]")
 
-    def check_member(where: str, m: Member) -> None:
-        if m.task not in tasks:
-            raise ValueError(f"{where} references unknown task {m.task}")
-        if m.weight_choice is not None and m.weight_choice not in choices:
-            raise ValueError(f"{where} references unknown weight choice")
-        if m.guard is not None and m.guard[0] not in choices:
-            raise ValueError(f"{where} references unknown guard choice")
+    read: set[int] = set()  # ids of the member tuples read: groups may share one
+
+    def check_group(where: str, group) -> None:
+        if id(group.members) not in read:
+            read.add(id(group.members))
+            for m in group.members:
+                if m.task not in tasks:
+                    raise ValueError(f"{where} references unknown task {m.task}")
+                if m.weight_choice is not None and m.weight_choice not in choices:
+                    raise ValueError(f"{where} references unknown weight choice")
+                if m.on is not None and m.on not in choices:
+                    raise ValueError(f"{where} references unknown routing choice {m.on}")
+        if group.value is None and any(m.on is not None for m in group.members):
+            raise ValueError(f"{where} has routed members but no value")
 
     cs = model.constraints
+    tables: set = set()  # (id of a table, the two domains) already read
     for link in list(cs.offsets) + list(cs.precedences):
         for tid in (link.pred, link.succ):
             if tid not in tasks:
@@ -251,6 +281,10 @@ def check_model(model: EngineModel) -> None:
             for cid in (ca, cb):
                 if cid not in choices:
                     raise ValueError(f"link table references unknown choice {cid}")
+            key = (id(table), choices[ca].values, choices[cb].values)
+            if key in tables:
+                continue
+            tables.add(key)
             for va in choices[ca].values:
                 for vb in choices[cb].values:
                     if (va, vb) not in table:
@@ -258,13 +292,11 @@ def check_model(model: EngineModel) -> None:
                             f"link table misses delta for ({va},{vb}) of ({ca},{cb})"
                         )
     for group in cs.disjunctives:
-        for m in group.members:
-            check_member(f"disjunctive {group.id}", m)
+        check_group(f"disjunctive {group.id}", group)
     for cum in cs.cumulatives:
         if cum.capacity < 0:
             raise ValueError(f"cumulative {cum.id} has negative capacity")
-        for m in cum.members:
-            check_member(f"cumulative {cum.id}", m)
+        check_group(f"cumulative {cum.id}", cum)
     for cb in cs.conditional_bounds:
         for cid, _ in cb.fingerprint:
             if cid not in choices:
@@ -296,6 +328,8 @@ class _Compiled:
 
         self.menus = [compile_menu(t) for t in self.tasks]
 
+        extremes: dict = {}  # (id of a table, the two root domains) -> values
+
         def compile_delta(link):
             """(const, None), or (0, (ca, cb, table, |root ca|, |root cb|,
             min, max)) with the table's extremes over the root domains; a
@@ -304,38 +338,39 @@ class _Compiled:
                 return (link.delta, None)
             ca, cb, table = link.table
             va, vb = model.choices[ca].values, model.choices[cb].values
-            root = [table[(a, b)] for a in va for b in vb]
-            if len(root) == 1:
-                return (root[0], None)
-            return (0, (self.cidx[ca], self.cidx[cb], table, len(va), len(vb),
-                        min(root), max(root)))
+            key = (id(table), va, vb)
+            if key not in extremes:
+                root = [table[(a, b)] for a in va for b in vb]
+                extremes[key] = (len(root), min(root), max(root))
+            n, lo, hi = extremes[key]
+            if n == 1:
+                return (lo, None)
+            return (0, (self.cidx[ca], self.cidx[cb], table, len(va), len(vb), lo, hi))
 
         self.links = [  # offsets, then precedences
             (self.tidx[l.pred], self.tidx[l.succ], *compile_delta(l))
             for l in model.constraints.offsets + model.constraints.precedences
         ]
 
-        def compile_member(m: Member):
-            """(task, weight, weight choice, guard); a guard that the root
-            domain already decides true is dropped."""
-            guard = m.guard
-            if guard is not None and tuple(model.choices[guard[0]].values) == (guard[1],):
-                guard = None
-            return (
-                self.tidx[m.task],
-                m.weight,
-                None if m.weight_choice is None else self.cidx[m.weight_choice],
-                None if guard is None else (self.cidx[guard[0]], guard[1]),
-            )
-
-        self.disjunctives = [
-            (g.id, [compile_member(m) for m in g.members])
-            for g in model.constraints.disjunctives
-        ]
-        self.cumulatives = [
-            (c.id, c.capacity, [compile_member(m) for m in c.members])
-            for c in model.constraints.cumulatives
-        ]
+        cons = model.constraints
+        group_defs = [*cons.disjunctives, *cons.cumulatives]
+        shared = {id(g.members): g.members for g in group_defs}  # groups may share one
+        families = {  # (task, weight, weight choice, routing choice) per member
+            key: [
+                (
+                    self.tidx[m.task],
+                    m.weight,
+                    None if m.weight_choice is None else self.cidx[m.weight_choice],
+                    None if m.on is None else self.cidx[m.on],
+                )
+                for m in members
+            ]
+            for key, members in shared.items()
+        }
+        self.disjunctives = [g.id for g in cons.disjunctives]
+        self.cumulatives = [(c.id, c.capacity) for c in cons.cumulatives]
+        self.groups = [families[id(g.members)] for g in group_defs]
+        self.group_value = [(g.value,) for g in group_defs]
         self.cond_bounds = [
             ([(self.cidx[cid], val) for cid, val in cb.fingerprint], cb.bound)
             for cb in model.constraints.conditional_bounds
@@ -361,9 +396,10 @@ class _Compiled:
 
         menu_ci = [m and m[0] for m in self.menus]
 
-        def reads(p: int, ti: int, *cis) -> None:
+        def reads(p: int, ti: int | None, *cis) -> None:
             """Propagator p reads task ti's bounds and choices cis."""
-            task_watch[ti].append(p)
+            if ti is not None:
+                task_watch[ti].append(p)
             for ci in cis:
                 if ci is not None:
                     choice_watch[ci].append(p)
@@ -373,13 +409,38 @@ class _Compiled:
         for p, (pi, si, _, table) in enumerate(self.links, nt):
             reads(p, pi)
             reads(p, si, *(table[:2] if table else ()))
-        self.groups = [g[1] for g in self.disjunctives] + [c[2] for c in self.cumulatives]
         self.interned: dict = {}  # states keep active lists: share equal entries
-        for p, members in enumerate(self.groups, self.disj0):
-            for ti, _, wci, guard in members:  # a cumulative lifts by min duration
-                reads(p, ti, wci, guard and guard[0], menu_ci[ti] if p >= self.cum0 else None)
+
+        # Group watches, once per family and kind (a cumulative also reads its
+        # members' menus: it lifts by minimum duration).  A routed member's
+        # choice lists its task with a map from each value to the family's
+        # groups of that value, which ``_route`` adds to the task's watchers
+        # once the choice is decided.
+        kinds: dict[tuple[int, bool], dict] = {}  # (family, kind) -> value -> groups
+        for p, g in enumerate(group_defs, self.disj0):
+            kinds.setdefault((id(g.members), p >= self.cum0), {}).setdefault(g.value, []).append(p)
+        route_tasks: list[dict] = [{} for _ in self.choices]
+        route_watch: list[dict] = [{} for _ in self.choices]
+        for (key, is_cum), by_value in kinds.items():
+            ps = [p for same in by_value.values() for p in same]
+            for ti, _, wci, ci in families[key]:
+                menu = menu_ci[ti] if is_cum else None
+                if ci is None:
+                    targets, watched = ps, ti
+                elif len(self.choices[ci].values) == 1:
+                    targets, watched = by_value.get(self.choices[ci].values[0], ()), ti
+                else:  # the task wakes a group through its route only
+                    route_tasks[ci][ti, id(by_value)] = (ti, by_value)
+                    route_watch[ci][id(by_value)] = by_value
+                    if wci is None and menu is None:
+                        continue
+                    targets, watched = ps, None
+                for p in targets:
+                    reads(p, watched, wci, menu)
         self.task_watch = tuple(tuple(sorted(set(w))) for w in task_watch)
+        self.route_tasks = tuple(tuple(r.values()) for r in route_tasks)
         self.choice_watch = tuple(tuple(sorted(set(w))) for w in choice_watch)
+        self.route_watch = tuple(tuple(r.values()) for r in route_watch)
 
         # Root sweep: tasks in Kahn's topological order by links (tasks on a
         # link cycle, or behind one, follow in index order), each task's
@@ -460,6 +521,10 @@ class _Compiled:
         disj0 = self.disj0
         if _edit is None:
             st.active = [None] * (self.nprops - disj0)
+            st.watch = list(self.task_watch)
+            for ci, dom in enumerate(st.domains):
+                if len(dom) == 1 and self.route_tasks[ci]:
+                    self._route(st, ci)
             for p in self.sweep:
                 fail = self._window_or_link(st, p, moved)
                 if fail is not None:
@@ -468,22 +533,31 @@ class _Compiled:
             seeds = (*reversed(self.sweep), *range(disj0, self.nprops))
         else:
             kind, idx = _edit
-            seeds = (self.choice_watch if kind == "choice" else self.task_watch)[idx]
             if kind == "choice":
+                value = st.domains[idx][0]  # a choice edit decides the choice
+                seeds = (*self.choice_watch[idx],
+                         *(p for by_value in self.route_watch[idx]
+                           for p in by_value.get(value, ())))
                 st.active = list(st.active)  # the parent's domains differ
                 for p in seeds:
                     if p >= disj0:
                         st.active[p - disj0] = None
-        active = st.active
+                if self.route_tasks[idx]:
+                    st.watch = list(st.watch)
+                    self._route(st, idx)
+            else:
+                seeds = st.watch[idx]
+        active, watch = st.active, st.watch
         cheap, groups = queues = (deque(), deque())  # windows and links first
         inq = [False] * self.nprops
         for p in seeds:
-            inq[p] = True
-            queues[p >= disj0].append(p)
+            if not inq[p]:
+                inq[p] = True
+                queues[p >= disj0].append(p)
 
         def wake() -> None:
             for ti in moved:
-                for q in self.task_watch[ti]:
+                for q in watch[ti]:
                     if not inq[q]:
                         inq[q] = True
                         queues[q >= disj0].append(q)
@@ -509,15 +583,21 @@ class _Compiled:
             inq[p] = False  # idempotent: its own moves need no second run
         return None
 
+    def _route(self, st: State, ci: int) -> None:
+        """Let the tasks that choice ``ci`` routes wake the groups of its
+        decided value (``st.watch`` must be the state's own list)."""
+        value = st.domains[ci][0]
+        for ti, by_value in self.route_tasks[ci]:
+            st.watch[ti] = (*st.watch[ti], *by_value.get(value, ()))
+
     def _active_members(self, st: State, p: int) -> list:
         """Active-certain members of group propagator ``p``: task indices for
         a disjunctive, (task, min weight, min duration) with a positive weight
         for a cumulative."""
         dom = st.domains
-        members = [
-            m for m in self.groups[p - self.disj0]
-            if m[3] is None or dom[m[3][0]] == (m[3][1],)
-        ]
+        g = p - self.disj0
+        routed_here = self.group_value[g]
+        members = [m for m in self.groups[g] if m[3] is None or dom[m[3]] == routed_here]
         if p < self.cum0:
             return [m[0] for m in members]
         weighted = [(m[0], m[1] if m[2] is None else min(dom[m[2]])) for m in members]
@@ -578,11 +658,11 @@ class _Compiled:
                         e_hi[first] = s_hi[second]
                         moved.append(first)
                 elif not a_first:
-                    return f"disjunctive:{self.disjunctives[g][0]}"
+                    return f"disjunctive:{self.disjunctives[g]}"
         return None
 
     def _cumulative(self, st: State, c: int, active: list, moved) -> str | None:
-        cid, cap, _ = self.cumulatives[c]
+        cid, cap = self.cumulatives[c]
         events, own = self._mandatory_events(st, active)
         # Events sort by (time, delta), so at each time point the running
         # level peaks after the point's last event.  That peak is the level of
@@ -747,11 +827,12 @@ def check_assignment(model: EngineModel, asg: Assignment) -> list[str]:
         elif spans[link.pred][1] + d > spans[link.succ][0]:
             v.append(f"precedence {link.pred}->{link.succ} violated")
 
-    def active(m: Member) -> bool:
-        return m.guard is None or choices[m.guard[0]] == m.guard[1]
+    def live_members(group) -> list[Member]:
+        """Unrouted members and those whose choice takes the group's value."""
+        return [m for m in group.members if m.on is None or choices[m.on] == group.value]
 
     for group in model.constraints.disjunctives:
-        live = [m.task for m in group.members if active(m)]
+        live = [m.task for m in live_members(group)]
         for x in range(len(live)):
             for y in range(x + 1, len(live)):
                 (s1, e1), (s2, e2) = spans[live[x]], spans[live[y]]
@@ -760,9 +841,7 @@ def check_assignment(model: EngineModel, asg: Assignment) -> list[str]:
 
     for cum in model.constraints.cumulatives:
         events: list[tuple[int, int]] = []
-        for m in cum.members:
-            if not active(m):
-                continue
+        for m in live_members(cum):
             s, e = spans[m.task]
             if e > s:
                 w = m.weight if m.weight_choice is None else choices[m.weight_choice]

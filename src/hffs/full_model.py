@@ -9,10 +9,13 @@ waits; since the waits are nonnegative and transport is at least 0, they also
 order consecutive process tasks.  Per machine there is a no-overlap group
 over process tasks and one entry and one exit buffer cumulative over the wait
 tasks; a single global cumulative with worker-count weights caps crew usage.
+The machine groups of a stage share one member tuple per kind, each member
+routed by its operation's machine choice (``Member.on``), so the encoding
+holds four members per operation however many machines a stage has.
 
 A ``machine_of`` map pins every machine choice to one value.  The pinned
 model is the decomposition's subproblem: the engine compiles its one-value
-guards and transport tables away, so it searches exactly the model with
+routes and transport tables away, so it searches exactly the model with
 fixed machines.
 
 The solver is warm-started from the serial baseline schedule, which also
@@ -75,8 +78,9 @@ def build_full(
     """Encode the complete problem, or with ``machine_of`` (a machine per
     operation) the problem under that fixed assignment.  ``horizon``
     defaults to the serial baseline makespan under the same machines (a
-    valid upper bound); ``lb_floor`` must be a proven lower bound of the
-    encoded problem (0 is always safe)."""
+    valid upper bound), whose schedule also rejects a bad ``machine_of``;
+    ``lb_floor`` must be a proven lower bound of the encoded problem (0 is
+    always safe)."""
     if horizon is None:
         horizon = serial_schedule(inst, machine_of).makespan
     ops = tuple(inst.ops())
@@ -85,9 +89,9 @@ def build_full(
     tasks: dict[str, TaskVar] = {}
     choices: dict[str, ChoiceVar] = {}
     cs = ConstraintSet()
-    proc_members: dict[str, list[Member]] = {m: [] for m in inst.machines}
-    in_members: dict[str, list[Member]] = {m: [] for m in inst.machines}
-    out_members: dict[str, list[Member]] = {m: [] for m in inst.machines}
+    proc_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
+    in_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
+    out_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
     worker_members: list[Member] = []
     last_wa: dict[str, str] = {}
 
@@ -109,11 +113,9 @@ def build_full(
         tasks[wa.id] = wa
         cs.offsets.append(OffsetLink(wb.id, pr.id, 0))
         cs.offsets.append(OffsetLink(pr.id, wa.id, 0))
-        for i in mc.values:
-            m = machs[i]
-            proc_members[m].append(Member(pr.id, guard=(mc.id, i)))
-            in_members[m].append(Member(wb.id, guard=(mc.id, i)))
-            out_members[m].append(Member(wa.id, guard=(mc.id, i)))
+        proc_members[s].append(Member(pr.id, on=mc.id))
+        in_members[s].append(Member(wb.id, on=mc.id))
+        out_members[s].append(Member(wa.id, on=mc.id))
         worker_members.append(Member(pr.id, weight_choice=wc.id))
         last_wa[j] = wa.id
 
@@ -122,15 +124,19 @@ def build_full(
             OffsetLink(f"wa{ka}", f"wb{kb}", table=(f"m{ka}", f"m{kb}", table))
         )
 
-    for m in inst.machines:
-        if proc_members[m]:
-            cs.disjunctives.append(Disjunctive(f"mach:{m}", tuple(proc_members[m])))
-            cs.cumulatives.append(
-                Cumulative(f"in:{m}", inst.buffer_in[m], tuple(in_members[m]))
-            )
-            cs.cumulatives.append(
-                Cumulative(f"out:{m}", inst.buffer_out[m], tuple(out_members[m]))
-            )
+    families = {  # one member tuple per stage and kind, shared by its machines
+        s: (tuple(proc_members[s]), tuple(in_members[s]), tuple(out_members[s]))
+        for s in inst.stages
+        if proc_members[s]
+    }
+    used = inst.machines if machine_of is None else set(machine_of.values())
+    for m, s in inst.machines.items():
+        if s in families and m in used:  # a pinned machine may get no operation
+            procs, ins, outs = families[s]
+            i = stage_machines[s].index(m)
+            cs.disjunctives.append(Disjunctive(f"mach:{m}", procs, value=i))
+            cs.cumulatives.append(Cumulative(f"in:{m}", inst.buffer_in[m], ins, value=i))
+            cs.cumulatives.append(Cumulative(f"out:{m}", inst.buffer_out[m], outs, value=i))
     cs.cumulatives.append(
         Cumulative("workers", inst.workers_total, tuple(worker_members))
     )

@@ -73,7 +73,7 @@ def build_master(
     tasks: dict[str, TaskVar] = {}
     choices: dict[str, ChoiceVar] = {}
     cs = ConstraintSet()
-    machine_members: dict[str, list[Member]] = {m: [] for m in inst.machines}
+    machine_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
     stage_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
     worker_members: list[Member] = []
     last_task: dict[str, str] = {}
@@ -84,8 +84,7 @@ def build_master(
         choices[mc.id] = mc
         task = TaskVar(f"pr{k}", duration=relaxed[(j, s)], est=0, lct=horizon)
         tasks[task.id] = task
-        for i, m in enumerate(machs):
-            machine_members[m].append(Member(task.id, guard=(mc.id, i)))
+        machine_members[s].append(Member(task.id, on=mc.id))
         stage_members[s].append(Member(task.id))
         worker_members.append(Member(task.id, weight=inst.workers_min[s]))
         last_task[j] = task.id
@@ -95,9 +94,11 @@ def build_master(
             Precedence(f"pr{ka}", f"pr{kb}", table=(f"m{ka}", f"m{kb}", table))
         )
 
-    for m in inst.machines:
-        if machine_members[m]:
-            cs.disjunctives.append(Disjunctive(f"mach:{m}", tuple(machine_members[m])))
+    families = {s: tuple(ms) for s, ms in machine_members.items() if ms}
+    for m, s in inst.machines.items():
+        if s in families:  # a stage's machines share its routed member tuple
+            cs.disjunctives.append(
+                Disjunctive(f"mach:{m}", families[s], value=stage_machines[s].index(m)))
     for s in inst.stages:
         if stage_members[s]:
             cs.cumulatives.append(

@@ -95,7 +95,9 @@ def serial_schedule(
     active at any time (so machine, buffer, and worker limits cannot bind;
     zero-length waits occupy no buffer slot), and every worker count respects
     its stage window.  When ``machine_of`` is given it fixes the machine per
-    operation; otherwise each stage's first machine is used.
+    operation, and a map that does not give exactly the instance's operations
+    a machine of their stage is a ValueError; otherwise each stage's first
+    machine is used.
     """
     chosen_machine: dict[Op, str] = {}
     workers_of: dict[Op, int] = {}
@@ -107,7 +109,14 @@ def serial_schedule(
         prev: str | None = None
         for s in inst.eligible_stages[j]:
             op = (j, s)
-            m = machine_of[op] if machine_of is not None else inst.machines_of(s)[0]
+            if machine_of is None:
+                m = inst.machines_of(s)[0]
+            else:
+                m = machine_of.get(op)
+                if m is None:
+                    raise ValueError(f"machine map does not cover exactly the operations: {op}")
+                if inst.machines.get(m) != s:
+                    raise ValueError(f"machine {m} is not in stage {s} (job {j})")
             window = inst.worker_window(s)
             w = min(window, key=lambda v: (inst.proc_time[(j, s, v)], v))
             if prev is not None:
@@ -120,6 +129,9 @@ def serial_schedule(
             wa[op] = (t + p, t + p)
             t += p
             prev = m
+    if machine_of is not None and len(machine_of) != len(chosen_machine):
+        odd = min(machine_of.keys() - chosen_machine.keys())
+        raise ValueError(f"machine map does not cover exactly the operations: {odd}")
     return Schedule(chosen_machine, workers_of, wb, pr, wa, makespan=t)
 
 

@@ -3,7 +3,7 @@ timing free, all original constraints active.
 
 The encoding is the monolithic model's (``full_model.build_full``) with every
 machine choice pinned to the master's machine.  The engine compiles the
-one-value guards and transport tables away, so what it searches is one
+one-value routes and transport tables away, so what it searches is one
 worker choice per operation selecting the processing duration, the
 wait/process/wait triple with chain equality, exact transport constants
 between consecutive assigned machines, machine no-overlap groups and buffer
@@ -27,7 +27,6 @@ from .full_model import (
 from .master import MasterSolution
 from .model import (
     Instance,
-    Op,
     Schedule,
     serial_schedule,
     validate_instance,
@@ -45,19 +44,6 @@ class SubResult:
     lower_bound: int
 
 
-def _assigned_machines(inst: Instance, msol: MasterSolution) -> dict[Op, str]:
-    """Check that the master's machine map covers every operation exactly
-    once and that each machine belongs to its operation's stage."""
-    ops = set(inst.ops())
-    if msol.machine_of.keys() != ops:
-        odd = min(ops ^ msol.machine_of.keys())
-        raise ValueError(f"machine map does not cover exactly the operations: {odd}")
-    for (j, s), m in msol.machine_of.items():
-        if inst.machines.get(m) != s:
-            raise ValueError(f"machine {m} is not in stage {s} (job {j})")
-    return msol.machine_of
-
-
 def build_sub(
     inst: Instance,
     msol: MasterSolution,
@@ -65,13 +51,10 @@ def build_sub(
     horizon: int | None = None,
     lb_floor: int = 0,
 ) -> Encoding:
-    """Encode the subproblem: the full model pinned to the master's machines."""
-    return build_full(
-        inst,
-        horizon=horizon,
-        lb_floor=lb_floor,
-        machine_of=_assigned_machines(inst, msol),
-    )
+    """Encode the subproblem: the full model pinned to the master's machines.
+    Without a ``horizon``, the serial schedule that sets it rejects a machine
+    map that does not give every operation a machine of its stage."""
+    return build_full(inst, horizon=horizon, lb_floor=lb_floor, machine_of=msol.machine_of)
 
 
 def solve_sub(
@@ -88,7 +71,7 @@ def solve_sub(
     errors = validate_instance(inst)
     if errors:
         raise ValueError(f"invalid instance: {errors[0]}")
-    base = serial_schedule(inst, _assigned_machines(inst, msol))
+    base = serial_schedule(inst, msol.machine_of)  # rejects a bad machine map
     enc = build_sub(inst, msol, horizon=base.makespan, lb_floor=lb_floor)
     result = solve(
         enc.model,

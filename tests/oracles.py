@@ -470,19 +470,22 @@ class RoundRobinFixpoint:
             for l in cons.precedences
         ]
 
-        def compile_member(m):
+        def compile_member(m, value):
+            """(task, weight, weight choice, guard): a member routed on a
+            choice is guarded by that choice taking its group's value."""
             return (
                 self.tidx[m.task],
                 m.weight,
                 None if m.weight_choice is None else self.cidx[m.weight_choice],
-                None if m.guard is None else (self.cidx[m.guard[0]], m.guard[1]),
+                None if m.on is None else (self.cidx[m.on], value),
             )
 
         self.disjunctives = [
-            (g.id, [compile_member(m) for m in g.members]) for g in cons.disjunctives
+            (g.id, [compile_member(m, g.value) for m in g.members])
+            for g in cons.disjunctives
         ]
         self.cumulatives = [
-            (c.id, c.capacity, [compile_member(m) for m in c.members])
+            (c.id, c.capacity, [compile_member(m, c.value) for m in c.members])
             for c in cons.cumulatives
         ]
         self.obj_tasks = [self.tidx[t] for t in model.objective_tasks]

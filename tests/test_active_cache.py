@@ -1,6 +1,7 @@
 """Choice-derived data carried by the search: each state's active-member
 lists and the compiled menu extremes equal a fresh recomputation at every
-node, and a node made by a start or end edit recomputes no active list."""
+node, a node made by a start or end edit recomputes no active list, and a
+machine-choice edit recomputes only the chosen machine's groups."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -69,7 +70,7 @@ def members(model):
 
 
 def has_choice_data(model):
-    return (any(m.guard is not None for m in members(model))
+    return (any(m.on is not None for m in members(model))
             and any(m.weight_choice is not None for m in members(model))
             and any(t.duration_menu is not None for t in model.tasks.values()))
 
@@ -84,25 +85,25 @@ def test_small_model_cache_matches_recomputation(model):
 @pytest.mark.parametrize("make", [full_model_and_hint, master_model_and_hint],
                          ids=["full-group1", "master-group2"])
 def test_real_model_cache_matches_recomputation(make):
-    """The full model has guards, weight choices and menus; the master has
-    guards only."""
+    """The full model has routed members, weight choices and menus; the
+    master has routed members only."""
     model, hint = make()
-    assert any(m.guard is not None for m in members(model))
+    assert any(m.on is not None for m in members(model))
     assert len(walk(model, evaluate_objective(model, hint) - 1)) == 40
 
 
 def test_a_root_call_recomputes_and_a_partial_domain_scans_the_menu():
     """Domains narrowed by hand, as no search edit narrows them: a root call
     recomputes every active list, even one shared with an earlier state, and
-    a menu over a domain that is neither the root's nor one value is
-    scanned."""
+    the watchers of a task whose routing choice it finds decided, and a menu
+    over a domain that is neither the root's nor one value is scanned."""
     model = model_of(
         [
             TaskVar("a", duration_menu=("c", {0: 2, 1: 5, 2: 3}), lct=20),
             TaskVar("b", duration=2, lct=20),
         ],
         choices=[ChoiceVar("c", (0, 1, 2))],
-        cumulatives=[Cumulative("r", 1, (Member("a", guard=("c", 1)), Member("b")))],
+        cumulatives=[Cumulative("r", 1, (Member("a", on="c"), Member("b")), value=1)],
     )
     comp, root = root_state(model)
     assert comp.propagate(root, INF) is None
@@ -115,6 +116,7 @@ def test_a_root_call_recomputes_and_a_partial_domain_scans_the_menu():
     assert comp.propagate(state, INF) is None
     assert state.active == [[(0, 1, 5), (1, 1, 2)]]
     assert root.active == [[(1, 1, 2)]]
+    assert comp.disj0 in state.watch[0] and comp.disj0 not in root.watch[0]
 
 
 def test_start_and_end_edits_compute_no_active_members(monkeypatch):
@@ -141,3 +143,35 @@ def test_start_and_end_edits_compute_no_active_members(monkeypatch):
     assert res.nodes == len(kinds) == 200
     assert "start" in kinds and None in calls and "choice" in calls
     assert "start" not in calls and "end" not in calls
+
+
+def test_a_machine_choice_edit_recomputes_only_the_chosen_machines_groups(monkeypatch):
+    """The group 1 full model holds one member per operation and kind (four
+    per operation, however many machines a stage has), and deciding an
+    operation's machine recomputes the active lists of that machine's
+    no-overlap group and buffers only."""
+    model, hint = full_model_and_hint()
+    cons = model.constraints
+    families = {id(g.members): g.members for g in cons.disjunctives + cons.cumulatives}
+    assert sum(len(f) for f in families.values()) == 600 == 4 * len(model.tasks) // 3
+    cap = evaluate_objective(model, hint) - 1
+    comp, root = root_state(model)
+    assert comp.propagate(root, cap) is None
+    branch = _pick_branch(comp, root)
+    assert branch == ("choice", comp.cidx["m0"])
+    child = root.copy()
+    _child_edits(root, branch)[0](child)
+
+    calls = []
+    active_members = _Compiled._active_members
+
+    def counted(self, st, p):
+        calls.append(comp.disjunctives[p - comp.disj0] if p < comp.cum0
+                     else comp.cumulatives[p - comp.cum0][0])
+        return active_members(self, st, p)
+
+    monkeypatch.setattr(_Compiled, "_active_members", counted)
+    comp.propagate(child, cap, branch)
+    assert len(calls) == 3
+    assert sorted(name.split(":")[0] for name in calls) == ["in", "mach", "out"]
+    assert len({name.split(":")[1] for name in calls}) == 1

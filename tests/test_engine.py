@@ -250,7 +250,7 @@ def test_solve_matches_exhaustive_enumeration():
     assert res.objective == enumerate_optimum(m)
 
 
-def test_solve_matches_enumeration_with_offsets_and_guards():
+def test_solve_matches_enumeration_with_offsets_and_routed_members():
     tasks = [
         TaskVar("x", duration=2, est=0, lct=9),
         TaskVar("y", duration=1, est=0, lct=9),
@@ -261,11 +261,9 @@ def test_solve_matches_enumeration_with_offsets_and_guards():
         tasks,
         choices=[ChoiceVar("m", (0, 1), kind="machine")],
         offsets=[OffsetLink(pred="x", succ="y", delta=2)],
-        disjunctives=[
-            Disjunctive(
-                "mach",
-                (Member("x"), Member("z0", guard=("m", 0)), Member("z1", guard=("m", 1))),
-            )
+        disjunctives=[  # x shares a machine with z0 if m is 0, with z1 if m is 1
+            Disjunctive("mach0", (Member("x"), Member("z0", on="m")), value=0),
+            Disjunctive("mach1", (Member("x"), Member("z1", on="m")), value=1),
         ],
     )
     res = solve(m)
@@ -324,18 +322,46 @@ def first_child_fixpoints(model, pick):
     return child, reference
 
 
-def test_choice_edit_wakes_a_guarded_disjunctive():
+def test_choice_edit_wakes_a_routed_disjunctive():
     m = model_of(
         [
             TaskVar("a", duration=3, est=2, lct=6),
             TaskVar("b", duration=2, est=0, lct=5),
         ],
         choices=[ChoiceVar("c", (0, 1))],
-        disjunctives=[Disjunctive("d", (Member("a"), Member("b", guard=("c", 1))))],
+        disjunctives=[Disjunctive("d", (Member("a"), Member("b", on="c")), value=1)],
     )
     child, reference = first_child_fixpoints(m, 1)
     assert child.e_hi[task_index(m, "b")] == 3  # b now runs before a
     assert bounds_of(child) == bounds_of(reference)
+
+
+def test_start_edit_wakes_the_group_a_decided_route_selects():
+    # Once c = 0 routes b into r, fixing b's start gives it the mandatory part
+    # [0, 3), which overlaps a's.  The edit moves no bound that b's window or
+    # link passes on, so only b's route can wake r.
+    m = model_of(
+        [
+            TaskVar("a", duration=4, est=0, lct=4),
+            TaskVar("b", elastic=True, est=0, lct=10),
+            TaskVar("x", duration=1, est=3, lct=4),
+        ],
+        choices=[ChoiceVar("c", (0, 1))],
+        offsets=[OffsetLink("b", "x")],
+        cumulatives=[Cumulative("r", 1, (Member("a"), Member("b", on="c")), value=0)],
+    )
+    comp, state = root_state(m)
+    assert comp.propagate(state, INF) is None
+    fails = []
+    for expected in (("choice", 0), ("start", task_index(m, "b"))):
+        branch = _pick_branch(comp, state)
+        assert branch == expected
+        parent, state = state, state.copy()
+        _child_edits(parent, branch)[0](state)
+        reference = state.copy()
+        fails.append((comp.propagate(state, INF, branch),
+                      RoundRobinFixpoint(m).propagate(reference, INF)))
+    assert fails == [(None, None), ("cumulative:r", "cumulative:r")]
 
 
 def test_choice_edit_wakes_a_weighted_cumulative():
@@ -374,9 +400,11 @@ def test_choice_edit_wakes_a_cumulative_through_a_member_duration():
 @st.composite
 def small_models(draw):
     """Small random engine models exercising every propagator kind: menus,
-    offsets and precedences with delta tables, guarded disjunctives and
-    weighted cumulatives.  Choices may have one-value domains, whose guards
-    and delta tables the engine resolves when it compiles.  Some models
+    offsets and precedences with delta tables, disjunctives and weighted
+    cumulatives with routed members, one member tuple shared by one to
+    three groups whose values may repeat or lie outside a member's domain.
+    Choices may have one-value domains, whose routes and delta tables the
+    engine resolves when it compiles.  Some models
     also carry a path of offsets and precedences through all of their (up
     to 8) tasks, sometimes closed into a cycle: the engine's topological
     root sweep and its cycle fallback."""
@@ -387,10 +415,6 @@ def small_models(draw):
     ]
     cids = [c.id for c in choices]
     values = {c.id: c.values for c in choices}
-
-    def ref():
-        cid = draw(st.sampled_from(cids))
-        return cid, draw(st.sampled_from(values[cid]))
 
     path = draw(st.booleans())
     span = st.integers(20, 48) if path else st.integers(4, 16)
@@ -425,10 +449,16 @@ def small_models(draw):
                 tid,
                 weight=draw(st.integers(0, 2)),
                 weight_choice=draw(st.sampled_from(cids)) if draw(st.booleans()) else None,
-                guard=ref() if draw(st.booleans()) else None,
+                on=draw(st.sampled_from(cids)) if draw(st.booleans()) else None,
             )
             for tid in chosen
         )
+
+    def family(name, make):
+        """Groups ``make(id, members, value)`` sharing one member tuple."""
+        shared = members()
+        values = draw(st.lists(small, min_size=1, max_size=3))
+        return [make(f"{name}.{v}", shared, value) for v, value in enumerate(values)]
 
     n = st.integers(0, 2)
     offsets = [link(OffsetLink) for _ in range(draw(n))]
@@ -449,10 +479,18 @@ def small_models(draw):
         objective=draw(st.lists(st.sampled_from(tids), min_size=1, unique=True)),
         offsets=offsets,
         precedences=precedences,
-        disjunctives=[Disjunctive(f"d{i}", members()) for i in range(draw(n))],
-        cumulatives=[
-            Cumulative(f"r{i}", draw(st.integers(1, 3)), members())
+        disjunctives=[
+            group
             for i in range(draw(n))
+            for group in family(f"d{i}", lambda gid, ms, v: Disjunctive(gid, ms, value=v))
+        ],
+        cumulatives=[
+            group
+            for i in range(draw(n))
+            for group in family(
+                f"r{i}",
+                lambda gid, ms, v: Cumulative(gid, draw(st.integers(1, 3)), ms, value=v),
+            )
         ],
     )
 

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_instance, sample_tiny
 
+from hffs.engine import Assignment, check_assignment
 from hffs.full_model import build_full, solve_full
 from hffs.model import validate_schedule
 
@@ -40,6 +41,44 @@ def test_encoding_counts():
     # machine domains follow the per-stage machine counts
     assert enc.model.choices["m0"].values == (0,)
     assert enc.model.choices["m1"].values == (0, 1)
+
+
+def two_machine_assignment(machines, spans):
+    """Encoding of two one-stage jobs on machines m1/m2 (entry buffer 1 on
+    m1, 2 on m2) and an assignment putting job k on ``machines[k]`` with
+    (wait-before, process, wait-after) intervals ``spans[k]``."""
+    inst = make_instance(
+        jobs={"a": ["s1"], "b": ["s1"]},
+        stage_machines={"s1": ["m1", "m2"]},
+        proc={("a", "s1", 1): 3, ("b", "s1", 1): 3},
+        transport={},
+        workers_total=2,
+        buffer_in={"m1": 1},
+    )
+    enc = build_full(inst, horizon=20)
+    starts, ends, choices = {}, {}, {}
+    for k, (machine, intervals) in enumerate(zip(machines, spans)):
+        choices[f"m{k}"] = ("m1", "m2").index(machine)
+        choices[f"w{k}"] = 1
+        for prefix, (lo, hi) in zip(("wb", "pr", "wa"), intervals):
+            starts[f"{prefix}{k}"], ends[f"{prefix}{k}"] = lo, hi
+    return enc.model, Assignment(choices, starts, ends)
+
+
+def test_referee_reports_an_overlap_only_on_the_shared_machine():
+    overlapping = [((0, 0), (0, 3), (3, 3)), ((1, 1), (1, 4), (4, 4))]
+    model, asg = two_machine_assignment(("m2", "m2"), overlapping)
+    assert check_assignment(model, asg) == ["disjunctive mach:m2: pr0 overlaps pr1"]
+    model, asg = two_machine_assignment(("m1", "m2"), overlapping)
+    assert check_assignment(model, asg) == []
+
+
+def test_referee_reports_a_buffer_overflow_against_its_machine():
+    waiting = [((0, 1), (1, 4), (4, 4)), ((0, 4), (4, 7), (7, 7))]
+    model, asg = two_machine_assignment(("m1", "m1"), waiting)
+    assert check_assignment(model, asg) == ["cumulative in:m1: capacity 1 exceeded"]
+    model, asg = two_machine_assignment(("m2", "m2"), waiting)
+    assert check_assignment(model, asg) == []
 
 
 def test_single_chain_optimum_is_path_length():

@@ -50,8 +50,12 @@ def test_encoding_pins_each_machine_choice_to_one_value():
     assert {cid: c.values for cid, c in enc.model.choices.items() if c.kind == "machine"} == {
         "m0": (1,), "m1": (0,), "m2": (0,), "m3": (0,)}
     assert sum(c.kind == "worker" for c in enc.model.choices.values()) == 4
-    # each machine's group holds only the operations pinned to it
-    groups = {d.id: [m.task for m in d.members] for d in enc.model.constraints.disjunctives}
+    # each machine's group holds only the operations routed to it
+    choices = enc.model.choices
+    groups = {
+        d.id: [m.task for m in d.members if choices[m.on].values == (d.value,)]
+        for d in enc.model.constraints.disjunctives
+    }
     assert groups == {"mach:m11": ["pr2"], "mach:m12": ["pr0"], "mach:m21": ["pr1", "pr3"]}
     # each transport table has the one pair of pinned machines
     tables = [l.table[2] for l in enc.model.constraints.offsets if l.table is not None]
@@ -151,15 +155,16 @@ def test_schedule_repeats_the_fixed_machines():
 def test_malformed_machine_sequences_are_rejected():
     inst = two_stage_instance()
     missing_op = {op: m for op, m in STRAIGHT.items() if op != ("a", "s2")}
-    with pytest.raises(ValueError, match="does not cover"):
-        solve_sub(inst, fixed(missing_op))
-    with pytest.raises(ValueError, match="not in stage"):
-        solve_sub(inst, fixed({**STRAIGHT, ("a", "s1"): "m2"}))
     missing_job = {op: m for op, m in STRAIGHT.items() if op[0] != "b"}
-    with pytest.raises(ValueError, match="does not cover"):
-        solve_sub(inst, fixed(missing_job))
-    with pytest.raises(ValueError, match="does not cover"):
-        solve_sub(inst, fixed({**STRAIGHT, ("c", "s1"): "m1"}))
+    for entry in (build_sub, solve_sub):
+        with pytest.raises(ValueError, match="does not cover"):
+            entry(inst, fixed(missing_op))
+        with pytest.raises(ValueError, match="not in stage"):
+            entry(inst, fixed({**STRAIGHT, ("a", "s1"): "m2"}))
+        with pytest.raises(ValueError, match="does not cover"):
+            entry(inst, fixed(missing_job))
+        with pytest.raises(ValueError, match="does not cover"):
+            entry(inst, fixed({**STRAIGHT, ("c", "s1"): "m1"}))
 
 
 def test_floor_below_the_optimum_changes_nothing():
