@@ -19,46 +19,54 @@ takes, the alternative pattern of Laborie, Rogerie, Shaw & Vilim (Constraints
 23(2), 2018).  Groups that one choice routes between (the machines of one
 stage) share one member tuple, a family, which is read and compiled once.
 
-Search is depth-first branch and bound: choice variables first (machine-kind
-before worker-kind, then model order; values in domain order), then
-chronological start-time fixing, then remaining elastic end fixing.  The
-first descent therefore behaves like a greedy earliest-start dive.  Bounds
-propagation runs at every node (time windows through offsets and precedences,
-pairwise disjunctive reasoning, timetable reasoning over mandatory parts of
-cumulatives).  Every incumbent is re-checked against the raw constraints by
-an independent evaluator before it is stored.
+Search is depth-first branch and bound in two phases: choice variables
+first (machine-kind before worker-kind, then model order; values in domain
+order), then chronological start-time fixing.  The first descent therefore
+behaves like a greedy earliest-start dive.  Bounds propagation runs at every
+node (time windows through offsets and precedences, pairwise disjunctive
+reasoning, timetable reasoning over mandatory parts of cumulatives).  Every
+incumbent is re-checked against the raw constraints by an independent
+evaluator before it is stored.
+
+A node is a leaf once every choice is decided and every start fixed, and
+its earliest ends (elastic ones too) are its incumbent.  At such a fixpoint
+each window gives est <= s <= e_lo <= lct, with e_lo = s + d for a decided
+duration; each offset s(succ) = e_lo(pred) + d and each precedence
+s(succ) >= e_lo(pred) + d for its decided delta; two disjunctive members with
+neither order open fail the node; and a cumulative's mandatory parts are
+exactly the intervals [s, e_lo), which the timetable keeps within capacity.
+That assignment's objective is ``node_lb`` (the floor, the objective tasks'
+earliest ends, the conditional bounds every decided choice hits), and no
+leaf below the node has less, so branching on ends could only add nodes.
 
 Propagation is event driven: the AC-3 queue (Mackworth, 1977) applied to
 bounds.  Compilation numbers one propagator per task window, offset,
 precedence, disjunctive and cumulative, with watch lists: task -> the
 propagators reading its bounds, choice -> those whose menu, delta table or
-weight reads its domain, and for a routed member one entry per (task,
-choice) that maps a value to the groups of that value.  A routed member
-sits in no group until its choice is decided, so a choice edit to v seeds
-and empties the active lists of only the value-v groups that route on the
-choice, and adds those groups to the watchers of the tasks it routes, which
-the search state carries (the root adds them for every one-value domain).  A
-propagator that moves a task bound queues that task's watchers (not itself:
-each is idempotent).  The queue is two FIFOs: windows and links always run
-before disjunctives and cumulatives, cheap propagators first (Schulte &
-Stuckey, TOPLAS 31(1), 2008).  The root first runs every window and link
-once in a topological order of the tasks by links (Kahn; each task's window,
-then its outgoing links; tasks on a link cycle follow in index order), which
-settles lower bounds along each chain in one pass, then queues that order
-reversed, which carries upper bounds back up the chains, and every group
-propagator.  A child starts from its parent's fixpoint, so it queues only
-the watchers of the variable its branching edit changed and of the objective
-tasks the incumbent cap moved.  No propagator narrows a choice domain, so
-choice-derived data changes only at a choice edit.  Each group's active
-members live in the search state: the root starts an empty list, a start or
-end edit shares the parent's, and a choice edit copies it and empties the
-entries of the groups it seeds; a group fills its entry when it next runs.
-The tasks' watcher lists are kept the same way.
-A menu's duration extremes over the root domain are computed at compile
-time and serve every state whose domain is still the root's.  A member
-routed by a choice whose root domain is one value v sits unconditionally in
-the family's value-v groups and in no other, and a delta table whose choices
-have one-value root domains is a constant; neither watches the choice.
+weight reads its domain, and for a routed member (task, choice) -> the groups
+of each value.  A routed member sits in no group until its choice is
+decided, so a choice edit to v seeds and empties the active lists of only the
+value-v groups that route on the choice and adds them to the watchers of the
+tasks it routes (the root does so for every one-value domain).  A propagator
+that moves a task bound queues that task's watchers (not itself: each is
+idempotent).  The queue is two FIFOs: windows and links always run before
+disjunctives and cumulatives (Schulte & Stuckey, TOPLAS 31(1), 2008).  The
+root first runs every window and link once in a topological order of the
+tasks by links (Kahn; each task's window, then its outgoing links; tasks on a
+link cycle follow in index order), which settles lower bounds along each
+chain, then queues that order reversed, which carries upper bounds back up
+the chains, and every group propagator.  A child starts from its parent's
+fixpoint and queues only the watchers of the variable its branching edit
+changed and of the objective tasks the incumbent cap moved.  No propagator
+narrows a choice domain, so choice-derived data changes only at a choice
+edit: each group's active members and each task's watchers live in the
+search state, a start edit shares the parent's lists, and a choice edit
+copies them and empties the entries of the groups it seeds, which fill when
+they next run.  A menu's duration extremes over the root domain are compiled
+and serve every state whose domain is still the root's.  A member routed by
+a choice whose root domain is one value v sits unconditionally in the
+family's value-v groups and in no other, and a delta table over two
+one-value root domains is a constant; neither watches the choice.
 Every propagator narrows monotonically and a failure stays a failure, so by
 the chaotic-iteration argument any visiting order (the root sweep and the
 two FIFOs are such orders) reaches the round-robin sweep's greatest fixpoint
@@ -412,10 +420,8 @@ class _Compiled:
         self.interned: dict = {}  # states keep active lists: share equal entries
 
         # Group watches, once per family and kind (a cumulative also reads its
-        # members' menus: it lifts by minimum duration).  A routed member's
-        # choice lists its task with a map from each value to the family's
-        # groups of that value, which ``_route`` adds to the task's watchers
-        # once the choice is decided.
+        # members' menus: it lifts by minimum duration); a routed member's
+        # choice maps its task to the family's groups per value, for ``_route``.
         kinds: dict[tuple[int, bool], dict] = {}  # (family, kind) -> value -> groups
         for p, g in enumerate(group_defs, self.disj0):
             kinds.setdefault((id(g.members), p >= self.cum0), {}).setdefault(g.value, []).append(p)
@@ -893,18 +899,9 @@ def _pick_branch(comp: _Compiled, st: State):
     for ci in comp.choice_order:
         if len(st.domains[ci]) > 1:
             return ("choice", ci)
-    best = None
-    for ti in range(len(comp.tasks)):
-        if st.s_lo[ti] < st.s_hi[ti]:
-            key = (st.s_lo[ti], 1 if comp.elastic_flag[ti] else 0, ti)
-            if best is None or key < best:
-                best = key
-    if best is not None:
-        return ("start", best[2])
-    for ti in range(len(comp.tasks)):
-        if st.e_lo[ti] < st.e_hi[ti]:
-            return ("end", ti)
-    return None
+    open_starts = [(st.s_lo[ti], comp.elastic_flag[ti], ti)  # earliest, elastic last
+                   for ti in range(len(comp.tasks)) if st.s_lo[ti] < st.s_hi[ti]]
+    return ("start", min(open_starts)[2]) if open_starts else None
 
 
 def _child_edits(st: State, branch):
@@ -916,17 +913,11 @@ def _child_edits(st: State, branch):
                 s.domains[idx] = (value,)
             return edit
         return [assign(v) for v in st.domains[idx]]
-    if kind == "start":
-        def fix(s: State) -> None:
-            s.s_hi[idx] = s.s_lo[idx]
-        def bump(s: State) -> None:
-            s.s_lo[idx] = s.s_lo[idx] + 1
-        return [fix, bump]
-    def fix_end(s: State) -> None:
-        s.e_hi[idx] = s.e_lo[idx]
-    def bump_end(s: State) -> None:
-        s.e_lo[idx] = s.e_lo[idx] + 1
-    return [fix_end, bump_end]
+    def fix(s: State) -> None:
+        s.s_hi[idx] = s.s_lo[idx]
+    def bump(s: State) -> None:
+        s.s_lo[idx] = s.s_lo[idx] + 1
+    return [fix, bump]
 
 
 def solve(

@@ -1,17 +1,21 @@
 """Monolithic exact model: the whole problem flattened onto the engine.
 
 Per operation (job, eligible stage) the encoding carries a machine choice, a
-worker choice, and a wait/process/wait task triple chained by zero-delta
-offsets; the chosen machine's process task is the operation's interval, so no
-separate synchronisation layer is needed.  Machine-dependent transport deltas
-between consecutive operations of a job are exact offsets on the surrounding
-waits; since the waits are nonnegative and transport is at least 0, they also
-order consecutive process tasks.  Per machine there is a no-overlap group
-over process tasks and one entry and one exit buffer cumulative over the wait
-tasks; a single global cumulative with worker-count weights caps crew usage.
-The machine groups of a stage share one member tuple per kind, each member
-routed by its operation's machine choice (``Member.on``), so the encoding
-holds four members per operation however many machines a stage has.
+worker choice and a process task, the operation's interval on the chosen
+machine.  Between two consecutive operations of a job, the wait after the
+first and the wait before the second are chained to the process tasks by
+zero-delta offsets and to each other by the machine-dependent transport
+delta.  Per machine there is a no-overlap group over process tasks and an
+entry and an exit buffer cumulative over the waits; a global cumulative with
+worker-count weights caps crew usage.  A stage's machine groups share one
+member tuple per kind, each member routed by its operation's machine choice
+(``Member.on``).
+
+A job's outer waits (before its first operation, after its last) are not
+encoded and decode as zero length: shrinking either to zero at its process
+task breaks no rule (a zero-length wait occupies no buffer, neither meets a
+transport, the makespan cannot grow), so the model keeps an optimal schedule
+and its proven bounds, and the decomposition's cuts, hold for the problem.
 
 A ``machine_of`` map pins every machine choice to one value.  The pinned
 model is the decomposition's subproblem: the engine compiles its one-value
@@ -45,6 +49,7 @@ from .model import (
     Instance,
     Op,
     Schedule,
+    check_machine_map,
     makespan_of,
     serial_schedule,
     validate_instance,
@@ -59,8 +64,9 @@ class Encoding:
 
     Task ids are ``wb{k}``/``pr{k}``/``wa{k}`` and choice ids ``m{k}``/``w{k}``
     where ``k`` is the operation's position in ``ops``; machine choice values
-    are indices into ``stage_machines[stage]``.  The master has only the
-    ``pr{k}`` tasks and the ``m{k}`` choices.
+    are indices into ``stage_machines[stage]``; waits exist only between two
+    operations of a job.  The master has only the ``pr{k}`` tasks and the
+    ``m{k}`` choices.
     """
 
     model: EngineModel
@@ -76,13 +82,15 @@ def build_full(
     machine_of: dict[Op, str] | None = None,
 ) -> Encoding:
     """Encode the complete problem, or with ``machine_of`` (a machine per
-    operation) the problem under that fixed assignment.  ``horizon``
-    defaults to the serial baseline makespan under the same machines (a
-    valid upper bound), whose schedule also rejects a bad ``machine_of``;
-    ``lb_floor`` must be a proven lower bound of the encoded problem (0 is
-    always safe)."""
+    operation) the problem under that fixed assignment; a ``machine_of``
+    that does not give every operation a machine of its stage is a
+    ValueError.  ``horizon`` defaults to the serial baseline makespan under
+    the same machines (a valid upper bound); ``lb_floor`` must be a proven
+    lower bound of the encoded problem (0 is always safe)."""
     if horizon is None:
         horizon = serial_schedule(inst, machine_of).makespan
+    elif machine_of is not None:
+        check_machine_map(inst, machine_of)
     ops = tuple(inst.ops())
     stage_machines = {s: inst.machines_of(s) for s in inst.stages}
 
@@ -93,7 +101,7 @@ def build_full(
     in_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
     out_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
     worker_members: list[Member] = []
-    last_wa: dict[str, str] = {}
+    last_pr: dict[str, str] = {}
 
     for k, (j, s) in enumerate(ops):
         machs = stage_machines[s]
@@ -105,19 +113,19 @@ def build_full(
         choices[mc.id] = mc
         choices[wc.id] = wc
         menu = {w: inst.proc_time[(j, s, w)] for w in window}
-        wb = TaskVar(f"wb{k}", elastic=True, est=0, lct=horizon)
-        pr = TaskVar(f"pr{k}", duration_menu=(wc.id, menu), est=0, lct=horizon)
-        wa = TaskVar(f"wa{k}", elastic=True, est=0, lct=horizon)
-        tasks[wb.id] = wb
-        tasks[pr.id] = pr
-        tasks[wa.id] = wa
-        cs.offsets.append(OffsetLink(wb.id, pr.id, 0))
-        cs.offsets.append(OffsetLink(pr.id, wa.id, 0))
+        chain = inst.eligible_stages[j]
+        if s != chain[0]:  # only a wait between two operations can be nonzero
+            tasks[f"wb{k}"] = TaskVar(f"wb{k}", elastic=True, est=0, lct=horizon)
+            cs.offsets.append(OffsetLink(f"wb{k}", f"pr{k}", 0))
+            in_members[s].append(Member(f"wb{k}", on=mc.id))
+        pr = tasks[f"pr{k}"] = TaskVar(f"pr{k}", duration_menu=(wc.id, menu), est=0, lct=horizon)
+        if s != chain[-1]:
+            tasks[f"wa{k}"] = TaskVar(f"wa{k}", elastic=True, est=0, lct=horizon)
+            cs.offsets.append(OffsetLink(pr.id, f"wa{k}", 0))
+            out_members[s].append(Member(f"wa{k}", on=mc.id))
         proc_members[s].append(Member(pr.id, on=mc.id))
-        in_members[s].append(Member(wb.id, on=mc.id))
-        out_members[s].append(Member(wa.id, on=mc.id))
         worker_members.append(Member(pr.id, weight_choice=wc.id))
-        last_wa[j] = wa.id
+        last_pr[j] = pr.id
 
     for ka, kb, table in transport_tables(inst, ops, stage_machines, choices):
         cs.offsets.append(
@@ -145,7 +153,7 @@ def build_full(
         tasks=tasks,
         choices=choices,
         constraints=cs,
-        objective_tasks=[last_wa[j] for j in inst.jobs],
+        objective_tasks=[last_pr[j] for j in inst.jobs],
         objective_floor=lb_floor,
     )
     return Encoding(model=model, ops=ops, stage_machines=stage_machines)
@@ -187,18 +195,12 @@ def schedule_to_assignment(enc: Encoding, sched: Schedule) -> Assignment:
     choices: dict[str, int] = {}
     starts: dict[str, int] = {}
     ends: dict[str, int] = {}
+    tables = (("wb", sched.wait_before), ("pr", sched.process), ("wa", sched.wait_after))
     for k, op in enumerate(enc.ops):
-        _, s = op
-        choices[f"m{k}"] = enc.stage_machines[s].index(sched.machine_of[op])
+        choices[f"m{k}"] = enc.stage_machines[op[1]].index(sched.machine_of[op])
         choices[f"w{k}"] = sched.workers_of[op]
-        for prefix, table in (
-            ("wb", sched.wait_before),
-            ("pr", sched.process),
-            ("wa", sched.wait_after),
-        ):
-            lo, hi = table[op]
-            starts[f"{prefix}{k}"] = lo
-            ends[f"{prefix}{k}"] = hi
+        for prefix, table in tables:
+            starts[f"{prefix}{k}"], ends[f"{prefix}{k}"] = table[op]
     tasks, own_choices = enc.model.tasks, enc.model.choices
     return Assignment(
         choices={c: v for c, v in choices.items() if c in own_choices},
@@ -216,16 +218,18 @@ def machine_map(enc: Encoding, asg: Assignment) -> dict[Op, str]:
 
 
 def assignment_to_schedule(enc: Encoding, asg: Assignment) -> Schedule:
-    """Decode an engine assignment of the full model back into a Schedule."""
+    """Decode an engine assignment of the full model back into a Schedule;
+    the waits the encoding omits become zero-length intervals."""
     workers_of: dict[Op, int] = {}
     wb: dict[Op, tuple[int, int]] = {}
     pr: dict[Op, tuple[int, int]] = {}
     wa: dict[Op, tuple[int, int]] = {}
+    starts, ends = asg.starts, asg.ends
     for k, op in enumerate(enc.ops):
         workers_of[op] = asg.choices[f"w{k}"]
-        wb[op] = (asg.starts[f"wb{k}"], asg.ends[f"wb{k}"])
-        pr[op] = (asg.starts[f"pr{k}"], asg.ends[f"pr{k}"])
-        wa[op] = (asg.starts[f"wa{k}"], asg.ends[f"wa{k}"])
+        lo, hi = pr[op] = (starts[f"pr{k}"], ends[f"pr{k}"])
+        wb[op] = (starts.get(f"wb{k}", lo), ends.get(f"wb{k}", lo))
+        wa[op] = (starts.get(f"wa{k}", hi), ends.get(f"wa{k}", hi))
     sched = Schedule(machine_map(enc, asg), workers_of, wb, pr, wa, 0)
     return replace(sched, makespan=makespan_of(sched))
 

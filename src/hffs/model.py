@@ -95,10 +95,11 @@ def serial_schedule(
     active at any time (so machine, buffer, and worker limits cannot bind;
     zero-length waits occupy no buffer slot), and every worker count respects
     its stage window.  When ``machine_of`` is given it fixes the machine per
-    operation, and a map that does not give exactly the instance's operations
-    a machine of their stage is a ValueError; otherwise each stage's first
-    machine is used.
+    operation (``check_machine_map`` rejects a bad map); otherwise each
+    stage's first machine is used.
     """
+    if machine_of is not None:
+        check_machine_map(inst, machine_of)
     chosen_machine: dict[Op, str] = {}
     workers_of: dict[Op, int] = {}
     wb: dict[Op, Interval] = {}
@@ -109,14 +110,7 @@ def serial_schedule(
         prev: str | None = None
         for s in inst.eligible_stages[j]:
             op = (j, s)
-            if machine_of is None:
-                m = inst.machines_of(s)[0]
-            else:
-                m = machine_of.get(op)
-                if m is None:
-                    raise ValueError(f"machine map does not cover exactly the operations: {op}")
-                if inst.machines.get(m) != s:
-                    raise ValueError(f"machine {m} is not in stage {s} (job {j})")
+            m = inst.machines_of(s)[0] if machine_of is None else machine_of[op]
             window = inst.worker_window(s)
             w = min(window, key=lambda v: (inst.proc_time[(j, s, v)], v))
             if prev is not None:
@@ -129,10 +123,19 @@ def serial_schedule(
             wa[op] = (t + p, t + p)
             t += p
             prev = m
-    if machine_of is not None and len(machine_of) != len(chosen_machine):
-        odd = min(machine_of.keys() - chosen_machine.keys())
-        raise ValueError(f"machine map does not cover exactly the operations: {odd}")
     return Schedule(chosen_machine, workers_of, wb, pr, wa, makespan=t)
+
+
+def check_machine_map(inst: Instance, machine_of: dict[Op, str]) -> None:
+    """Raise ValueError unless ``machine_of`` gives exactly the instance's
+    operations a machine of their stage."""
+    ops = inst.ops()
+    odd = [op for op in ops if op not in machine_of] or sorted(machine_of.keys() - set(ops))
+    if odd:
+        raise ValueError(f"machine map does not cover exactly the operations: {odd[0]}")
+    for j, s in ops:
+        if inst.machines.get(machine_of[(j, s)]) != s:
+            raise ValueError(f"machine {machine_of[(j, s)]} is not in stage {s} (job {j})")
 
 
 def validate_instance(inst: Instance) -> list[str]:

@@ -4,13 +4,14 @@ timing free, all original constraints active.
 The encoding is the monolithic model's (``full_model.build_full``) with every
 machine choice pinned to the master's machine.  The engine compiles the
 one-value routes and transport tables away, so what it searches is one
-worker choice per operation selecting the processing duration, the
-wait/process/wait triple with chain equality, exact transport constants
-between consecutive assigned machines, machine no-overlap groups and buffer
-cumulatives over only the operations assigned to each machine, and the
-global worker cumulative weighted by the chosen count.  Any optimum here is
-feasible for the original problem, so it yields an upper bound; the returned
-schedule is decoded and re-validated by the full model's own step.
+worker choice per operation selecting the processing duration, the waits
+between consecutive operations of a job (a job's outer waits are zero length,
+as in the full model) with exact transport constants between the assigned
+machines, machine no-overlap groups and buffer cumulatives over only the
+operations assigned to each machine, and the global worker cumulative
+weighted by the chosen count.  Any optimum here is feasible for the original
+problem, so it yields an upper bound; the returned schedule is decoded and
+re-validated by the full model's own step.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def build_sub(
     lb_floor: int = 0,
 ) -> Encoding:
     """Encode the subproblem: the full model pinned to the master's machines.
-    Without a ``horizon``, the serial schedule that sets it rejects a machine
-    map that does not give every operation a machine of its stage."""
+    A machine map that does not give every operation a machine of its stage
+    is a ValueError, with or without a ``horizon``."""
     return build_full(inst, horizon=horizon, lb_floor=lb_floor, machine_of=msol.machine_of)
 
 

@@ -1,6 +1,6 @@
 """Choice-derived data carried by the search: each state's active-member
 lists and the compiled menu extremes equal a fresh recomputation at every
-node, a node made by a start or end edit recomputes no active list, and a
+node, a node made by a start edit recomputes no active list, and a
 machine-choice edit recomputes only the chosen machine's groups."""
 
 import pytest
@@ -121,7 +121,8 @@ def test_a_root_call_recomputes_and_a_partial_domain_scans_the_menu():
 
 def test_start_and_end_edits_compute_no_active_members(monkeypatch):
     """On a pinned subproblem search, a group's active members are computed
-    at the root and after choice edits only; the timing edits share them."""
+    at the root and after choice edits only; the start edits (the search's
+    only timing edits) share them."""
     inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))
     floor = best_lb(inst).best
     msol = solve_master(inst, [], floor, node_budget=25)
@@ -142,25 +143,28 @@ def test_start_and_end_edits_compute_no_active_members(monkeypatch):
     res = solve_sub(inst, msol, node_budget=200, lb_floor=max(floor, msol.lower_bound))
     assert res.nodes == len(kinds) == 200
     assert "start" in kinds and None in calls and "choice" in calls
-    assert "start" not in calls and "end" not in calls
+    assert set(kinds) == {None, "choice", "start"}
+    assert "start" not in calls
 
 
 def test_a_machine_choice_edit_recomputes_only_the_chosen_machines_groups(monkeypatch):
-    """The group 1 full model holds one member per operation and kind (four
-    per operation, however many machines a stage has), and deciding an
-    operation's machine recomputes the active lists of that machine's
-    no-overlap group and buffers only."""
+    """The group 1 full model holds one member per operation and kind (a
+    process and a crew per operation, and one buffer member per wait, however
+    many machines a stage has), and deciding an operation's machine
+    recomputes the active lists of that machine's no-overlap group and of the
+    buffers that hold the operation's waits only: a job's first operation
+    has no wait before it."""
     model, hint = full_model_and_hint()
     cons = model.constraints
     families = {id(g.members): g.members for g in cons.disjunctives + cons.cumulatives}
-    assert sum(len(f) for f in families.values()) == 600 == 4 * len(model.tasks) // 3
+    processes = sum(tid.startswith("pr") for tid in model.tasks)
+    waits = len(model.tasks) - processes
+    assert (processes, waits) == (150, 260)  # 20 jobs of 150 operations
+    assert sum(len(f) for f in families.values()) == 2 * processes + waits
     cap = evaluate_objective(model, hint) - 1
     comp, root = root_state(model)
     assert comp.propagate(root, cap) is None
-    branch = _pick_branch(comp, root)
-    assert branch == ("choice", comp.cidx["m0"])
-    child = root.copy()
-    _child_edits(root, branch)[0](child)
+    assert _pick_branch(comp, root) == ("choice", comp.cidx["m0"])
 
     calls = []
     active_members = _Compiled._active_members
@@ -171,7 +175,12 @@ def test_a_machine_choice_edit_recomputes_only_the_chosen_machines_groups(monkey
         return active_members(self, st, p)
 
     monkeypatch.setattr(_Compiled, "_active_members", counted)
-    comp.propagate(child, cap, branch)
-    assert len(calls) == 3
-    assert sorted(name.split(":")[0] for name in calls) == ["in", "mach", "out"]
-    assert len({name.split(":")[1] for name in calls}) == 1
+    # job 0's first and second operations
+    for choice, kinds in (("m0", ["mach", "out"]), ("m1", ["in", "mach", "out"])):
+        branch = ("choice", comp.cidx[choice])
+        child = root.copy()
+        _child_edits(root, branch)[0](child)
+        calls.clear()
+        comp.propagate(child, cap, branch)
+        assert sorted(name.split(":")[0] for name in calls) == kinds
+        assert len({name.split(":")[1] for name in calls}) == 1

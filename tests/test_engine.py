@@ -1,6 +1,7 @@
 """Search kernel: propagation fixpoints, exact solves, determinism."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -532,3 +533,41 @@ def test_queue_fixpoint_matches_round_robin_oracle(model, caps):
                 child = state.copy()
                 child_edit(child)
                 stack.append((child, branch))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(model=small_models(), data=st.data())
+def test_a_node_with_every_start_fixed_is_a_leaf_at_its_bound(model, data):
+    """Once every choice is decided and every start fixed, the fixpoint's
+    earliest ends (elastic tasks included) satisfy every constraint and
+    reach the node bound, so the search stops branching there."""
+    def fingerprint():
+        ids = data.draw(st.lists(st.sampled_from(list(model.choices)), min_size=1, unique=True))
+        return tuple((c, data.draw(st.sampled_from(model.choices[c].values))) for c in ids)
+
+    bounds = [ConditionalBound(fingerprint(), data.draw(st.integers(0, 30)))
+              for _ in range(data.draw(st.integers(0, 2)))]
+    model = replace(model, objective_floor=data.draw(st.integers(0, 12)),
+                    constraints=replace(model.constraints, conditional_bounds=bounds))
+    cap = data.draw(st.one_of(st.just(INF), st.integers(4, 24)))
+    comp, root = root_state(model)
+    stack = [(root, None)]
+    for _ in range(200):
+        if not stack:
+            break
+        state, edit = stack.pop()
+        if comp.propagate(state, cap, edit) is not None:
+            continue
+        branch = _pick_branch(comp, state)
+        decided = all(len(dom) == 1 for dom in state.domains)
+        fixed = all(lo == hi for lo, hi in zip(state.s_lo, state.s_hi))
+        assert (branch is None) == (decided and fixed)
+        if branch is None:
+            asg = comp.extract(state)
+            assert check_assignment(model, asg) == []
+            assert evaluate_objective(model, asg) == comp.node_lb(state)
+            continue
+        for child_edit in reversed(_child_edits(state, branch)):
+            child = state.copy()
+            child_edit(child)
+            stack.append((child, branch))

@@ -36,7 +36,9 @@ def test_encoding_counts():
     )
     enc = build_full(inst)
     assert len(enc.ops) == 3
-    assert len(enc.model.tasks) == 9  # wait/process/wait per operation
+    # a process per operation, and a wait on each side of a's stage change
+    assert sorted(enc.model.tasks) == ["pr0", "pr1", "pr2", "wa0", "wb1"]
+    assert enc.model.objective_tasks == ["pr1", "pr2"]  # each job's last process
     assert len(enc.model.choices) == 6  # machine + workers per operation
     # machine domains follow the per-stage machine counts
     assert enc.model.choices["m0"].values == (0,)
@@ -44,37 +46,40 @@ def test_encoding_counts():
 
 
 def two_machine_assignment(machines, spans):
-    """Encoding of two one-stage jobs on machines m1/m2 (entry buffer 1 on
-    m1, 2 on m2) and an assignment putting job k on ``machines[k]`` with
-    (wait-before, process, wait-after) intervals ``spans[k]``."""
+    """Encoding of two jobs that visit s0 (each on its own machine, over
+    [0, 1)) and then s1 (machines m1/m2, entry buffer 1 on m1, 2 on m2), and
+    an assignment putting job k's second operation on ``machines[k]`` with
+    (wait-before, process) intervals ``spans[k]``; transport takes 0."""
     inst = make_instance(
-        jobs={"a": ["s1"], "b": ["s1"]},
-        stage_machines={"s1": ["m1", "m2"]},
-        proc={("a", "s1", 1): 3, ("b", "s1", 1): 3},
-        transport={},
+        jobs={"a": ["s0", "s1"], "b": ["s0", "s1"]},
+        stage_machines={"s0": ["n1", "n2"], "s1": ["m1", "m2"]},
+        proc={(j, s, 1): p for j in "ab" for s, p in (("s0", 1), ("s1", 3))},
+        transport={(n, m): 0 for n in ("n1", "n2") for m in ("m1", "m2")},
         workers_total=2,
         buffer_in={"m1": 1},
     )
     enc = build_full(inst, horizon=20)
     starts, ends, choices = {}, {}, {}
-    for k, (machine, intervals) in enumerate(zip(machines, spans)):
-        choices[f"m{k}"] = ("m1", "m2").index(machine)
-        choices[f"w{k}"] = 1
-        for prefix, (lo, hi) in zip(("wb", "pr", "wa"), intervals):
-            starts[f"{prefix}{k}"], ends[f"{prefix}{k}"] = lo, hi
+    for job, (machine, (wait, process)) in enumerate(zip(machines, spans)):
+        first, second = 2 * job, 2 * job + 1  # positions of the job's operations
+        choices.update({f"m{first}": job, f"w{first}": 1,
+                        f"m{second}": ("m1", "m2").index(machine), f"w{second}": 1})
+        for tid, (lo, hi) in ((f"pr{first}", (0, 1)), (f"wa{first}", (1, 1)),
+                              (f"wb{second}", wait), (f"pr{second}", process)):
+            starts[tid], ends[tid] = lo, hi
     return enc.model, Assignment(choices, starts, ends)
 
 
 def test_referee_reports_an_overlap_only_on_the_shared_machine():
-    overlapping = [((0, 0), (0, 3), (3, 3)), ((1, 1), (1, 4), (4, 4))]
+    overlapping = [((1, 1), (1, 4)), ((1, 2), (2, 5))]
     model, asg = two_machine_assignment(("m2", "m2"), overlapping)
-    assert check_assignment(model, asg) == ["disjunctive mach:m2: pr0 overlaps pr1"]
+    assert check_assignment(model, asg) == ["disjunctive mach:m2: pr1 overlaps pr3"]
     model, asg = two_machine_assignment(("m1", "m2"), overlapping)
     assert check_assignment(model, asg) == []
 
 
 def test_referee_reports_a_buffer_overflow_against_its_machine():
-    waiting = [((0, 1), (1, 4), (4, 4)), ((0, 4), (4, 7), (7, 7))]
+    waiting = [((1, 2), (2, 5)), ((1, 5), (5, 8))]
     model, asg = two_machine_assignment(("m1", "m1"), waiting)
     assert check_assignment(model, asg) == ["cumulative in:m1: capacity 1 exceeded"]
     model, asg = two_machine_assignment(("m2", "m2"), waiting)

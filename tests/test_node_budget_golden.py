@@ -5,7 +5,10 @@ The values were recorded with the round-robin propagation loop that the
 queue-driven fixpoint replaced.  Propagation order does not change a
 monotone fixpoint, so statuses, bounds, node counts and incumbent histories
 must match exactly; a change here means search or propagation strength
-changed and must be reported as such.
+changed and must be reported as such.  The group 2 rows were re-recorded
+when the full model dropped each job's first and last waits and the search
+stopped branching on elastic ends (every objective and bound held or
+improved).
 """
 
 import pytest
@@ -13,6 +16,9 @@ import pytest
 from hffs.full_model import solve_full
 from hffs.instance_gen import GenSpec, generate
 from hffs.lbbd import Budgets, run
+
+# Search nodes of criterion 1's 50 proofs to optimality (tests/test_acceptance.py).
+CRITERION_1_NODES = 4_442
 
 # (status, objective, lower_bound, nodes, ub_history) of solve_full.
 FULL = {
@@ -22,16 +28,19 @@ FULL = {
     ("g1", 1, 60): ("feasible", 1356, 62, 60, [(0, 1356)]),
     ("g1", 2, 5): ("feasible", 879, 62, 5, [(0, 879)]),
     ("g1", 2, 60): ("feasible", 879, 62, 60, [(0, 879)]),
-    ("g2", 3, 2, 0): ("optimal", 9, 9, 158, [
-        (0, 19), (16, 18), (30, 17), (49, 15), (65, 14), (81, 13), (103, 12),
-        (113, 11), (131, 10), (148, 9)]),
-    ("g2", 3, 3, 1): ("optimal", 4, 4, 203, [
-        (0, 15), (21, 13), (44, 12), (65, 11), (88, 10), (107, 9), (135, 7),
-        (157, 6), (176, 5), (199, 4)]),
-    ("g2", 4, 2, 2): ("feasible", 20, 13, 300, [
-        (0, 39), (32, 33), (68, 30), (100, 29), (133, 28), (165, 26), (201, 23),
-        (233, 22), (266, 21), (293, 20)]),
-    ("g2", 4, 3, 3): ("feasible", 62, 22, 300, [(0, 64), (63, 62)]),
+    ("g2", 3, 2, 0): ("optimal", 9, 9, 104, [
+        (0, 19), (13, 18), (21, 17), (33, 15), (42, 14), (52, 13), (68, 12), (73, 11),
+        (86, 10), (97, 9)]),
+    ("g2", 3, 3, 1): ("optimal", 4, 4, 143, [
+        (0, 15), (16, 13), (30, 12), (43, 11), (58, 10), (69, 9), (89, 7), (105, 6),
+        (120, 5), (140, 4)]),
+    ("g2", 4, 2, 2): ("optimal", 13, 13, 282, [
+        (0, 39), (20, 33), (38, 30), (53, 29), (70, 28), (85, 26), (103, 23), (118, 22),
+        (135, 21), (146, 20), (154, 19), (170, 18), (190, 17), (213, 16), (233, 15),
+        (257, 14), (273, 13)]),
+    ("g2", 4, 3, 3): ("feasible", 41, 22, 300, [
+        (0, 64), (30, 62), (74, 56), (109, 53), (127, 52), (164, 51), (183, 48),
+        (198, 47), (219, 46), (240, 45), (264, 44), (284, 42), (300, 41)]),
 }
 
 
@@ -53,3 +62,9 @@ def test_lbbd_node_budget_results_are_pinned():
     log = run(inst, Budgets(master_nodes=25, sub_nodes=25, max_iterations=2))
     assert (log.ub, log.lb, [it.jstar_hash for it in log.iterations]) == (
         329, 53, ["63fddc41b4ae15f5", "63fddc41b4ae15f5"])
+
+
+def test_criterion_1_proofs_take_the_pinned_node_total(suite50):
+    results = [solve_full(inst, node_budget=2_000_000)[0] for inst in suite50]
+    assert [r.status for r in results] == ["optimal"] * len(suite50)
+    assert sum(r.nodes for r in results) == CRITERION_1_NODES

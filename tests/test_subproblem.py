@@ -44,7 +44,9 @@ def test_encoding_pins_each_machine_choice_to_one_value():
     enc = build_sub(inst, fixed({("a", "s1"): "m12", ("a", "s2"): "m21",
                                ("b", "s1"): "m11", ("b", "s2"): "m21"}))
     assert enc.ops == (("a", "s1"), ("a", "s2"), ("b", "s1"), ("b", "s2"))
-    assert len(enc.model.tasks) == 12
+    # a process per operation, and one wait on each side of a stage change
+    assert sorted(enc.model.tasks) == [
+        "pr0", "pr1", "pr2", "pr3", "wa0", "wa2", "wb1", "wb3"]
     # one worker choice and one machine choice per operation; the machine
     # choice has the pinned machine's index as its only value
     assert {cid: c.values for cid, c in enc.model.choices.items() if c.kind == "machine"} == {
@@ -156,7 +158,10 @@ def test_malformed_machine_sequences_are_rejected():
     inst = two_stage_instance()
     missing_op = {op: m for op, m in STRAIGHT.items() if op != ("a", "s2")}
     missing_job = {op: m for op, m in STRAIGHT.items() if op[0] != "b"}
-    for entry in (build_sub, solve_sub):
+    def build_sub_at_horizon(inst, msol):
+        return build_sub(inst, msol, horizon=50)
+
+    for entry in (build_sub, build_sub_at_horizon, solve_sub):
         with pytest.raises(ValueError, match="does not cover"):
             entry(inst, fixed(missing_op))
         with pytest.raises(ValueError, match="not in stage"):
