@@ -27,6 +27,7 @@ from .engine import (
     check_model,
     evaluate_objective,
     propagate,
+    resume,
     solve,
 )
 from .full_model import Encoding, build_full, solve_full
@@ -89,6 +90,7 @@ __all__ = [
     "instance_to_json",
     "makespan_of",
     "propagate",
+    "resume",
     "run",
     "schedule_from_json",
     "schedule_to_json",

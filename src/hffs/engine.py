@@ -74,6 +74,10 @@ and fail/no-fail outcome; only the name of the failing constraint may differ.
 A group reads the bounds of its active members only, so not waking it for
 the moves of a member that is not active leaves that fixpoint unchanged.
 
+A search stopped at its budget can be continued (``resume``): its stack,
+incumbent and node count are kept, so continuing to a larger budget gives
+what a fresh search at that budget gives.
+
 Determinism: the search draws no randomness.  With a node budget, results
 are a pure function of (model, budget, hint); nothing reads the clock except
 the optional wall-clock budget, which is documented as non-deterministic.
@@ -196,6 +200,10 @@ class Assignment:
 
 @dataclass(slots=True)
 class SearchResult:
+    """A search's outcome.  ``paused`` is the search itself when it was
+    resumable and stopped at its budget (see ``resume``); setting it to None
+    frees that search."""
+
     status: str  # optimal | feasible | infeasible | unknown
     objective: int | None
     lower_bound: int
@@ -203,6 +211,7 @@ class SearchResult:
     nodes: int
     wall_time: float
     ub_history: list[tuple[int, int]]
+    paused: "_Search | None" = field(default=None, repr=False, compare=False)
 
 
 class State:
@@ -926,6 +935,7 @@ def solve(
     node_budget: int | None = None,
     time_budget: float | None = None,
     hint: Assignment | None = None,
+    resumable: bool = False,
 ) -> SearchResult:
     """Anytime branch-and-bound minimisation of the model's makespan.
 
@@ -933,31 +943,68 @@ def solve(
     results; ``time_budget`` (seconds) is honoured but non-deterministic.  A
     ``hint`` assignment, if given, must pass the constraint checker and seeds
     the incumbent.  The returned lower bound is proven: no feasible assignment
-    has an objective below it.
+    has an objective below it.  With ``resumable``, a search that stops at its
+    budget keeps its stack and incumbent in the result's ``paused`` for
+    ``resume``; without it they are freed on return.
     """
-    comp = _Compiled(model)
-    t0 = _time.perf_counter()
+    result = _Search(model, hint).run(node_budget, time_budget)
+    if not resumable:
+        result.paused = None
+    return result
 
-    incumbent: Assignment | None = None
-    ub: float = INF
-    history: list[tuple[int, int]] = []
-    if hint is not None:
-        bad = check_assignment(model, hint)
-        if bad:
-            raise ValueError(f"invalid hint: {bad[0]}")
-        incumbent = hint
-        ub = evaluate_objective(model, hint)
-        history.append((0, int(ub)))
 
-    nodes = 0
-    stack: list[list] = []
+def resume(
+    result: SearchResult,
+    *,
+    node_budget: int | None = None,
+    time_budget: float | None = None,
+) -> SearchResult:
+    """Continue a search that stopped at its budget.
 
-    def process(state: State, edit=None) -> None:
+    ``node_budget`` counts every node of the search, those searched before
+    included; ``time_budget`` counts seconds from this call.  The result is
+    updated in place and returned.  The search continues from the frame it
+    stopped in with the same incumbent and cap, so with node budgets the
+    result equals a fresh ``solve`` at the larger budget in status,
+    objective, bound, nodes, history and incumbent; only ``wall_time``, the
+    sum of both calls, may differ.  A result with no paused search (the
+    search finished, or was not resumable) is returned unchanged.
+    """
+    if result.paused is None:
+        return result
+    return result.paused.run(node_budget, time_budget, result)
+
+
+class _Search:
+    """Depth-first branch and bound whose stack outlives a budget stop."""
+
+    __slots__ = ("model", "comp", "t0", "incumbent", "ub", "history", "nodes", "stack", "wall")
+
+    def __init__(self, model: EngineModel, hint: Assignment | None) -> None:
+        self.model = model
+        self.comp = _Compiled(model)
+        self.t0 = _time.perf_counter()  # the first run's budget counts the hint check
+        self.incumbent: Assignment | None = None
+        self.ub: float = INF
+        self.history: list[tuple[int, int]] = []
+        if hint is not None:
+            bad = check_assignment(model, hint)
+            if bad:
+                raise ValueError(f"invalid hint: {bad[0]}")
+            self.incumbent = hint
+            self.ub = evaluate_objective(model, hint)
+            self.history.append((0, int(self.ub)))
+        self.nodes = 0
+        self.stack: list[list] = []
+        self.wall = 0.0
+
+    def process(self, state: State, edit=None) -> None:
         """Propagate one node (``edit``: the parent's branching decision that
         made it); record a leaf or push a search frame."""
-        nonlocal nodes, incumbent, ub
-        nodes += 1
-        fail = comp.propagate(state, ub - 1 if incumbent is not None else INF, edit)
+        comp = self.comp
+        self.nodes += 1
+        ub = self.ub
+        fail = comp.propagate(state, ub - 1 if self.incumbent is not None else INF, edit)
         if fail is not None:
             return
         lb = comp.node_lb(state)
@@ -966,49 +1013,69 @@ def solve(
         branch = _pick_branch(comp, state)
         if branch is None:
             asg = comp.extract(state)
-            bad = check_assignment(model, asg)
+            bad = check_assignment(self.model, asg)
             if bad:
                 raise RuntimeError(f"search reached an invalid leaf: {bad[0]}")
-            obj = evaluate_objective(model, asg)
+            obj = evaluate_objective(self.model, asg)
             if obj < ub:
-                incumbent, ub = asg, obj
-                history.append((nodes, obj))
+                self.incumbent, self.ub = asg, obj
+                self.history.append((self.nodes, obj))
             return
-        stack.append([state, _child_edits(state, branch), 0, lb, branch])
+        self.stack.append([state, _child_edits(state, branch), 0, lb, branch])
 
-    process(comp.root_state())
+    def run(
+        self,
+        node_budget: int | None,
+        time_budget: float | None,
+        result: SearchResult | None = None,
+    ) -> SearchResult:
+        """Search until the stack empties or a budget is spent; fill ``result``
+        in place, or a new result when there is none yet."""
+        if self.nodes:
+            t0 = _time.perf_counter()
+        else:
+            t0 = self.t0
+            self.process(self.comp.root_state())
+        stack, process = self.stack, self.process
+        budget_hit = False
+        frontier_min: float = INF
+        while stack:
+            if node_budget is not None and self.nodes >= node_budget:
+                budget_hit = True
+            elif time_budget is not None and _time.perf_counter() - t0 > time_budget:
+                budget_hit = True
+            if budget_hit:
+                for frame in stack:
+                    if frame[2] < len(frame[1]):
+                        frontier_min = min(frontier_min, frame[3])
+                break
+            frame = stack[-1]
+            if frame[2] >= len(frame[1]):
+                stack.pop()
+                continue
+            edit = frame[1][frame[2]]
+            frame[2] += 1
+            child = frame[0].copy()
+            edit(child)
+            process(child, frame[4])
+        self.wall += _time.perf_counter() - t0
 
-    budget_hit = False
-    frontier_min: float = INF
-    while stack:
-        if node_budget is not None and nodes >= node_budget:
-            budget_hit = True
-        elif time_budget is not None and _time.perf_counter() - t0 > time_budget:
-            budget_hit = True
-        if budget_hit:
-            for frame in stack:
-                if frame[2] < len(frame[1]):
-                    frontier_min = min(frontier_min, frame[3])
-            break
-        frame = stack[-1]
-        if frame[2] >= len(frame[1]):
-            stack.pop()
-            continue
-        edit = frame[1][frame[2]]
-        frame[2] += 1
-        child = frame[0].copy()
-        edit(child)
-        process(child, frame[4])
-
-    wall = _time.perf_counter() - t0
-    if incumbent is not None:
-        obj = int(ub)
-        if not budget_hit or frontier_min >= ub:
-            return SearchResult("optimal", obj, obj, incumbent, nodes, wall, history)
-        return SearchResult(
-            "feasible", obj, int(frontier_min), incumbent, nodes, wall, history
-        )
-    if not budget_hit:
-        return SearchResult("infeasible", None, comp.floor, None, nodes, wall, history)
-    lb = int(frontier_min) if frontier_min < INF else comp.floor
-    return SearchResult("unknown", None, lb, None, nodes, wall, history)
+        ub = self.ub
+        if self.incumbent is not None:
+            obj = int(ub)
+            if not budget_hit or frontier_min >= ub:
+                status, lb = "optimal", obj
+            else:
+                status, lb = "feasible", int(frontier_min)
+        elif not budget_hit:
+            status, obj, lb = "infeasible", None, self.comp.floor
+        else:
+            status, obj = "unknown", None
+            lb = int(frontier_min) if frontier_min < INF else self.comp.floor
+        values = (status, obj, lb, self.incumbent, self.nodes, self.wall, self.history,
+                  self if budget_hit else None)
+        if result is None:
+            return SearchResult(*values)
+        (result.status, result.objective, result.lower_bound, result.incumbent,
+         result.nodes, result.wall_time, result.ub_history, result.paused) = values
+        return result

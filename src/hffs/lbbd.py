@@ -5,9 +5,21 @@ solve the relaxed master for a machine assignment and a proven bound; if the
 bound meets the incumbent upper bound, stop; otherwise solve the restricted
 subproblem under that assignment for a feasible schedule.  A subproblem
 solved to proven optimality installs an optimality cut (full machine
-fingerprint, objective at least zeta); a subproblem that only times out
-updates the upper bound, installs NO cut (a cut from a non-optimal incumbent
-could overconstrain), and doubles the subproblem node budget.  Only
+fingerprint, objective at least zeta); a subproblem that only hits its node
+budget updates the upper bound and installs NO cut (a cut from a non-optimal
+incumbent could overconstrain).  Its search is kept, paused, and the next
+iteration continues it to twice the node budget instead of restarting it.
+That iteration also keeps the master solution: no cut was added, so the
+master's model differs only in its floor, which the solution's own bound
+already meets, and a re-solve under the same node budget would return the
+same machines, objective, status and bound.  The continued search needs no change for the floor it is
+passed (see ``hffs.subproblem``): every floor is a proven bound of the
+original problem, so it lies below every leaf makespan and below the
+incumbent (else the loop would have stopped), and pruning, leaf objectives
+and status are those of a fresh search at that floor.  The loop holds at
+most one paused search and drops it once a cut is installed or the loop
+ends.  Node counts are the work done: a kept master counts 0 nodes and a
+continued subproblem the nodes it searched in that iteration.  Only
 optimality cuts are needed (Hooker, "Planning and scheduling by logic-based
 Benders decomposition", Oper. Res. 55(3), 2007): the serial schedule under
 any machine assignment is feasible and warm-starts every subproblem, so no
@@ -28,8 +40,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .bounds import best_lb
 from .master import MasterSolution, solve_master
-from .model import Instance, Op, Schedule, schedule_to_json, validate_instance
-from .subproblem import solve_sub
+from .model import Instance, Op, Schedule, schedule_to_dict, validate_instance
+from .subproblem import SubResult, solve_sub
 
 Fingerprint = tuple[tuple[Op, str], ...]
 
@@ -90,7 +102,7 @@ class RunLog:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["iterations"] = [asdict(it) for it in self.iterations]
         if self.schedule is not None:
-            payload["schedule"] = json.loads(schedule_to_json(self.schedule))
+            payload["schedule"] = schedule_to_dict(self.schedule)
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -144,6 +156,7 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
     sub_nodes = budgets.sub_nodes
     total_nodes = 0
     k = 0
+    held: SubResult | None = None  # paused at its budget; msol is its master's
 
     while True:
         rem = remaining()
@@ -153,21 +166,25 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
             status = "feasible" if ub is not None else "unknown"
             break
         k += 1
-        msol = solve_master(
-            inst,
-            cuts.values(),
-            lb,
-            node_budget=budgets.master_nodes,
-            time_budget=clip(budgets.master_time),
-        )
-        total_nodes += msol.nodes
+        if held is None:
+            msol = solve_master(
+                inst,
+                cuts.values(),
+                lb,
+                node_budget=budgets.master_nodes,
+                time_budget=clip(budgets.master_time),
+            )
+            master_nodes, master_wall = msol.nodes, msol.wall_time
+        else:
+            master_nodes, master_wall = 0, 0.0  # no cut since: the same solution
+        total_nodes += master_nodes
         lb = max(lb, msol.lower_bound)
         fp = fingerprint_of(inst, msol)
         if ub is not None and lb >= ub:
             log.iterations.append(
                 IterationRecord(
                     k, msol.lower_bound, _hash_fingerprint(fp), None, lb, ub,
-                    msol.nodes, 0, None if deterministic else msol.wall_time,
+                    master_nodes, 0, None if deterministic else master_wall,
                 )
             )
             status = "optimal"
@@ -178,7 +195,9 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
             node_budget=sub_nodes,
             time_budget=remaining(),
             lb_floor=lb,
+            paused=held,
         )
+        held = sres if sres.paused is not None else None
         total_nodes += sres.nodes
         if ub is None or sres.zeta < ub:
             ub = sres.zeta
@@ -187,17 +206,19 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
             if fp not in cuts:
                 cuts[fp] = BendersCut(fingerprint=fp, zeta=sres.zeta)
         elif sub_nodes is not None:
-            sub_nodes *= 2  # incumbent kept, cut withheld, budget doubled
+            sub_nodes *= 2  # incumbent kept, cut withheld, search continued
         log.iterations.append(
             IterationRecord(
                 k, msol.lower_bound, _hash_fingerprint(fp), sres.zeta, lb, ub,
-                msol.nodes, sres.nodes,
-                None if deterministic else msol.wall_time + sres.wall_time,
+                master_nodes, sres.nodes,
+                None if deterministic else master_wall + sres.wall_time,
             )
         )
         if lb >= ub:
             status = "optimal"
             break
+    if held is not None:
+        held.drop()
 
     log.lb = lb
     log.ub = ub

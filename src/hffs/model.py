@@ -504,8 +504,9 @@ def instance_from_json(text: str) -> Instance:
     )
 
 
-def schedule_to_json(sched: Schedule) -> str:
-    doc = {
+def schedule_to_dict(sched: Schedule) -> dict:
+    """The schedule document as plain JSON values (see ``schedule_to_json``)."""
+    return {
         "machine_of": {_op_key(op): m for op, m in sched.machine_of.items()},
         "workers_of": {_op_key(op): w for op, w in sched.workers_of.items()},
         "intervals": {
@@ -518,7 +519,10 @@ def schedule_to_json(sched: Schedule) -> str:
         },
         "makespan": sched.makespan,
     }
-    return json.dumps(doc, indent=2)
+
+
+def schedule_to_json(sched: Schedule) -> str:
+    return json.dumps(schedule_to_dict(sched), indent=2)
 
 
 def schedule_from_json(text: str) -> Schedule:

@@ -12,13 +12,24 @@ operations assigned to each machine, and the global worker cumulative
 weighted by the chosen count.  Any optimum here is feasible for the original
 problem, so it yields an upper bound; the returned schedule is decoded and
 re-validated by the full model's own step.
+
+A search that stops at its node budget without proving its optimum can be
+continued instead of built and searched again (``solve_sub``'s ``paused``):
+the result keeps the encoding and the engine's paused search, and a later
+call resumes it up to its larger total budget.  A raised ``lb_floor`` needs
+no change to that search.  Every floor the caller passes is a proven lower
+bound of the original problem, so it lies below every leaf makespan, and it
+lies below the paused incumbent (a caller whose bound met the incumbent
+would have stopped).  Pruning, leaf objectives and status are therefore
+those of a fresh search at the raised floor; only the reported lower bound
+is raised to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .engine import solve
+from .engine import SearchResult, resume, solve
 from .full_model import (
     Encoding,
     build_full,
@@ -35,7 +46,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SubResult:
     zeta: int
     schedule: Schedule
@@ -43,6 +54,15 @@ class SubResult:
     nodes: int
     wall_time: float
     lower_bound: int
+    # the encoding and the engine's search, while that search can be continued
+    paused: tuple[Encoding, SearchResult] | None = field(
+        default=None, repr=False, compare=False)
+
+    def drop(self) -> None:
+        """Free a paused search that will not be continued."""
+        if self.paused is not None:
+            self.paused[1].paused = None
+            self.paused = None
 
 
 def build_sub(
@@ -65,26 +85,46 @@ def solve_sub(
     node_budget: int | None = None,
     time_budget: float | None = None,
     lb_floor: int = 0,
+    paused: SubResult | None = None,
 ) -> SubResult:
     """Anytime subproblem solve.  ``lb_floor`` may be any proven lower bound
     of the ORIGINAL problem (the subproblem restricts it, so the bound stays
-    valid and never inflates the reported optimum)."""
-    errors = validate_instance(inst)
-    if errors:
-        raise ValueError(f"invalid instance: {errors[0]}")
-    base = serial_schedule(inst, msol.machine_of)  # rejects a bad machine map
-    enc = build_sub(inst, msol, horizon=base.makespan, lb_floor=lb_floor)
-    result = solve(
-        enc.model,
-        node_budget=node_budget,
-        time_budget=time_budget,
-        hint=schedule_to_assignment(enc, base),
-    )
+    valid and never inflates the reported optimum).
+
+    A result that stopped at its node budget without proving its optimum
+    keeps its search (its ``paused``).  Passing that result as ``paused``,
+    with the same instance and master solution, continues the search to
+    ``node_budget`` nodes in total and ``time_budget`` more seconds; the
+    floor must stay below its incumbent (see the module docstring).  The
+    returned ``nodes`` and ``wall_time`` are those of this call."""
+    if paused is None:
+        errors = validate_instance(inst)
+        if errors:
+            raise ValueError(f"invalid instance: {errors[0]}")
+        base = serial_schedule(inst, msol.machine_of)  # rejects a bad machine map
+        enc = build_sub(inst, msol, horizon=base.makespan, lb_floor=lb_floor)
+        result = solve(
+            enc.model,
+            node_budget=node_budget,
+            time_budget=time_budget,
+            hint=schedule_to_assignment(enc, base),
+            resumable=True,
+        )
+        nodes_before, wall_before = 0, 0.0
+    else:
+        if lb_floor >= paused.zeta:
+            raise ValueError("a continued subproblem needs a floor below its incumbent")
+        enc, result = paused.paused
+        nodes_before, wall_before = result.nodes, result.wall_time
+        resume(result, node_budget=node_budget, time_budget=time_budget)
+    if result.status == "optimal":
+        result.paused = None  # proven: never continued
     return SubResult(
         zeta=result.objective,
         schedule=incumbent_schedule(inst, enc, result),
         status=result.status,
-        nodes=result.nodes,
-        wall_time=result.wall_time,
-        lower_bound=result.lower_bound,
+        nodes=result.nodes - nodes_before,
+        wall_time=result.wall_time - wall_before,
+        lower_bound=max(result.lower_bound, lb_floor),
+        paused=None if result.paused is None else (enc, result),
     )

@@ -1,16 +1,30 @@
 """Independent reference implementations used only by the test suite.
 
-Nothing here imports solver code from the package.  The brute-force optimum
-enumerates integer schedules directly against occupancy arrays; the LP
-oracle is a rational two-phase simplex.  Both are deliberately simple and
-slow so they can serve as ground truth for the fast implementations.
+The brute-force optimum enumerates integer schedules directly against
+occupancy arrays; the LP oracle is a rational two-phase simplex.  Both are
+deliberately simple and slow so they can serve as ground truth for the fast
+implementations, and neither imports solver code from the package.  The
+restarting decomposition loop is the one exception: it drives the package's
+master and subproblem the way the loop did before paused subproblem searches
+were continued, as a referee for that loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from hffs.bounds import best_lb
+from hffs.lbbd import (
+    BendersCut,
+    Budgets,
+    IterationRecord,
+    RunLog,
+    _hash_fingerprint,
+    fingerprint_of,
+)
+from hffs.master import solve_master
 from hffs.model import Instance
+from hffs.subproblem import solve_sub
 
 # ------------------------------------------------------------ brute force
 
@@ -703,3 +717,55 @@ class RoundRobinFixpoint:
                 st.s_lo[ti] = t
                 moved_any = True
         return moved_any
+
+
+# ------------------------------------------------- restarting decomposition
+
+
+def restarting_lbbd(inst: Instance, budgets: Budgets) -> RunLog:
+    """Reference decomposition loop under node budgets: after a subproblem
+    that only hits its node budget it solves the master again and runs a
+    fresh subproblem at twice the budget, where ``hffs.lbbd.run`` reuses the
+    master solution and continues the paused search.  Frozen; node counts
+    are those of every search it runs."""
+    assert budgets.deterministic
+    lb = best = best_lb(inst).best
+    ub = None
+    best_sched = None
+    cuts: dict = {}
+    log = RunLog(best_lb=best, lb=lb, ub=None, status="unknown")
+    sub_nodes = budgets.sub_nodes
+    k = 0
+    while True:
+        if budgets.max_iterations is not None and k >= budgets.max_iterations:
+            status = "feasible" if ub is not None else "unknown"
+            break
+        k += 1
+        msol = solve_master(inst, cuts.values(), lb, node_budget=budgets.master_nodes)
+        log.nodes += msol.nodes
+        lb = max(lb, msol.lower_bound)
+        fp = fingerprint_of(inst, msol)
+        if ub is not None and lb >= ub:
+            log.iterations.append(IterationRecord(
+                k, msol.lower_bound, _hash_fingerprint(fp), None, lb, ub, msol.nodes, 0, None))
+            status = "optimal"
+            break
+        sres = solve_sub(inst, msol, node_budget=sub_nodes, lb_floor=lb)
+        sres.drop()
+        log.nodes += sres.nodes
+        if ub is None or sres.zeta < ub:
+            ub = sres.zeta
+            best_sched = sres.schedule
+        if sres.status == "optimal":
+            if fp not in cuts:
+                cuts[fp] = BendersCut(fingerprint=fp, zeta=sres.zeta)
+        elif sub_nodes is not None:
+            sub_nodes *= 2
+        log.iterations.append(IterationRecord(
+            k, msol.lower_bound, _hash_fingerprint(fp), sres.zeta, lb, ub,
+            msol.nodes, sres.nodes, None))
+        if lb >= ub:
+            status = "optimal"
+            break
+    log.lb, log.ub, log.status, log.schedule = lb, ub, status, best_sched
+    return log

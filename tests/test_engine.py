@@ -25,6 +25,7 @@ from hffs.engine import (
     _child_edits,
     _pick_branch,
     propagate,
+    resume,
     root_state,
     solve,
 )
@@ -571,3 +572,33 @@ def test_a_node_with_every_start_fixed_is_a_leaf_at_its_bound(model, data):
             child = state.copy()
             child_edit(child)
             stack.append((child, branch))
+
+
+def search_outcome(res):
+    """A search result without its wall time."""
+    return (res.status, res.objective, res.lower_bound, res.incumbent, res.nodes,
+            list(res.ub_history))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    model=small_models(),
+    budgets=st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(sorted),
+)
+def test_a_continued_search_equals_a_fresh_search_at_its_budget(model, budgets):
+    """A resumable search stopped at one node budget and continued to larger
+    ones (the last without a budget) equals a fresh search at each budget;
+    a finished search is returned unchanged, and so is a search that was
+    not resumable."""
+    res = solve(model, node_budget=budgets[0], resumable=True)
+    assert search_outcome(res) == search_outcome(solve(model, node_budget=budgets[0]))
+    for budget in budgets[1:] + [None]:
+        before, paused = search_outcome(res), res.paused
+        assert resume(res, node_budget=budget) is res
+        assert search_outcome(res) == search_outcome(solve(model, node_budget=budget))
+        if paused is None:
+            assert search_outcome(res) == before
+    assert res.paused is None
+    stopped = solve(model, node_budget=1)
+    assert stopped.paused is None
+    assert resume(stopped, node_budget=None) is stopped

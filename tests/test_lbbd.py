@@ -1,5 +1,6 @@
 """Decomposition loop: cuts, bound evolution, budgets, gap arithmetic."""
 
+import json
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import make_instance, sample_tiny
 from hffs.lbbd import BendersCut, Budgets, fingerprint_of, gaps, run
 from hffs.master import solve_master
-from hffs.model import validate_schedule
+from hffs.model import schedule_to_json, validate_schedule
 from oracles import brute_force_optimum
 
 
@@ -92,6 +93,15 @@ def test_deterministic_budgets_serialize_identically():
     assert a.to_json() == b.to_json()
     assert a.wall_time is None
     assert all(it.wall_time is None for it in a.iterations)
+
+
+def test_runlog_carries_the_schedule_document_byte_for_byte():
+    inst = sample_tiny(random.Random(4306))
+    log = run(inst)
+    doc = json.loads(log.to_json())
+    assert doc["schedule"] == json.loads(schedule_to_json(log.schedule))
+    doc["schedule"] = json.loads(schedule_to_json(log.schedule))
+    assert log.to_json() == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def test_timed_budgets_record_wall_clock():

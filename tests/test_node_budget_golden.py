@@ -13,6 +13,8 @@ improved).
 
 import pytest
 
+import hffs.lbbd as lbbd
+import hffs.subproblem as subproblem
 from hffs.full_model import solve_full
 from hffs.instance_gen import GenSpec, generate
 from hffs.lbbd import Budgets, run
@@ -57,11 +59,30 @@ def test_solve_full_node_budget_results_are_pinned(key):
     assert (res.status, res.objective, res.lower_bound, res.nodes, res.ub_history) == FULL[key]
 
 
-def test_lbbd_node_budget_results_are_pinned():
+def test_lbbd_node_budget_results_are_pinned(monkeypatch):
+    """The first subproblem stops at its budget, so the second iteration
+    reuses the master solution (0 nodes) and continues that search from 25
+    to 50 nodes: one master solve and one subproblem build in all."""
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(lbbd, "solve_master")
+    counted(subproblem, "build_sub")
     inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))
     log = run(inst, Budgets(master_nodes=25, sub_nodes=25, max_iterations=2))
     assert (log.ub, log.lb, [it.jstar_hash for it in log.iterations]) == (
         329, 53, ["63fddc41b4ae15f5", "63fddc41b4ae15f5"])
+    assert [(it.master_nodes, it.sub_nodes) for it in log.iterations] == [(25, 25), (0, 25)]
+    assert log.nodes == 75
+    assert sorted(calls) == ["build_sub", "solve_master"]
 
 
 def test_criterion_1_proofs_take_the_pinned_node_total(suite50):

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from conftest import make_instance, sample_tiny
-from hffs.master import MasterSolution
+from hffs.bounds import best_lb
+from hffs.instance_gen import GenSpec, generate
+from hffs.master import MasterSolution, solve_master
 from hffs.model import validate_schedule
 from hffs.subproblem import build_sub, solve_sub
 from oracles import brute_force_optimum
@@ -189,3 +191,42 @@ def test_subproblem_is_deterministic_across_seeds():
     b = solve_sub(inst, fixed(machine_of))
     assert (a.zeta, a.nodes, a.status) == (b.zeta, b.nodes, b.status)
     assert a.schedule.process == b.schedule.process
+
+
+def test_a_continued_search_at_a_raised_floor_equals_a_fresh_one():
+    """A floor raised between the stop and the continuation changes only the
+    reported bound: the result is a fresh search's at the raised floor."""
+    inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))
+    msol = solve_master(inst, [], 0, node_budget=25)
+    first = solve_sub(inst, msol, node_budget=25, lb_floor=53)
+    raised = solve_sub(inst, msol, node_budget=200, lb_floor=90, paused=first)
+    fresh = solve_sub(inst, msol, node_budget=200, lb_floor=90)
+    assert raised.lower_bound == 90 > 53
+    assert first.nodes + raised.nodes == fresh.nodes == 200
+    assert (raised.status, raised.zeta, raised.lower_bound, raised.schedule) == (
+        fresh.status, fresh.zeta, fresh.lower_bound, fresh.schedule)
+    fresh.drop()
+    with pytest.raises(ValueError, match="below its incumbent"):
+        solve_sub(inst, msol, node_budget=400, lb_floor=raised.zeta, paused=raised)
+    raised.drop()
+    assert raised.paused is None
+
+
+def test_a_search_proven_optimal_at_its_budget_is_not_kept():
+    """A budget stop whose open nodes all lie at or above the incumbent is
+    a proof: the result is optimal and keeps no search to continue."""
+    rng = random.Random(4301)
+    proven_at_stop = 0
+    for _ in range(6):
+        inst = sample_tiny(rng)
+        floor = best_lb(inst).best
+        msol = solve_master(inst, [], floor, node_budget=25)
+        floor = max(floor, msol.lower_bound)
+        for budget in range(1, 30):
+            res = solve_sub(inst, msol, node_budget=budget, lb_floor=floor)
+            assert (res.paused is None) == (res.status == "optimal")
+            if res.status == "optimal":
+                proven_at_stop += res.nodes == budget < solve_sub(inst, msol, lb_floor=floor).nodes
+                break
+            res.drop()
+    assert proven_at_stop > 0

@@ -71,3 +71,32 @@ def test_solve_sub_node_budget_results_are_pinned(key, monkeypatch):
     assert len(searches) == 1
     got = (res.status, res.zeta, res.lower_bound, res.nodes, searches[0].ub_history)
     assert got == SUB[key]
+
+
+@pytest.mark.parametrize("key", sorted(k for k in SUB if k[-1] == 25), ids=str)
+def test_a_continued_subproblem_search_matches_the_pinned_larger_budget(key, monkeypatch):
+    """Continued from 25 to 200 nodes, the paused search gives the pinned
+    200-node results, without a second build or search."""
+    jobs, stages, variant, seed, _ = key
+    inst = generate(GenSpec(group=2, jobs=jobs, stages=stages, variant=variant, seed=seed))
+    floor = best_lb(inst).best
+    msol = solve_master(inst, [], floor, node_budget=25)
+    lb_floor = max(floor, msol.lower_bound)
+
+    searches = []
+
+    def recording_solve(*args, **kwargs):
+        searches.append(engine_solve(*args, **kwargs))
+        return searches[-1]
+
+    engine_solve = subproblem.solve
+    monkeypatch.setattr(subproblem, "solve", recording_solve)
+    first = subproblem.solve_sub(inst, msol, node_budget=25, lb_floor=lb_floor)
+    assert first.paused is not None
+    res = subproblem.solve_sub(inst, msol, node_budget=200, lb_floor=lb_floor, paused=first)
+    assert len(searches) == 1
+    got = (res.status, res.zeta, res.lower_bound, first.nodes + res.nodes,
+           searches[0].ub_history)
+    assert got == SUB[key[:-1] + (200,)]
+    assert (res.paused is None) == (res.status == "optimal")
+    assert res.schedule.makespan == res.zeta
