@@ -40,6 +40,18 @@ def _read_instance(path: str) -> Instance:
     return inst
 
 
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` and a newline to ``path``; on failure print one error
+    line and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _fmt(value: float | int | None, pattern: str = "{:.2f}") -> str:
     return "" if value is None else pattern.format(value)
 
@@ -60,9 +72,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_json(inst))
-        fh.write("\n")
+    if not _write(args.output, instance_to_json(inst)):
+        return 1
     print(
         f"wrote {args.output}: {len(inst.jobs)} jobs, {len(inst.stages)} stages, "
         f"{len(inst.machines)} machines, {inst.workers_total} workers"
@@ -83,10 +94,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     for name, value in report.values().items():
         print(f"{name.upper():<5} {value if value is not None else '-'}")
     print(f"BEST  {report.best}")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+    if args.output and not _write(args.output, report.to_json()):
+        return 1
     return 0
 
 
@@ -117,14 +126,7 @@ def _solve_cp(inst: Instance, args: argparse.Namespace) -> dict[str, object]:
     return row
 
 
-def _solve_lbbd(inst: Instance, args: argparse.Namespace) -> dict[str, object]:
-    budgets = Budgets(
-        master_nodes=args.node_budget,
-        master_time=args.master_time_limit,
-        sub_nodes=args.node_budget,
-        total_time=args.time_limit,
-        max_iterations=args.max_iterations,
-    )
+def _solve_lbbd(inst: Instance, budgets: Budgets) -> dict[str, object]:
     started = time.perf_counter()
     log = run(inst, budgets=budgets)
     elapsed = time.perf_counter() - started
@@ -143,11 +145,18 @@ def _solve_lbbd(inst: Instance, args: argparse.Namespace) -> dict[str, object]:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
+        budgets = Budgets(  # checks the budgets of both methods
+            master_nodes=args.node_budget,
+            master_time=args.master_time_limit,
+            sub_nodes=args.node_budget,
+            total_time=args.time_limit,
+            max_iterations=args.max_iterations,
+        )
         inst = _read_instance(args.instance)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    row = _solve_cp(inst, args) if args.method == "cp" else _solve_lbbd(inst, args)
+    row = _solve_cp(inst, args) if args.method == "cp" else _solve_lbbd(inst, budgets)
     ub = row["ub"]
     if ub is not None:
         original, real = gaps(row["best_lb"], row["lb"], ub)
@@ -172,14 +181,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
     )
     sched = row["schedule"]
-    if args.output and sched is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(schedule_to_json(sched))
-            fh.write("\n")
-    if args.runlog and row["runlog"] is not None:
-        with open(args.runlog, "w", encoding="utf-8") as fh:
-            fh.write(row["runlog"].to_json())
-            fh.write("\n")
+    if args.output and sched is not None and not _write(args.output, schedule_to_json(sched)):
+        return 1
+    log = row["runlog"]
+    if args.runlog and log is not None and not _write(args.runlog, log.to_json()):
+        return 1
     return 0
 
 
@@ -243,7 +249,10 @@ def _read_rows(paths: list[str]) -> list[dict[str, object]]:
 
                 def _int(key: str) -> int | None:
                     raw = (rec.get(key) or "").strip()
-                    return int(raw) if raw else None
+                    try:
+                        return int(raw) if raw else None
+                    except ValueError:
+                        raise ValueError(f"{path}: {key} {raw!r} is not an integer") from None
 
                 rows.append(
                     {
@@ -369,7 +378,7 @@ def _impact_table(rows: list[dict[str, object]]) -> None:
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         rows = _read_rows(args.results)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # a decoding error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not rows:

@@ -19,14 +19,26 @@ takes, the alternative pattern of Laborie, Rogerie, Shaw & Vilim (Constraints
 23(2), 2018).  Groups that one choice routes between (the machines of one
 stage) share one member tuple, a family, which is read and compiled once.
 
-Search is depth-first branch and bound in two phases: choice variables
-first (machine-kind before worker-kind, then model order; values in domain
-order), then chronological start-time fixing.  The first descent therefore
-behaves like a greedy earliest-start dive.  Bounds propagation runs at every
-node (time windows through offsets and precedences, pairwise disjunctive
-reasoning, timetable reasoning over mandatory parts of cumulatives).  Every
-incumbent is re-checked against the raw constraints by an independent
-evaluator before it is stored.
+A choice is open or decided.  No propagator narrows a choice domain and
+every choice edit decides its choice, so a search state holds one value per
+choice, None while the choice is open, when its domain is its root domain; a
+choice whose root domain is one value is decided at the root.  Search is
+depth-first branch and bound in two phases: open choices first, in model
+order, each tried at the values of its root domain in order, then
+chronological start-time fixing.  The first descent therefore behaves like a
+greedy earliest-start dive.  Bounds propagation runs at every node (time
+windows through offsets and precedences, pairwise disjunctive reasoning,
+timetable reasoning over mandatory parts of cumulatives).  Every incumbent is
+re-checked against the raw constraints by an independent evaluator before it
+is stored.
+
+The timetable pushes a member's earliest start past each constant segment
+of the mandatory profile that the member, of weight w, cannot join.  Its own
+mandatory part [s_hi, e_lo) starts and ends at profile events, so each
+segment lies inside it or outside it.  A segment inside it already carries w
+once (check_model admits a task once per member tuple), so after the
+overload check it holds level - w + w <= cap and cannot push; only a segment
+outside it with level + w > cap can.
 
 A node is a leaf once every choice is decided and every start fixed, and
 its earliest ends (elastic ones too) are its incumbent.  At such a fixpoint
@@ -47,9 +59,8 @@ weight reads its domain, and for a routed member (task, choice) -> the groups
 of each value.  A routed member sits in no group until its choice is
 decided, so a choice edit to v seeds and empties the active lists of only the
 value-v groups that route on the choice and adds them to the watchers of the
-tasks it routes (the root does so for every one-value domain).  A propagator
-that moves a task bound queues that task's watchers (not itself: each is
-idempotent).  The queue is two FIFOs: windows and links always run before
+tasks it routes.  A propagator that moves a task bound queues that task's
+watchers (not itself: each is idempotent).  The queue is two FIFOs: windows and links always run before
 disjunctives and cumulatives (Schulte & Stuckey, TOPLAS 31(1), 2008).  The
 root first runs every window and link once in a topological order of the
 tasks by links (Kahn; each task's window, then its outgoing links; tasks on a
@@ -63,7 +74,7 @@ edit: each group's active members and each task's watchers live in the
 search state, a start edit shares the parent's lists, and a choice edit
 copies them and empties the entries of the groups it seeds, which fill when
 they next run.  A menu's duration extremes over the root domain are compiled
-and serve every state whose domain is still the root's.  A member routed by
+and serve every state in which its choice is open.  A member routed by
 a choice whose root domain is one value v sits unconditionally in the
 family's value-v groups and in no other, and a delta table over two
 one-value root domains is a constant; neither watches the choice.
@@ -91,14 +102,11 @@ from dataclasses import dataclass, field
 
 INF = float("inf")
 
-_KIND_PRIORITY = {"machine": 0, "worker": 1}
-
 
 @dataclass(frozen=True, slots=True)
 class ChoiceVar:
     id: str
     values: tuple[int, ...]
-    kind: str = "generic"
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,30 +223,31 @@ class SearchResult:
 
 
 class State:
-    """Mutable search state: task time bounds plus choice domains.
+    """Mutable search state: task time bounds plus one value per choice,
+    None while the choice is open (its domain is then its root domain).
 
     ``active`` holds one entry per group propagator, its active members or
     None when not yet computed, and ``watch`` one entry per task, the
     propagators its moves wake, routed groups included once their choice is
     decided; ``propagate`` keeps both.  A copy shares the lists, and
     ``propagate`` gives a state its own copies after a choice edit, so states
-    that share a list have equal domains."""
+    that share a list have equal values."""
 
-    __slots__ = ("s_lo", "s_hi", "e_lo", "e_hi", "domains", "active", "watch")
+    __slots__ = ("s_lo", "s_hi", "e_lo", "e_hi", "values", "active", "watch")
 
-    def __init__(self, s_lo, s_hi, e_lo, e_hi, domains, active=None, watch=None):
+    def __init__(self, s_lo, s_hi, e_lo, e_hi, values, active=None, watch=None):
         self.s_lo = s_lo
         self.s_hi = s_hi
         self.e_lo = e_lo
         self.e_hi = e_hi
-        self.domains = domains
+        self.values = values
         self.active = active
         self.watch = watch
 
     def copy(self) -> "State":
         return State(
             list(self.s_lo), list(self.s_hi), list(self.e_lo), list(self.e_hi),
-            list(self.domains), self.active, self.watch,
+            list(self.values), self.active, self.watch,
         )
 
 
@@ -277,6 +286,8 @@ def check_model(model: EngineModel) -> None:
     def check_group(where: str, group) -> None:
         if id(group.members) not in read:
             read.add(id(group.members))
+            if len({m.task for m in group.members}) != len(group.members):
+                raise ValueError(f"{where} lists a task twice")
             for m in group.members:
                 if m.task not in tasks:
                     raise ValueError(f"{where} references unknown task {m.task}")
@@ -336,21 +347,21 @@ class _Compiled:
         self.choices = [model.choices[c] for c in self.cids]
 
         def compile_menu(t: TaskVar):
-            """None, or (choice, table, |root domain|, root min, root max)."""
+            """None, or (choice, table, root min, root max)."""
             if t.duration_menu is None:
                 return None
             cid, table = t.duration_menu
             root = [table[v] for v in model.choices[cid].values]
-            return (self.cidx[cid], table, len(root), min(root), max(root))
+            return (self.cidx[cid], table, min(root), max(root))
 
         self.menus = [compile_menu(t) for t in self.tasks]
 
         extremes: dict = {}  # (id of a table, the two root domains) -> values
 
         def compile_delta(link):
-            """(const, None), or (0, (ca, cb, table, |root ca|, |root cb|,
-            min, max)) with the table's extremes over the root domains; a
-            table over two one-value root domains is a constant."""
+            """(const, None), or (0, (ca, cb, table, min, max)) with the
+            table's extremes over the root domains; a table over two
+            one-value root domains is a constant."""
             if link.table is None:
                 return (link.delta, None)
             ca, cb, table = link.table
@@ -362,7 +373,7 @@ class _Compiled:
             n, lo, hi = extremes[key]
             if n == 1:
                 return (lo, None)
-            return (0, (self.cidx[ca], self.cidx[cb], table, len(va), len(vb), lo, hi))
+            return (0, (self.cidx[ca], self.cidx[cb], table, lo, hi))
 
         self.links = [  # offsets, then precedences
             (self.tidx[l.pred], self.tidx[l.succ], *compile_delta(l))
@@ -387,18 +398,14 @@ class _Compiled:
         self.disjunctives = [g.id for g in cons.disjunctives]
         self.cumulatives = [(c.id, c.capacity) for c in cons.cumulatives]
         self.groups = [families[id(g.members)] for g in group_defs]
-        self.group_value = [(g.value,) for g in group_defs]
+        self.group_value = [g.value for g in group_defs]
         self.cond_bounds = [
             ([(self.cidx[cid], val) for cid, val in cb.fingerprint], cb.bound)
             for cb in model.constraints.conditional_bounds
         ]
         self.obj_tasks = [self.tidx[t] for t in model.objective_tasks]
         self.floor = model.objective_floor
-
-        self.choice_order = sorted(
-            range(len(self.choices)),
-            key=lambda i: (_KIND_PRIORITY.get(self.choices[i].kind, 2), i),
-        )
+        self.min_value = [min(c.values) for c in self.choices]
         self.elastic_flag = [t.elastic for t in self.tasks]
 
         # Propagator numbering: task windows, offsets, precedences,
@@ -483,7 +490,7 @@ class _Compiled:
             [t.lct for t in self.tasks],
             [t.est for t in self.tasks],
             [t.lct for t in self.tasks],
-            [tuple(c.values) for c in self.choices],
+            [c.values[0] if len(c.values) == 1 else None for c in self.choices],
         )
 
     def duration_bounds(self, st: State, ti: int) -> tuple[int, int]:
@@ -492,28 +499,28 @@ class _Compiled:
             return t.duration, t.duration
         menu = self.menus[ti]
         if menu is not None:
-            ci, table, n, rmin, rmax = menu
-            dom = st.domains[ci]
-            if len(dom) == 1:
-                d = table[dom[0]]
-                return d, d
-            if len(dom) == n:
-                return rmin, rmax  # domains only shrink: still the root's
-            durs = [table[v] for v in dom]
-            return min(durs), max(durs)
+            ci, table, rmin, rmax = menu
+            v = st.values[ci]
+            if v is None:
+                return rmin, rmax
+            d = table[v]
+            return d, d
         return 0, max(0, st.e_hi[ti] - st.s_lo[ti])
 
     def delta_bounds(self, st: State, const: int, table) -> tuple[int, int]:
         if table is None:
             return const, const
-        ca, cb, mapping, na, nb, rmin, rmax = table
-        da, db = st.domains[ca], st.domains[cb]
-        if len(da) == 1 and len(db) == 1:
-            d = mapping[(da[0], db[0])]
+        ca, cb, mapping, rmin, rmax = table
+        va, vb = st.values[ca], st.values[cb]
+        if va is None:
+            if vb is None:
+                return rmin, rmax
+            vals = [mapping[(a, vb)] for a in self.choices[ca].values]
+        elif vb is None:
+            vals = [mapping[(va, b)] for b in self.choices[cb].values]
+        else:
+            d = mapping[(va, vb)]
             return d, d
-        if len(da) == na and len(db) == nb:
-            return rmin, rmax  # domains only shrink: both are still the root's
-        vals = [mapping[(va, vb)] for va in da for vb in db]
         return min(vals), max(vals)
 
     # -- propagation --------------------------------------------------------
@@ -537,9 +544,6 @@ class _Compiled:
         if _edit is None:
             st.active = [None] * (self.nprops - disj0)
             st.watch = list(self.task_watch)
-            for ci, dom in enumerate(st.domains):
-                if len(dom) == 1 and self.route_tasks[ci]:
-                    self._route(st, ci)
             for p in self.sweep:
                 fail = self._window_or_link(st, p, moved)
                 if fail is not None:
@@ -549,11 +553,11 @@ class _Compiled:
         else:
             kind, idx = _edit
             if kind == "choice":
-                value = st.domains[idx][0]  # a choice edit decides the choice
+                value = st.values[idx]
                 seeds = (*self.choice_watch[idx],
                          *(p for by_value in self.route_watch[idx]
                            for p in by_value.get(value, ())))
-                st.active = list(st.active)  # the parent's domains differ
+                st.active = list(st.active)  # the parent's values differ
                 for p in seeds:
                     if p >= disj0:
                         st.active[p - disj0] = None
@@ -601,7 +605,7 @@ class _Compiled:
     def _route(self, st: State, ci: int) -> None:
         """Let the tasks that choice ``ci`` routes wake the groups of its
         decided value (``st.watch`` must be the state's own list)."""
-        value = st.domains[ci][0]
+        value = st.values[ci]
         for ti, by_value in self.route_tasks[ci]:
             st.watch[ti] = (*st.watch[ti], *by_value.get(value, ()))
 
@@ -609,13 +613,17 @@ class _Compiled:
         """Active-certain members of group propagator ``p``: task indices for
         a disjunctive, (task, min weight, min duration) with a positive weight
         for a cumulative."""
-        dom = st.domains
+        values = st.values
         g = p - self.disj0
         routed_here = self.group_value[g]
-        members = [m for m in self.groups[g] if m[3] is None or dom[m[3]] == routed_here]
+        members = [m for m in self.groups[g] if m[3] is None or values[m[3]] == routed_here]
         if p < self.cum0:
             return [m[0] for m in members]
-        weighted = [(m[0], m[1] if m[2] is None else min(dom[m[2]])) for m in members]
+        weighted = [
+            (m[0], m[1] if m[2] is None
+             else self.min_value[m[2]] if values[m[2]] is None else values[m[2]])
+            for m in members
+        ]
         entries = [(ti, w, self.duration_bounds(st, ti)[0]) for ti, w in weighted if w > 0]
         return [self.interned.setdefault(e, e) for e in entries]
 
@@ -678,7 +686,13 @@ class _Compiled:
 
     def _cumulative(self, st: State, c: int, active: list, moved) -> str | None:
         cid, cap = self.cumulatives[c]
-        events, own = self._mandatory_events(st, active)
+        events = []  # mandatory parts [s_hi, e_lo) of the active members
+        for ti, w, _ in active:
+            lo, hi = st.s_hi[ti], st.e_lo[ti]
+            if lo < hi:
+                events.append((lo, w))
+                events.append((hi, -w))
+        events.sort()
         # Events sort by (time, delta), so at each time point the running
         # level peaks after the point's last event.  That peak is the level of
         # the segment starting there, and after the final event the level is
@@ -687,64 +701,24 @@ class _Compiled:
         segs = _profile_segments(events)
         if any(level > cap for _, _, level in segs):
             return f"cumulative:{cid}"
-        self._lift_starts(st, cap, active, segs, own, moved)
+        self._lift_starts(st, cap, active, segs, moved)
         return None
 
-    def _mandatory_events(self, st: State, active: list):
-        """Sorted profile events over mandatory parts of active-certain members,
-        plus each contributing member's own (lo, hi, weight) span."""
-        events: list[tuple[int, int]] = []
-        own: dict[int, tuple[int, int, int]] = {}
-        for ti, w, _ in active:
-            lo, hi = st.s_hi[ti], st.e_lo[ti]
-            if lo < hi:
-                events.append((lo, w))
-                events.append((hi, -w))
-                own[ti] = (lo, hi, w)
-        events.sort()
-        return events, own
-
-    def _lift_starts(self, st: State, cap: int, active, segs, own, moved) -> None:
-        """Push earliest starts of unfixed active members past profile stretches
-        that cannot accommodate them.  Exact: the member's own mandatory part is
-        subtracted from the profile before testing.  Lifting past the window is
+    def _lift_starts(self, st: State, cap: int, active, segs, moved) -> None:
+        """Push earliest starts of unfixed active members past the profile
+        segments outside their own mandatory parts that cannot take their
+        weight (exact: see the module docstring).  Lifting past the window is
         left to the member's task-window propagator, which the move queues."""
-        if not segs:
-            return
         for ti, w, dmin in active:
-            if st.s_lo[ti] >= st.s_hi[ti]:
-                continue  # fixed or empty: the profile sweep already covers it
-            if dmin <= 0:
-                continue
-            mine = own.get(ti)
+            if st.s_lo[ti] >= st.s_hi[ti] or dmin <= 0:
+                continue  # fixed, empty or of no length: nothing to push
+            own_lo, own_hi = st.s_hi[ti], st.e_lo[ti]
             t = st.s_lo[ti]
-            moved_t = True
-            while moved_t:
-                moved_t = False
-                for seg_lo, seg_hi, level in segs:
-                    if seg_hi <= t or seg_lo >= t + dmin:
-                        continue
-                    if mine is None or mine[1] <= seg_lo or mine[0] >= seg_hi:
-                        pieces = ((seg_lo, seg_hi, level),)
-                    else:
-                        olo, ohi, ow = mine
-                        a, b = max(seg_lo, olo), min(seg_hi, ohi)
-                        pieces = tuple(
-                            p for p in (
-                                (seg_lo, a, level),
-                                (a, b, level - ow),
-                                (b, seg_hi, level),
-                            ) if p[0] < p[1]
-                        )
-                    for plo, phi, lvl in pieces:
-                        if phi <= t or plo >= t + dmin:
-                            continue
-                        if lvl + w > cap:
-                            t = phi
-                            moved_t = True
-                            break
-                    if moved_t:
-                        break
+            for lo, hi, level in segs:  # sorted and disjoint
+                if lo >= t + dmin:
+                    break
+                if hi > t and level + w > cap and not own_lo <= lo < hi <= own_hi:
+                    t = hi
             if t > st.s_lo[ti]:
                 st.s_lo[ti] = t
                 moved.append(ti)
@@ -757,19 +731,13 @@ class _Compiled:
             if st.e_lo[ti] > lb:
                 lb = st.e_lo[ti]
         for fp, bound in self.cond_bounds:
-            if bound > lb and all(
-                len(st.domains[ci]) == 1 and st.domains[ci][0] == val
-                for ci, val in fp
-            ):
+            if bound > lb and all(st.values[ci] == val for ci, val in fp):
                 lb = bound
         return lb
 
     def extract(self, st: State) -> Assignment:
-        choices = {
-            self.cids[ci]: st.domains[ci][0] for ci in range(len(self.choices))
-        }
         return Assignment(
-            choices=choices,
+            choices=dict(zip(self.cids, st.values)),
             starts=dict(zip(self.tids, st.s_lo)),
             ends=dict(zip(self.tids, st.e_lo)),
         )
@@ -905,23 +873,22 @@ def propagate(model: EngineModel) -> tuple[State, str | None]:
 
 def _pick_branch(comp: _Compiled, st: State):
     """Deterministic branching decision, or None when the node is a leaf."""
-    for ci in comp.choice_order:
-        if len(st.domains[ci]) > 1:
-            return ("choice", ci)
+    if None in st.values:
+        return ("choice", st.values.index(None))
     open_starts = [(st.s_lo[ti], comp.elastic_flag[ti], ti)  # earliest, elastic last
                    for ti in range(len(comp.tasks)) if st.s_lo[ti] < st.s_hi[ti]]
     return ("start", min(open_starts)[2]) if open_starts else None
 
 
-def _child_edits(st: State, branch):
+def _child_edits(comp: _Compiled, branch):
     """Ordered child edits for a branching decision (an exhaustive split)."""
     kind, idx = branch
     if kind == "choice":
         def assign(value):
             def edit(s: State) -> None:
-                s.domains[idx] = (value,)
+                s.values[idx] = value
             return edit
-        return [assign(v) for v in st.domains[idx]]
+        return [assign(v) for v in comp.choices[idx].values]
     def fix(s: State) -> None:
         s.s_hi[idx] = s.s_lo[idx]
     def bump(s: State) -> None:
@@ -1021,7 +988,7 @@ class _Search:
                 self.incumbent, self.ub = asg, obj
                 self.history.append((self.nodes, obj))
             return
-        self.stack.append([state, _child_edits(state, branch), 0, lb, branch])
+        self.stack.append([state, _child_edits(comp, branch), 0, lb, branch])
 
     def run(
         self,

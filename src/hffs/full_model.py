@@ -95,7 +95,14 @@ def build_full(
     stage_machines = {s: inst.machines_of(s) for s in inst.stages}
 
     tasks: dict[str, TaskVar] = {}
-    choices: dict[str, ChoiceVar] = {}
+    choices: dict[str, ChoiceVar] = {}  # every m{k}, then every w{k}: the branching order
+    for k, (j, s) in enumerate(ops):
+        machs = stage_machines[s]
+        pinned = machine_of is not None
+        values = (machs.index(machine_of[(j, s)]),) if pinned else tuple(range(len(machs)))
+        choices[f"m{k}"] = ChoiceVar(f"m{k}", values)
+    for k, (j, s) in enumerate(ops):
+        choices[f"w{k}"] = ChoiceVar(f"w{k}", tuple(inst.worker_window(s)))
     cs = ConstraintSet()
     proc_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
     in_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
@@ -104,15 +111,8 @@ def build_full(
     last_pr: dict[str, str] = {}
 
     for k, (j, s) in enumerate(ops):
-        machs = stage_machines[s]
-        pinned = machine_of is not None
-        values = (machs.index(machine_of[(j, s)]),) if pinned else tuple(range(len(machs)))
-        mc = ChoiceVar(f"m{k}", values, kind="machine")
-        window = tuple(inst.worker_window(s))
-        wc = ChoiceVar(f"w{k}", window, kind="worker")
-        choices[mc.id] = mc
-        choices[wc.id] = wc
-        menu = {w: inst.proc_time[(j, s, w)] for w in window}
+        mc, wc = choices[f"m{k}"], choices[f"w{k}"]
+        menu = {w: inst.proc_time[(j, s, w)] for w in wc.values}
         chain = inst.eligible_stages[j]
         if s != chain[0]:  # only a wait between two operations can be nonzero
             tasks[f"wb{k}"] = TaskVar(f"wb{k}", elastic=True, est=0, lct=horizon)

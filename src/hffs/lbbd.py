@@ -23,8 +23,16 @@ continued subproblem the nodes it searched in that iteration.  Only
 optimality cuts are needed (Hooker, "Planning and scheduling by logic-based
 Benders decomposition", Oper. Res. 55(3), 2007): the serial schedule under
 any machine assignment is feasible and warm-starts every subproblem, so no
-subproblem is infeasible.  Termination: bound meets upper bound (optimal),
-or iteration/time budget (feasible with gap).
+subproblem is infeasible.  A master solution whose fingerprint already has
+a cut skips its subproblem, which was solved and whose zeta the upper bound
+already holds: the iteration records the cut's zeta and 0 subproblem nodes,
+and doubles the master's node budget (and its time budget, if it has one).
+Termination: bound meets upper bound (optimal), or iteration/time budget
+(feasible with gap).  Under node budgets alone the loop ends optimal: each
+iteration installs a cut on a new fingerprint (there are finitely many) or
+doubles the subproblem's or the master's budget, a search with a large enough
+budget finishes, and a finished master that returns a fingerprint with a cut
+proves a bound of at least that cut's zeta, which meets the upper bound.
 
 Determinism: with pure node budgets the run never reads the clock for
 decisions and the serialized RunLog omits wall-clock fields, so identical
@@ -68,6 +76,14 @@ class Budgets:
     sub_nodes: int | None = None
     total_time: float | None = None
     max_iterations: int | None = None
+
+    def __post_init__(self) -> None:
+        """A budget that doubles must be able to grow."""
+        for nodes in (self.master_nodes, self.sub_nodes):
+            if nodes is not None and nodes < 1:
+                raise ValueError("node budgets must be at least 1")
+        if self.master_time is not None and self.master_time <= 0:
+            raise ValueError("the master time budget must be positive")
 
     @property
     def deterministic(self) -> bool:
@@ -153,7 +169,8 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
     best_sched: Schedule | None = None
     cuts: dict[Fingerprint, BendersCut] = {}
     log = RunLog(best_lb=seed_lb, lb=lb, ub=None, status="unknown")
-    sub_nodes = budgets.sub_nodes
+    master_budget, sub_nodes = budgets.master_nodes, budgets.sub_nodes
+    master_time = budgets.master_time
     total_nodes = 0
     k = 0
     held: SubResult | None = None  # paused at its budget; msol is its master's
@@ -171,8 +188,8 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
                 inst,
                 cuts.values(),
                 lb,
-                node_budget=budgets.master_nodes,
-                time_budget=clip(budgets.master_time),
+                node_budget=master_budget,
+                time_budget=clip(master_time),
             )
             master_nodes, master_wall = msol.nodes, msol.wall_time
         else:
@@ -189,29 +206,35 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
             )
             status = "optimal"
             break
-        sres = solve_sub(
-            inst,
-            msol,
-            node_budget=sub_nodes,
-            time_budget=remaining(),
-            lb_floor=lb,
-            paused=held,
-        )
-        held = sres if sres.paused is not None else None
-        total_nodes += sres.nodes
-        if ub is None or sres.zeta < ub:
-            ub = sres.zeta
-            best_sched = sres.schedule
-        if sres.status == "optimal":
-            if fp not in cuts:
-                cuts[fp] = BendersCut(fingerprint=fp, zeta=sres.zeta)
-        elif sub_nodes is not None:
-            sub_nodes *= 2  # incumbent kept, cut withheld, search continued
+        if fp in cuts:  # solved already: only a larger master budget moves on
+            zeta, nodes, wall = cuts[fp].zeta, 0, 0.0
+            if master_budget is not None:
+                master_budget *= 2
+            if master_time is not None:
+                master_time *= 2
+        else:
+            sres = solve_sub(
+                inst,
+                msol,
+                node_budget=sub_nodes,
+                time_budget=remaining(),
+                lb_floor=lb,
+                paused=held,
+            )
+            held = sres if sres.paused is not None else None
+            zeta, nodes, wall = sres.zeta, sres.nodes, sres.wall_time
+            if ub is None or zeta < ub:
+                ub = zeta
+                best_sched = sres.schedule
+            if sres.status == "optimal":
+                cuts[fp] = BendersCut(fingerprint=fp, zeta=zeta)
+            elif sub_nodes is not None:
+                sub_nodes *= 2  # incumbent kept, cut withheld, search continued
+        total_nodes += nodes
         log.iterations.append(
             IterationRecord(
-                k, msol.lower_bound, _hash_fingerprint(fp), sres.zeta, lb, ub,
-                master_nodes, sres.nodes,
-                None if deterministic else master_wall + sres.wall_time,
+                k, msol.lower_bound, _hash_fingerprint(fp), zeta, lb, ub,
+                master_nodes, nodes, None if deterministic else master_wall + wall,
             )
         )
         if lb >= ub:

@@ -79,8 +79,7 @@ def build_master(
     last_task: dict[str, str] = {}
 
     for k, (j, s) in enumerate(ops):
-        machs = stage_machines[s]
-        mc = ChoiceVar(f"m{k}", tuple(range(len(machs))), kind="machine")
+        mc = ChoiceVar(f"m{k}", tuple(range(len(stage_machines[s]))))
         choices[mc.id] = mc
         task = TaskVar(f"pr{k}", duration=relaxed[(j, s)], est=0, lct=horizon)
         tasks[task.id] = task

@@ -454,14 +454,17 @@ class RoundRobinFixpoint:
     turn until a whole sweep changes nothing.
 
     It reads an engine model by attribute only and works on plain lists
-    (``s_lo``, ``s_hi``, ``e_lo``, ``e_hi``, ``domains``) indexed like the
-    model's task and choice dicts, so it shares no code with the engine.
+    (``s_lo``, ``s_hi``, ``e_lo``, ``e_hi``, ``values``) indexed like the
+    model's task and choice dicts, so it shares no code with the engine; a
+    choice's value is None while it is open, and its domain is then the
+    model's.
     """
 
     def __init__(self, model) -> None:
         self.tids = list(model.tasks)
         self.tidx = {t: i for i, t in enumerate(self.tids)}
         self.cidx = {c: i for i, c in enumerate(model.choices)}
+        self.roots = [c.values for c in model.choices.values()]
         self.tasks = [model.tasks[t] for t in self.tids]
         self.menus = [
             None if t.duration_menu is None
@@ -510,10 +513,14 @@ class RoundRobinFixpoint:
         if guard is None:
             return 1
         ci, val = guard
-        dom = st.domains[ci]
+        dom = self.domain(st, ci)
         if val not in dom:
             return -1
         return 1 if len(dom) == 1 else 0
+
+    def domain(self, st, ci: int) -> tuple[int, ...]:
+        value = st.values[ci]
+        return self.roots[ci] if value is None else (value,)
 
     def duration_bounds(self, st, ti: int) -> tuple[int, int]:
         t = self.tasks[ti]
@@ -522,20 +529,20 @@ class RoundRobinFixpoint:
         menu = self.menus[ti]
         if menu is not None:
             ci, table = menu
-            durs = [table[v] for v in st.domains[ci]]
+            durs = [table[v] for v in self.domain(st, ci)]
             return min(durs), max(durs)
         return 0, max(0, st.e_hi[ti] - st.s_lo[ti])
 
     def min_weight(self, st, member) -> int:
         if member[2] is None:
             return member[1]
-        return min(st.domains[member[2]])
+        return min(self.domain(st, member[2]))
 
     def delta_bounds(self, st, const: int, table) -> tuple[int, int]:
         if table is None:
             return const, const
         ca, cb, mapping = table
-        da, db = st.domains[ca], st.domains[cb]
+        da, db = self.domain(st, ca), self.domain(st, cb)
         if len(da) == 1 and len(db) == 1:
             d = mapping[(da[0], db[0])]
             return d, d
@@ -726,22 +733,24 @@ def restarting_lbbd(inst: Instance, budgets: Budgets) -> RunLog:
     """Reference decomposition loop under node budgets: after a subproblem
     that only hits its node budget it solves the master again and runs a
     fresh subproblem at twice the budget, where ``hffs.lbbd.run`` reuses the
-    master solution and continues the paused search.  Frozen; node counts
-    are those of every search it runs."""
+    master solution and continues the paused search.  A master that repeats
+    a fingerprint with a cut skips the subproblem and doubles the master's
+    node budget, as ``run`` does.  Frozen; node counts are those of every
+    search it runs."""
     assert budgets.deterministic
     lb = best = best_lb(inst).best
     ub = None
     best_sched = None
     cuts: dict = {}
     log = RunLog(best_lb=best, lb=lb, ub=None, status="unknown")
-    sub_nodes = budgets.sub_nodes
+    master_nodes, sub_nodes = budgets.master_nodes, budgets.sub_nodes
     k = 0
     while True:
         if budgets.max_iterations is not None and k >= budgets.max_iterations:
             status = "feasible" if ub is not None else "unknown"
             break
         k += 1
-        msol = solve_master(inst, cuts.values(), lb, node_budget=budgets.master_nodes)
+        msol = solve_master(inst, cuts.values(), lb, node_budget=master_nodes)
         log.nodes += msol.nodes
         lb = max(lb, msol.lower_bound)
         fp = fingerprint_of(inst, msol)
@@ -750,6 +759,12 @@ def restarting_lbbd(inst: Instance, budgets: Budgets) -> RunLog:
                 k, msol.lower_bound, _hash_fingerprint(fp), None, lb, ub, msol.nodes, 0, None))
             status = "optimal"
             break
+        if fp in cuts:
+            master_nodes *= 2
+            log.iterations.append(IterationRecord(
+                k, msol.lower_bound, _hash_fingerprint(fp), cuts[fp].zeta, lb, ub,
+                msol.nodes, 0, None))
+            continue
         sres = solve_sub(inst, msol, node_budget=sub_nodes, lb_floor=lb)
         sres.drop()
         log.nodes += sres.nodes

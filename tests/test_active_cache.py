@@ -38,7 +38,9 @@ def assert_cache_matches_recomputation(comp, state, settled):
             assert cached == comp._active_members(state, comp.disj0 + g)
     for ti, menu in enumerate(comp.menus):
         if menu is not None:
-            durations = [menu[1][v] for v in state.domains[menu[0]]]
+            value = state.values[menu[0]]
+            domain = comp.choices[menu[0]].values if value is None else (value,)
+            durations = [menu[1][v] for v in domain]
             assert comp.duration_bounds(state, ti) == (min(durations), max(durations))
 
 
@@ -57,7 +59,7 @@ def walk(model, cap, nodes=40):
             continue
         branch = _pick_branch(comp, state)
         if branch is not None:
-            for child_edit in reversed(_child_edits(state, branch)):
+            for child_edit in reversed(_child_edits(comp, branch)):
                 child = state.copy()
                 child_edit(child)
                 stack.append((child, branch))
@@ -92,11 +94,9 @@ def test_real_model_cache_matches_recomputation(make):
     assert len(walk(model, evaluate_objective(model, hint) - 1)) == 40
 
 
-def test_a_root_call_recomputes_and_a_partial_domain_scans_the_menu():
-    """Domains narrowed by hand, as no search edit narrows them: a root call
-    recomputes every active list, even one shared with an earlier state, and
-    the watchers of a task whose routing choice it finds decided, and a menu
-    over a domain that is neither the root's nor one value is scanned."""
+def test_a_root_call_recomputes_every_active_list():
+    """A choice decided by hand: a root call recomputes every active list,
+    even one shared with an earlier state."""
     model = model_of(
         [
             TaskVar("a", duration_menu=("c", {0: 2, 1: 5, 2: 3}), lct=20),
@@ -110,13 +110,10 @@ def test_a_root_call_recomputes_and_a_partial_domain_scans_the_menu():
     assert root.active == [[(1, 1, 2)]]
     assert comp.duration_bounds(root, 0) == (2, 5)
     state = root.copy()
-    state.domains[0] = (1, 2)
-    assert comp.duration_bounds(state, 0) == (3, 5)
-    state.domains[0] = (1,)
+    state.values[0] = 1
     assert comp.propagate(state, INF) is None
     assert state.active == [[(0, 1, 5), (1, 1, 2)]]
     assert root.active == [[(1, 1, 2)]]
-    assert comp.disj0 in state.watch[0] and comp.disj0 not in root.watch[0]
 
 
 def test_start_and_end_edits_compute_no_active_members(monkeypatch):
@@ -179,7 +176,7 @@ def test_a_machine_choice_edit_recomputes_only_the_chosen_machines_groups(monkey
     for choice, kinds in (("m0", ["mach", "out"]), ("m1", ["in", "mach", "out"])):
         branch = ("choice", comp.cidx[choice])
         child = root.copy()
-        _child_edits(root, branch)[0](child)
+        _child_edits(comp, branch)[0](child)
         calls.clear()
         comp.propagate(child, cap, branch)
         assert sorted(name.split(":")[0] for name in calls) == kinds

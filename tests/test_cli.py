@@ -184,3 +184,62 @@ def test_bad_schedule_gives_one_error_line(tmp_path, capsys):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["generate", "bounds", "solve", "solve-runlog"])
+def test_an_unwritable_output_gives_one_error_line(tmp_path, capsys, command):
+    path = gen_instance(tmp_path, capsys)
+    unwritable = str(tmp_path / "missing" / "out.json")
+    argv = {
+        "generate": ["generate", "--group", "1", "--jobs", "2", "-o", unwritable],
+        "bounds": ["bounds", str(path), "-o", unwritable],
+        "solve": ["solve", str(path), "-o", unwritable],
+        "solve-runlog": ["solve", str(path), "--runlog", unwritable],
+    }[command]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "budget", [("--node-budget", "0"), ("--node-budget", "-3"), ("--master-time-limit", "0")])
+@pytest.mark.parametrize("method", ["cp", "lbbd"])
+def test_solve_rejects_a_budget_that_cannot_double(tmp_path, capsys, method, budget):
+    path = gen_instance(tmp_path, capsys)
+    code, out, err = run_cli(capsys, "solve", str(path), "--method", method, *budget)
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        (CSV_HEADER + "\n25_1,14,x,25,44.00,44.00,0,10,0.5,feasible\n").encode(),
+        b"\xff\xfe" + CSV_HEADER.encode(),
+    ],
+    ids=["non-integer", "non-utf8"],
+)
+def test_an_unreadable_report_gives_one_error_line(tmp_path, capsys, content):
+    bad = tmp_path / "cp.csv"
+    bad.write_bytes(content)
+    code, out, err = run_cli(capsys, "report", str(bad))
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err)
+
+
+@pytest.mark.parametrize("budget", ["1", "10"])
+def test_solve_ends_optimal_where_the_master_repeats_a_cut_assignment(tmp_path, capsys, budget):
+    """At these budgets the master proposes an assignment whose subproblem was
+    already solved; the loop skips that subproblem and doubles the master's
+    budget until the bound closes."""
+    path = gen_instance(tmp_path, capsys)
+    code, out, _ = run_cli(capsys, "solve", str(path), "--node-budget", budget)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[-1] == "optimal"

@@ -152,7 +152,7 @@ def test_solve_respects_precedence_delta():
 def test_solve_duration_menu_picks_cheapest():
     m = model_of(
         [TaskVar("a", duration_menu=("w", {1: 6, 2: 3}), est=0, lct=20)],
-        choices=[ChoiceVar("w", (1, 2), kind="worker")],
+        choices=[ChoiceVar("w", (1, 2))],
     )
     res = solve(m)
     assert res.objective == 3
@@ -162,7 +162,7 @@ def test_solve_duration_menu_picks_cheapest():
 def test_conditional_bound_lifts_matched_fingerprint():
     m = model_of(
         [TaskVar("a", duration_menu=("m", {0: 4, 1: 5}), est=0, lct=30)],
-        choices=[ChoiceVar("m", (0, 1), kind="machine")],
+        choices=[ChoiceVar("m", (0, 1))],
         conditional_bounds=[ConditionalBound(fingerprint=(("m", 0),), bound=9)],
     )
     res = solve(m)
@@ -193,6 +193,12 @@ def test_malformed_model_errors_before_search():
     )
     with pytest.raises(ValueError):
         solve(m)
+    twice = model_of(  # the timetable's own-part argument needs one entry per task
+        [TaskVar("a", duration=1, est=0, lct=5)],
+        cumulatives=[Cumulative("r", 2, (Member("a"), Member("a", weight=2)))],
+    )
+    with pytest.raises(ValueError, match="lists a task twice"):
+        solve(twice)
 
 
 def enumerate_optimum(model: EngineModel) -> int | None:
@@ -236,7 +242,7 @@ def test_solve_matches_exhaustive_enumeration():
     ]
     m = model_of(
         tasks,
-        choices=[ChoiceVar("w", (1, 2), kind="worker")],
+        choices=[ChoiceVar("w", (1, 2))],
         disjunctives=[Disjunctive("mach", (Member("a"), Member("b")))],
         cumulatives=[
             Cumulative(
@@ -261,7 +267,7 @@ def test_solve_matches_enumeration_with_offsets_and_routed_members():
     ]
     m = model_of(
         tasks,
-        choices=[ChoiceVar("m", (0, 1), kind="machine")],
+        choices=[ChoiceVar("m", (0, 1))],
         offsets=[OffsetLink(pred="x", succ="y", delta=2)],
         disjunctives=[  # x shares a machine with z0 if m is 0, with z1 if m is 1
             Disjunctive("mach0", (Member("x"), Member("z0", on="m")), value=0),
@@ -307,7 +313,7 @@ def test_bound_and_incumbent_are_consistent():
 
 
 def bounds_of(state):
-    return (state.s_lo, state.s_hi, state.e_lo, state.e_hi, [tuple(d) for d in state.domains])
+    return (state.s_lo, state.s_hi, state.e_lo, state.e_hi, list(state.values))
 
 
 def first_child_fixpoints(model, pick):
@@ -317,7 +323,7 @@ def first_child_fixpoints(model, pick):
     assert comp.propagate(state, INF) is None
     branch = _pick_branch(comp, state)
     child = state.copy()
-    _child_edits(state, branch)[pick](child)
+    _child_edits(comp, branch)[pick](child)
     reference = child.copy()
     assert comp.propagate(child, INF, branch) is None
     assert RoundRobinFixpoint(model).propagate(reference, INF) is None
@@ -359,7 +365,7 @@ def test_start_edit_wakes_the_group_a_decided_route_selects():
         branch = _pick_branch(comp, state)
         assert branch == expected
         parent, state = state, state.copy()
-        _child_edits(parent, branch)[0](state)
+        _child_edits(comp, branch)[0](state)
         reference = state.copy()
         fails.append((comp.propagate(state, INF, branch),
                       RoundRobinFixpoint(m).propagate(reference, INF)))
@@ -530,7 +536,7 @@ def test_queue_fixpoint_matches_round_robin_oracle(model, caps):
         assert bounds_of(state) == bounds_of(reference)
         branch = _pick_branch(comp, state)
         if branch is not None:
-            for child_edit in reversed(_child_edits(state, branch)):
+            for child_edit in reversed(_child_edits(comp, branch)):
                 child = state.copy()
                 child_edit(child)
                 stack.append((child, branch))
@@ -560,7 +566,7 @@ def test_a_node_with_every_start_fixed_is_a_leaf_at_its_bound(model, data):
         if comp.propagate(state, cap, edit) is not None:
             continue
         branch = _pick_branch(comp, state)
-        decided = all(len(dom) == 1 for dom in state.domains)
+        decided = None not in state.values
         fixed = all(lo == hi for lo, hi in zip(state.s_lo, state.s_hi))
         assert (branch is None) == (decided and fixed)
         if branch is None:
@@ -568,7 +574,7 @@ def test_a_node_with_every_start_fixed_is_a_leaf_at_its_bound(model, data):
             assert check_assignment(model, asg) == []
             assert evaluate_objective(model, asg) == comp.node_lb(state)
             continue
-        for child_edit in reversed(_child_edits(state, branch)):
+        for child_edit in reversed(_child_edits(comp, branch)):
             child = state.copy()
             child_edit(child)
             stack.append((child, branch))

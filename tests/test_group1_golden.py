@@ -57,7 +57,7 @@ def search_digest(model, cap, nodes=31):
         h.update(repr((state.s_lo, state.s_hi, state.e_lo, state.e_hi)).encode())
         branch = _pick_branch(comp, state)
         if branch is not None:
-            for child_edit in reversed(_child_edits(state, branch)):
+            for child_edit in reversed(_child_edits(comp, branch)):
                 child = state.copy()
                 child_edit(child)
                 stack.append((child, branch))

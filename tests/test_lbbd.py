@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import make_instance, sample_tiny
+from hffs.instance_gen import GenSpec, generate
 from hffs.lbbd import BendersCut, Budgets, fingerprint_of, gaps, run
 from hffs.master import solve_master
 from hffs.model import schedule_to_json, validate_schedule
@@ -136,3 +137,37 @@ def test_fingerprint_follows_instance_operation_order():
     fp = fingerprint_of(inst, msol)
     assert [op for op, _ in fp] == [("a", "s1"), ("a", "s2"), ("b", "s2")]
     assert all(inst.machines[m] == s for (_, s), m in fp)
+
+
+def test_budgets_that_cannot_double_are_rejected():
+    for budgets in ({"master_nodes": 0}, {"sub_nodes": 0}, {"master_nodes": -1}):
+        with pytest.raises(ValueError, match="at least 1"):
+            Budgets(**budgets)
+    for seconds in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            Budgets(master_time=seconds)
+
+
+@pytest.mark.parametrize("nodes", [1, 10])
+def test_node_budgets_alone_end_optimal(suite50, suite_optima, nodes):
+    """With node budgets and no iteration or time limit the loop ends proven
+    optimal: a master that proposes an assignment it already has a cut for
+    skips its subproblem and doubles its own budget, as on the CLI demo
+    instance, where the loop once ran forever."""
+    demo = generate(GenSpec(group=2, jobs=3, stages=2, variant=1, seed=3))
+    budgets = Budgets(master_nodes=nodes, sub_nodes=nodes)
+    log = run(demo, budgets)
+    assert (log.status, log.lb, log.ub) == ("optimal", 10, 10)
+    repeats = [it for it in log.iterations if it.zeta is not None and it.sub_nodes == 0]
+    assert repeats and all(it.master_nodes > 0 for it in repeats)
+    for inst, optimum in zip(suite50, suite_optima):
+        log = run(inst, budgets)
+        assert (log.status, log.lb, log.ub) == ("optimal", optimum, optimum)
+
+
+def test_a_master_time_budget_alone_ends_optimal():
+    """A master time budget too short to leave a cut assignment doubles like
+    a node budget, so the loop ends without a total time limit."""
+    demo = generate(GenSpec(group=2, jobs=3, stages=2, variant=1, seed=3))
+    log = run(demo, Budgets(master_time=1e-4))
+    assert (log.status, log.lb, log.ub) == ("optimal", 10, 10)

@@ -65,7 +65,7 @@ def test_real_model_fixpoints_match_round_robin_oracle(make):
         assert bounds_of(state) == bounds_of(reference)
         branch = _pick_branch(comp, state)
         if branch is not None:
-            for child_edit in reversed(_child_edits(state, branch)):
+            for child_edit in reversed(_child_edits(comp, branch)):
                 child = state.copy()
                 child_edit(child)
                 stack.append((child, branch))
@@ -146,7 +146,7 @@ def test_a_child_runs_a_group_once_after_its_chain_settles():
     branch = _pick_branch(comp, root)
     assert branch == ("start", 0)
     child = root.copy()
-    _child_edits(root, branch)[0](child)  # t0 starts at 0
+    _child_edits(comp, branch)[0](child)  # t0 starts at 0
     runs: dict[int, int] = {}
     counting(comp, "_disjunctive", runs)
     assert comp.propagate(child, INF, branch) is None

@@ -51,9 +51,9 @@ def test_encoding_pins_each_machine_choice_to_one_value():
         "pr0", "pr1", "pr2", "pr3", "wa0", "wa2", "wb1", "wb3"]
     # one worker choice and one machine choice per operation; the machine
     # choice has the pinned machine's index as its only value
-    assert {cid: c.values for cid, c in enc.model.choices.items() if c.kind == "machine"} == {
+    assert {cid: c.values for cid, c in enc.model.choices.items() if cid[0] == "m"} == {
         "m0": (1,), "m1": (0,), "m2": (0,), "m3": (0,)}
-    assert sum(c.kind == "worker" for c in enc.model.choices.values()) == 4
+    assert sum(cid[0] == "w" for cid in enc.model.choices) == 4
     # each machine's group holds only the operations routed to it
     choices = enc.model.choices
     groups = {
