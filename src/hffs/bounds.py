@@ -117,30 +117,12 @@ def _transport_prefixes(inst: Instance) -> dict[str, dict[str, int]]:
     return {j: by_chain[inst.eligible_stages[j]] for j in inst.jobs}
 
 
-def shortest_transport(inst: Instance, job: str) -> int:
-    """Cost of the cheapest machine path through the job's eligible stages."""
-    elig = inst.eligible_stages[job]
-    return _transport_prefix(inst, elig, _stage_machines(inst))[elig[-1]]
-
-
-def lb1_stage_load(inst: Instance) -> int:
-    """Max over stages of the stage's total relaxed load spread over its machines."""
-    return _lb1(inst, relaxed_times(inst))
-
-
 def _lb1(inst: Instance, pbar: dict[Op, int]) -> int:
     best = 0
     for s in inst.stages:
         load = sum(pbar[(j, s)] for j in inst.jobs if (j, s) in pbar)
         best = max(best, -(-load // len(inst.machines_of(s))))
     return best
-
-
-def lb2_job_path(inst: Instance) -> int:
-    """Max over jobs of relaxed processing total plus shortest transport path."""
-    prefixes = _transport_prefixes(inst)
-    transport_min = {j: prefixes[j][inst.eligible_stages[j][-1]] for j in inst.jobs}
-    return _lb2(inst, relaxed_times(inst), transport_min)
 
 
 def _lb2(inst: Instance, pbar: dict[Op, int], transport_min: dict[str, int]) -> int:
@@ -162,13 +144,6 @@ def _stage_heads(
             heads[(j, s)] = (acc, prefixes[j][s])
             acc += pbar[(j, s)]
     return heads
-
-
-def lb3_stage_head(inst: Instance) -> int:
-    """Stage load bound shifted by the earliest possible arrival at the stage."""
-    pbar = relaxed_times(inst)
-    prefixes = _transport_prefixes(inst)
-    return _lb3(inst, pbar, _stage_heads(inst, pbar, prefixes))
 
 
 def _lb3(inst: Instance, pbar: dict[Op, int], heads: dict[Op, tuple[int, int]]) -> int:
@@ -227,13 +202,6 @@ def _two_stage_parts(inst: Instance, pbar: dict[Op, int]) -> dict[str, Fraction 
             if n >= k:
                 bump("lb7", Fraction(pbar[(order[k - 1], s2)] + pbar[(order[-1], s)], l))
     return parts
-
-
-def lb_two_stage(inst: Instance) -> int | None:
-    """Max of the four pair bounds, or None when no stage pair qualifies."""
-    parts = _two_stage_parts(inst, relaxed_times(inst))
-    present = [v for v in parts.values() if v is not None]
-    return math.ceil(max(present)) if present else None
 
 
 def _work_floor(inst: Instance, j: str, s: str) -> int:

@@ -102,23 +102,17 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- solve
 
 
-def _solve_cp(inst: Instance, args: argparse.Namespace) -> dict[str, object]:
-    started = time.perf_counter()
+def _solve_cp(
+    inst: Instance, node_budget: int | None, deadline: float | None
+) -> dict[str, object]:
     best = best_lb(inst).best
-    result, sched = solve_full(
-        inst,
-        node_budget=args.node_budget,
-        time_budget=args.time_limit,
-        lb_floor=best,
-    )
-    elapsed = time.perf_counter() - started
+    result, sched = solve_full(inst, node_budget=node_budget, deadline=deadline, lb_floor=best)
     row: dict[str, object] = {
         "best_lb": best,
         "lb": result.lower_bound,
         "ub": result.objective,
         "iterations": 0,
         "nodes": result.nodes,
-        "wall_time": elapsed,
         "status": result.status,
         "schedule": sched,
         "runlog": None,
@@ -127,16 +121,13 @@ def _solve_cp(inst: Instance, args: argparse.Namespace) -> dict[str, object]:
 
 
 def _solve_lbbd(inst: Instance, budgets: Budgets) -> dict[str, object]:
-    started = time.perf_counter()
     log = run(inst, budgets=budgets)
-    elapsed = time.perf_counter() - started
     return {
         "best_lb": log.best_lb,
         "lb": log.lb,
         "ub": log.ub,
         "iterations": len(log.iterations),
         "nodes": log.nodes,
-        "wall_time": elapsed,
         "status": log.status,
         "schedule": log.schedule,
         "runlog": log,
@@ -144,19 +135,26 @@ def _solve_lbbd(inst: Instance, budgets: Budgets) -> dict[str, object]:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    started = time.perf_counter()  # --time-limit and wall_time count from here
     try:
+        if args.time_limit is not None and not args.time_limit > 0:
+            raise ValueError("the time limit must be positive")
         budgets = Budgets(  # checks the budgets of both methods
             master_nodes=args.node_budget,
             master_time=args.master_time_limit,
             sub_nodes=args.node_budget,
-            total_time=args.time_limit,
+            deadline=None if args.time_limit is None else started + args.time_limit,
             max_iterations=args.max_iterations,
         )
         inst = _read_instance(args.instance)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    row = _solve_cp(inst, args) if args.method == "cp" else _solve_lbbd(inst, budgets)
+    if args.method == "cp":
+        row = _solve_cp(inst, args.node_budget, budgets.deadline)
+    else:
+        row = _solve_lbbd(inst, budgets)
+    wall_time = time.perf_counter() - started
     ub = row["ub"]
     if ub is not None:
         original, real = gaps(row["best_lb"], row["lb"], ub)
@@ -175,7 +173,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 gap_r,
                 str(row["iterations"]),
                 str(row["nodes"]),
-                _fmt(row["wall_time"], "{:.3f}"),
+                _fmt(wall_time, "{:.3f}"),
                 str(row["status"]),
             ]
         )

@@ -91,7 +91,7 @@ what a fresh search at that budget gives.
 
 Determinism: the search draws no randomness.  With a node budget, results
 are a pure function of (model, budget, hint); nothing reads the clock except
-the optional wall-clock budget, which is documented as non-deterministic.
+the optional deadline, which is documented as non-deterministic.
 """
 
 from __future__ import annotations
@@ -900,21 +900,23 @@ def solve(
     model: EngineModel,
     *,
     node_budget: int | None = None,
-    time_budget: float | None = None,
+    deadline: float | None = None,
     hint: Assignment | None = None,
     resumable: bool = False,
 ) -> SearchResult:
     """Anytime branch-and-bound minimisation of the model's makespan.
 
     ``node_budget`` counts propagated nodes and gives fully deterministic
-    results; ``time_budget`` (seconds) is honoured but non-deterministic.  A
-    ``hint`` assignment, if given, must pass the constraint checker and seeds
-    the incumbent.  The returned lower bound is proven: no feasible assignment
-    has an objective below it.  With ``resumable``, a search that stops at its
-    budget keeps its stack and incumbent in the result's ``paused`` for
-    ``resume``; without it they are freed on return.
+    results.  ``deadline`` is a ``time.perf_counter()`` reading: the search
+    always propagates the root, then stops at the first node boundary at or
+    after the deadline (non-deterministic).  A ``hint`` assignment, if given,
+    must pass the constraint checker and seeds the incumbent.  The returned
+    lower bound is proven: no feasible assignment has an objective below it.
+    With ``resumable``, a search that stops at its budget keeps its stack and
+    incumbent in the result's ``paused`` for ``resume``; without it they are
+    freed on return.
     """
-    result = _Search(model, hint).run(node_budget, time_budget)
+    result = _Search(model, hint).run(node_budget, deadline)
     if not resumable:
         result.paused = None
     return result
@@ -924,12 +926,13 @@ def resume(
     result: SearchResult,
     *,
     node_budget: int | None = None,
-    time_budget: float | None = None,
+    deadline: float | None = None,
 ) -> SearchResult:
     """Continue a search that stopped at its budget.
 
     ``node_budget`` counts every node of the search, those searched before
-    included; ``time_budget`` counts seconds from this call.  The result is
+    included; ``deadline`` is a ``time.perf_counter()`` reading, and a
+    deadline already past adds no node.  The result is
     updated in place and returned.  The search continues from the frame it
     stopped in with the same incumbent and cap, so with node budgets the
     result equals a fresh ``solve`` at the larger budget in status,
@@ -939,18 +942,17 @@ def resume(
     """
     if result.paused is None:
         return result
-    return result.paused.run(node_budget, time_budget, result)
+    return result.paused.run(node_budget, deadline, result)
 
 
 class _Search:
     """Depth-first branch and bound whose stack outlives a budget stop."""
 
-    __slots__ = ("model", "comp", "t0", "incumbent", "ub", "history", "nodes", "stack", "wall")
+    __slots__ = ("model", "comp", "incumbent", "ub", "history", "nodes", "stack", "wall")
 
     def __init__(self, model: EngineModel, hint: Assignment | None) -> None:
         self.model = model
         self.comp = _Compiled(model)
-        self.t0 = _time.perf_counter()  # the first run's budget counts the hint check
         self.incumbent: Assignment | None = None
         self.ub: float = INF
         self.history: list[tuple[int, int]] = []
@@ -993,15 +995,13 @@ class _Search:
     def run(
         self,
         node_budget: int | None,
-        time_budget: float | None,
+        deadline: float | None,
         result: SearchResult | None = None,
     ) -> SearchResult:
         """Search until the stack empties or a budget is spent; fill ``result``
         in place, or a new result when there is none yet."""
-        if self.nodes:
-            t0 = _time.perf_counter()
-        else:
-            t0 = self.t0
+        t0 = _time.perf_counter()
+        if not self.nodes:
             self.process(self.comp.root_state())
         stack, process = self.stack, self.process
         budget_hit = False
@@ -1009,7 +1009,7 @@ class _Search:
         while stack:
             if node_budget is not None and self.nodes >= node_budget:
                 budget_hit = True
-            elif time_budget is not None and _time.perf_counter() - t0 > time_budget:
+            elif deadline is not None and _time.perf_counter() >= deadline:
                 budget_hit = True
             if budget_hit:
                 for frame in stack:

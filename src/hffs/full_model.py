@@ -252,12 +252,14 @@ def solve_full(
     inst: Instance,
     *,
     node_budget: int | None = None,
-    time_budget: float | None = None,
+    deadline: float | None = None,
     lb_floor: int | None = None,
 ) -> tuple[SearchResult, Schedule]:
     """Solve the monolithic model; the returned schedule (the serial warm
     start guarantees an incumbent) has passed the full validator.
-    ``lb_floor`` defaults to the bound module's best value."""
+    ``lb_floor`` defaults to the bound module's best value.  ``deadline`` is
+    a ``time.perf_counter()`` reading (see ``engine.solve``); the bounds, the
+    warm start and the encoding run before the search and spend its time."""
     errors = validate_instance(inst)
     if errors:
         raise ValueError(f"invalid instance: {errors[0]}")
@@ -268,7 +270,7 @@ def solve_full(
     result = solve(
         enc.model,
         node_budget=node_budget,
-        time_budget=time_budget,
+        deadline=deadline,
         hint=schedule_to_assignment(enc, base),
     )
     return result, incumbent_schedule(inst, enc, result)

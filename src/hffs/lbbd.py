@@ -27,12 +27,18 @@ subproblem is infeasible.  A master solution whose fingerprint already has
 a cut skips its subproblem, which was solved and whose zeta the upper bound
 already holds: the iteration records the cut's zeta and 0 subproblem nodes,
 and doubles the master's node budget (and its time budget, if it has one).
-Termination: bound meets upper bound (optimal), or iteration/time budget
-(feasible with gap).  Under node budgets alone the loop ends optimal: each
-iteration installs a cut on a new fingerprint (there are finitely many) or
-doubles the subproblem's or the master's budget, a search with a large enough
-budget finishes, and a finished master that returns a fingerprint with a cut
-proves a bound of at least that cut's zeta, which meets the upper bound.
+Time: ``Budgets.deadline`` is one ``time.perf_counter()`` reading shared by
+every layer.  Each master stops at the earlier of the midpoint between its
+start and the deadline and its start plus the master time budget, and the
+subproblem runs to the deadline, so a subproblem keeps about half the time
+left (Hooker's scheme needs both to run in each iteration).
+Termination: bound meets upper bound (optimal), or iteration budget or
+deadline (feasible with gap).  Under node budgets alone the loop ends
+optimal: each iteration installs a cut on a new fingerprint (there are
+finitely many) or doubles the subproblem's or the master's budget, a search
+with a large enough budget finishes, and a finished master that returns a
+fingerprint with a cut proves a bound of at least that cut's zeta, which
+meets the upper bound.
 
 Determinism: with pure node budgets the run never reads the clock for
 decisions and the serialized RunLog omits wall-clock fields, so identical
@@ -74,7 +80,7 @@ class Budgets:
     master_nodes: int | None = None
     master_time: float | None = None
     sub_nodes: int | None = None
-    total_time: float | None = None
+    deadline: float | None = None  # a time.perf_counter() reading
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
@@ -82,12 +88,21 @@ class Budgets:
         for nodes in (self.master_nodes, self.sub_nodes):
             if nodes is not None and nodes < 1:
                 raise ValueError("node budgets must be at least 1")
-        if self.master_time is not None and self.master_time <= 0:
+        if self.master_time is not None and not self.master_time > 0:
             raise ValueError("the master time budget must be positive")
 
     @property
     def deterministic(self) -> bool:
-        return self.master_time is None and self.total_time is None
+        return self.master_time is None and self.deadline is None
+
+    def master_deadline(self, master_time: float | None) -> float | None:
+        """The earlier of the midpoint to the deadline and ``master_time``
+        seconds from now; None when neither is set."""
+        now = _time.perf_counter()
+        stops = [now + master_time] if master_time is not None else []
+        if self.deadline is not None:
+            stops.append((now + self.deadline) / 2)
+        return min(stops, default=None)
 
 
 @dataclass(slots=True)
@@ -148,21 +163,7 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
     if errors:
         raise ValueError(f"invalid instance: {errors[0]}")
     t0 = _time.perf_counter()
-    deterministic = budgets.deterministic
-
-    def remaining() -> float | None:
-        if budgets.total_time is None:
-            return None
-        return budgets.total_time - (_time.perf_counter() - t0)
-
-    def clip(limit: float | None) -> float | None:
-        rem = remaining()
-        if limit is None:
-            return rem
-        if rem is None:
-            return limit
-        return min(limit, rem)
-
+    deterministic, deadline = budgets.deterministic, budgets.deadline
     seed_lb = best_lb(inst).best
     lb = seed_lb
     ub: int | None = None
@@ -176,9 +177,8 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
     held: SubResult | None = None  # paused at its budget; msol is its master's
 
     while True:
-        rem = remaining()
         if (budgets.max_iterations is not None and k >= budgets.max_iterations) or (
-            rem is not None and rem <= 0
+            deadline is not None and _time.perf_counter() >= deadline
         ):
             status = "feasible" if ub is not None else "unknown"
             break
@@ -189,7 +189,7 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
                 cuts.values(),
                 lb,
                 node_budget=master_budget,
-                time_budget=clip(master_time),
+                deadline=budgets.master_deadline(master_time),
             )
             master_nodes, master_wall = msol.nodes, msol.wall_time
         else:
@@ -217,7 +217,7 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
                 inst,
                 msol,
                 node_budget=sub_nodes,
-                time_budget=remaining(),
+                deadline=deadline,
                 lb_floor=lb,
                 paused=held,
             )

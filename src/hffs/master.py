@@ -129,7 +129,7 @@ def solve_master(
     lb_floor: int,
     *,
     node_budget: int | None = None,
-    time_budget: float | None = None,
+    deadline: float | None = None,
 ) -> MasterSolution:
     """Anytime master solve; the returned bound is proven for the original
     problem, and the serial warm start gives an incumbent at every budget."""
@@ -141,7 +141,7 @@ def solve_master(
     result = solve(
         enc.model,
         node_budget=node_budget,
-        time_budget=time_budget,
+        deadline=deadline,
         hint=schedule_to_assignment(enc, base),
     )
     return MasterSolution(

@@ -16,7 +16,7 @@ re-validated by the full model's own step.
 A search that stops at its node budget without proving its optimum can be
 continued instead of built and searched again (``solve_sub``'s ``paused``):
 the result keeps the encoding and the engine's paused search, and a later
-call resumes it up to its larger total budget.  A raised ``lb_floor`` needs
+call resumes it up to its larger total budget or its deadline.  A raised ``lb_floor`` needs
 no change to that search.  Every floor the caller passes is a proven lower
 bound of the original problem, so it lies below every leaf makespan, and it
 lies below the paused incumbent (a caller whose bound met the incumbent
@@ -83,7 +83,7 @@ def solve_sub(
     msol: MasterSolution,
     *,
     node_budget: int | None = None,
-    time_budget: float | None = None,
+    deadline: float | None = None,
     lb_floor: int = 0,
     paused: SubResult | None = None,
 ) -> SubResult:
@@ -94,9 +94,10 @@ def solve_sub(
     A result that stopped at its node budget without proving its optimum
     keeps its search (its ``paused``).  Passing that result as ``paused``,
     with the same instance and master solution, continues the search to
-    ``node_budget`` nodes in total and ``time_budget`` more seconds; the
-    floor must stay below its incumbent (see the module docstring).  The
-    returned ``nodes`` and ``wall_time`` are those of this call."""
+    ``node_budget`` nodes in total or to the ``deadline`` (a
+    ``time.perf_counter()`` reading, as in ``engine.solve``); the floor must
+    stay below its incumbent (see the module docstring).  The returned
+    ``nodes`` and ``wall_time`` are those of this call."""
     if paused is None:
         errors = validate_instance(inst)
         if errors:
@@ -106,7 +107,7 @@ def solve_sub(
         result = solve(
             enc.model,
             node_budget=node_budget,
-            time_budget=time_budget,
+            deadline=deadline,
             hint=schedule_to_assignment(enc, base),
             resumable=True,
         )
@@ -116,7 +117,7 @@ def solve_sub(
             raise ValueError("a continued subproblem needs a floor below its incumbent")
         enc, result = paused.paused
         nodes_before, wall_before = result.nodes, result.wall_time
-        resume(result, node_budget=node_budget, time_budget=time_budget)
+        resume(result, node_budget=node_budget, deadline=deadline)
     if result.status == "optimal":
         result.paused = None  # proven: never continued
     return SubResult(

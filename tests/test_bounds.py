@@ -5,17 +5,7 @@ from fractions import Fraction
 
 from conftest import make_instance, sample_tiny
 
-from hffs.bounds import (
-    BoundReport,
-    best_lb,
-    lb1_stage_load,
-    lb2_job_path,
-    lb3_stage_head,
-    lb8_malleable,
-    lb_two_stage,
-    relaxed_times,
-    shortest_transport,
-)
+from hffs.bounds import BoundReport, best_lb, lb8_malleable, relaxed_times
 
 from oracles import brute_force_optimum, lp_lower_bound
 
@@ -60,7 +50,7 @@ def test_lb1_even_load():
         transport={},
         workers_total=2,
     )
-    assert lb1_stage_load(inst) == 9
+    assert best_lb(inst).lb1 == 9
 
 
 def test_lb1_rounds_up():
@@ -71,7 +61,7 @@ def test_lb1_rounds_up():
         transport={},
         workers_total=2,
     )
-    assert lb1_stage_load(inst) == 10
+    assert best_lb(inst).lb1 == 10
 
 
 def test_shortest_transport_single_transition():
@@ -81,7 +71,7 @@ def test_shortest_transport_single_transition():
         proc={("a", "s1", 1): 1, ("a", "s2", 1): 1},
         transport={("m1", "m3"): 2, ("m2", "m3"): 5},
     )
-    assert shortest_transport(inst, "a") == 2
+    assert best_lb(inst).transport_min["a"] == 2
 
 
 def test_shortest_transport_two_hops():
@@ -96,7 +86,7 @@ def test_shortest_transport_two_hops():
             ("m3", "m5"): 1,
         },
     )
-    assert shortest_transport(inst, "a") == 3
+    assert best_lb(inst).transport_min["a"] == 3
 
 
 def test_shortest_transport_single_stage_is_zero():
@@ -106,7 +96,7 @@ def test_shortest_transport_single_stage_is_zero():
         proc={("a", "s1", 1): 4},
         transport={},
     )
-    assert shortest_transport(inst, "a") == 0
+    assert best_lb(inst).transport_min["a"] == 0
 
 
 def test_shortest_transport_beats_greedy_per_hop_choice():
@@ -123,7 +113,7 @@ def test_shortest_transport_beats_greedy_per_hop_choice():
             ("m3", "m4"): 2,
         },
     )
-    assert shortest_transport(inst, "a") == 5
+    assert best_lb(inst).transport_min["a"] == 5
 
 
 def test_lb2_job_path_sums_chain():
@@ -133,7 +123,7 @@ def test_lb2_job_path_sums_chain():
         proc={("a", "s1", 1): 4, ("a", "s2", 1): 3, ("a", "s3", 1): 5},
         transport={("m1", "m2"): 1, ("m2", "m3"): 2},
     )
-    assert lb2_job_path(inst) == 15
+    assert best_lb(inst).lb2 == 15
 
 
 def test_lb2_single_stage_job():
@@ -143,7 +133,7 @@ def test_lb2_single_stage_job():
         proc={("a", "s1", 1): 7},
         transport={},
     )
-    assert lb2_job_path(inst) == 7
+    assert best_lb(inst).lb2 == 7
 
 
 def test_lb3_adds_arrival_head_to_stage_load():
@@ -162,7 +152,7 @@ def test_lb3_adds_arrival_head_to_stage_load():
         },
         transport={("m1", "m2"): 1, ("m2", "m3"): 0, ("m1", "m3"): 2},
     )
-    assert lb3_stage_head(inst) == 15
+    assert best_lb(inst).lb3 == 15
 
 
 def test_lb3_first_stage_reduces_to_lb1():
@@ -172,7 +162,8 @@ def test_lb3_first_stage_reduces_to_lb1():
         proc={("a", "s1", 1): 3, ("b", "s1", 1): 4},
         transport={},
     )
-    assert lb3_stage_head(inst) == lb1_stage_load(inst) == 7
+    rep = best_lb(inst)
+    assert rep.lb3 == rep.lb1 == 7
 
 
 def test_lb4_two_machine_example():
@@ -187,7 +178,8 @@ def test_lb4_two_machine_example():
         },
         transport={("m1", "m3"): 1, ("m2", "m3"): 1},
     )
-    assert lb_two_stage(inst) == 5
+    rep = best_lb(inst)
+    assert max(v for v in (rep.lb4, rep.lb5, rep.lb6, rep.lb7) if v is not None) == 5
 
 
 def test_two_stage_bound_absent_without_shared_jobs():
@@ -197,7 +189,8 @@ def test_two_stage_bound_absent_without_shared_jobs():
         proc={("a", "s1", 1): 3, ("b", "s2", 1): 4},
         transport={("m1", "m2"): 1},
     )
-    assert lb_two_stage(inst) is None
+    rep = best_lb(inst)
+    assert (rep.lb4, rep.lb5, rep.lb6, rep.lb7) == (None, None, None, None)
 
 
 def test_two_stage_skips_degenerate_single_shared_job():
@@ -277,7 +270,6 @@ def test_report_tables_match_module_functions():
     inst = sample_tiny(rng)
     rep = best_lb(inst)
     assert rep.relaxed_times == relaxed_times(inst)
-    assert rep.transport_min == {j: shortest_transport(inst, j) for j in inst.jobs}
 
 
 def test_bounds_sound_on_tight_buffer_samples():

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, CSV and table output."""
 
 import json
+import time
 
 import pytest
 
+import hffs.cli as cli
 from hffs.cli import CSV_HEADER, main
+from hffs.instance_gen import GenSpec, generate
+from hffs.model import instance_to_json
 
 
 def run_cli(capsys, *argv):
@@ -207,7 +211,9 @@ def test_an_unwritable_output_gives_one_error_line(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "budget", [("--node-budget", "0"), ("--node-budget", "-3"), ("--master-time-limit", "0")])
+    "budget",
+    [("--node-budget", "0"), ("--node-budget", "-3"), ("--master-time-limit", "0"),
+     ("--time-limit", "0"), ("--time-limit", "-1")])
 @pytest.mark.parametrize("method", ["cp", "lbbd"])
 def test_solve_rejects_a_budget_that_cannot_double(tmp_path, capsys, method, budget):
     path = gen_instance(tmp_path, capsys)
@@ -243,3 +249,38 @@ def test_solve_ends_optimal_where_the_master_repeats_a_cut_assignment(tmp_path, 
     code, out, _ = run_cli(capsys, "solve", str(path), "--node-budget", budget)
     assert code == 0
     assert out.splitlines()[1].split(",")[-1] == "optimal"
+
+
+def solve_row(tmp_path, capsys, spec, *argv):
+    """Solve a generated instance; the CSV row as a dict."""
+    path = tmp_path / "inst.json"
+    path.write_text(instance_to_json(generate(spec)), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "solve", str(path), *argv)
+    assert code == 0
+    header, row = out.splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def test_the_time_limit_counts_from_the_start_of_solve(tmp_path, capsys, monkeypatch):
+    """Bounds that outlast the limit leave the search its root only, and the
+    reported wall time includes them."""
+    best_lb = cli.best_lb
+
+    def slow_best_lb(inst):
+        time.sleep(0.3)
+        return best_lb(inst)
+
+    monkeypatch.setattr(cli, "best_lb", slow_best_lb)
+    row = solve_row(tmp_path, capsys, GenSpec(group=1, jobs=20, seed=0),
+                    "--method", "cp", "--time-limit", "0.2")
+    assert row["nodes"] == "1"
+    assert float(row["wall_time"]) >= 0.3
+
+
+def test_lbbd_under_a_time_limit_reaches_its_subproblem(tmp_path, capsys):
+    """The first master stops halfway to the deadline, so the subproblem
+    improves on the serial makespan (329) that a master holding the whole
+    budget used to return."""
+    row = solve_row(tmp_path, capsys, GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0),
+                    "--method", "lbbd", "--time-limit", "2")
+    assert int(row["ub"]) < 329

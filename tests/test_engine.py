@@ -1,6 +1,7 @@
 """Search kernel: propagation fixpoints, exact solves, determinism."""
 
 import itertools
+import time
 from dataclasses import replace
 
 import pytest
@@ -298,6 +299,23 @@ def test_node_budget_determinism():
     )
     assert a.ub_history == b.ub_history
     assert a.incumbent == b.incumbent
+
+
+def test_a_passed_deadline_stops_at_the_root_and_resumes_no_node():
+    """The root is always propagated; a deadline already past stops the
+    search at the next node boundary, and a resume under one adds no node."""
+    tasks = [TaskVar(f"t{i}", duration=2 + i % 3, est=0, lct=15) for i in range(5)]
+    m = model_of(
+        tasks,
+        disjunctives=[Disjunctive("mach", tuple(Member(t.id) for t in tasks[:3]))],
+        cumulatives=[Cumulative("pool", 2, tuple(Member(t.id) for t in tasks))],
+    )
+    assert solve(m, deadline=time.perf_counter()).nodes == 1
+    res = solve(m, node_budget=5, resumable=True)
+    assert res.paused is not None
+    before = search_outcome(res)
+    assert search_outcome(resume(res, deadline=time.perf_counter())) == before
+    assert search_outcome(resume(res)) == search_outcome(solve(m))
 
 
 def test_bound_and_incumbent_are_consistent():

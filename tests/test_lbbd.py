@@ -2,10 +2,12 @@
 
 import json
 import random
+import time
 
 import pytest
 
 from conftest import make_instance, sample_tiny
+import hffs.lbbd as lbbd
 from hffs.instance_gen import GenSpec, generate
 from hffs.lbbd import BendersCut, Budgets, fingerprint_of, gaps, run
 from hffs.master import solve_master
@@ -112,7 +114,7 @@ def test_timed_budgets_record_wall_clock():
         proc={("a", "s1", 1): 3},
         transport={},
     )
-    log = run(inst, budgets=Budgets(total_time=60.0))
+    log = run(inst, budgets=Budgets(deadline=time.perf_counter() + 60.0))
     assert log.status == "optimal"
     assert log.wall_time is not None
     assert all(it.wall_time is not None for it in log.iterations)
@@ -143,7 +145,7 @@ def test_budgets_that_cannot_double_are_rejected():
     for budgets in ({"master_nodes": 0}, {"sub_nodes": 0}, {"master_nodes": -1}):
         with pytest.raises(ValueError, match="at least 1"):
             Budgets(**budgets)
-    for seconds in (0.0, -1.0):
+    for seconds in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="positive"):
             Budgets(master_time=seconds)
 
@@ -171,3 +173,24 @@ def test_a_master_time_budget_alone_ends_optimal():
     demo = generate(GenSpec(group=2, jobs=3, stages=2, variant=1, seed=3))
     log = run(demo, Budgets(master_time=1e-4))
     assert (log.status, log.lb, log.ub) == ("optimal", 10, 10)
+
+
+def test_the_master_stops_halfway_to_the_deadline(monkeypatch):
+    """Each master's deadline is no later than the midpoint between its call
+    and the run's deadline, nor than its call plus the master time budget."""
+    calls = []
+
+    def spy(*args, deadline=None, **kwargs):
+        calls.append((time.perf_counter(), deadline))
+        return solve_master(*args, deadline=deadline, **kwargs)
+
+    monkeypatch.setattr(lbbd, "solve_master", spy)
+    demo = generate(GenSpec(group=2, jobs=3, stages=2, variant=1, seed=3))
+    deadline = time.perf_counter() + 60.0
+    for master_time in (None, 0.5):
+        calls.clear()
+        run(demo, Budgets(master_time=master_time, deadline=deadline, max_iterations=2))
+        assert calls
+        for called, stop in calls:
+            assert called < stop <= (called + deadline) / 2
+            assert master_time is None or stop <= called + master_time
