@@ -12,7 +12,7 @@ import time
 from .bounds import best_lb
 from .full_model import solve_full
 from .instance_gen import GenSpec, generate
-from .lbbd import Budgets, gaps, run
+from .lbbd import Budgets, RunLog, gaps, run
 from .model import (
     Instance,
     instance_from_json,
@@ -102,38 +102,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- solve
 
 
-def _solve_cp(
-    inst: Instance, node_budget: int | None, deadline: float | None
-) -> dict[str, object]:
-    best = best_lb(inst).best
-    result, sched = solve_full(inst, node_budget=node_budget, deadline=deadline, lb_floor=best)
-    row: dict[str, object] = {
-        "best_lb": best,
-        "lb": result.lower_bound,
-        "ub": result.objective,
-        "iterations": 0,
-        "nodes": result.nodes,
-        "status": result.status,
-        "schedule": sched,
-        "runlog": None,
-    }
-    return row
-
-
-def _solve_lbbd(inst: Instance, budgets: Budgets) -> dict[str, object]:
-    log = run(inst, budgets=budgets)
-    return {
-        "best_lb": log.best_lb,
-        "lb": log.lb,
-        "ub": log.ub,
-        "iterations": len(log.iterations),
-        "nodes": log.nodes,
-        "status": log.status,
-        "schedule": log.schedule,
-        "runlog": log,
-    }
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()  # --time-limit and wall_time count from here
     try:
@@ -141,7 +109,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             raise ValueError("the time limit must be positive")
         budgets = Budgets(  # checks the budgets of both methods
             master_nodes=args.node_budget,
-            master_time=args.master_time_limit,
             sub_nodes=args.node_budget,
             deadline=None if args.time_limit is None else started + args.time_limit,
             max_iterations=args.max_iterations,
@@ -151,13 +118,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.method == "cp":
-        row = _solve_cp(inst, args.node_budget, budgets.deadline)
+        best = best_lb(inst).best
+        result, sched = solve_full(
+            inst, node_budget=args.node_budget, deadline=budgets.deadline, lb_floor=best
+        )
+        log = RunLog(  # no iterations; clock-free under node budgets, as lbbd's
+            best, result.lower_bound, result.objective, result.status, nodes=result.nodes,
+            wall_time=None if budgets.deterministic else result.wall_time, schedule=sched,
+        )
     else:
-        row = _solve_lbbd(inst, budgets)
+        log = run(inst, budgets=budgets)
     wall_time = time.perf_counter() - started
-    ub = row["ub"]
+    ub = log.ub
     if ub is not None:
-        original, real = gaps(row["best_lb"], row["lb"], ub)
+        original, real = gaps(log.best_lb, log.lb, ub)
         gap_o, gap_r = _fmt(original), _fmt(real)
     else:
         gap_o = gap_r = ""
@@ -166,23 +140,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         ",".join(
             [
                 _label_of(args.instance),
-                str(row["best_lb"]),
-                str(row["lb"]),
+                str(log.best_lb),
+                str(log.lb),
                 "" if ub is None else str(ub),
                 gap_o,
                 gap_r,
-                str(row["iterations"]),
-                str(row["nodes"]),
+                str(len(log.iterations)),
+                str(log.nodes),
                 _fmt(wall_time, "{:.3f}"),
-                str(row["status"]),
+                log.status,
             ]
         )
     )
-    sched = row["schedule"]
-    if args.output and sched is not None and not _write(args.output, schedule_to_json(sched)):
-        return 1
-    log = row["runlog"]
-    if args.runlog and log is not None and not _write(args.runlog, log.to_json()):
+    if args.output and log.schedule is not None:
+        if not _write(args.output, schedule_to_json(log.schedule)):
+            return 1
+    if args.runlog and not _write(args.runlog, log.to_json()):
         return 1
     return 0
 
@@ -418,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance")
     p_solve.add_argument("--method", choices=("cp", "lbbd"), default="lbbd")
     p_solve.add_argument("--time-limit", type=float, default=None)
-    p_solve.add_argument("--master-time-limit", type=float, default=None)
     p_solve.add_argument("--node-budget", type=int, default=None)
     p_solve.add_argument("--max-iterations", type=int, default=None)
     p_solve.add_argument(

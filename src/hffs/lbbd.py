@@ -26,12 +26,15 @@ any machine assignment is feasible and warm-starts every subproblem, so no
 subproblem is infeasible.  A master solution whose fingerprint already has
 a cut skips its subproblem, which was solved and whose zeta the upper bound
 already holds: the iteration records the cut's zeta and 0 subproblem nodes,
-and doubles the master's node budget (and its time budget, if it has one).
+and doubles the master's node budget.
 Time: ``Budgets.deadline`` is one ``time.perf_counter()`` reading shared by
-every layer.  Each master stops at the earlier of the midpoint between its
-start and the deadline and its start plus the master time budget, and the
-subproblem runs to the deadline, so a subproblem keeps about half the time
-left (Hooker's scheme needs both to run in each iteration).
+every layer.  Each master stops at the midpoint between its start and the
+deadline, and the subproblem runs to the deadline, so a subproblem keeps
+about half the time left (Hooker's scheme needs both to run in each
+iteration).  The deadline is the one time budget; only node budgets
+double.  It is checked from the second iteration on: as the engine always
+propagates its root, the first iteration runs its master and subproblem
+even past the deadline, so a run returns the serial schedule or better.
 Termination: bound meets upper bound (optimal), or iteration budget or
 deadline (feasible with gap).  Under node budgets alone the loop ends
 optimal: each iteration installs a cut on a new fingerprint (there are
@@ -78,31 +81,22 @@ class BendersCut:
 @dataclass(frozen=True, slots=True)
 class Budgets:
     master_nodes: int | None = None
-    master_time: float | None = None
     sub_nodes: int | None = None
     deadline: float | None = None  # a time.perf_counter() reading
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
-        """A budget that doubles must be able to grow."""
+        """A node budget doubles, so it must be able to grow; an iteration
+        budget must allow one iteration."""
         for nodes in (self.master_nodes, self.sub_nodes):
             if nodes is not None and nodes < 1:
                 raise ValueError("node budgets must be at least 1")
-        if self.master_time is not None and not self.master_time > 0:
-            raise ValueError("the master time budget must be positive")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError("the iteration budget must be at least 1")
 
     @property
     def deterministic(self) -> bool:
-        return self.master_time is None and self.deadline is None
-
-    def master_deadline(self, master_time: float | None) -> float | None:
-        """The earlier of the midpoint to the deadline and ``master_time``
-        seconds from now; None when neither is set."""
-        now = _time.perf_counter()
-        stops = [now + master_time] if master_time is not None else []
-        if self.deadline is not None:
-            stops.append((now + self.deadline) / 2)
-        return min(stops, default=None)
+        return self.deadline is None
 
 
 @dataclass(slots=True)
@@ -171,14 +165,13 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
     cuts: dict[Fingerprint, BendersCut] = {}
     log = RunLog(best_lb=seed_lb, lb=lb, ub=None, status="unknown")
     master_budget, sub_nodes = budgets.master_nodes, budgets.sub_nodes
-    master_time = budgets.master_time
     total_nodes = 0
     k = 0
     held: SubResult | None = None  # paused at its budget; msol is its master's
 
     while True:
         if (budgets.max_iterations is not None and k >= budgets.max_iterations) or (
-            deadline is not None and _time.perf_counter() >= deadline
+            k > 0 and deadline is not None and _time.perf_counter() >= deadline
         ):
             status = "feasible" if ub is not None else "unknown"
             break
@@ -189,29 +182,20 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
                 cuts.values(),
                 lb,
                 node_budget=master_budget,
-                deadline=budgets.master_deadline(master_time),
+                deadline=None if deadline is None else (_time.perf_counter() + deadline) / 2,
             )
             master_nodes, master_wall = msol.nodes, msol.wall_time
         else:
             master_nodes, master_wall = 0, 0.0  # no cut since: the same solution
-        total_nodes += master_nodes
         lb = max(lb, msol.lower_bound)
         fp = fingerprint_of(inst, msol)
+        zeta, nodes, wall = None, 0, 0.0
         if ub is not None and lb >= ub:
-            log.iterations.append(
-                IterationRecord(
-                    k, msol.lower_bound, _hash_fingerprint(fp), None, lb, ub,
-                    master_nodes, 0, None if deterministic else master_wall,
-                )
-            )
-            status = "optimal"
-            break
-        if fp in cuts:  # solved already: only a larger master budget moves on
-            zeta, nodes, wall = cuts[fp].zeta, 0, 0.0
+            pass  # proven by the master: no subproblem
+        elif fp in cuts:  # solved already: only a larger master budget moves on
+            zeta = cuts[fp].zeta
             if master_budget is not None:
                 master_budget *= 2
-            if master_time is not None:
-                master_time *= 2
         else:
             sres = solve_sub(
                 inst,
@@ -230,7 +214,7 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
                 cuts[fp] = BendersCut(fingerprint=fp, zeta=zeta)
             elif sub_nodes is not None:
                 sub_nodes *= 2  # incumbent kept, cut withheld, search continued
-        total_nodes += nodes
+        total_nodes += master_nodes + nodes
         log.iterations.append(
             IterationRecord(
                 k, msol.lower_bound, _hash_fingerprint(fp), zeta, lb, ub,

@@ -106,19 +106,26 @@ def test_cp_and_lbbd_agree_on_a_tiny_instance(tmp_path, capsys):
     assert row_cp[3] == row_lb[3]  # same optimum makespan
 
 
-def test_runlog_files_are_byte_identical_across_runs(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["cp", "lbbd"])
+def test_runlog_files_are_byte_identical_across_runs(tmp_path, capsys, method):
     path = gen_instance(tmp_path, capsys)
     logs = []
     for name in ("a.json", "b.json"):
         log_path = tmp_path / name
-        code, _, _ = run_cli(
-            capsys, "solve", str(path), "--method", "lbbd", "--seed", "7",
+        code, out, _ = run_cli(
+            capsys, "solve", str(path), "--method", method, "--seed", "7",
             "--node-budget", "50000", "--runlog", str(log_path))
         assert code == 0
         logs.append(log_path.read_bytes())
     assert logs[0] == logs[1]
     payload = json.loads(logs[0])
     assert payload["wall_time"] is None  # node budgets keep the log clock-free
+    row = dict(zip(CSV_HEADER.split(","), out.splitlines()[1].split(",")))
+    for key in ("best_lb", "lb", "ub", "nodes", "status"):
+        assert str(payload[key]) == row[key]
+    assert len(payload["iterations"]) == int(row["iterations"])
+    if method == "cp":
+        assert payload["iterations"] == []
 
 
 def test_report_aggregates_rows_per_method(tmp_path, capsys):
@@ -212,8 +219,8 @@ def test_an_unwritable_output_gives_one_error_line(tmp_path, capsys, command):
 
 @pytest.mark.parametrize(
     "budget",
-    [("--node-budget", "0"), ("--node-budget", "-3"), ("--master-time-limit", "0"),
-     ("--time-limit", "0"), ("--time-limit", "-1")])
+    [("--node-budget", "0"), ("--node-budget", "-3"), ("--max-iterations", "-1"),
+     ("--time-limit", "0"), ("--time-limit", "-1"), ("--max-iterations", "0")])
 @pytest.mark.parametrize("method", ["cp", "lbbd"])
 def test_solve_rejects_a_budget_that_cannot_double(tmp_path, capsys, method, budget):
     path = gen_instance(tmp_path, capsys)

@@ -82,11 +82,8 @@ def test_iteration_budget_exits_with_a_feasible_log():
     assert log.ub is not None
     assert validate_schedule(inst, log.schedule) == []
     assert log.lb <= log.ub
-    empty = run(inst, budgets=Budgets(max_iterations=0))
-    assert empty.status == "unknown"
-    assert empty.ub is None
-    assert empty.iterations == []
-    assert empty.lb == empty.best_lb
+    with pytest.raises(ValueError, match="at least 1"):
+        Budgets(max_iterations=0)
 
 
 def test_deterministic_budgets_serialize_identically():
@@ -120,6 +117,17 @@ def test_timed_budgets_record_wall_clock():
     assert all(it.wall_time is not None for it in log.iterations)
 
 
+def test_a_passed_deadline_still_runs_the_first_iteration():
+    """Like the engine, which always propagates its root, the loop checks the
+    deadline only from the second iteration on, so it returns a schedule."""
+    inst = generate(GenSpec(group=1, jobs=20, seed=1))
+    log = run(inst, Budgets(deadline=time.perf_counter()))
+    assert len(log.iterations) == 1
+    assert log.status in ("feasible", "optimal")
+    assert log.ub is not None and log.schedule.makespan == log.ub
+    assert validate_schedule(inst, log.schedule) == []
+
+
 def test_cut_construction_is_validated():
     fp = ((("a", "s1"), "m1"),)
     with pytest.raises(ValueError, match="at least 1"):
@@ -142,12 +150,12 @@ def test_fingerprint_follows_instance_operation_order():
 
 
 def test_budgets_that_cannot_double_are_rejected():
-    for budgets in ({"master_nodes": 0}, {"sub_nodes": 0}, {"master_nodes": -1}):
+    for budgets in (
+        {"master_nodes": 0}, {"sub_nodes": 0}, {"master_nodes": -1},
+        {"max_iterations": 0}, {"max_iterations": -1},
+    ):
         with pytest.raises(ValueError, match="at least 1"):
             Budgets(**budgets)
-    for seconds in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="positive"):
-            Budgets(master_time=seconds)
 
 
 @pytest.mark.parametrize("nodes", [1, 10])
@@ -167,17 +175,9 @@ def test_node_budgets_alone_end_optimal(suite50, suite_optima, nodes):
         assert (log.status, log.lb, log.ub) == ("optimal", optimum, optimum)
 
 
-def test_a_master_time_budget_alone_ends_optimal():
-    """A master time budget too short to leave a cut assignment doubles like
-    a node budget, so the loop ends without a total time limit."""
-    demo = generate(GenSpec(group=2, jobs=3, stages=2, variant=1, seed=3))
-    log = run(demo, Budgets(master_time=1e-4))
-    assert (log.status, log.lb, log.ub) == ("optimal", 10, 10)
-
-
 def test_the_master_stops_halfway_to_the_deadline(monkeypatch):
-    """Each master's deadline is no later than the midpoint between its call
-    and the run's deadline, nor than its call plus the master time budget."""
+    """Each master's deadline is the midpoint between its call and the run's
+    deadline."""
     calls = []
 
     def spy(*args, deadline=None, **kwargs):
@@ -187,10 +187,7 @@ def test_the_master_stops_halfway_to_the_deadline(monkeypatch):
     monkeypatch.setattr(lbbd, "solve_master", spy)
     demo = generate(GenSpec(group=2, jobs=3, stages=2, variant=1, seed=3))
     deadline = time.perf_counter() + 60.0
-    for master_time in (None, 0.5):
-        calls.clear()
-        run(demo, Budgets(master_time=master_time, deadline=deadline, max_iterations=2))
-        assert calls
-        for called, stop in calls:
-            assert called < stop <= (called + deadline) / 2
-            assert master_time is None or stop <= called + master_time
+    run(demo, Budgets(deadline=deadline, max_iterations=2))
+    assert calls
+    for called, stop in calls:
+        assert called < stop <= (called + deadline) / 2
