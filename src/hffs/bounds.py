@@ -63,7 +63,7 @@ class BoundReport:
         doc["per_stage_head"] = {
             f"{j}|{s}": list(head) for (j, s), head in self.per_stage_head.items()
         }
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, separators=(",", ":"))
 
 
 def relaxed_times(inst: Instance) -> dict[Op, int]:
@@ -75,24 +75,14 @@ def relaxed_times(inst: Instance) -> dict[Op, int]:
     }
 
 
-def _stage_machines(inst: Instance) -> dict[str, list[str]]:
-    """Each stage's machines in machine order (one pass over the machines)."""
-    machines: dict[str, list[str]] = {}
-    for m, s in inst.machines.items():
-        machines.setdefault(s, []).append(m)
-    return machines
-
-
-def _transport_prefix(
-    inst: Instance, elig: tuple[str, ...], machines: dict[str, list[str]]
-) -> dict[str, int]:
+def _transport_prefix(inst: Instance, elig: tuple[str, ...]) -> dict[str, int]:
     """Cheapest total transport from the chain's first stage up to each of
     its stages, minimised over machine choices (layered shortest path)."""
     best: dict[str, int] = {elig[0]: 0}
-    layer = {m: 0 for m in machines.get(elig[0], ())}
+    layer = {m: 0 for m in inst.machines_of(elig[0])}
     for cur in elig[1:]:
         nxt: dict[str, int] = {}
-        for n in machines.get(cur, ()):
+        for n in inst.machines_of(cur):
             costs = []
             for m, acc in layer.items():
                 t = inst.transport.get((m, n))
@@ -108,12 +98,11 @@ def _transport_prefix(
 def _transport_prefixes(inst: Instance) -> dict[str, dict[str, int]]:
     """Each job's transport prefix, computed once per distinct eligible-stage
     chain (jobs on one chain share the dict)."""
-    machines = _stage_machines(inst)
     by_chain: dict[tuple[str, ...], dict[str, int]] = {}
     for j in inst.jobs:
         chain = inst.eligible_stages[j]
         if chain not in by_chain:
-            by_chain[chain] = _transport_prefix(inst, chain, machines)
+            by_chain[chain] = _transport_prefix(inst, chain)
     return {j: by_chain[inst.eligible_stages[j]] for j in inst.jobs}
 
 
@@ -247,10 +236,7 @@ def best_lb(inst: Instance) -> BoundReport:
         "lb1": _lb1(inst, pbar),
         "lb2": _lb2(inst, pbar, transport_min),
         "lb3": _lb3(inst, pbar, heads),
-        "lb4": None if parts["lb4"] is None else math.ceil(parts["lb4"]),
-        "lb5": None if parts["lb5"] is None else math.ceil(parts["lb5"]),
-        "lb6": None if parts["lb6"] is None else math.ceil(parts["lb6"]),
-        "lb7": None if parts["lb7"] is None else math.ceil(parts["lb7"]),
+        **{k: None if part is None else math.ceil(part) for k, part in parts.items()},
         "lb8": lb8_malleable(inst),
     }
     return BoundReport(

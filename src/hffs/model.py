@@ -20,8 +20,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 
 Op = tuple[str, str]
 Interval = tuple[int, int]
@@ -36,6 +38,11 @@ class Instance:
     for every (m, n) machine pair that some job could traverse between
     consecutive eligible stages.  ``proc_time`` maps (job, stage, workers) to
     the processing duration for every admissible worker count of the stage.
+
+    Two slots rely on that immutability and are neither init fields nor
+    compared: the stage -> machines table that ``machines_of`` reads, built
+    here, and the violations that ``validate_instance`` stores on its first
+    call.  A ``dataclasses.replace`` copy derives both afresh.
     """
 
     jobs: tuple[str, ...]
@@ -49,9 +56,18 @@ class Instance:
     workers_min: dict[str, int]
     workers_max: dict[str, int]
     proc_time: dict[tuple[str, str, int], int]
+    _stage_machines: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _violations: list[str] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        table: dict[str, list[str]] = {}
+        for m, s in self.machines.items():
+            table.setdefault(s, []).append(m)
+        object.__setattr__(self, "_stage_machines", {s: tuple(ms) for s, ms in table.items()})
 
     def machines_of(self, stage: str) -> tuple[str, ...]:
-        return tuple(m for m, s in self.machines.items() if s == stage)
+        """The stage's machines in machine order; ``()`` for an unknown stage."""
+        return self._stage_machines.get(stage, ())
 
     def worker_window(self, stage: str) -> range:
         return range(self.workers_min[stage], self.workers_max[stage] + 1)
@@ -143,7 +159,16 @@ def validate_instance(inst: Instance) -> list[str]:
 
     An empty list means the instance is well formed.  Violations carry the
     offending job/stage/machine ids so callers can report a precise locus.
+    The result is stored on the instance, which is immutable after
+    construction, so every later call is a lookup; each call returns a
+    fresh list.
     """
+    if inst._violations is None:
+        object.__setattr__(inst, "_violations", _instance_violations(inst))
+    return list(inst._violations)
+
+
+def _instance_violations(inst: Instance) -> list[str]:
     v: list[str] = []
     if not inst.jobs:
         v.append("instance has no jobs")
@@ -190,6 +215,15 @@ def validate_instance(inst: Instance) -> list[str]:
         idx = [stage_index[s] for s in elig]
         if idx != sorted(set(idx)):
             v.append(f"job {j} eligible stages violate the global stage order")
+    known = {"job": set(inst.jobs), "machine": inst.machines, "stage": stage_index}
+    for what, table, kind in (
+        ("eligible stages", inst.eligible_stages, "job"),
+        ("entry buffer capacity", inst.buffer_in, "machine"),
+        ("exit buffer capacity", inst.buffer_out, "machine"),
+        ("minimum worker count", inst.workers_min, "stage"),
+        ("maximum worker count", inst.workers_max, "stage"),
+    ):
+        v.extend(f"{what} listed for unknown {kind} {k}" for k in table if k not in known[kind])
 
     # Processing-time table: complete over admissible worker counts, positive,
     # and satisfying the equal-work floor p[j,s,w] >= ceil(p[j,s,1]/w) when a
@@ -236,9 +270,11 @@ def validate_instance(inst: Instance) -> list[str]:
     for pair in sorted(needed_pairs):
         if pair not in inst.transport:
             v.append(f"missing transport entry for machine pair {pair[0]} -> {pair[1]}")
-    for pair, t in inst.transport.items():
+    for (m, n), t in inst.transport.items():
+        if m not in inst.machines or n not in inst.machines:
+            v.append(f"transport time listed for unknown machine pair {m} -> {n}")
         if t < 0:
-            v.append(f"negative transport time for machine pair {pair[0]} -> {pair[1]}")
+            v.append(f"negative transport time for machine pair {m} -> {n}")
     return v
 
 
@@ -388,41 +424,60 @@ def _parse_op_key(key: str) -> Op:
     return job, stage
 
 
-def _require_int(value: object, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where}: expected an integer, got {value!r}")
+_KINDS = {str: "a string id", int: "an integer", list: "a JSON array", dict: "a JSON object"}
+
+
+def _require(value: object, kind: type, where: str):
+    """``value`` if its parsed JSON type is exactly ``kind`` (so a boolean is
+    no integer), else a ValueError naming ``where``."""
+    if type(value) is not kind:
+        raise ValueError(f"{where}: expected {_KINDS[kind]}, got {value!r}")
     return value
 
 
-def _require_id(value: object, where: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{where}: expected a string id, got {value!r}")
-    return value
-
-
-def _require_array(value: object, where: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{where}: expected a JSON array, got {value!r}")
-    return value
-
-
-def _require_object(value: object, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {value!r}")
-    return value
+def _document(text: str, what: str, fields: set[str]) -> dict:
+    """The top-level object of a document with exactly ``fields``."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} document must be a JSON object")
+    unknown = set(doc) - fields
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = fields - set(doc)
+    if missing:
+        raise ValueError(f"missing {what} fields: {sorted(missing)}")
+    return doc
 
 
 def _rows(value: object, name: str, fields: set[str]) -> list[dict]:
     """The rows of an array-of-objects field, each with exactly ``fields``."""
-    rows = [_require_object(row, f"{name} row") for row in _require_array(value, name)]
+    rows = _require(value, list, name)
     for row in rows:
-        extra = set(row) - fields
-        if extra:
-            raise ValueError(f"unknown {name} fields: {sorted(extra)}")
-        missing = fields - set(row)
-        if missing:
-            raise ValueError(f"{name} row misses fields: {sorted(missing)}")
+        if type(row) is not dict:
+            _require(row, dict, f"{name} row")
+    for row in rows:
+        if row.keys() != fields:
+            extra = row.keys() - fields
+            if extra:
+                raise ValueError(f"unknown {name} fields: {sorted(extra)}")
+            raise ValueError(f"{name} row misses fields: {sorted(fields - row.keys())}")
     return rows
+
+
+def _check_unique(table: dict, rows: list[dict], name: str, key: itemgetter, show: str) -> None:
+    """Reject a repeated ``key``: ``table`` was built from ``rows`` by it."""
+    if len(table) != len(rows):
+        counts = Counter(map(key, rows))
+        row = next(r for r in rows if counts[key(r)] > 1)
+        raise ValueError(f"duplicate {name} row " + show.format_map(row))
+
+
+def _ids(value: object, where: str) -> tuple[str, ...]:
+    items = _require(value, list, where)
+    for item in items:
+        if type(item) is not str:
+            _require(item, str, where)
+    return tuple(items)
 
 
 def instance_to_json(inst: Instance) -> str:
@@ -444,60 +499,67 @@ def instance_to_json(inst: Instance) -> str:
             for (j, s, w), p in inst.proc_time.items()
         ],
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def instance_from_json(text: str) -> Instance:
-    """Parse an instance document, rejecting unknown or ill-typed fields."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("instance document must be a JSON object")
-    unknown = set(doc) - _INSTANCE_FIELDS
-    if unknown:
-        raise ValueError(f"unknown instance fields: {sorted(unknown)}")
-    missing = _INSTANCE_FIELDS - set(doc)
-    if missing:
-        raise ValueError(f"missing instance fields: {sorted(missing)}")
+    """Parse an instance document, rejecting unknown or ill-typed fields and
+    repeated rows.  Values are type-tested inline; ``_require`` runs only to
+    word an error."""
+    doc = _document(text, "instance", _INSTANCE_FIELDS)
+    rows = _rows(doc["machines"], "machine", {"id", "stage"})
+    machines: dict[str, str] = {}
+    for row in rows:
+        m, s = row["id"], row["stage"]
+        if type(m) is not str or type(s) is not str:
+            _require(m, str, "machine.id")
+            _require(s, str, "machine.stage")
+        machines[m] = s
+    _check_unique(machines, rows, "machine", itemgetter("id"), "{id}")
 
-    machines = {
-        _require_id(row["id"], "machine.id"): _require_id(row["stage"], "machine.stage")
-        for row in _rows(doc["machines"], "machine", {"id", "stage"})
-    }
-    transport = {
-        (_require_id(row["from"], "transport.from"), _require_id(row["to"], "transport.to")):
-            _require_int(row["t"], "transport.t")
-        for row in _rows(doc["transport"], "transport", {"from", "to", "t"})
-    }
-    proc_time = {
-        (
-            _require_id(row["job"], "proc_time.job"),
-            _require_id(row["stage"], "proc_time.stage"),
-            _require_int(row["w"], "proc_time.w"),
-        ): _require_int(row["p"], "proc_time.p")
-        for row in _rows(doc["proc_time"], "proc_time", {"job", "stage", "w", "p"})
-    }
+    rows = _rows(doc["transport"], "transport", {"from", "to", "t"})
+    transport: dict[tuple[str, str], int] = {}
+    for row in rows:
+        m, n, t = row["from"], row["to"], row["t"]
+        if type(m) is not str or type(n) is not str or type(t) is not int:
+            _require(m, str, "transport.from")
+            _require(n, str, "transport.to")
+            _require(t, int, "transport.t")
+        transport[(m, n)] = t
+    _check_unique(transport, rows, "transport", itemgetter("from", "to"), "{from} -> {to}")
+
+    rows = _rows(doc["proc_time"], "proc_time", {"job", "stage", "w", "p"})
+    proc_time: dict[tuple[str, str, int], int] = {}
+    for row in rows:
+        j, s, w, p = row["job"], row["stage"], row["w"], row["p"]
+        if type(j) is not str or type(s) is not str or type(w) is not int or type(p) is not int:
+            _require(j, str, "proc_time.job")
+            _require(s, str, "proc_time.stage")
+            _require(w, int, "proc_time.w")
+            _require(p, int, "proc_time.p")
+        proc_time[(j, s, w)] = p
+    key = itemgetter("job", "stage", "w")
+    _check_unique(proc_time, rows, "proc_time", key, "({job},{stage},{w})")
 
     def ints(name: str) -> dict[str, int]:
-        fields = _require_object(doc[name], name)
-        return {k: _require_int(v, name) for k, v in fields.items()}
+        table = _require(doc[name], dict, name)
+        for v in table.values():
+            if type(v) is not int:
+                _require(v, int, name)
+        return table
 
     return Instance(
-        jobs=tuple(_require_id(j, "jobs") for j in _require_array(doc["jobs"], "jobs")),
-        stages=tuple(
-            _require_id(s, "stages") for s in _require_array(doc["stages"], "stages")
-        ),
+        jobs=_ids(doc["jobs"], "jobs"),
+        stages=_ids(doc["stages"], "stages"),
         machines=machines,
         eligible_stages={
-            j: tuple(
-                _require_id(s, f"eligible_stages.{j}")
-                for s in _require_array(elig, f"eligible_stages.{j}")
-            )
-            for j, elig in _require_object(doc["eligible_stages"], "eligible_stages").items()
+            j: _ids(elig, f"eligible_stages.{j}")
+            for j, elig in _require(doc["eligible_stages"], dict, "eligible_stages").items()
         },
         buffer_in=ints("buffer_in"),
         buffer_out=ints("buffer_out"),
         transport=transport,
-        workers_total=_require_int(doc["workers_total"], "workers_total"),
+        workers_total=_require(doc["workers_total"], int, "workers_total"),
         workers_min=ints("workers_min"),
         workers_max=ints("workers_max"),
         proc_time=proc_time,
@@ -522,33 +584,25 @@ def schedule_to_dict(sched: Schedule) -> dict:
 
 
 def schedule_to_json(sched: Schedule) -> str:
-    return json.dumps(schedule_to_dict(sched), indent=2)
+    return json.dumps(schedule_to_dict(sched), separators=(",", ":"))
 
 
 def schedule_from_json(text: str) -> Schedule:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("schedule document must be a JSON object")
-    unknown = set(doc) - _SCHEDULE_FIELDS
-    if unknown:
-        raise ValueError(f"unknown schedule fields: {sorted(unknown)}")
-    missing = _SCHEDULE_FIELDS - set(doc)
-    if missing:
-        raise ValueError(f"missing schedule fields: {sorted(missing)}")
+    doc = _document(text, "schedule", _SCHEDULE_FIELDS)
 
     machine_of = {
-        _parse_op_key(k): _require_id(m, "machine_of")
-        for k, m in _require_object(doc["machine_of"], "machine_of").items()
+        _parse_op_key(k): _require(m, str, "machine_of")
+        for k, m in _require(doc["machine_of"], dict, "machine_of").items()
     }
     workers_of = {
-        _parse_op_key(k): _require_int(w, "workers_of")
-        for k, w in _require_object(doc["workers_of"], "workers_of").items()
+        _parse_op_key(k): _require(w, int, "workers_of")
+        for k, w in _require(doc["workers_of"], dict, "workers_of").items()
     }
     wait_before: dict[Op, Interval] = {}
     process: dict[Op, Interval] = {}
     wait_after: dict[Op, Interval] = {}
-    for key, triple in _require_object(doc["intervals"], "intervals").items():
-        triple = _require_object(triple, f"intervals.{key}")
+    for key, triple in _require(doc["intervals"], dict, "intervals").items():
+        triple = _require(triple, dict, f"intervals.{key}")
         if set(triple) != {"wb", "pr", "wa"}:
             raise ValueError(f"interval fields for {key} must be wb, pr, wa: {sorted(triple)}")
         op = _parse_op_key(key)
@@ -556,12 +610,12 @@ def schedule_from_json(text: str) -> Schedule:
             pair = triple[name]
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ValueError(f"interval {name} of {key} must be a [start, end] pair")
-            target[op] = (_require_int(pair[0], name), _require_int(pair[1], name))
+            target[op] = (_require(pair[0], int, name), _require(pair[1], int, name))
     return Schedule(
         machine_of=machine_of,
         workers_of=workers_of,
         wait_before=wait_before,
         process=process,
         wait_after=wait_after,
-        makespan=_require_int(doc["makespan"], "makespan"),
+        makespan=_require(doc["makespan"], int, "makespan"),
     )

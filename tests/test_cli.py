@@ -6,9 +6,11 @@ import time
 import pytest
 
 import hffs.cli as cli
+from hffs.bounds import best_lb
 from hffs.cli import CSV_HEADER, main
 from hffs.instance_gen import GenSpec, generate
-from hffs.model import instance_to_json
+from hffs.lbbd import Budgets, run
+from hffs.model import instance_from_json, instance_to_json, schedule_from_json
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +53,26 @@ def test_bounds_prints_every_bound_and_the_best(tmp_path, capsys):
         assert name in out
     payload = json.loads(out_json.read_text())
     assert payload["best"] >= payload["lb1"]
+
+
+def test_written_files_are_one_line_that_parses_back(tmp_path, capsys):
+    path = gen_instance(tmp_path, capsys)
+    inst = generate(GenSpec(group=2, jobs=3, stages=2, variant=1, seed=3))
+    sched_path, bounds_path = tmp_path / "sched.json", tmp_path / "bounds.json"
+    assert run_cli(capsys, "solve", str(path), "-o", str(sched_path))[0] == 0
+    assert run_cli(capsys, "bounds", str(path), "-o", str(bounds_path))[0] == 0
+    texts = [p.read_text() for p in (path, sched_path, bounds_path)]
+    assert all(text.count("\n") == 1 and text.endswith("\n") for text in texts)
+    assert instance_from_json(texts[0]) == inst
+    assert schedule_from_json(texts[1]) == run(inst, budgets=Budgets()).schedule
+    report = best_lb(inst)
+    assert json.loads(texts[2]) == {
+        **report.values(),
+        "best": report.best,
+        "relaxed_times": {f"{j}|{s}": p for (j, s), p in report.relaxed_times.items()},
+        "transport_min": report.transport_min,
+        "per_stage_head": {f"{j}|{s}": list(h) for (j, s), h in report.per_stage_head.items()},
+    }
 
 
 def test_bounds_on_a_missing_file_exits_one(capsys):
@@ -183,6 +205,34 @@ def test_bad_instance_gives_one_error_line(tmp_path, capsys, mutate, command):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "array, value, message",
+    [
+        ("machines", "stage", "duplicate machine row {id}"),
+        ("transport", "t", "duplicate transport row {from} -> {to}"),
+        ("proc_time", "p", "duplicate proc_time row ({job},{stage},{w})"),
+    ],
+    ids=["machines", "transport", "proc_time"],
+)
+@pytest.mark.parametrize("conflicting", [False, True], ids=["exact", "conflicting"])
+@pytest.mark.parametrize("command", ["bounds", "solve", "validate"])
+def test_a_duplicate_row_gives_one_error_line(
+    tmp_path, capsys, array, value, message, conflicting, command
+):
+    path = gen_instance(tmp_path, capsys)
+    blob = json.loads(path.read_text())
+    row = dict(blob[array][0])
+    if conflicting:
+        row[value] = "s2" if array == "machines" else row[value] + 40
+    blob[array].append(row)
+    path.write_text(json.dumps(blob))
+    argv = [command, str(path)] + ([str(path)] if command == "validate" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: " + message.format(**row)]
 
 
 def test_bad_schedule_gives_one_error_line(tmp_path, capsys):

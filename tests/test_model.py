@@ -2,11 +2,13 @@
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
 from conftest import make_instance, sample_tiny
 
+from hffs.instance_gen import GenSpec, generate
 from hffs.model import (
     Schedule,
     instance_from_json,
@@ -83,6 +85,47 @@ def test_missing_processing_entry_is_flagged():
         workers_max={"s1": 2},
     )
     assert any("proc" in v.lower() or "worker" in v.lower() for v in validate_instance(inst))
+
+
+@pytest.mark.parametrize(
+    "table, key, value, message",
+    [
+        ("eligible_stages", "ghost", ("s1",), "eligible stages listed for unknown job ghost"),
+        ("buffer_in", "ghost_m", 1, "entry buffer capacity listed for unknown machine ghost_m"),
+        ("buffer_out", "ghost_m", 1, "exit buffer capacity listed for unknown machine ghost_m"),
+        ("transport", ("ghost_m", "m2"), 1,
+         "transport time listed for unknown machine pair ghost_m -> m2"),
+        ("workers_min", "ghost_s", 1, "minimum worker count listed for unknown stage ghost_s"),
+        ("workers_max", "ghost_s", 1, "maximum worker count listed for unknown stage ghost_s"),
+    ],
+    ids=["eligible_stages", "buffer_in", "buffer_out", "transport", "workers_min", "workers_max"],
+)
+def test_an_entry_keyed_by_an_unknown_id_is_flagged(table, key, value, message):
+    inst = two_stage_instance()
+    ghost = replace(inst, **{table: {**getattr(inst, table), key: value}})
+    assert validate_instance(ghost) == [message]
+
+
+def test_machines_of_lists_a_stage_in_machine_order():
+    inst = replace(two_stage_instance(), machines={"m3": "s1", "m2": "s2", "m1": "s1"})
+    assert inst.machines_of("s1") == ("m3", "m1")
+    assert inst.machines_of("s2") == ("m2",)
+    assert inst.machines_of("ghost") == ()
+
+
+def test_validate_instance_returns_a_fresh_list_each_call():
+    inst = replace(two_stage_instance(), workers_total=0)
+    first, second = validate_instance(inst), validate_instance(inst)
+    assert first == second and first is not second
+    first.clear()
+    assert validate_instance(inst) == second != []
+
+
+def test_a_replaced_instance_is_validated_afresh():
+    inst = two_stage_instance()
+    assert validate_instance(inst) == []
+    assert "workers_total must be positive" in validate_instance(replace(inst, workers_total=0))
+    assert validate_instance(inst) == []
 
 
 def test_serial_schedule_is_feasible_and_sums_chain():
@@ -223,6 +266,16 @@ def test_instance_json_round_trip_sampled():
     for _ in range(10):
         inst = sample_tiny(rng)
         assert instance_from_json(instance_to_json(inst)) == inst
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GenSpec(group=1, jobs=20, seed=0), GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0)],
+    ids=["group1-20", "group2-20"],
+)
+def test_generated_instance_json_round_trip(spec):
+    inst = generate(spec)
+    assert instance_from_json(instance_to_json(inst)) == inst
 
 
 def test_instance_json_rejects_unknown_field():
