@@ -6,6 +6,7 @@ from fractions import Fraction
 from conftest import make_instance, sample_tiny
 
 from hffs.bounds import BoundReport, best_lb, lb8_malleable, relaxed_times
+from hffs.instance_gen import GenSpec, generate
 
 from oracles import brute_force_optimum, lp_lower_bound
 
@@ -302,3 +303,58 @@ def test_bound_report_json_mentions_every_bound():
     blob = rep.to_json()
     for key in ("lb1", "lb2", "lb3", "lb8", "best", "relaxed_times"):
         assert key in blob
+
+
+# (lb1, ..., lb8, best) per generated instance, keyed by (group, jobs, stages,
+# variant, seed).  Frozen so that a rewrite of the bound formulas that
+# weakens (or wrongly strengthens) any bound fails here, not only against the
+# soundness referees.  lb5, lb6 and lb7 fire on 30, 7 and 9 of these.
+PINNED_REPORTS = {
+    (2, 5, 2, 1, 0): (7, 15, 7, None, None, None, None, 6, 15),
+    (2, 5, 2, 1, 1): (4, 4, 4, None, None, None, None, 5, 5),
+    (2, 5, 2, 2, 0): (8, 10, 12, 3, None, None, None, 7, 12),
+    (2, 5, 2, 2, 1): (4, 5, 4, None, None, None, None, 6, 6),
+    (2, 5, 3, 1, 0): (8, 20, 8, 4, None, None, None, 12, 20),
+    (2, 5, 3, 1, 1): (10, 17, 12, 5, None, None, None, 11, 17),
+    (2, 5, 3, 2, 0): (8, 16, 14, 2, None, None, 3, 12, 16),
+    (2, 5, 3, 2, 1): (11, 23, 22, 4, None, None, None, 13, 23),
+    (2, 5, 4, 1, 0): (9, 18, 12, 4, 4, None, None, 15, 18),
+    (2, 5, 4, 1, 1): (7, 25, 17, 4, None, None, None, 15, 25),
+    (2, 5, 4, 2, 0): (8, 21, 14, 4, 5, 6, 2, 16, 21),
+    (2, 5, 4, 2, 1): (8, 16, 16, 4, None, None, 3, 14, 16),
+    (2, 20, 2, 1, 0): (25, 11, 25, 2, 3, None, None, 30, 30),
+    (2, 20, 2, 1, 1): (25, 11, 25, 3, 4, None, None, 32, 32),
+    (2, 20, 2, 2, 0): (41, 8, 41, 2, 4, None, None, 30, 41),
+    (2, 20, 2, 2, 1): (24, 11, 24, 2, 3, None, None, 33, 33),
+    (2, 20, 3, 1, 0): (26, 21, 26, 3, 3, None, None, 45, 45),
+    (2, 20, 3, 1, 1): (29, 19, 29, 3, 4, None, None, 53, 53),
+    (2, 20, 3, 2, 0): (53, 22, 53, 1, 5, 5, 2, 50, 53),
+    (2, 20, 3, 2, 1): (53, 28, 57, 2, 5, None, None, 51, 57),
+    (2, 20, 4, 1, 0): (27, 28, 27, 3, 4, None, None, 64, 64),
+    (2, 20, 4, 1, 1): (31, 27, 31, 3, 4, None, None, 71, 71),
+    (2, 20, 4, 2, 0): (45, 28, 45, 3, 5, 5, 3, 64, 64),
+    (2, 20, 4, 2, 1): (52, 33, 52, 2, 6, 6, 2, 70, 70),
+    (2, 50, 2, 1, 0): (71, 12, 71, 3, 3, None, None, 84, 84),
+    (2, 50, 2, 1, 1): (71, 13, 71, 2, 3, None, None, 87, 87),
+    (2, 50, 2, 2, 0): (121, 12, 121, 3, 5, None, None, 86, 121),
+    (2, 50, 2, 2, 1): (60, 12, 60, 2, 3, None, None, 86, 86),
+    (2, 50, 3, 1, 0): (60, 18, 60, 3, 3, None, None, 116, 116),
+    (2, 50, 3, 1, 1): (68, 18, 68, 3, 3, None, None, 131, 131),
+    (2, 50, 3, 2, 0): (120, 26, 120, 2, 6, 4, 1, 117, 120),
+    (2, 50, 3, 2, 1): (128, 16, 128, 3, 6, None, None, 133, 133),
+    (2, 50, 4, 1, 0): (73, 28, 73, 3, 3, None, None, 174, 174),
+    (2, 50, 4, 1, 1): (67, 29, 67, 3, 3, None, None, 172, 172),
+    (2, 50, 4, 2, 0): (122, 30, 122, 3, 4, 4, 3, 173, 173),
+    (2, 50, 4, 2, 1): (120, 30, 120, 3, 4, 5, 1, 178, 178),
+    (1, 20, None, None, 0): (8, 36, 30, 1, 1, None, None, 65, 65),
+    (1, 20, None, None, 1): (8, 37, 28, 1, 1, None, None, 62, 62),
+    (1, 100, None, None, 0): (36, 41, 48, 1, 1, None, None, 331, 331),
+    (1, 100, None, None, 1): (34, 39, 47, 1, 1, None, None, 316, 316),
+}
+
+
+def test_generated_reports_are_pinned():
+    for (group, jobs, stages, variant, seed), expected in PINNED_REPORTS.items():
+        rep = best_lb(generate(GenSpec(group, jobs, stages, variant, seed)))
+        got = (*rep.values().values(), rep.best)
+        assert got == expected, ((group, jobs, stages, variant, seed), got)
