@@ -5,7 +5,7 @@ Eight bounds are computed from different relaxations:
 - lb1: per-stage load spread evenly over the stage's machines;
 - lb2: per-job chain length (processing minima plus the true shortest
   machine-to-machine transport path through the job's eligible stages);
-- lb3: per-stage load plus the earliest possible arrival at that stage;
+- lb3: lb1's load term plus the earliest possible arrival at the stage;
 - lb4..lb7: two-stage bounds over consecutive stage pairs, adapted from the
   classic parallel-machine flowshop bounds of Lee & Vairaktarakis;
 - lb8: the malleable-scheduling relaxation in which the worker pool is the
@@ -17,9 +17,9 @@ worker choices an optimal schedule makes.  Fractional values are rounded up:
 with integral data the optimal makespan is integral.
 
 For the pair bounds, jobs are sorted on the stage of the pair that has more
-machines and the sum is divided by that machine count; the mirrored branch
-(second stage richer) is the time-reversal image of the first.  Validity of
-the whole family is additionally enforced by a brute-force suite in the tests.
+machines and the sum is divided by that machine count.  When the second stage
+is richer, lb7/lb6 are computed as lb4/lb5 of the reversed pair, the time
+reversal of the schedule.  A brute-force suite in the tests checks them all.
 """
 
 from __future__ import annotations
@@ -106,14 +106,6 @@ def _transport_prefixes(inst: Instance) -> dict[str, dict[str, int]]:
     return {j: by_chain[inst.eligible_stages[j]] for j in inst.jobs}
 
 
-def _lb1(inst: Instance, pbar: dict[Op, int]) -> int:
-    best = 0
-    for s in inst.stages:
-        load = sum(pbar[(j, s)] for j in inst.jobs if (j, s) in pbar)
-        best = max(best, -(-load // len(inst.machines_of(s))))
-    return best
-
-
 def _lb2(inst: Instance, pbar: dict[Op, int], transport_min: dict[str, int]) -> int:
     best = 0
     for j in inst.jobs:
@@ -135,61 +127,50 @@ def _stage_heads(
     return heads
 
 
-def _lb3(inst: Instance, pbar: dict[Op, int], heads: dict[Op, tuple[int, int]]) -> int:
-    best = 0
+def _stage_bounds(
+    inst: Instance, pbar: dict[Op, int], heads: dict[Op, tuple[int, int]]
+) -> tuple[int, int]:
+    """lb1 and lb3: per stage, its load spread over its machines, alone and
+    plus the earliest arrival of one of its jobs."""
+    lb1 = lb3 = 0
     for s in inst.stages:
-        eligible_jobs = [j for j in inst.jobs if (j, s) in pbar]
-        if not eligible_jobs:
-            continue
-        load = sum(pbar[(j, s)] for j in eligible_jobs)
-        load_term = -(-load // len(inst.machines_of(s)))
-        head = min(sum(heads[(j, s)]) for j in eligible_jobs)
-        best = max(best, load_term + head)
-    return best
+        jobs = [j for j in inst.jobs if (j, s) in pbar]
+        if jobs:
+            load = -(-sum(pbar[(j, s)] for j in jobs) // len(inst.machines_of(s)))
+            lb1 = max(lb1, load)
+            lb3 = max(lb3, load + min(sum(heads[(j, s)]) for j in jobs))
+    return lb1, lb3
 
 
-def _two_stage_parts(inst: Instance, pbar: dict[Op, int]) -> dict[str, Fraction | None]:
-    """Best ratio per two-stage bound over all consecutive stage pairs."""
-    parts: dict[str, Fraction | None] = {"lb4": None, "lb5": None, "lb6": None, "lb7": None}
+def _pair_bounds(
+    pbar: dict[Op, int], shared: list[str], s: str, s2: str, k: int, l: int
+) -> tuple[int | None, int | None]:
+    """The two bounds of the stage pair (s, s2) whose first stage has k >= l
+    machines, over the jobs ``shared`` by both; None where too few jobs."""
+    n = len(shared)
+    order = sorted(shared, key=lambda j: pbar[(j, s)])
+    first = -(-(pbar[(order[l - 1], s)] + pbar[(order[-1], s2)]) // k) if n >= l else None
+    # n must exceed k or the first-stage time of one job is counted twice,
+    # which overshoots the optimum
+    if n <= k:
+        return first, None
+    total = pbar[(order[k - 1], s)] + (k - l) * pbar[(order[0], s2)] + pbar[(order[-1], s)]
+    return first, -(-total // k)
 
-    def bump(key: str, value: Fraction) -> None:
-        cur = parts[key]
-        parts[key] = value if cur is None or value > cur else cur
 
+def _two_stage_parts(inst: Instance, pbar: dict[Op, int]) -> dict[str, int | None]:
+    """Best two-stage bound per family over all consecutive stage pairs."""
+    parts: dict[str, int | None] = {"lb4": None, "lb5": None, "lb6": None, "lb7": None}
     for s, s2 in zip(inst.stages, inst.stages[1:]):
         shared = [j for j in inst.jobs if (j, s) in pbar and (j, s2) in pbar]
-        n = len(shared)
-        if n == 0:
-            continue
         k, l = len(inst.machines_of(s)), len(inst.machines_of(s2))
         if k >= l:
-            order = sorted(shared, key=lambda j: pbar[(j, s)])
-            if n >= l:
-                bump("lb4", Fraction(pbar[(order[l - 1], s)] + pbar[(order[-1], s2)], k))
-            # n must exceed k or the first-stage time of one job is counted
-            # twice, which overshoots the optimum
-            if n > k:
-                bump("lb5", Fraction(
-                    pbar[(order[k - 1], s)]
-                    + (k - l) * pbar[(order[0], s2)]
-                    + pbar[(order[-1], s)],
-                    k,
-                ))
-        else:
-            # Mirrored branch: the second stage is richer, so sort on it and
-            # divide by its machine count (time reversal of the k >= l case).
-            order = sorted(shared, key=lambda j: pbar[(j, s2)])
-            # mirror of the richer-first-stage case: n must exceed l for the
-            # two second-stage terms to come from distinct jobs
-            if n > l:
-                bump("lb6", Fraction(
-                    pbar[(order[l - 1], s2)]
-                    + (l - k) * pbar[(order[0], s)]
-                    + pbar[(order[-1], s2)],
-                    l,
-                ))
-            if n >= k:
-                bump("lb7", Fraction(pbar[(order[k - 1], s2)] + pbar[(order[-1], s)], l))
+            keys, pair = ("lb4", "lb5"), (s, s2, k, l)
+        else:  # the second stage is richer: read the pair backwards
+            keys, pair = ("lb7", "lb6"), (s2, s, l, k)
+        for key, value in zip(keys, _pair_bounds(pbar, shared, *pair)):
+            if value is not None:
+                parts[key] = max(value, parts[key] or 0)
     return parts
 
 
@@ -231,12 +212,12 @@ def best_lb(inst: Instance) -> BoundReport:
     prefixes = _transport_prefixes(inst)
     transport_min = {j: prefixes[j][inst.eligible_stages[j][-1]] for j in inst.jobs}
     heads = _stage_heads(inst, pbar, prefixes)
-    parts = _two_stage_parts(inst, pbar)
+    lb1, lb3 = _stage_bounds(inst, pbar, heads)
     values: dict[str, int | None] = {
-        "lb1": _lb1(inst, pbar),
+        "lb1": lb1,
         "lb2": _lb2(inst, pbar, transport_min),
-        "lb3": _lb3(inst, pbar, heads),
-        **{k: None if part is None else math.ceil(part) for k, part in parts.items()},
+        "lb3": lb3,
+        **_two_stage_parts(inst, pbar),
         "lb8": lb8_malleable(inst),
     }
     return BoundReport(

@@ -122,19 +122,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         result, sched = solve_full(
             inst, node_budget=args.node_budget, deadline=budgets.deadline, lb_floor=best
         )
-        log = RunLog(  # no iterations; clock-free under node budgets, as lbbd's
+        log = RunLog(  # no iterations
             best, result.lower_bound, result.objective, result.status, nodes=result.nodes,
-            wall_time=None if budgets.deterministic else result.wall_time, schedule=sched,
+            schedule=sched,
         )
     else:
         log = run(inst, budgets=budgets)
     wall_time = time.perf_counter() - started
-    ub = log.ub
-    if ub is not None:
-        original, real = gaps(log.best_lb, log.lb, ub)
-        gap_o, gap_r = _fmt(original), _fmt(real)
-    else:
-        gap_o = gap_r = ""
+    if not budgets.deterministic:  # the row's wall time; node-budget logs stay clock-free
+        log.wall_time = wall_time
+    original, real = gaps(log.best_lb, log.lb, log.ub)
     print(CSV_HEADER)
     print(
         ",".join(
@@ -142,9 +139,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 _label_of(args.instance),
                 str(log.best_lb),
                 str(log.lb),
-                "" if ub is None else str(ub),
-                gap_o,
-                gap_r,
+                str(log.ub),
+                _fmt(original),
+                _fmt(real),
                 str(len(log.iterations)),
                 str(log.nodes),
                 _fmt(wall_time, "{:.3f}"),
@@ -152,9 +149,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             ]
         )
     )
-    if args.output and log.schedule is not None:
-        if not _write(args.output, schedule_to_json(log.schedule)):
-            return 1
+    if args.output and not _write(args.output, schedule_to_json(log.schedule)):
+        return 1
     if args.runlog and not _write(args.runlog, log.to_json()):
         return 1
     return 0

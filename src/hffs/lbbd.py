@@ -163,7 +163,7 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
     ub: int | None = None
     best_sched: Schedule | None = None
     cuts: dict[Fingerprint, BendersCut] = {}
-    log = RunLog(best_lb=seed_lb, lb=lb, ub=None, status="unknown")
+    iterations: list[IterationRecord] = []
     master_budget, sub_nodes = budgets.master_nodes, budgets.sub_nodes
     total_nodes = 0
     k = 0
@@ -173,7 +173,7 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
         if (budgets.max_iterations is not None and k >= budgets.max_iterations) or (
             k > 0 and deadline is not None and _time.perf_counter() >= deadline
         ):
-            status = "feasible" if ub is not None else "unknown"
+            status = "feasible"
             break
         k += 1
         if held is None:
@@ -215,7 +215,7 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
             elif sub_nodes is not None:
                 sub_nodes *= 2  # incumbent kept, cut withheld, search continued
         total_nodes += master_nodes + nodes
-        log.iterations.append(
+        iterations.append(
             IterationRecord(
                 k, msol.lower_bound, _hash_fingerprint(fp), zeta, lb, ub,
                 master_nodes, nodes, None if deterministic else master_wall + wall,
@@ -226,11 +226,5 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
             break
     if held is not None:
         held.drop()
-
-    log.lb = lb
-    log.ub = ub
-    log.status = status
-    log.nodes = total_nodes
-    log.wall_time = None if deterministic else _time.perf_counter() - t0
-    log.schedule = best_sched
-    return log
+    wall_time = None if deterministic else _time.perf_counter() - t0
+    return RunLog(seed_lb, lb, ub, status, iterations, total_nodes, wall_time, best_sched)

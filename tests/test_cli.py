@@ -341,3 +341,16 @@ def test_lbbd_under_a_time_limit_reaches_its_subproblem(tmp_path, capsys):
     row = solve_row(tmp_path, capsys, GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0),
                     "--method", "lbbd", "--time-limit", "2")
     assert int(row["ub"]) < 329
+
+
+@pytest.mark.parametrize("method", ["cp", "lbbd"])
+def test_the_runlog_wall_time_is_the_rows(tmp_path, capsys, method):
+    """Under a deadline the run log holds the row's wall time, not the time of
+    the search loop alone."""
+    log_path = tmp_path / "log.json"
+    row = solve_row(tmp_path, capsys, GenSpec(group=1, jobs=20, seed=1), "--method", method,
+                    "--time-limit", "0.3", "--runlog", str(log_path))
+    log = json.loads(log_path.read_text())
+    assert f"{log['wall_time']:.3f}" == row["wall_time"]
+    for key in ("best_lb", "lb", "ub", "nodes", "status"):
+        assert str(log[key]) == row[key]
