@@ -7,6 +7,11 @@ when the master's encoding is only restated; a change here means search or
 propagation strength changed and must be reported as such.  The cut cases
 install a cut on the instance's own cut-free 25-node fingerprint, so the
 fingerprint-to-choice translation is exercised on a real model.
+
+The group 1 cases share 20 workers over 80 machines, so they are where a
+constraint over the worker pool would bind.  Each runs under the best bound
+and under floor 0; floor 0 takes ``lb8`` (the worker-pool bound) out of the
+master, so only the master's own constraints can read the pool.
 """
 
 import pytest
@@ -89,3 +94,27 @@ def test_solve_master_node_budget_results_are_pinned(key, monkeypatch):
     got = (sol.status, sol.objective, sol.lower_bound, sol.nodes,
            searches[0].ub_history, _hash_fingerprint(fingerprint_of(inst, sol)))
     assert got == MASTER[key]
+
+
+# (seed, floor) -> (status, objective, lower_bound, nodes, fingerprint hash)
+# of group 1, 20 jobs, at 1,000 master nodes; "best" is the bound module's
+# best value.
+GROUP1_MASTER = {
+    (0, "best"): ("feasible", 143, 65, 1000, "80f86db7f508cf1a"),
+    (0, 0): ("feasible", 143, 36, 1000, "80f86db7f508cf1a"),
+    (1, "best"): ("feasible", 151, 62, 1000, "518272b8ed3eb926"),
+    (1, 0): ("feasible", 151, 37, 1000, "518272b8ed3eb926"),
+    (2, "best"): ("feasible", 118, 62, 1000, "b149525047addb41"),
+    (2, 0): ("feasible", 118, 40, 1000, "b149525047addb41"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GROUP1_MASTER, key=str), ids=str)
+def test_group1_master_node_budget_results_are_pinned(key):
+    seed, floor = key
+    inst = generate(GenSpec(group=1, jobs=20, seed=seed))
+    sol = master.solve_master(
+        inst, [], best_lb(inst).best if floor == "best" else 0, node_budget=1000)
+    got = (sol.status, sol.objective, sol.lower_bound, sol.nodes,
+           _hash_fingerprint(fingerprint_of(inst, sol)))
+    assert got == GROUP1_MASTER[key]
