@@ -22,9 +22,9 @@ model is the decomposition's subproblem: the engine compiles its one-value
 routes and transport tables away, so it searches exactly the model with
 fixed machines.
 
-The solver is warm-started from the serial baseline schedule, which also
-bounds the horizon, and its objective floor is seeded from the bound module,
-so a feasible incumbent exists at every budget.
+``solve_full`` warm-starts the search from the serial baseline schedule,
+whose makespan it also passes as the horizon, and seeds the objective floor
+from the bound module, so a feasible incumbent exists at every budget.
 """
 
 from __future__ import annotations
@@ -77,19 +77,17 @@ class Encoding:
 def build_full(
     inst: Instance,
     *,
-    horizon: int | None = None,
+    horizon: int,
     lb_floor: int = 0,
     machine_of: dict[Op, str] | None = None,
 ) -> Encoding:
     """Encode the complete problem, or with ``machine_of`` (a machine per
     operation) the problem under that fixed assignment; a ``machine_of``
     that does not give every operation a machine of its stage is a
-    ValueError.  ``horizon`` defaults to the serial baseline makespan under
-    the same machines (a valid upper bound); ``lb_floor`` must be a proven
-    lower bound of the encoded problem (0 is always safe)."""
-    if horizon is None:
-        horizon = serial_schedule(inst, machine_of).makespan
-    elif machine_of is not None:
+    ValueError.  ``horizon`` must be the makespan of a feasible schedule of
+    the encoded problem (the caller's warm start); ``lb_floor`` must be a
+    proven lower bound of it (0 is always safe)."""
+    if machine_of is not None:
         check_machine_map(inst, machine_of)
     ops = tuple(inst.ops())
     stage_machines = {s: inst.machines_of(s) for s in inst.stages}

@@ -1,22 +1,25 @@
 """Relaxed master model: machine assignment and sequencing under relaxed
-durations, strengthened by lower bounds and accumulated logic cuts.
+durations, strengthened by accumulated logic cuts and a proven floor.
 
-Per operation the master keeps only the full model's machine choice ``m{k}``
-and its process task ``pr{k}``, whose fixed duration is the relaxed
-processing time (the minimum over admissible worker counts).  Transport acts as a minimum delay, not an exact offset, and
-there are no buffers and no worker choices; a per-stage cumulative with
-capacity |machines of the stage| and a global worker cumulative weighted by
-each stage's minimum worker count are kept as redundant strength.  Every cut
-is installed as a conditional bound over the full machine fingerprint, and
-the objective is floored at the caller's proven lower bound, so the master's
+The master encodes exactly its relaxation.  Per operation it keeps only the
+full model's machine choice ``m{k}`` and its process task ``pr{k}``, whose
+fixed duration is the relaxed processing time (the minimum over admissible
+worker counts).  Transport acts as a minimum-delay precedence, not an exact
+offset, and per machine one no-overlap group holds the stage's process
+tasks, each routed by its machine choice.  There are no buffers, no waits
+and no worker choices: the worker pool reaches the master only through the
+floor, whose ``lb8`` is the malleable worker-pool bound.  Every cut is
+installed as a conditional bound over the full machine fingerprint, and the
+objective is floored at the caller's proven lower bound, so the master's
 proven bound is valid for the original problem.  Cuts only raise the
 objective and forbid no assignment, so the serial assignment that
 warm-starts every solve stays feasible and the master always returns one.
 
 The encoding is the full model's ``Encoding`` type and shares its transport
 tables (``transport_tables``), its warm start (``schedule_to_assignment`` of
-the serial schedule, which also sets the horizon) and its machine decoding
-(``machine_map``), which yields the solution's ``machine_of`` map.
+the serial schedule, whose makespan ``solve_master`` also passes as the
+horizon) and its machine decoding (``machine_map``), which yields the
+solution's ``machine_of`` map.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .engine import (
     ChoiceVar,
     ConditionalBound,
     ConstraintSet,
-    Cumulative,
     Disjunctive,
     EngineModel,
     Member,
@@ -59,13 +61,12 @@ def build_master(
     cuts: Iterable,
     lb_floor: int,
     *,
-    horizon: int | None = None,
+    horizon: int,
 ) -> Encoding:
-    """Encode the relaxation.  ``cuts`` need ``fingerprint`` (a tuple of
-    ((job, stage), machine id) pairs over all operations) and ``zeta``
-    attributes."""
-    if horizon is None:
-        horizon = serial_schedule(inst).makespan
+    """Encode the relaxation with every task inside ``[0, horizon]``, which
+    must be the makespan of a feasible schedule.  ``cuts`` need
+    ``fingerprint`` (a tuple of ((job, stage), machine id) pairs over all
+    operations) and ``zeta`` attributes."""
     ops = tuple(inst.ops())
     stage_machines = {s: inst.machines_of(s) for s in inst.stages}
     relaxed = relaxed_times(inst)
@@ -74,8 +75,6 @@ def build_master(
     choices: dict[str, ChoiceVar] = {}
     cs = ConstraintSet()
     machine_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
-    stage_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
-    worker_members: list[Member] = []
     last_task: dict[str, str] = {}
 
     for k, (j, s) in enumerate(ops):
@@ -84,8 +83,6 @@ def build_master(
         task = TaskVar(f"pr{k}", duration=relaxed[(j, s)], est=0, lct=horizon)
         tasks[task.id] = task
         machine_members[s].append(Member(task.id, on=mc.id))
-        stage_members[s].append(Member(task.id))
-        worker_members.append(Member(task.id, weight=inst.workers_min[s]))
         last_task[j] = task.id
 
     for ka, kb, table in transport_tables(inst, ops, stage_machines, choices):
@@ -98,15 +95,6 @@ def build_master(
         if s in families:  # a stage's machines share its routed member tuple
             cs.disjunctives.append(
                 Disjunctive(f"mach:{m}", families[s], value=stage_machines[s].index(m)))
-    for s in inst.stages:
-        if stage_members[s]:
-            cs.cumulatives.append(
-                Cumulative(f"stage:{s}", len(stage_machines[s]),
-                           tuple(stage_members[s]))
-            )
-    cs.cumulatives.append(
-        Cumulative("workers", inst.workers_total, tuple(worker_members))
-    )
     idx_of = {op: k for k, op in enumerate(ops)}
     for cut in cuts:
         terms = tuple((f"m{idx_of[op]}", stage_machines[op[1]].index(m))

@@ -252,7 +252,7 @@ def _instance_violations(inst: Instance) -> list[str]:
     known_ops = {(j, s) for j in inst.jobs for s in inst.eligible_stages.get(j, ())}
     for (j, s, w) in inst.proc_time:
         if (j, s) not in known_ops:
-            v.append(f"processing time listed for non-eligible pair ({j},{s})")
+            v.append(f"processing time listed for non-eligible pair ({j},{s},{w})")
         elif s in inst.workers_min and s in inst.workers_max and w not in inst.worker_window(s):
             v.append(f"processing time listed for inadmissible worker count ({j},{s},{w})")
 

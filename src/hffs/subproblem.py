@@ -69,12 +69,13 @@ def build_sub(
     inst: Instance,
     msol: MasterSolution,
     *,
-    horizon: int | None = None,
+    horizon: int,
     lb_floor: int = 0,
 ) -> Encoding:
-    """Encode the subproblem: the full model pinned to the master's machines.
-    A machine map that does not give every operation a machine of its stage
-    is a ValueError, with or without a ``horizon``."""
+    """Encode the subproblem: the full model pinned to the master's machines,
+    inside the makespan ``horizon`` of a feasible schedule on them.  A
+    machine map that does not give every operation a machine of its stage
+    is a ValueError."""
     return build_full(inst, horizon=horizon, lb_floor=lb_floor, machine_of=msol.machine_of)
 
 

@@ -34,7 +34,7 @@ def test_encoding_counts():
         transport={("m1", "m2"): 1, ("m1", "m3"): 1},
         workers_total=2,
     )
-    enc = build_full(inst)
+    enc = build_full(inst, horizon=20)
     assert len(enc.ops) == 3
     # a process per operation, and a wait on each side of a's stage change
     assert sorted(enc.model.tasks) == ["pr0", "pr1", "pr2", "wa0", "wb1"]

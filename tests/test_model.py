@@ -106,6 +106,16 @@ def test_an_entry_keyed_by_an_unknown_id_is_flagged(table, key, value, message):
     assert validate_instance(ghost) == [message]
 
 
+def test_each_row_of_a_non_eligible_pair_is_named():
+    inst = two_stage_instance()
+    lost = replace(inst, eligible_stages={**inst.eligible_stages, "b": ("s1",)},
+                   proc_time={**inst.proc_time, ("b", "s2", 2): 1})
+    assert validate_instance(lost) == [
+        "processing time listed for non-eligible pair (b,s2,1)",
+        "processing time listed for non-eligible pair (b,s2,2)",
+    ]
+
+
 def test_machines_of_lists_a_stage_in_machine_order():
     inst = replace(two_stage_instance(), machines={"m3": "s1", "m2": "s2", "m1": "s1"})
     assert inst.machines_of("s1") == ("m3", "m1")

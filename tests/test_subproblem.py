@@ -44,7 +44,7 @@ def test_encoding_pins_each_machine_choice_to_one_value():
         transport={("m11", "m21"): 1, ("m12", "m21"): 2},
     )
     enc = build_sub(inst, fixed({("a", "s1"): "m12", ("a", "s2"): "m21",
-                               ("b", "s1"): "m11", ("b", "s2"): "m21"}))
+                               ("b", "s1"): "m11", ("b", "s2"): "m21"}), horizon=20)
     assert enc.ops == (("a", "s1"), ("a", "s2"), ("b", "s1"), ("b", "s2"))
     # a process per operation, and one wait on each side of a stage change
     assert sorted(enc.model.tasks) == [
@@ -163,7 +163,7 @@ def test_malformed_machine_sequences_are_rejected():
     def build_sub_at_horizon(inst, msol):
         return build_sub(inst, msol, horizon=50)
 
-    for entry in (build_sub, build_sub_at_horizon, solve_sub):
+    for entry in (build_sub_at_horizon, solve_sub):
         with pytest.raises(ValueError, match="does not cover"):
             entry(inst, fixed(missing_op))
         with pytest.raises(ValueError, match="not in stage"):
