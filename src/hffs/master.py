@@ -6,14 +6,17 @@ full model's machine choice ``m{k}`` and its process task ``pr{k}``, whose
 fixed duration is the relaxed processing time (the minimum over admissible
 worker counts).  Transport acts as a minimum-delay precedence, not an exact
 offset, and per machine one no-overlap group holds the stage's process
-tasks, each routed by its machine choice.  There are no buffers, no waits
-and no worker choices: the worker pool reaches the master only through the
-floor, whose ``lb8`` is the malleable worker-pool bound.  Every cut is
-installed as a conditional bound over the full machine fingerprint, and the
-objective is floored at the caller's proven lower bound, so the master's
-proven bound is valid for the original problem.  Cuts only raise the
-objective and forbid no assignment, so the serial assignment that
-warm-starts every solve stays feasible and the master always returns one.
+tasks, each routed by its machine choice.  A per-stage cumulative with
+capacity |machines of the stage| bounds how many of a stage's tasks overlap
+while their machine choices are still open, which the routed groups cannot
+see.  There are no buffers, no waits and no worker choices: the worker pool
+reaches the master only through the floor, whose ``lb8`` is the malleable
+worker-pool bound.  Every cut is installed as a conditional bound over the
+full machine fingerprint, and the objective is floored at the caller's
+proven lower bound, so the master's proven bound is valid for the original
+problem.  Cuts only raise the objective and forbid no assignment, so the
+serial assignment that warm-starts every solve stays feasible and the
+master always returns one.
 
 The encoding is the full model's ``Encoding`` type and shares its transport
 tables (``transport_tables``), its warm start (``schedule_to_assignment`` of
@@ -32,6 +35,7 @@ from .engine import (
     ChoiceVar,
     ConditionalBound,
     ConstraintSet,
+    Cumulative,
     Disjunctive,
     EngineModel,
     Member,
@@ -75,6 +79,7 @@ def build_master(
     choices: dict[str, ChoiceVar] = {}
     cs = ConstraintSet()
     machine_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
+    stage_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
     last_task: dict[str, str] = {}
 
     for k, (j, s) in enumerate(ops):
@@ -83,6 +88,7 @@ def build_master(
         task = TaskVar(f"pr{k}", duration=relaxed[(j, s)], est=0, lct=horizon)
         tasks[task.id] = task
         machine_members[s].append(Member(task.id, on=mc.id))
+        stage_members[s].append(Member(task.id))
         last_task[j] = task.id
 
     for ka, kb, table in transport_tables(inst, ops, stage_machines, choices):
@@ -95,6 +101,12 @@ def build_master(
         if s in families:  # a stage's machines share its routed member tuple
             cs.disjunctives.append(
                 Disjunctive(f"mach:{m}", families[s], value=stage_machines[s].index(m)))
+    for s in inst.stages:
+        if stage_members[s]:
+            cs.cumulatives.append(
+                Cumulative(f"stage:{s}", len(stage_machines[s]),
+                           tuple(stage_members[s]))
+            )
     idx_of = {op: k for k, op in enumerate(ops)}
     for cut in cuts:
         terms = tuple((f"m{idx_of[op]}", stage_machines[op[1]].index(m))

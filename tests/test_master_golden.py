@@ -12,6 +12,10 @@ The group 1 cases share 20 workers over 80 machines, so they are where a
 constraint over the worker pool would bind.  Each runs under the best bound
 and under floor 0; floor 0 takes ``lb8`` (the worker-pool bound) out of the
 master, so only the master's own constraints can read the pool.
+
+One tiny group 2 instance is where the per-stage cumulative binds: it lifts
+the master's proven bound above the best bound while its machine choices
+are still open, which the per-machine groups cannot do.
 """
 
 import pytest
@@ -19,7 +23,7 @@ import pytest
 import hffs.master as master
 from hffs.bounds import best_lb
 from hffs.instance_gen import GenSpec, generate
-from hffs.lbbd import BendersCut, _hash_fingerprint, fingerprint_of
+from hffs.lbbd import BendersCut, Budgets, _hash_fingerprint, fingerprint_of, run
 
 # (jobs, stages, variant, seed, master nodes, cut) ->
 # (status, objective, lower_bound, nodes, ub_history, fingerprint hash).
@@ -118,3 +122,14 @@ def test_group1_master_node_budget_results_are_pinned(key):
     got = (sol.status, sol.objective, sol.lower_bound, sol.nodes,
            _hash_fingerprint(fingerprint_of(inst, sol)))
     assert got == GROUP1_MASTER[key]
+
+
+def test_stage_cumulative_lifts_the_tiny_master_above_the_best_bound():
+    inst = generate(GenSpec(group=2, jobs=4, stages=2, variant=1, seed=26048))
+    assert best_lb(inst).best == 8
+    sol = master.solve_master(inst, [], 8, node_budget=60)
+    assert (sol.status, sol.objective, sol.lower_bound, sol.nodes) == ("optimal", 10, 10, 47)
+    log = run(inst, Budgets(master_nodes=60, sub_nodes=60, max_iterations=2))
+    assert (log.status, log.lb, log.ub) == ("optimal", 10, 10)
+    assert [(r.master_lb, r.master_nodes, r.sub_nodes, r.lb, r.ub)
+            for r in log.iterations] == [(10, 47, 60, 10, 15), (10, 0, 44, 10, 10)]
