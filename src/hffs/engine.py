@@ -27,10 +27,27 @@ depth-first branch and bound in two phases: open choices first, in model
 order, each tried at the values of its root domain in order, then
 chronological start-time fixing.  The first descent therefore behaves like a
 greedy earliest-start dive.  Bounds propagation runs at every node (time
-windows through offsets and precedences, pairwise disjunctive reasoning,
-timetable reasoning over mandatory parts of cumulatives).  Every incumbent is
-re-checked against the raw constraints by an independent evaluator before it
-is stored.
+windows through offsets and precedences, detectable precedences on
+disjunctives, timetable reasoning over mandatory parts of cumulatives).
+Every incumbent is re-checked against the raw constraints by an independent
+evaluator before it is stored.
+
+The disjunctive rule is pairwise: when of two members only a can precede b,
+b's earliest start rises to e_lo[a] and a's latest end falls to s_hi[b], and
+when neither can precede the other the group fails.  It reads only e_lo and
+s_hi, which it never writes, so its pushes do not depend on the order of the
+pairs, and two sorts and two monotone sweeps compute them in O(n log n)
+(detectable precedences, Vilim, CPAIOR 2004, without the Theta-tree's
+further pruning).  b cannot precede a exactly when s_hi[a] < e_lo[b]; taking
+the members by e_lo, those a grow as the members by s_hi join, and a running
+top-two maximum of their e_lo leaves out b itself.  If the largest such
+e_lo[a] exceeds s_hi[b], a cannot precede b either and the group fails; a
+group runs only after every window has settled, so s_lo[b] <= s_hi[b] and the
+fail test need only be made where that e_lo[a] would raise s_lo[b].
+Otherwise every such a can precede b, and s_lo[b] rises to the largest, as
+the pairwise rule raises it.  Symmetrically, taking the members by
+descending s_hi, e_hi[a] falls to the smallest s_hi[b] over the b != a with
+e_lo[b] > s_hi[a].
 
 The timetable pushes a member's earliest start past each constant segment
 of the mandatory profile that the member, of weight w, cannot join.  Its own
@@ -38,7 +55,11 @@ mandatory part [s_hi, e_lo) starts and ends at profile events, so each
 segment lies inside it or outside it.  A segment inside it already carries w
 once (check_model admits a task once per member tuple), so after the
 overload check it holds level - w + w <= cap and cannot push; only a segment
-outside it with level + w > cap can.
+outside it with level + w > cap can.  Two exits skip the profile and are
+exact: with no mandatory part there is no segment, and when the active
+members' total weight is at most the capacity no segment exceeds it and a
+segment outside a member's own part holds at most total - w, so none blocks.
+Both rest on check_model's rule that no weight is negative.
 
 A node is a leaf once every choice is decided and every start fixed, and
 its earliest ends (elastic ones too) are its incumbent.  At such a fixpoint
@@ -60,13 +81,20 @@ of each value.  A routed member sits in no group until its choice is
 decided, so a choice edit to v seeds and empties the active lists of only the
 value-v groups that route on the choice and adds them to the watchers of the
 tasks it routes.  A propagator that moves a task bound queues that task's
-watchers (not itself: each is idempotent).  The queue is two FIFOs: windows and links always run before
-disjunctives and cumulatives (Schulte & Stuckey, TOPLAS 31(1), 2008).  The
-root first runs every window and link once in a topological order of the
-tasks by links (Kahn; each task's window, then its outgoing links; tasks on a
-link cycle follow in index order), which settles lower bounds along each
-chain, then queues that order reversed, which carries upper bounds back up
-the chains, and every group propagator.  A child starts from its parent's
+watchers (not itself: each is idempotent).  The queue is two FIFOs: windows
+and links always run before disjunctives and cumulatives (Schulte & Stuckey,
+TOPLAS 31(1), 2008).  Windows and links are compiled by kind (a fixed, menu
+or elastic duration; a constant or table delta) and run inline in the queue
+loop.  An elastic window takes an unbounded maximum duration for max(0,
+e_hi - s_lo): the two give the same bounds when the window does not fail,
+and fail together.  The root first runs every window and link once in a
+topological order of the tasks by links (Kahn; each task's window, then its
+outgoing links; tasks on a link cycle follow in index order), which settles
+lower bounds along each chain, then queues that order reversed, which
+carries upper bounds back up the chains, and every group propagator; the
+sweep runs through the same loop with all of these already queued, so its
+moves wake nothing.  Each run and each failure is counted per kind
+(``KINDS``) for ``SearchResult``.  A child starts from its parent's
 fixpoint and queues only the watchers of the variable its branching edit
 changed and of the objective tasks the incumbent cap moved.  No propagator
 narrows a choice domain, so choice-derived data changes only at a choice
@@ -101,6 +129,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 INF = float("inf")
+KINDS = ("window", "link", "disjunctive", "cumulative")  # propagator kinds, counted
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,9 +237,11 @@ class Assignment:
 
 @dataclass(slots=True)
 class SearchResult:
-    """A search's outcome.  ``paused`` is the search itself when it was
-    resumable and stopped at its budget (see ``resume``); setting it to None
-    frees that search."""
+    """A search's outcome.  ``runs`` and ``fails`` count the propagator runs
+    and failures of the whole search per kind (``KINDS``); like ``nodes``
+    they are a pure function of (model, node budget, hint).  ``paused`` is
+    the search itself when it was resumable and stopped at its budget (see
+    ``resume``); setting it to None frees that search."""
 
     status: str  # optimal | feasible | infeasible | unknown
     objective: int | None
@@ -219,6 +250,8 @@ class SearchResult:
     nodes: int
     wall_time: float
     ub_history: list[tuple[int, int]]
+    runs: dict[str, int]
+    fails: dict[str, int]
     paused: "_Search | None" = field(default=None, repr=False, compare=False)
 
 
@@ -293,6 +326,8 @@ def check_model(model: EngineModel) -> None:
                     raise ValueError(f"{where} references unknown task {m.task}")
                 if m.weight_choice is not None and m.weight_choice not in choices:
                     raise ValueError(f"{where} references unknown weight choice")
+                if m.weight < 0 or m.weight_choice is not None and min(choices[m.weight_choice].values) < 0:
+                    raise ValueError(f"{where} has a negative weight for task {m.task}")
                 if m.on is not None and m.on not in choices:
                     raise ValueError(f"{where} references unknown routing choice {m.on}")
         if group.value is None and any(m.on is not None for m in group.members):
@@ -354,26 +389,37 @@ class _Compiled:
             root = [table[v] for v in model.choices[cid].values]
             return (self.cidx[cid], table, min(root), max(root))
 
+        # Windows by kind: a fixed duration d gives (d, d) and no menu; a menu
+        # gives its root extremes, which serve while its choice is open; an
+        # elastic task gives (0, INF) (see ``propagate``).
         self.menus = [compile_menu(t) for t in self.tasks]
+        self.dur_min = [t.duration if t.duration is not None else m[2] if m else 0
+                        for t, m in zip(self.tasks, self.menus)]
+        self.dur_max = [t.duration if t.duration is not None else m[3] if m else INF
+                        for t, m in zip(self.tasks, self.menus)]
 
-        extremes: dict = {}  # (id of a table, the two root domains) -> values
+        extremes: dict = {}  # (id of a table, the two root domains) -> its extremes
 
         def compile_delta(link):
-            """(const, None), or (0, (ca, cb, table, min, max)) with the
-            table's extremes over the root domains; a table over two
-            one-value root domains is a constant."""
+            """(min, max, None) for a constant; (root min, root max, (ca, cb,
+            table, row, column)) for a table, where row[a] and column[b] are
+            the extremes of the table's row a and column b over the root
+            domains.  A table over two one-value root domains is a constant."""
             if link.table is None:
-                return (link.delta, None)
+                return (link.delta, link.delta, None)
             ca, cb, table = link.table
             va, vb = model.choices[ca].values, model.choices[cb].values
             key = (id(table), va, vb)
             if key not in extremes:
-                root = [table[(a, b)] for a in va for b in vb]
-                extremes[key] = (len(root), min(root), max(root))
-            n, lo, hi = extremes[key]
+                grid = [[table[(a, b)] for b in vb] for a in va]
+                root = [d for row in grid for d in row]
+                rows = {a: (min(row), max(row)) for a, row in zip(va, grid)}
+                cols = {b: (min(col), max(col)) for b, col in zip(vb, zip(*grid))}
+                extremes[key] = (len(root), min(root), max(root), rows, cols)
+            n, lo, hi, rows, cols = extremes[key]
             if n == 1:
-                return (lo, None)
-            return (0, (self.cidx[ca], self.cidx[cb], table, lo, hi))
+                return (lo, lo, None)
+            return (lo, hi, (self.cidx[ca], self.cidx[cb], table, rows, cols))
 
         self.links = [  # offsets, then precedences
             (self.tidx[l.pred], self.tidx[l.succ], *compile_delta(l))
@@ -383,18 +429,23 @@ class _Compiled:
         cons = model.constraints
         group_defs = [*cons.disjunctives, *cons.cumulatives]
         shared = {id(g.members): g.members for g in group_defs}  # groups may share one
-        families = {  # (task, weight, weight choice, routing choice) per member
-            key: [
-                (
-                    self.tidx[m.task],
-                    m.weight,
-                    None if m.weight_choice is None else self.cidx[m.weight_choice],
-                    None if m.on is None else self.cidx[m.on],
-                )
-                for m in members
-            ]
-            for key, members in shared.items()
-        }
+
+        def compile_member(m: Member):
+            """(task, routing choice, weight, weight choice, menu choice, menu,
+            minimum duration while the menu's choice is open)."""
+            ti = self.tidx[m.task]
+            menu = self.menus[ti]
+            return (
+                ti,
+                None if m.on is None else self.cidx[m.on],
+                m.weight,
+                None if m.weight_choice is None else self.cidx[m.weight_choice],
+                None if menu is None else menu[0],
+                None if menu is None else menu[1],
+                self.dur_min[ti],
+            )
+
+        families = {key: [compile_member(m) for m in members] for key, members in shared.items()}
         self.disjunctives = [g.id for g in cons.disjunctives]
         self.cumulatives = [(c.id, c.capacity) for c in cons.cumulatives]
         self.groups = [families[id(g.members)] for g in group_defs]
@@ -415,7 +466,9 @@ class _Compiled:
         self.disj0 = nt + len(self.links)
         self.cum0 = self.disj0 + len(self.disjunctives)
         self.nprops = self.cum0 + len(self.cumulatives)
-        task_watch: list[list[int]] = [[] for _ in range(nt)]
+        disj0 = self.disj0
+        # task -> the windows and links, and the groups, that read its bounds
+        task_watch = ([[] for _ in range(nt)], [[] for _ in range(nt)])
         choice_watch: list[list[int]] = [[] for _ in self.choices]
 
         menu_ci = [m and m[0] for m in self.menus]
@@ -423,14 +476,14 @@ class _Compiled:
         def reads(p: int, ti: int | None, *cis) -> None:
             """Propagator p reads task ti's bounds and choices cis."""
             if ti is not None:
-                task_watch[ti].append(p)
+                task_watch[p >= disj0][ti].append(p)
             for ci in cis:
                 if ci is not None:
                     choice_watch[ci].append(p)
 
         for ti in range(nt):
             reads(ti, ti, menu_ci[ti])
-        for p, (pi, si, _, table) in enumerate(self.links, nt):
+        for p, (pi, si, _, _, table) in enumerate(self.links, nt):
             reads(p, pi)
             reads(p, si, *(table[:2] if table else ()))
         self.interned: dict = {}  # states keep active lists: share equal entries
@@ -445,8 +498,8 @@ class _Compiled:
         route_watch: list[dict] = [{} for _ in self.choices]
         for (key, is_cum), by_value in kinds.items():
             ps = [p for same in by_value.values() for p in same]
-            for ti, _, wci, ci in families[key]:
-                menu = menu_ci[ti] if is_cum else None
+            for ti, ci, _, wci, menu, _, _ in families[key]:
+                menu = menu if is_cum else None
                 if ci is None:
                     targets, watched = ps, ti
                 elif len(self.choices[ci].values) == 1:
@@ -459,7 +512,8 @@ class _Compiled:
                     targets, watched = ps, None
                 for p in targets:
                     reads(p, watched, wci, menu)
-        self.task_watch = tuple(tuple(sorted(set(w))) for w in task_watch)
+        self.cheap_watch = tuple(tuple(dict.fromkeys(w)) for w in task_watch[0])  # in order
+        self.group_watch = tuple(tuple(sorted(set(w))) for w in task_watch[1])
         self.route_tasks = tuple(tuple(r.values()) for r in route_tasks)
         self.choice_watch = tuple(tuple(sorted(set(w))) for w in choice_watch)
         self.route_watch = tuple(tuple(r.values()) for r in route_watch)
@@ -469,7 +523,7 @@ class _Compiled:
         # window followed by its outgoing links.
         out: list[list[int]] = [[] for _ in range(nt)]
         indeg = [0] * nt
-        for p, (pi, si, _, _) in enumerate(self.links, nt):
+        for p, (pi, si, *_) in enumerate(self.links, nt):
             out[pi].append(p)
             indeg[si] += 1
         order = [ti for ti in range(nt) if indeg[ti] == 0]
@@ -482,6 +536,13 @@ class _Compiled:
         order += [ti for ti in range(nt) if indeg[ti] > 0]
         self.sweep = tuple(p for ti in order for p in (ti, *out[ti]))
 
+        # Queue marks: propagator p is queued in a call iff queued[p] is that
+        # call's tick; the last slot takes the unmark of a root-sweep run.
+        self.queued = [0] * (self.nprops + 1)
+        self.tick = 0
+        self.runs = [0] * len(KINDS)  # propagator runs and failures per kind
+        self.fails = [0] * len(KINDS)
+
     # -- state helpers ------------------------------------------------------
 
     def root_state(self) -> State:
@@ -493,36 +554,6 @@ class _Compiled:
             [c.values[0] if len(c.values) == 1 else None for c in self.choices],
         )
 
-    def duration_bounds(self, st: State, ti: int) -> tuple[int, int]:
-        t = self.tasks[ti]
-        if t.duration is not None:
-            return t.duration, t.duration
-        menu = self.menus[ti]
-        if menu is not None:
-            ci, table, rmin, rmax = menu
-            v = st.values[ci]
-            if v is None:
-                return rmin, rmax
-            d = table[v]
-            return d, d
-        return 0, max(0, st.e_hi[ti] - st.s_lo[ti])
-
-    def delta_bounds(self, st: State, const: int, table) -> tuple[int, int]:
-        if table is None:
-            return const, const
-        ca, cb, mapping, rmin, rmax = table
-        va, vb = st.values[ca], st.values[cb]
-        if va is None:
-            if vb is None:
-                return rmin, rmax
-            vals = [mapping[(a, vb)] for a in self.choices[ca].values]
-        elif vb is None:
-            vals = [mapping[(va, b)] for b in self.choices[cb].values]
-        else:
-            d = mapping[(va, vb)]
-            return d, d
-        return min(vals), max(vals)
-
     # -- propagation --------------------------------------------------------
 
     def propagate(self, st: State, obj_cap: float, _edit=None) -> str | None:
@@ -532,7 +563,39 @@ class _Compiled:
         from a parent state already at a fixpoint; None is the root, which
         sweeps windows and links once in topological order and then queues
         everything."""
-        moved: list[int] = []
+        nt, disj0, cum0, nprops = len(self.tasks), self.disj0, self.cum0, self.nprops
+        cheap, groups = deque(), deque()  # windows and links run first
+        moved: list[int] = []  # tasks whose bounds moved, to wake their watchers
+        self.tick = tick = self.tick + 1
+        sweep = ()
+        if _edit is None:
+            st.active = [None] * (nprops - disj0)
+            st.watch = list(self.group_watch)
+            # Everything is queued behind the sweep, so its moves wake nothing.
+            sweep = self.sweep
+            cheap.extend(reversed(sweep))
+            groups.extend(range(disj0, nprops))
+            self.queued = [tick] * (nprops + 1)
+        elif _edit[0] == "choice":
+            idx = _edit[1]
+            value = st.values[idx]
+            seeds = (*self.choice_watch[idx],
+                     *(p for by_value in self.route_watch[idx]
+                       for p in by_value.get(value, ())))
+            st.active = list(st.active)  # the parent's values differ
+            for p in seeds:
+                if p >= disj0:
+                    st.active[p - disj0] = None
+            if self.route_tasks[idx]:
+                st.watch = list(st.watch)
+                self._route(st, idx)
+            queued = self.queued
+            for p in seeds:
+                if queued[p] != tick:
+                    queued[p] = tick
+                    (cheap if p < disj0 else groups).append(p)
+        else:
+            moved.append(_edit[1])  # a start edit wakes the task's watchers
         if obj_cap < INF:
             cap = int(obj_cap)
             for ti in self.obj_tasks:
@@ -540,67 +603,117 @@ class _Compiled:
                     st.e_hi[ti] = cap
                     moved.append(ti)
 
-        disj0 = self.disj0
-        if _edit is None:
-            st.active = [None] * (self.nprops - disj0)
-            st.watch = list(self.task_watch)
-            for p in self.sweep:
-                fail = self._window_or_link(st, p, moved)
-                if fail is not None:
-                    return fail
-            moved.clear()  # everything is queued below
-            seeds = (*reversed(self.sweep), *range(disj0, self.nprops))
-        else:
-            kind, idx = _edit
-            if kind == "choice":
-                value = st.values[idx]
-                seeds = (*self.choice_watch[idx],
-                         *(p for by_value in self.route_watch[idx]
-                           for p in by_value.get(value, ())))
-                st.active = list(st.active)  # the parent's values differ
-                for p in seeds:
-                    if p >= disj0:
-                        st.active[p - disj0] = None
-                if self.route_tasks[idx]:
-                    st.watch = list(st.watch)
-                    self._route(st, idx)
+        s_lo, s_hi, e_lo, e_hi, values = st.s_lo, st.s_hi, st.e_lo, st.e_hi, st.values
+        active, watch, queued = st.active, st.watch, self.queued
+        cheap_watch, menus, dur_min, dur_max = self.cheap_watch, self.menus, self.dur_min, self.dur_max
+        links, prec0 = self.links, self.prec0
+        active_members, disjunctive, cumulative = (
+            self._active_members, self._disjunctive, self._cumulative)
+        windows = links_run = disjunctives = cumulatives = 0  # runs per kind
+        fail = None
+        swept, nsweep, done = 0, len(sweep), nprops
+        while True:
+            if moved:
+                for ti in moved:
+                    for q in cheap_watch[ti]:
+                        if queued[q] != tick:
+                            queued[q] = tick
+                            cheap.append(q)
+                    for q in watch[ti]:
+                        if queued[q] != tick:
+                            queued[q] = tick
+                            groups.append(q)
+                moved.clear()
+            queued[done] = 0  # idempotent: its own moves need no second run
+            if swept < nsweep:  # the root's sweep: its propagators stay queued
+                p, done = sweep[swept], nprops
+                swept += 1
+            elif cheap:
+                p = done = cheap.popleft()
+            elif groups:
+                p = done = groups.popleft()
             else:
-                seeds = st.watch[idx]
-        active, watch = st.active, st.watch
-        cheap, groups = queues = (deque(), deque())  # windows and links first
-        inq = [False] * self.nprops
-        for p in seeds:
-            if not inq[p]:
-                inq[p] = True
-                queues[p >= disj0].append(p)
-
-        def wake() -> None:
-            for ti in moved:
-                for q in watch[ti]:
-                    if not inq[q]:
-                        inq[q] = True
-                        queues[q >= disj0].append(q)
-            moved.clear()
-
-        wake()
-        while cheap or groups:
-            p = cheap.popleft() if cheap else groups.popleft()
-            if p < disj0:
-                fail = self._window_or_link(st, p, moved)
+                break
+            if p < nt:  # a task window: est <= s <= s + d = e <= lct
+                windows += 1
+                dmin, dmax = dur_min[p], dur_max[p]
+                menu = menus[p]
+                if menu is not None:
+                    v = values[menu[0]]
+                    if v is not None:
+                        dmin = dmax = menu[1][v]
+                slo, shi, elo, ehi = s_lo[p], s_hi[p], e_lo[p], e_hi[p]
+                lo, hi = slo + dmin, shi + dmax  # the ends the starts allow
+                if lo < elo:
+                    lo = elo
+                if hi > ehi:
+                    hi = ehi
+                first, last = lo - dmax, hi - dmin  # the starts those ends allow
+                if first < slo:
+                    first = slo
+                if last > shi:
+                    last = shi
+                if first != slo or last != shi or lo != elo or hi != ehi:
+                    s_lo[p], s_hi[p], e_lo[p], e_hi[p] = first, last, lo, hi
+                    moved.append(p)
+                if first > last or lo > hi:
+                    fail = f"task:{self.tids[p]}"
+                    break
+            elif p < disj0:  # a link: s(succ) = e(pred) + delta, or >= for a precedence
+                links_run += 1
+                pi, si, dmin, dmax, table = links[p - nt]
+                if table is not None:  # root extremes while both choices are open
+                    ca, cb, deltas, rows, cols = table
+                    va, vb = values[ca], values[cb]
+                    if va is not None:
+                        if vb is not None:
+                            dmin = dmax = deltas[va, vb]
+                        else:
+                            dmin, dmax = rows[va]
+                    elif vb is not None:
+                        dmin, dmax = cols[vb]
+                x = e_lo[pi] + dmin
+                if s_lo[si] < x:
+                    s_lo[si] = x
+                    moved.append(si)
+                if p < prec0:
+                    x = e_hi[pi] + dmax
+                    if s_hi[si] > x:
+                        s_hi[si] = x
+                        moved.append(si)
+                    x = s_lo[si] - dmax
+                    if e_lo[pi] < x:
+                        e_lo[pi] = x
+                        moved.append(pi)
+                x = s_hi[si] - dmin
+                if e_hi[pi] > x:
+                    e_hi[pi] = x
+                    moved.append(pi)
+                if s_lo[si] > s_hi[si] or e_lo[pi] > e_hi[pi]:
+                    kind = "offset" if p < prec0 else "precedence"
+                    fail = f"{kind}:{self.tids[pi]}->{self.tids[si]}"
+                    break
             else:
                 g = p - disj0
-                if active[g] is None:
-                    active[g] = self._active_members(st, p)
-                if p < self.cum0:
-                    fail = self._disjunctive(st, g, active[g], moved)
+                members = active[g]
+                if members is None:
+                    members = active[g] = active_members(st, p)
+                if p < cum0:
+                    disjunctives += 1
+                    fail = disjunctive(st, g, members, moved)
                 else:
-                    fail = self._cumulative(st, p - self.cum0, active[g], moved)
-            if fail is not None:
-                return fail
-            if moved:
-                wake()
-            inq[p] = False  # idempotent: its own moves need no second run
-        return None
+                    cumulatives += 1
+                    fail = cumulative(st, p - cum0, members, moved)
+                if fail is not None:
+                    break
+        runs = self.runs
+        runs[0] += windows
+        runs[1] += links_run
+        runs[2] += disjunctives
+        runs[3] += cumulatives
+        if fail is not None:
+            self.fails[0 if p < nt else 1 if p < disj0 else 2 if p < cum0 else 3] += 1
+        return fail
 
     def _route(self, st: State, ci: int) -> None:
         """Let the tasks that choice ``ci`` routes wake the groups of its
@@ -615,92 +728,100 @@ class _Compiled:
         for a cumulative."""
         values = st.values
         g = p - self.disj0
-        routed_here = self.group_value[g]
-        members = [m for m in self.groups[g] if m[3] is None or values[m[3]] == routed_here]
+        here = self.group_value[g]
         if p < self.cum0:
-            return [m[0] for m in members]
-        weighted = [
-            (m[0], m[1] if m[2] is None
-             else self.min_value[m[2]] if values[m[2]] is None else values[m[2]])
-            for m in members
-        ]
-        entries = [(ti, w, self.duration_bounds(st, ti)[0]) for ti, w in weighted if w > 0]
-        return [self.interned.setdefault(e, e) for e in entries]
-
-    def _window_or_link(self, st: State, p: int, moved) -> str | None:
-        """Run a task-window (p < #tasks), offset or precedence propagator."""
-        s_lo, s_hi, e_lo, e_hi = st.s_lo, st.s_hi, st.e_lo, st.e_hi
-        if p < len(self.tasks):
-            ti = p
-            dmin, dmax = self.duration_bounds(st, ti)
-            lo = max(e_lo[ti], s_lo[ti] + dmin)
-            hi = min(e_hi[ti], s_hi[ti] + dmax)
-            slo = max(s_lo[ti], lo - dmax)
-            shi = min(s_hi[ti], hi - dmin)
-            if lo != e_lo[ti] or hi != e_hi[ti] or slo != s_lo[ti] or shi != s_hi[ti]:
-                e_lo[ti], e_hi[ti], s_lo[ti], s_hi[ti] = lo, hi, slo, shi
-                moved.append(ti)
-            if s_lo[ti] > s_hi[ti] or e_lo[ti] > e_hi[ti]:
-                return f"task:{self.tids[ti]}"
-            return None
-        is_offset = p < self.prec0
-        pi, si, const, table = self.links[p - len(self.tasks)]
-        dmin, dmax = self.delta_bounds(st, const, table)
-        if s_lo[si] < e_lo[pi] + dmin:
-            s_lo[si] = e_lo[pi] + dmin
-            moved.append(si)
-        if is_offset:
-            if s_hi[si] > e_hi[pi] + dmax:
-                s_hi[si] = e_hi[pi] + dmax
-                moved.append(si)
-            if e_lo[pi] < s_lo[si] - dmax:
-                e_lo[pi] = s_lo[si] - dmax
-                moved.append(pi)
-        if e_hi[pi] > s_hi[si] - dmin:
-            e_hi[pi] = s_hi[si] - dmin
-            moved.append(pi)
-        if s_lo[si] > s_hi[si] or e_lo[pi] > e_hi[pi]:
-            kind = "offset" if is_offset else "precedence"
-            return f"{kind}:{self.tids[pi]}->{self.tids[si]}"
-        return None
+            return [m[0] for m in self.groups[g] if m[1] is None or values[m[1]] == here]
+        entries = []
+        intern, min_value = self.interned.setdefault, self.min_value
+        for ti, on, w, wci, mci, menu, d in self.groups[g]:
+            if on is not None and values[on] != here:
+                continue
+            if wci is not None:
+                w = values[wci]
+                if w is None:
+                    w = min_value[wci]
+            if w > 0:
+                if mci is not None and values[mci] is not None:
+                    d = menu[values[mci]]
+                e = (ti, w, d)
+                entries.append(intern(e, e))
+        return entries
 
     def _disjunctive(self, st: State, g: int, active: list[int], moved) -> str | None:
+        """Detectable precedences by two sorts and two monotone sweeps (see
+        the module docstring)."""
         s_lo, s_hi, e_lo, e_hi = st.s_lo, st.s_hi, st.e_lo, st.e_hi
-        for x in range(len(active)):
-            a = active[x]
-            for y in range(x + 1, len(active)):
-                b = active[y]
-                a_first = e_lo[a] <= s_hi[b]
-                b_first = e_lo[b] <= s_hi[a]
-                if a_first != b_first:
-                    first, second = (a, b) if a_first else (b, a)
-                    if s_lo[second] < e_lo[first]:
-                        s_lo[second] = e_lo[first]
-                        moved.append(second)
-                    if e_hi[first] > s_hi[second]:
-                        e_hi[first] = s_hi[second]
-                        moved.append(first)
-                elif not a_first:
+        n = len(active)
+        by_start = sorted(active, key=s_hi.__getitem__)
+        by_end = sorted(active, key=e_lo.__getitem__)
+        # Ascending ends: b's earliest start rises to the latest earliest end
+        # of the others that cannot start after b ends.
+        i, top, second, top_task = 0, -INF, -INF, -1
+        for b in by_end:
+            end = e_lo[b]
+            while i < n and s_hi[by_start[i]] < end:
+                a = by_start[i]
+                i += 1
+                v = e_lo[a]
+                if v > top:
+                    top, second, top_task = v, top, a
+                elif v > second:
+                    second = v
+            v = second if top_task == b else top
+            if v > s_lo[b]:
+                if v > s_hi[b]:  # b and that other must each precede the other
                     return f"disjunctive:{self.disjunctives[g]}"
+                s_lo[b] = v
+                moved.append(b)
+        # Descending starts: a's latest end falls to the earliest latest start
+        # of the others that cannot end before a starts.
+        j, low, second, low_task = n - 1, INF, INF, -1
+        for a in reversed(by_start):
+            start = s_hi[a]
+            while j >= 0 and e_lo[by_end[j]] > start:
+                b = by_end[j]
+                j -= 1
+                v = s_hi[b]
+                if v < low:
+                    low, second, low_task = v, low, b
+                elif v < second:
+                    second = v
+            v = second if low_task == a else low
+            if v < e_hi[a]:
+                e_hi[a] = v
+                moved.append(a)
         return None
 
     def _cumulative(self, st: State, c: int, active: list, moved) -> str | None:
+        """Timetable over the mandatory parts [s_hi, e_lo) of the active
+        members: fail on overload, else lift starts (see ``_lift_starts``)."""
+        s_hi, e_lo = st.s_hi, st.e_lo
         cid, cap = self.cumulatives[c]
-        events = []  # mandatory parts [s_hi, e_lo) of the active members
+        events = []
+        total = 0
         for ti, w, _ in active:
-            lo, hi = st.s_hi[ti], st.e_lo[ti]
+            total += w
+            lo, hi = s_hi[ti], e_lo[ti]
             if lo < hi:
                 events.append((lo, w))
                 events.append((hi, -w))
+        if total <= cap or not events:
+            return None  # no segment can exceed or block: see the module docstring
         events.sort()
         # Events sort by (time, delta), so at each time point the running
         # level peaks after the point's last event.  That peak is the level of
         # the segment starting there, and after the final event the level is
         # 0.  With cap >= 0 (check_model), the mandatory profile exceeds the
         # capacity exactly when some segment's level does.
-        segs = _profile_segments(events)
-        if any(level > cap for _, _, level in segs):
-            return f"cumulative:{cid}"
+        segs = []  # constant positive-level segments (lo, hi, level)
+        level, prev = 0, None
+        for point, delta in events:
+            if level > 0 and point > prev:
+                if level > cap:
+                    return f"cumulative:{cid}"
+                segs.append((prev, point, level))
+            level += delta
+            prev = point
         self._lift_starts(st, cap, active, segs, moved)
         return None
 
@@ -709,18 +830,19 @@ class _Compiled:
         segments outside their own mandatory parts that cannot take their
         weight (exact: see the module docstring).  Lifting past the window is
         left to the member's task-window propagator, which the move queues."""
+        s_lo, s_hi, e_lo = st.s_lo, st.s_hi, st.e_lo
         for ti, w, dmin in active:
-            if st.s_lo[ti] >= st.s_hi[ti] or dmin <= 0:
+            t = s_lo[ti]
+            if t >= s_hi[ti] or dmin <= 0:
                 continue  # fixed, empty or of no length: nothing to push
-            own_lo, own_hi = st.s_hi[ti], st.e_lo[ti]
-            t = st.s_lo[ti]
+            own_lo, own_hi = s_hi[ti], e_lo[ti]
             for lo, hi, level in segs:  # sorted and disjoint
                 if lo >= t + dmin:
                     break
                 if hi > t and level + w > cap and not own_lo <= lo < hi <= own_hi:
                     t = hi
-            if t > st.s_lo[ti]:
-                st.s_lo[ti] = t
+            if t > s_lo[ti]:
+                s_lo[ti] = t
                 moved.append(ti)
 
     # -- node bound and leaf extraction ---------------------------------------
@@ -741,19 +863,6 @@ class _Compiled:
             starts=dict(zip(self.tids, st.s_lo)),
             ends=dict(zip(self.tids, st.e_lo)),
         )
-
-
-def _profile_segments(events: list[tuple[int, int]]):
-    """Constant positive-level segments (lo, hi, level) of a sorted event list."""
-    segs = []
-    level = 0
-    prev = None
-    for point, delta in events:
-        if prev is not None and point > prev and level > 0:
-            segs.append((prev, point, level))
-        level += delta
-        prev = point
-    return segs
 
 
 def check_assignment(model: EngineModel, asg: Assignment) -> list[str]:
@@ -872,12 +981,18 @@ def propagate(model: EngineModel) -> tuple[State, str | None]:
 
 
 def _pick_branch(comp: _Compiled, st: State):
-    """Deterministic branching decision, or None when the node is a leaf."""
-    if None in st.values:
-        return ("choice", st.values.index(None))
-    open_starts = [(st.s_lo[ti], comp.elastic_flag[ti], ti)  # earliest, elastic last
-                   for ti in range(len(comp.tasks)) if st.s_lo[ti] < st.s_hi[ti]]
-    return ("start", min(open_starts)[2]) if open_starts else None
+    """Deterministic branching decision, or None when the node is a leaf:
+    the first open choice, else the open start that is earliest, elastic
+    last, then first in index order."""
+    values = st.values
+    if None in values:
+        return ("choice", values.index(None))
+    s_lo, s_hi, elastic = st.s_lo, st.s_hi, comp.elastic_flag
+    pick, at, pick_elastic = None, INF, True
+    for ti, s in enumerate(s_lo):
+        if s < s_hi[ti] and (s < at or s == at and pick_elastic and not elastic[ti]):
+            pick, at, pick_elastic = ti, s, elastic[ti]
+    return None if pick is None else ("start", pick)
 
 
 def _child_edits(comp: _Compiled, branch):
@@ -1040,9 +1155,11 @@ class _Search:
             status, obj = "unknown", None
             lb = int(frontier_min) if frontier_min < INF else self.comp.floor
         values = (status, obj, lb, self.incumbent, self.nodes, self.wall, self.history,
+                  dict(zip(KINDS, self.comp.runs)), dict(zip(KINDS, self.comp.fails)),
                   self if budget_hit else None)
         if result is None:
             return SearchResult(*values)
         (result.status, result.objective, result.lower_bound, result.incumbent,
-         result.nodes, result.wall_time, result.ub_history, result.paused) = values
+         result.nodes, result.wall_time, result.ub_history, result.runs, result.fails,
+         result.paused) = values
         return result

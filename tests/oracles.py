@@ -448,6 +448,33 @@ def lp_lower_bound(inst: Instance) -> Fraction:
 # ------------------------------------------------------- round-robin fixpoint
 
 
+def pairwise_disjunctive(st, active) -> bool | None:
+    """The pairwise no-overlap rule over the members ``active`` (task
+    indices) of one group, in place: None when some pair can be ordered
+    neither way, else whether a bound moved.  For each pair in which only
+    one order is open, the second's earliest start rises to the first's
+    earliest end, and the first's latest end falls to the second's latest
+    start."""
+    changed = False
+    for x in range(len(active)):
+        a = active[x]
+        for y in range(x + 1, len(active)):
+            b = active[y]
+            a_first = st.e_lo[a] <= st.s_hi[b]
+            b_first = st.e_lo[b] <= st.s_hi[a]
+            if not a_first and not b_first:
+                return None
+            if a_first != b_first:
+                first, second = (a, b) if a_first else (b, a)
+                if st.s_lo[second] < st.e_lo[first]:
+                    st.s_lo[second] = st.e_lo[first]
+                    changed = True
+                if st.e_hi[first] > st.s_hi[second]:
+                    st.e_hi[first] = st.s_hi[second]
+                    changed = True
+    return changed
+
+
 class RoundRobinFixpoint:
     """Reference bounds propagation: the engine's original loop, which sweeps
     every task window, offset, precedence, disjunctive and cumulative in
@@ -606,28 +633,10 @@ class RoundRobinFixpoint:
 
             for gid, members in self.disjunctives:
                 active = [m[0] for m in members if self.member_active(st, m) == 1]
-                for x in range(len(active)):
-                    a = active[x]
-                    for y in range(x + 1, len(active)):
-                        b = active[y]
-                        a_first = st.e_lo[a] <= st.s_hi[b]
-                        b_first = st.e_lo[b] <= st.s_hi[a]
-                        if not a_first and not b_first:
-                            return f"disjunctive:{gid}"
-                        if a_first and not b_first:
-                            if st.s_lo[b] < st.e_lo[a]:
-                                st.s_lo[b] = st.e_lo[a]
-                                changed = True
-                            if st.e_hi[a] > st.s_hi[b]:
-                                st.e_hi[a] = st.s_hi[b]
-                                changed = True
-                        elif b_first and not a_first:
-                            if st.s_lo[a] < st.e_lo[b]:
-                                st.s_lo[a] = st.e_lo[b]
-                                changed = True
-                            if st.e_hi[b] > st.s_hi[a]:
-                                st.e_hi[b] = st.s_hi[a]
-                                changed = True
+                outcome = pairwise_disjunctive(st, active)
+                if outcome is None:
+                    return f"disjunctive:{gid}"
+                changed |= outcome
 
             for cid, cap, members in self.cumulatives:
                 fail = self._timetable(st, cid, cap, members)

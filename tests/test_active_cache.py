@@ -29,7 +29,8 @@ from test_root_sweep import full_model_and_hint, master_model_and_hint
 
 def assert_cache_matches_recomputation(comp, state, settled):
     """Every computed active list equals a fresh one (all are computed when
-    ``settled``), and every menu task's duration bounds equal a scan of its
+    ``settled``), and every menu task's compiled duration bounds, which its
+    window reads while the menu's choice is open, equal a scan of its root
     domain."""
     assert len(state.active) == len(comp.groups)
     for g, cached in enumerate(state.active):
@@ -38,10 +39,8 @@ def assert_cache_matches_recomputation(comp, state, settled):
             assert cached == comp._active_members(state, comp.disj0 + g)
     for ti, menu in enumerate(comp.menus):
         if menu is not None:
-            value = state.values[menu[0]]
-            domain = comp.choices[menu[0]].values if value is None else (value,)
-            durations = [menu[1][v] for v in domain]
-            assert comp.duration_bounds(state, ti) == (min(durations), max(durations))
+            durations = [menu[1][v] for v in comp.choices[menu[0]].values]
+            assert (comp.dur_min[ti], comp.dur_max[ti]) == (min(durations), max(durations))
 
 
 def walk(model, cap, nodes=40):
@@ -108,7 +107,7 @@ def test_a_root_call_recomputes_every_active_list():
     comp, root = root_state(model)
     assert comp.propagate(root, INF) is None
     assert root.active == [[(1, 1, 2)]]
-    assert comp.duration_bounds(root, 0) == (2, 5)
+    assert (comp.dur_min[0], comp.dur_max[0]) == (2, 5)
     state = root.copy()
     state.values[0] = 1
     assert comp.propagate(state, INF) is None

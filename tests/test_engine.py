@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hffs.engine import (
     INF,
+    KINDS,
     Assignment,
     ChoiceVar,
     ConditionalBound,
@@ -202,6 +203,21 @@ def test_malformed_model_errors_before_search():
         solve(twice)
 
 
+@pytest.mark.parametrize("member, choices", [
+    (Member("a", weight=-1), []),
+    (Member("a", weight_choice="w"), [ChoiceVar("w", (2, -1))]),
+], ids=["weight", "weight-choice"])
+def test_negative_member_weights_are_rejected(member, choices):
+    """A negative weight would free capacity in the checker but is dropped
+    by the timetable, and the timetable's total-weight exit needs weights of
+    at least 0: check_model rejects it in one line."""
+    m = model_of([TaskVar("a", duration=1, est=0, lct=5)], choices=choices,
+                 cumulatives=[Cumulative("r", 1, (member,))])
+    with pytest.raises(ValueError, match="negative weight") as err:
+        solve(m)
+    assert "\n" not in str(err.value)
+
+
 def enumerate_optimum(model: EngineModel) -> int | None:
     """Exhaustive ground-truth: try every choice combo and start tuple."""
     choice_ids = list(model.choices)
@@ -299,6 +315,9 @@ def test_node_budget_determinism():
     )
     assert a.ub_history == b.ub_history
     assert a.incumbent == b.incumbent
+    assert (a.runs, a.fails) == (b.runs, b.fails)
+    assert list(a.runs) == list(a.fails) == list(KINDS)
+    assert a.runs["window"] > a.runs["cumulative"] > 0 and a.runs["link"] == 0
 
 
 def test_a_passed_deadline_stops_at_the_root_and_resumes_no_node():
@@ -601,7 +620,7 @@ def test_a_node_with_every_start_fixed_is_a_leaf_at_its_bound(model, data):
 def search_outcome(res):
     """A search result without its wall time."""
     return (res.status, res.objective, res.lower_bound, res.incumbent, res.nodes,
-            list(res.ub_history))
+            list(res.ub_history), dict(res.runs), dict(res.fails))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -8,6 +8,7 @@ import pytest
 from hffs.bounds import best_lb
 from hffs.engine import (
     INF,
+    KINDS,
     ConstraintSet,
     Disjunctive,
     EngineModel,
@@ -84,23 +85,28 @@ def counting(comp, name, counts):
     setattr(comp, name, counted)
 
 
+def runs_of(comp):
+    """The engine's propagator run counters, per kind."""
+    return dict(zip(KINDS, comp.runs))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_group1_root_runs_each_group_propagator_once(seed):
     """Windows and links settle before any group propagator runs, so at the
-    root under the incumbent cap each disjunctive and cumulative runs once,
-    and windows and links run about twice each (some 13k runs in model
-    order)."""
+    root under the incumbent cap each disjunctive and cumulative runs once
+    (each is queued there, so as many runs as groups is once each), and
+    windows and links run about twice each (some 13k runs in model order):
+    once in the sweep and at least once more from the queue."""
     model, hint = full_model_and_hint(seed)
     comp, state = root_state(model)
-    cheap, disj, cum = {}, {}, {}
-    counting(comp, "_window_or_link", cheap)
-    counting(comp, "_disjunctive", disj)
-    counting(comp, "_cumulative", cum)
     assert comp.propagate(state, evaluate_objective(model, hint) - 1) is None
-    assert sum(cheap.values()) <= 2500
-    assert len(cheap) == comp.disj0
-    assert disj == {g: 1 for g in range(len(comp.disjunctives))}
-    assert cum == {c: 1 for c in range(len(comp.cumulatives))}
+    runs = runs_of(comp)
+    windows, links = len(comp.tasks), len(comp.links)
+    assert 2 * (windows + links) <= runs["window"] + runs["link"] <= 2500
+    assert runs["window"] >= 2 * windows and runs["link"] >= 2 * links
+    assert runs["disjunctive"] == len(comp.disjunctives)
+    assert runs["cumulative"] == len(comp.cumulatives)
+    assert comp.fails == [0, 0, 0, 0]
 
 
 def test_root_settles_a_long_offset_chain_in_linear_work():
@@ -113,10 +119,9 @@ def test_root_settles_a_long_offset_chain_in_linear_work():
     links = [OffsetLink(f"t{i}", f"t{i + 1}", 1) for i in range(n - 1)]
     model = EngineModel(tasks, {}, ConstraintSet(offsets=links), [f"t{n - 1}"])
     comp, state = root_state(model)
-    runs: dict[int, int] = {}
-    counting(comp, "_window_or_link", runs)
     assert comp.propagate(state, 1500) is None
-    assert sum(runs.values()) <= 3 * (n + len(links))
+    runs = runs_of(comp)
+    assert 2 * (n + len(links)) <= runs["window"] + runs["link"] <= 3 * (n + len(links))
     # The chain is tight enough that the cap reaches its head.
     head, tail = list(tasks).index("t0"), list(tasks).index(f"t{n - 1}")
     assert state.s_hi[head] == 1500 - (5 * n + (n - 1))
@@ -149,6 +154,8 @@ def test_a_child_runs_a_group_once_after_its_chain_settles():
     _child_edits(comp, branch)[0](child)  # t0 starts at 0
     runs: dict[int, int] = {}
     counting(comp, "_disjunctive", runs)
+    before = runs_of(comp)
     assert comp.propagate(child, INF, branch) is None
     assert child.s_hi[4] == 4
     assert runs == {0: 1, 1: 1}
+    assert runs_of(comp)["disjunctive"] - before["disjunctive"] == 2
