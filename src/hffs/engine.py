@@ -750,8 +750,10 @@ class _Compiled:
     def _disjunctive(self, st: State, g: int, active: list[int], moved) -> str | None:
         """Detectable precedences by two sorts and two monotone sweeps (see
         the module docstring)."""
-        s_lo, s_hi, e_lo, e_hi = st.s_lo, st.s_hi, st.e_lo, st.e_hi
         n = len(active)
+        if n < 2:
+            return None  # no pair
+        s_lo, s_hi, e_lo, e_hi = st.s_lo, st.s_hi, st.e_lo, st.e_hi
         by_start = sorted(active, key=s_hi.__getitem__)
         by_end = sorted(active, key=e_lo.__getitem__)
         # Ascending ends: b's earliest start rises to the latest earliest end
