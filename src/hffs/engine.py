@@ -381,22 +381,20 @@ class _Compiled:
         self.tasks = [model.tasks[t] for t in self.tids]
         self.choices = [model.choices[c] for c in self.cids]
 
-        def compile_menu(t: TaskVar):
-            """None, or (choice, table, root min, root max)."""
-            if t.duration_menu is None:
-                return None
+        def compile_window(t: TaskVar):
+            """(min, max, menu) duration by kind: (d, d, None) for a fixed
+            duration d; a menu's extremes over its root domain, which serve
+            while its choice is open, and (choice, table); (0, INF, None) for
+            an elastic task (see the module docstring)."""
+            if t.duration is not None:
+                return (t.duration, t.duration, None)
+            if t.elastic:
+                return (0, INF, None)
             cid, table = t.duration_menu
             root = [table[v] for v in model.choices[cid].values]
-            return (self.cidx[cid], table, min(root), max(root))
+            return (min(root), max(root), (self.cidx[cid], table))
 
-        # Windows by kind: a fixed duration d gives (d, d) and no menu; a menu
-        # gives its root extremes, which serve while its choice is open; an
-        # elastic task gives (0, INF) (see ``propagate``).
-        self.menus = [compile_menu(t) for t in self.tasks]
-        self.dur_min = [t.duration if t.duration is not None else m[2] if m else 0
-                        for t, m in zip(self.tasks, self.menus)]
-        self.dur_max = [t.duration if t.duration is not None else m[3] if m else INF
-                        for t, m in zip(self.tasks, self.menus)]
+        self.windows = [compile_window(t) for t in self.tasks]
 
         extremes: dict = {}  # (id of a table, the two root domains) -> its extremes
 
@@ -434,7 +432,7 @@ class _Compiled:
             """(task, routing choice, weight, weight choice, menu choice, menu,
             minimum duration while the menu's choice is open)."""
             ti = self.tidx[m.task]
-            menu = self.menus[ti]
+            dmin, _, menu = self.windows[ti]
             return (
                 ti,
                 None if m.on is None else self.cidx[m.on],
@@ -442,7 +440,7 @@ class _Compiled:
                 None if m.weight_choice is None else self.cidx[m.weight_choice],
                 None if menu is None else menu[0],
                 None if menu is None else menu[1],
-                self.dur_min[ti],
+                dmin,
             )
 
         families = {key: [compile_member(m) for m in members] for key, members in shared.items()}
@@ -471,7 +469,7 @@ class _Compiled:
         task_watch = ([[] for _ in range(nt)], [[] for _ in range(nt)])
         choice_watch: list[list[int]] = [[] for _ in self.choices]
 
-        menu_ci = [m and m[0] for m in self.menus]
+        menu_ci = [w[2] and w[2][0] for w in self.windows]
 
         def reads(p: int, ti: int | None, *cis) -> None:
             """Propagator p reads task ti's bounds and choices cis."""
@@ -605,11 +603,11 @@ class _Compiled:
 
         s_lo, s_hi, e_lo, e_hi, values = st.s_lo, st.s_hi, st.e_lo, st.e_hi, st.values
         active, watch, queued = st.active, st.watch, self.queued
-        cheap_watch, menus, dur_min, dur_max = self.cheap_watch, self.menus, self.dur_min, self.dur_max
+        cheap_watch, windows = self.cheap_watch, self.windows
         links, prec0 = self.links, self.prec0
         active_members, disjunctive, cumulative = (
             self._active_members, self._disjunctive, self._cumulative)
-        windows = links_run = disjunctives = cumulatives = 0  # runs per kind
+        window_runs = link_runs = disjunctive_runs = cumulative_runs = 0
         fail = None
         swept, nsweep, done = 0, len(sweep), nprops
         while True:
@@ -635,9 +633,8 @@ class _Compiled:
             else:
                 break
             if p < nt:  # a task window: est <= s <= s + d = e <= lct
-                windows += 1
-                dmin, dmax = dur_min[p], dur_max[p]
-                menu = menus[p]
+                window_runs += 1
+                dmin, dmax, menu = windows[p]
                 if menu is not None:
                     v = values[menu[0]]
                     if v is not None:
@@ -660,7 +657,7 @@ class _Compiled:
                     fail = f"task:{self.tids[p]}"
                     break
             elif p < disj0:  # a link: s(succ) = e(pred) + delta, or >= for a precedence
-                links_run += 1
+                link_runs += 1
                 pi, si, dmin, dmax, table = links[p - nt]
                 if table is not None:  # root extremes while both choices are open
                     ca, cb, deltas, rows, cols = table
@@ -699,18 +696,18 @@ class _Compiled:
                 if members is None:
                     members = active[g] = active_members(st, p)
                 if p < cum0:
-                    disjunctives += 1
+                    disjunctive_runs += 1
                     fail = disjunctive(st, g, members, moved)
                 else:
-                    cumulatives += 1
+                    cumulative_runs += 1
                     fail = cumulative(st, p - cum0, members, moved)
                 if fail is not None:
                     break
         runs = self.runs
-        runs[0] += windows
-        runs[1] += links_run
-        runs[2] += disjunctives
-        runs[3] += cumulatives
+        runs[0] += window_runs
+        runs[1] += link_runs
+        runs[2] += disjunctive_runs
+        runs[3] += cumulative_runs
         if fail is not None:
             self.fails[0 if p < nt else 1 if p < disj0 else 2 if p < cum0 else 3] += 1
         return fail

@@ -37,10 +37,10 @@ def assert_cache_matches_recomputation(comp, state, settled):
         assert cached is not None or not settled
         if cached is not None:
             assert cached == comp._active_members(state, comp.disj0 + g)
-    for ti, menu in enumerate(comp.menus):
+    for dmin, dmax, menu in comp.windows:
         if menu is not None:
             durations = [menu[1][v] for v in comp.choices[menu[0]].values]
-            assert (comp.dur_min[ti], comp.dur_max[ti]) == (min(durations), max(durations))
+            assert (dmin, dmax) == (min(durations), max(durations))
 
 
 def walk(model, cap, nodes=40):
@@ -107,7 +107,7 @@ def test_a_root_call_recomputes_every_active_list():
     comp, root = root_state(model)
     assert comp.propagate(root, INF) is None
     assert root.active == [[(1, 1, 2)]]
-    assert (comp.dur_min[0], comp.dur_max[0]) == (2, 5)
+    assert comp.windows[0][:2] == (2, 5)
     state = root.copy()
     state.values[0] = 1
     assert comp.propagate(state, INF) is None
