@@ -324,9 +324,12 @@ def check_model(model: EngineModel) -> None:
             for m in group.members:
                 if m.task not in tasks:
                     raise ValueError(f"{where} references unknown task {m.task}")
-                if m.weight_choice is not None and m.weight_choice not in choices:
+                if m.weight_choice is None:
+                    if m.weight < 0:
+                        raise ValueError(f"{where} has a negative weight for task {m.task}")
+                elif m.weight_choice not in choices:
                     raise ValueError(f"{where} references unknown weight choice")
-                if m.weight < 0 or m.weight_choice is not None and min(choices[m.weight_choice].values) < 0:
+                elif min(choices[m.weight_choice].values) < 0:
                     raise ValueError(f"{where} has a negative weight for task {m.task}")
                 if m.on is not None and m.on not in choices:
                     raise ValueError(f"{where} references unknown routing choice {m.on}")
@@ -410,10 +413,10 @@ class _Compiled:
             key = (id(table), va, vb)
             if key not in extremes:
                 grid = [[table[(a, b)] for b in vb] for a in va]
-                root = [d for row in grid for d in row]
-                rows = {a: (min(row), max(row)) for a, row in zip(va, grid)}
-                cols = {b: (min(col), max(col)) for b, col in zip(vb, zip(*grid))}
-                extremes[key] = (len(root), min(root), max(root), rows, cols)
+                rows = dict(zip(va, zip(map(min, grid), map(max, grid))))
+                cols = dict(zip(vb, zip(map(min, zip(*grid)), map(max, zip(*grid)))))
+                lo, hi = min(r[0] for r in rows.values()), max(r[1] for r in rows.values())
+                extremes[key] = (len(va) * len(vb), lo, hi, rows, cols)
             n, lo, hi, rows, cols = extremes[key]
             if n == 1:
                 return (lo, lo, None)
@@ -427,23 +430,18 @@ class _Compiled:
         cons = model.constraints
         group_defs = [*cons.disjunctives, *cons.cumulatives]
         shared = {id(g.members): g.members for g in group_defs}  # groups may share one
-
-        def compile_member(m: Member):
-            """(task, routing choice, weight, weight choice, menu choice, menu,
-            minimum duration while the menu's choice is open)."""
-            ti = self.tidx[m.task]
-            dmin, _, menu = self.windows[ti]
-            return (
-                ti,
-                None if m.on is None else self.cidx[m.on],
-                m.weight,
-                None if m.weight_choice is None else self.cidx[m.weight_choice],
-                None if menu is None else menu[0],
-                None if menu is None else menu[1],
-                dmin,
-            )
-
-        families = {key: [compile_member(m) for m in members] for key, members in shared.items()}
+        families = {  # (task, weight, weight choice, routing choice) per member
+            key: [
+                (
+                    self.tidx[m.task],
+                    m.weight,
+                    None if m.weight_choice is None else self.cidx[m.weight_choice],
+                    None if m.on is None else self.cidx[m.on],
+                )
+                for m in members
+            ]
+            for key, members in shared.items()
+        }
         self.disjunctives = [g.id for g in cons.disjunctives]
         self.cumulatives = [(c.id, c.capacity) for c in cons.cumulatives]
         self.groups = [families[id(g.members)] for g in group_defs]
@@ -496,8 +494,8 @@ class _Compiled:
         route_watch: list[dict] = [{} for _ in self.choices]
         for (key, is_cum), by_value in kinds.items():
             ps = [p for same in by_value.values() for p in same]
-            for ti, ci, _, wci, menu, _, _ in families[key]:
-                menu = menu if is_cum else None
+            for ti, _, wci, ci in families[key]:
+                menu = menu_ci[ti] if is_cum else None
                 if ci is None:
                     targets, watched = ps, ti
                 elif len(self.choices[ci].values) == 1:
@@ -510,7 +508,7 @@ class _Compiled:
                     targets, watched = ps, None
                 for p in targets:
                     reads(p, watched, wci, menu)
-        self.cheap_watch = tuple(tuple(dict.fromkeys(w)) for w in task_watch[0])  # in order
+        self.cheap_watch = tuple(map(tuple, task_watch[0]))  # in order already
         self.group_watch = tuple(tuple(sorted(set(w))) for w in task_watch[1])
         self.route_tasks = tuple(tuple(r.values()) for r in route_tasks)
         self.choice_watch = tuple(tuple(sorted(set(w))) for w in choice_watch)
@@ -727,10 +725,10 @@ class _Compiled:
         g = p - self.disj0
         here = self.group_value[g]
         if p < self.cum0:
-            return [m[0] for m in self.groups[g] if m[1] is None or values[m[1]] == here]
+            return [m[0] for m in self.groups[g] if m[3] is None or values[m[3]] == here]
         entries = []
-        intern, min_value = self.interned.setdefault, self.min_value
-        for ti, on, w, wci, mci, menu, d in self.groups[g]:
+        intern, min_value, windows = self.interned.setdefault, self.min_value, self.windows
+        for ti, w, wci, on in self.groups[g]:
             if on is not None and values[on] != here:
                 continue
             if wci is not None:
@@ -738,8 +736,9 @@ class _Compiled:
                 if w is None:
                     w = min_value[wci]
             if w > 0:
-                if mci is not None and values[mci] is not None:
-                    d = menu[values[mci]]
+                d, _, menu = windows[ti]
+                if menu is not None and values[menu[0]] is not None:
+                    d = menu[1][values[menu[0]]]
                 e = (ti, w, d)
                 entries.append(intern(e, e))
         return entries
