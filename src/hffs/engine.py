@@ -864,7 +864,10 @@ class _Compiled:
 
 
 def check_assignment(model: EngineModel, asg: Assignment) -> list[str]:
-    """Independently verify a concrete assignment against every constraint."""
+    """Independently verify a concrete assignment against every constraint.
+    Each group takes one event sweep (a disjunctive has capacity 1 and unit
+    weights) and one message if violated, naming for a disjunctive the open
+    member and the one that starts inside it."""
     v: list[str] = []
     choices = asg.choices
     for cid, c in model.choices.items():
@@ -917,32 +920,25 @@ def check_assignment(model: EngineModel, asg: Assignment) -> list[str]:
         elif spans[link.pred][1] + d > spans[link.succ][0]:
             v.append(f"precedence {link.pred}->{link.succ} violated")
 
-    def live_members(group) -> list[Member]:
-        """Unrouted members and those whose choice takes the group's value."""
-        return [m for m in group.members if m.on is None or choices[m.on] == group.value]
-
-    for group in model.constraints.disjunctives:
-        live = [m.task for m in live_members(group)]
-        for x in range(len(live)):
-            for y in range(x + 1, len(live)):
-                (s1, e1), (s2, e2) = spans[live[x]], spans[live[y]]
-                if max(s1, s2) < min(e1, e2):
-                    v.append(f"disjunctive {group.id}: {live[x]} overlaps {live[y]}")
-
-    for cum in model.constraints.cumulatives:
-        events: list[tuple[int, int]] = []
-        for m in live_members(cum):
+    for group in model.constraints.disjunctives + model.constraints.cumulatives:
+        unit = isinstance(group, Disjunctive)  # capacity 1, every member weighs 1
+        capacity = 1 if unit else group.capacity
+        events: list[tuple[int, int, str]] = []
+        for m in group.members:
             s, e = spans[m.task]
-            if e > s:
+            if e > s and (m.on is None or choices[m.on] == group.value):
                 w = m.weight if m.weight_choice is None else choices[m.weight_choice]
-                events.append((s, w))
-                events.append((e, -w))
-        level = 0
-        for _, delta in sorted(events):
+                w = 1 if unit else w
+                events.append((s, w, m.task))
+                events.append((e, -w, m.task))
+        level, opened = 0, ""
+        for _, delta, tid in sorted(events, key=lambda ev: ev[:2]):  # ends first at a time
             level += delta
-            if level > cum.capacity:
-                v.append(f"cumulative {cum.id}: capacity {cum.capacity} exceeded")
+            if level > capacity:
+                v.append(f"disjunctive {group.id}: {opened} overlaps {tid}" if unit
+                         else f"cumulative {group.id}: capacity {capacity} exceeded")
                 break
+            opened = tid if delta > 0 else opened
 
     return v
 

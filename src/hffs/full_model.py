@@ -9,7 +9,8 @@ delta.  Per machine there is a no-overlap group over process tasks and an
 entry and an exit buffer cumulative over the waits; a global cumulative with
 worker-count weights caps crew usage.  A stage's machine groups share one
 member tuple per kind, each member routed by its operation's machine choice
-(``Member.on``).
+(``Member.on``); a group whose whole tuple fits its capacity (one process
+task, or no more waits than buffer slots) can never bind and is not built.
 
 A job's outer waits (before its first operation, after its last) are not
 encoded and decode as zero length: shrinking either to zero at its process
@@ -133,16 +134,18 @@ def build_full(
     families = {  # one member tuple per stage and kind, shared by its machines
         s: (tuple(proc_members[s]), tuple(in_members[s]), tuple(out_members[s]))
         for s in inst.stages
-        if proc_members[s]
     }
     used = inst.machines if machine_of is None else set(machine_of.values())
     for m, s in inst.machines.items():
-        if s in families and m in used:  # a pinned machine may get no operation
+        if m in used:  # a pinned machine may get no operation
             procs, ins, outs = families[s]
             i = stage_machines[s].index(m)
-            cs.disjunctives.append(Disjunctive(f"mach:{m}", procs, value=i))
-            cs.cumulatives.append(Cumulative(f"in:{m}", inst.buffer_in[m], ins, value=i))
-            cs.cumulatives.append(Cumulative(f"out:{m}", inst.buffer_out[m], outs, value=i))
+            if len(procs) > 1:  # a group whose members all fit can never bind
+                cs.disjunctives.append(Disjunctive(f"mach:{m}", procs, value=i))
+            if len(ins) > inst.buffer_in[m]:
+                cs.cumulatives.append(Cumulative(f"in:{m}", inst.buffer_in[m], ins, value=i))
+            if len(outs) > inst.buffer_out[m]:
+                cs.cumulatives.append(Cumulative(f"out:{m}", inst.buffer_out[m], outs, value=i))
     cs.cumulatives.append(
         Cumulative("workers", inst.workers_total, tuple(worker_members))
     )

@@ -9,14 +9,15 @@ offset, and per machine one no-overlap group holds the stage's process
 tasks, each routed by its machine choice.  A per-stage cumulative with
 capacity |machines of the stage| bounds how many of a stage's tasks overlap
 while their machine choices are still open, which the routed groups cannot
-see.  There are no buffers, no waits and no worker choices: the worker pool
-reaches the master only through the floor, whose ``lb8`` is the malleable
-worker-pool bound.  Every cut is installed as a conditional bound over the
-full machine fingerprint, and the objective is floored at the caller's
-proven lower bound, so the master's proven bound is valid for the original
-problem.  Cuts only raise the objective and forbid no assignment, so the
-serial assignment that warm-starts every solve stays feasible and the
-master always returns one.
+see.  A group whose whole member tuple fits its capacity can never bind
+and is not built.  There are no buffers, no waits and no worker choices:
+the worker pool reaches the master only through the floor, whose ``lb8``
+is the malleable worker-pool bound.  Every cut is installed as a
+conditional bound over the full machine fingerprint, and the objective is
+floored at the caller's proven lower bound, so the master's proven bound is
+valid for the original problem.  Cuts only raise the objective and forbid
+no assignment, so the serial assignment that warm-starts every solve stays
+feasible and the master always returns one.
 
 The encoding is the full model's ``Encoding`` type and shares its transport
 tables (``transport_tables``), its warm start (``schedule_to_assignment`` of
@@ -96,13 +97,13 @@ def build_master(
             Precedence(f"pr{ka}", f"pr{kb}", table=(f"m{ka}", f"m{kb}", table))
         )
 
-    families = {s: tuple(ms) for s, ms in machine_members.items() if ms}
-    for m, s in inst.machines.items():
-        if s in families:  # a stage's machines share its routed member tuple
+    families = {s: tuple(ms) for s, ms in machine_members.items()}
+    for m, s in inst.machines.items():  # a stage's machines share its routed tuple
+        if len(families[s]) > 1:  # a group whose members all fit can never bind
             cs.disjunctives.append(
                 Disjunctive(f"mach:{m}", families[s], value=stage_machines[s].index(m)))
     for s in inst.stages:
-        if stage_members[s]:
+        if len(stage_members[s]) > len(stage_machines[s]):
             cs.cumulatives.append(
                 Cumulative(f"stage:{s}", len(stage_machines[s]),
                            tuple(stage_members[s]))

@@ -735,6 +735,49 @@ class RoundRobinFixpoint:
         return moved_any
 
 
+# ------------------------------------------------------ group check referee
+
+
+def overlapping_pairs(spans, live) -> list[tuple[str, str]]:
+    """The pairwise overlap rule over the tasks ``live`` of one disjunctive:
+    every pair whose half-open spans share a point, each named by start,
+    ties in ``live`` order."""
+    pairs = []
+    for x in range(len(live)):
+        for y in range(x + 1, len(live)):
+            (s1, e1), (s2, e2) = spans[live[x]], spans[live[y]]
+            if max(s1, s2) < min(e1, e2):
+                pairs.append((live[x], live[y]) if s1 <= s2 else (live[y], live[x]))
+    return pairs
+
+
+def group_violations(model, asg) -> dict[str, list[tuple[str, str]]]:
+    """Reference check of an engine model's disjunctives and cumulatives
+    under a complete assignment (read by attribute only): the id of each
+    violated group, mapped to its overlapping pairs for a disjunctive and to
+    [] for a cumulative.  A member counts when it is unrouted or its choice
+    takes the group's value; a cumulative is violated when the weight of the
+    members covering some member's start exceeds its capacity."""
+    spans = {tid: (asg.starts[tid], asg.ends[tid]) for tid in model.tasks}
+    choices = asg.choices
+
+    def live(group):
+        return [m for m in group.members if m.on is None or choices[m.on] == group.value]
+
+    violated: dict[str, list[tuple[str, str]]] = {}
+    for group in model.constraints.disjunctives:
+        pairs = overlapping_pairs(spans, [m.task for m in live(group)])
+        if pairs:
+            violated[group.id] = pairs
+    for group in model.constraints.cumulatives:
+        loads = [(spans[m.task], m.weight if m.weight_choice is None else choices[m.weight_choice])
+                 for m in live(group)]
+        for (t, _), _ in loads:
+            if sum(w for (s, e), w in loads if s <= t < e) > group.capacity:
+                violated[group.id] = []
+    return violated
+
+
 # ------------------------------------------------- restarting decomposition
 
 
