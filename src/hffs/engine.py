@@ -47,7 +47,9 @@ fail test need only be made where that e_lo[a] would raise s_lo[b].
 Otherwise every such a can precede b, and s_lo[b] rises to the largest, as
 the pairwise rule raises it.  Symmetrically, taking the members by
 descending s_hi, e_hi[a] falls to the smallest s_hi[b] over the b != a with
-e_lo[b] > s_hi[a].
+e_lo[b] > s_hi[a].  A run returns right after its two sorts when the smallest
+s_hi is at least the largest e_lo: then no pair has s_hi[a] < e_lo[b], so
+neither sweep admits a member, nothing moves and nothing fails.
 
 The timetable pushes a member's earliest start past each constant segment
 of the mandatory profile that the member, of weight w, cannot join.  Its own
@@ -56,10 +58,11 @@ segment lies inside it or outside it.  A segment inside it already carries w
 once (check_model admits a task once per member tuple), so after the
 overload check it holds level - w + w <= cap and cannot push; only a segment
 outside it with level + w > cap can.  Two exits skip the profile and are
-exact: with no mandatory part there is no segment, and when the active
-members' total weight is at most the capacity no segment exceeds it and a
-segment outside a member's own part holds at most total - w, so none blocks.
-Both rest on check_model's rule that no weight is negative.
+exact: when the active members' total weight, which the state keeps with
+their list, is at most the capacity, no segment exceeds it and a segment
+outside a member's own part holds at most total - w, so none blocks; and
+with no mandatory part there is no segment.  Both rest on check_model's rule
+that no weight is negative.
 
 A node is a leaf once every choice is decided and every start fixed, and
 its earliest ends (elastic ones too) are its incumbent.  At such a fixpoint
@@ -77,41 +80,49 @@ bounds.  Compilation numbers one propagator per task window, offset,
 precedence, disjunctive and cumulative, with watch lists: task -> the
 propagators reading its bounds, choice -> those whose menu, delta table or
 weight reads its domain, and for a routed member (task, choice) -> the groups
-of each value.  A routed member sits in no group until its choice is
-decided, so a choice edit to v seeds and empties the active lists of only the
-value-v groups that route on the choice and adds them to the watchers of the
-tasks it routes.  A propagator that moves a task bound queues that task's
-watchers (not itself: each is idempotent).  The queue is two FIFOs: windows
-and links always run before disjunctives and cumulatives (Schulte & Stuckey,
-TOPLAS 31(1), 2008).  Windows and links are compiled by kind (a fixed, menu
-or elastic duration; a constant or table delta) and run inline in the queue
-loop.  An elastic window takes an unbounded maximum duration for max(0,
-e_hi - s_lo): the two give the same bounds when the window does not fail,
-and fail together.  The root first runs every window and link once in a
-topological order of the tasks by links (Kahn; each task's window, then its
-outgoing links; tasks on a link cycle follow in index order), which settles
-lower bounds along each chain, then queues that order reversed, which
-carries upper bounds back up the chains, and every group propagator; the
-sweep runs through the same loop with all of these already queued, so its
-moves wake nothing.  Each run and each failure is counted per kind
-(``KINDS``) for ``SearchResult``.  A child starts from its parent's
-fixpoint and queues only the watchers of the variable its branching edit
-changed and of the objective tasks the incumbent cap moved.  No propagator
-narrows a choice domain, so choice-derived data changes only at a choice
-edit: each group's active members and each task's watchers live in the
-search state, a start edit shares the parent's lists, and a choice edit
-copies them and empties the entries of the groups it seeds, which fill when
-they next run.  A menu's duration extremes over the root domain are compiled
-and serve every state in which its choice is open.  A member routed by
-a choice whose root domain is one value v sits unconditionally in the
-family's value-v groups and in no other, and a delta table over two
-one-value root domains is a constant; neither watches the choice.
-Every propagator narrows monotonically and a failure stays a failure, so by
-the chaotic-iteration argument any visiting order (the root sweep and the
-two FIFOs are such orders) reaches the round-robin sweep's greatest fixpoint
-and fail/no-fail outcome; only the name of the failing constraint may differ.
-A group reads the bounds of its active members only, so not waking it for
-the moves of a member that is not active leaves that fixpoint unchanged.
+of each value.  A routed member sits in no group until its choice is decided,
+so a choice edit to v seeds only the value-v groups that route on the choice
+and adds them to the watchers of the tasks it routes.  A propagator that moves
+a task bound queues that task's watchers (not itself: each is idempotent).
+The queue is two FIFOs: windows and links always run before disjunctives and
+cumulatives (Schulte & Stuckey, TOPLAS 31(1), 2008).  Windows and links are
+compiled by kind (a fixed, menu or elastic duration; a constant or table
+delta) and run inline in the queue loop.  An elastic window takes an
+unbounded maximum duration for max(0, e_hi - s_lo): the two give the same
+bounds when the window does not fail, and fail together.  The root first runs
+every window and link once in a topological order of the tasks by links
+(Kahn; each task's window, then its outgoing links; tasks on a link cycle
+follow in index order), which settles lower bounds along each chain, then
+queues that order reversed, which carries upper bounds back up the chains,
+and every group propagator; the sweep runs through the same loop with all of
+these already queued, so its moves wake nothing.  Each run and each failure is
+counted per kind (``KINDS``) for ``SearchResult``.  A child starts from its
+parent's fixpoint and queues only the watchers of the variable its branching
+edit changed and of the objective tasks the incumbent cap moved.  No
+propagator narrows a choice domain, so choice-derived data changes only at a
+choice edit: each group's active members and each task's watchers live in the
+search state, and a start edit shares the parent's lists.  Only the root
+computes the active lists from the families.  A choice edit patches them:
+deciding a choice changes an entry only where the choice routes the member
+(it joins the groups of the value taken) or, in a cumulative, sets its weight
+or its menu's duration (its entry (task, weight, duration) is replaced, or
+added when its minimum weight was 0).  Compilation lists those members per
+choice with their positions in the family, so an edit copies each list it
+changes once per member, inserts or replaces at the position that family
+order gives (a binary search) and moves the cumulative's total weight by the
+entry's change; a list equals what the root's computation would give in the
+child, since every other member's entry reads no value the edit set.  A menu's
+duration extremes over the root domain are compiled and serve every state in
+which its choice is open.  A member routed by a choice whose root domain is
+one value v sits unconditionally in the family's value-v groups and in no
+other, and a delta table over two one-value root domains is a constant;
+neither watches the choice.  Every propagator narrows monotonically and a
+failure stays a failure, so by the chaotic-iteration argument any visiting
+order (the root sweep and the two FIFOs are such orders) reaches the
+round-robin sweep's greatest fixpoint and fail/no-fail outcome; only the name
+of the failing constraint may differ.  A group reads the bounds of its active
+members only, so not waking it for the moves of a member that is not active
+leaves that fixpoint unchanged.
 
 A search stopped at its budget can be continued (``resume``): its stack,
 incumbent and node count are kept, so continuing to a larger budget gives
@@ -125,6 +136,7 @@ the optional deadline, which is documented as non-deterministic.
 from __future__ import annotations
 
 import time as _time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -255,16 +267,22 @@ class SearchResult:
     paused: "_Search | None" = field(default=None, repr=False, compare=False)
 
 
+class _Entries(list):
+    """A cumulative's active entries and their total weight."""
+
+    __slots__ = ("weight",)
+
+
 class State:
     """Mutable search state: task time bounds plus one value per choice,
     None while the choice is open (its domain is then its root domain).
 
-    ``active`` holds one entry per group propagator, its active members or
-    None when not yet computed, and ``watch`` one entry per task, the
-    propagators its moves wake, routed groups included once their choice is
-    decided; ``propagate`` keeps both.  A copy shares the lists, and
-    ``propagate`` gives a state its own copies after a choice edit, so states
-    that share a list have equal values."""
+    ``active`` holds one entry per group propagator, its active members, and
+    ``watch`` one entry per task, the propagators its moves wake, routed
+    groups included once their choice is decided; ``propagate`` keeps both.
+    A copy shares the lists, and ``propagate`` gives a state its own copies
+    of those a choice edit changes, so states that share a list have equal
+    values."""
 
     __slots__ = ("s_lo", "s_hi", "e_lo", "e_hi", "values", "active", "watch")
 
@@ -477,28 +495,54 @@ class _Compiled:
                 if ci is not None:
                     choice_watch[ci].append(p)
 
-        for ti in range(nt):
-            reads(ti, ti, menu_ci[ti])
+        cheap_watch = task_watch[0]  # windows and links, inline: there are many
+        for ti, ci in enumerate(menu_ci):
+            cheap_watch[ti].append(ti)
+            if ci is not None:
+                choice_watch[ci].append(ti)
         for p, (pi, si, _, _, table) in enumerate(self.links, nt):
-            reads(p, pi)
-            reads(p, si, *(table[:2] if table else ()))
+            cheap_watch[pi].append(p)
+            cheap_watch[si].append(p)
+            if table:
+                choice_watch[table[0]].append(p)
+                choice_watch[table[1]].append(p)
         self.interned: dict = {}  # states keep active lists: share equal entries
 
         # Group watches, once per family and kind (a cumulative also reads its
         # members' menus: it lifts by minimum duration); a routed member's
         # choice maps its task to the family's groups per value, for ``_route``.
+        # Patches, per choice: the group entries that deciding it changes
+        # (see ``_patch``), one per member whose routing choice, or for a
+        # cumulative whose weight choice or menu, it is: the groups the member
+        # can sit in (all of the family's, or when routed those of each
+        # value), the member and its position in the family.  A one-value
+        # choice is decided at the root and never edited; a member of fixed
+        # weight 0 is in no cumulative list.
         kinds: dict[tuple[int, bool], dict] = {}  # (family, kind) -> value -> groups
         for p, g in enumerate(group_defs, self.disj0):
             kinds.setdefault((id(g.members), p >= self.cum0), {}).setdefault(g.value, []).append(p)
+        multi = [len(c.values) > 1 for c in self.choices]
         route_tasks: list[dict] = [{} for _ in self.choices]
         route_watch: list[dict] = [{} for _ in self.choices]
+        self.patches = patches = [[] for _ in self.choices]
         for (key, is_cum), by_value in kinds.items():
             ps = [p for same in by_value.values() for p in same]
-            for ti, _, wci, ci in families[key]:
+            pos: dict[int, int] = {}  # task -> its position in the family
+            at = (lambda e, pos=pos: pos[e[0]]) if is_cum else pos.__getitem__
+            for k, (ti, w, wci, ci) in enumerate(families[key]):
+                pos[ti] = k
                 menu = menu_ci[ti] if is_cum else None
+                if not is_cum or wci is not None or w > 0:
+                    patch = (ps if ci is None else by_value, ti, k, at, w, wci, ci)
+                    if ci is not None and multi[ci]:
+                        patches[ci].append(patch)
+                    if wci is not None and wci != ci and is_cum and multi[wci]:
+                        patches[wci].append(patch)
+                    if menu is not None and menu != ci and menu != wci and multi[menu]:
+                        patches[menu].append(patch)
                 if ci is None:
                     targets, watched = ps, ti
-                elif len(self.choices[ci].values) == 1:
+                elif not multi[ci]:
                     targets, watched = by_value.get(self.choices[ci].values[0], ()), ti
                 else:  # the task wakes a group through its route only
                     route_tasks[ci][ti, id(by_value)] = (ti, by_value)
@@ -565,7 +609,7 @@ class _Compiled:
         self.tick = tick = self.tick + 1
         sweep = ()
         if _edit is None:
-            st.active = [None] * (nprops - disj0)
+            st.active = [self._active_members(st, p) for p in range(disj0, nprops)]
             st.watch = list(self.group_watch)
             # Everything is queued behind the sweep, so its moves wake nothing.
             sweep = self.sweep
@@ -578,10 +622,8 @@ class _Compiled:
             seeds = (*self.choice_watch[idx],
                      *(p for by_value in self.route_watch[idx]
                        for p in by_value.get(value, ())))
-            st.active = list(st.active)  # the parent's values differ
-            for p in seeds:
-                if p >= disj0:
-                    st.active[p - disj0] = None
+            if self.patches[idx]:
+                self._patch(st, self.patches[idx])
             if self.route_tasks[idx]:
                 st.watch = list(st.watch)
                 self._route(st, idx)
@@ -603,8 +645,7 @@ class _Compiled:
         active, watch, queued = st.active, st.watch, self.queued
         cheap_watch, windows = self.cheap_watch, self.windows
         links, prec0 = self.links, self.prec0
-        active_members, disjunctive, cumulative = (
-            self._active_members, self._disjunctive, self._cumulative)
+        disjunctive, cumulative = self._disjunctive, self._cumulative
         window_runs = link_runs = disjunctive_runs = cumulative_runs = 0
         fail = None
         swept, nsweep, done = 0, len(sweep), nprops
@@ -690,15 +731,12 @@ class _Compiled:
                     break
             else:
                 g = p - disj0
-                members = active[g]
-                if members is None:
-                    members = active[g] = active_members(st, p)
                 if p < cum0:
                     disjunctive_runs += 1
-                    fail = disjunctive(st, g, members, moved)
+                    fail = disjunctive(st, g, active[g], moved)
                 else:
                     cumulative_runs += 1
-                    fail = cumulative(st, p - cum0, members, moved)
+                    fail = cumulative(st, p - cum0, active[g], moved)
                 if fail is not None:
                     break
         runs = self.runs
@@ -718,15 +756,17 @@ class _Compiled:
             st.watch[ti] = (*st.watch[ti], *by_value.get(value, ()))
 
     def _active_members(self, st: State, p: int) -> list:
-        """Active-certain members of group propagator ``p``: task indices for
-        a disjunctive, (task, min weight, min duration) with a positive weight
-        for a cumulative."""
+        """Active-certain members of group propagator ``p``, in family order,
+        computed from the family: task indices for a disjunctive, (task, min
+        weight, min duration) with a positive weight for a cumulative, an
+        ``_Entries`` that also holds their total weight."""
         values = st.values
         g = p - self.disj0
         here = self.group_value[g]
         if p < self.cum0:
             return [m[0] for m in self.groups[g] if m[3] is None or values[m[3]] == here]
-        entries = []
+        entries = _Entries()
+        total = 0
         intern, min_value, windows = self.interned.setdefault, self.min_value, self.windows
         for ti, w, wci, on in self.groups[g]:
             if on is not None and values[on] != here:
@@ -741,7 +781,48 @@ class _Compiled:
                     d = menu[1][values[menu[0]]]
                 e = (ti, w, d)
                 entries.append(intern(e, e))
+                total += w
+        entries.weight = total
         return entries
+
+    def _patch(self, st: State, patches) -> None:
+        """Apply a choice edit's patches to the parent's active lists (see the
+        module docstring).  A changed list is a copy, so the parent's stays
+        as it was."""
+        values, min_value, windows = st.values, self.min_value, self.windows
+        intern, disj0, cum0 = self.interned.setdefault, self.disj0, self.cum0
+        active = st.active = list(st.active)
+        for groups, ti, k, at, w, wci, on in patches:
+            if on is not None:  # routed: a member of the groups of its value only
+                groups = groups.get(values[on], ())
+            if not groups:
+                continue
+            if groups[0] < cum0:  # a routed member joins
+                for p in groups:
+                    new = active[p - disj0].copy()
+                    new.insert(bisect_left(new, k, key=at), ti)
+                    active[p - disj0] = new
+                continue
+            if wci is not None:  # the entry as _active_members computes it
+                w = values[wci]
+                if w is None:
+                    w = min_value[wci]
+            d, _, menu = windows[ti]
+            if menu is not None and values[menu[0]] is not None:
+                d = menu[1][values[menu[0]]]
+            e = (ti, w, d)
+            e = intern(e, e)
+            for p in groups:
+                old = active[p - disj0]
+                new = active[p - disj0] = _Entries(old)
+                new.weight = old.weight
+                i = bisect_left(old, k, key=at)  # where family order puts it
+                if i < len(old) and old[i][0] == ti:  # its entry before the edit
+                    new.weight -= old[i][1]
+                    del new[i]
+                if w > 0:
+                    new.insert(i, e)
+                    new.weight += w
 
     def _disjunctive(self, st: State, g: int, active: list[int], moved) -> str | None:
         """Detectable precedences by two sorts and two monotone sweeps (see
@@ -752,6 +833,8 @@ class _Compiled:
         s_lo, s_hi, e_lo, e_hi = st.s_lo, st.s_hi, st.e_lo, st.e_hi
         by_start = sorted(active, key=s_hi.__getitem__)
         by_end = sorted(active, key=e_lo.__getitem__)
+        if s_hi[by_start[0]] >= e_lo[by_end[-1]]:
+            return None  # no a, b with s_hi[a] < e_lo[b]: neither sweep can push
         # Ascending ends: b's earliest start rises to the latest earliest end
         # of the others that cannot start after b ends.
         i, top, second, top_task = 0, -INF, -INF, -1
@@ -793,18 +876,18 @@ class _Compiled:
     def _cumulative(self, st: State, c: int, active: list, moved) -> str | None:
         """Timetable over the mandatory parts [s_hi, e_lo) of the active
         members: fail on overload, else lift starts (see ``_lift_starts``)."""
-        s_hi, e_lo = st.s_hi, st.e_lo
         cid, cap = self.cumulatives[c]
+        if active.weight <= cap:
+            return None  # no segment can exceed or block: see the module docstring
+        s_hi, e_lo = st.s_hi, st.e_lo
         events = []
-        total = 0
         for ti, w, _ in active:
-            total += w
             lo, hi = s_hi[ti], e_lo[ti]
             if lo < hi:
                 events.append((lo, w))
                 events.append((hi, -w))
-        if total <= cap or not events:
-            return None  # no segment can exceed or block: see the module docstring
+        if not events:
+            return None  # no mandatory part, no segment
         events.sort()
         # Events sort by (time, delta), so at each time point the running
         # level peaks after the point's last event.  That peak is the level of

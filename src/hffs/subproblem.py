@@ -121,9 +121,13 @@ def solve_sub(
         resume(result, node_budget=node_budget, deadline=deadline)
     if result.status == "optimal":
         result.paused = None  # proven: never continued
+    if paused is not None and result.objective == paused.zeta:
+        schedule = paused.schedule  # the same incumbent, decoded and validated
+    else:
+        schedule = incumbent_schedule(inst, enc, result)
     return SubResult(
         zeta=result.objective,
-        schedule=incumbent_schedule(inst, enc, result),
+        schedule=schedule,
         status=result.status,
         nodes=result.nodes - nodes_before,
         wall_time=result.wall_time - wall_before,

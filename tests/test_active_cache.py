@@ -1,7 +1,8 @@
 """Choice-derived data carried by the search: each state's active-member
-lists and the compiled menu extremes equal a fresh recomputation at every
-node, a node made by a start edit recomputes no active list, and a
-machine-choice edit recomputes only the chosen machine's groups."""
+lists, a cumulative's total weight and the compiled menu extremes equal a
+fresh recomputation at every node, only the root computes a list from its
+family, and a machine-choice edit patches only the chosen machine's
+groups."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,9 +20,11 @@ from hffs.engine import (
     evaluate_objective,
     root_state,
 )
+from hffs.full_model import schedule_to_assignment
 from hffs.instance_gen import GenSpec, generate
 from hffs.master import solve_master
-from hffs.subproblem import solve_sub
+from hffs.model import serial_schedule
+from hffs.subproblem import build_sub, solve_sub
 
 from test_engine import model_of, small_models
 from test_root_sweep import full_model_and_hint, master_model_and_hint
@@ -29,14 +32,17 @@ from test_root_sweep import full_model_and_hint, master_model_and_hint
 
 def assert_cache_matches_recomputation(comp, state, settled):
     """Every computed active list equals a fresh one (all are computed when
-    ``settled``), and every menu task's compiled duration bounds, which its
-    window reads while the menu's choice is open, equal a scan of its root
-    domain."""
+    ``settled``), with a cumulative's total weight, and every menu task's
+    compiled duration bounds, which its window reads while the menu's choice
+    is open, equal a scan of its root domain."""
     assert len(state.active) == len(comp.groups)
     for g, cached in enumerate(state.active):
         assert cached is not None or not settled
         if cached is not None:
-            assert cached == comp._active_members(state, comp.disj0 + g)
+            fresh = comp._active_members(state, comp.disj0 + g)
+            assert cached == fresh
+            if g >= len(comp.disjunctives):
+                assert cached.weight == fresh.weight == sum(w for _, w, _ in fresh)
     for dmin, dmax, menu in comp.windows:
         if menu is not None:
             durations = [menu[1][v] for v in comp.choices[menu[0]].values]
@@ -115,14 +121,39 @@ def test_a_root_call_recomputes_every_active_list():
     assert root.active == [[(1, 1, 2)]]
 
 
-def test_start_and_end_edits_compute_no_active_members(monkeypatch):
-    """On a pinned subproblem search, a group's active members are computed
-    at the root and after choice edits only; the start edits (the search's
-    only timing edits) share them."""
+def pinned_sub_model_and_hint():
+    """The pinned group 2 subproblem: every machine choice is fixed, so a
+    choice edit decides a worker count, which sets a weight and a duration."""
     inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))
     floor = best_lb(inst).best
     msol = solve_master(inst, [], floor, node_budget=25)
+    base = serial_schedule(inst, msol.machine_of)
+    enc = build_sub(inst, msol, horizon=base.makespan,
+                    lb_floor=max(floor, msol.lower_bound))
+    return inst, msol, enc.model, schedule_to_assignment(enc, base)
 
+
+def test_subproblem_weight_patches_match_recomputation():
+    _, _, model, hint = pinned_sub_model_and_hint()
+    assert all(m.on is None or len(model.choices[m.on].values) == 1
+               for m in members(model))
+    assert any(m.weight_choice is not None for m in members(model))
+    kinds = walk(model, evaluate_objective(model, hint) - 1, nodes=200)
+    assert len(kinds) == 200 and "choice" in kinds
+
+
+def test_master_routing_patches_match_recomputation():
+    model, hint = master_model_and_hint()
+    assert all(m.weight_choice is None for m in members(model))
+    kinds = walk(model, evaluate_objective(model, hint) - 1, nodes=200)
+    assert len(kinds) == 200 and "choice" in kinds
+
+
+def test_only_the_root_computes_active_members(monkeypatch):
+    """On a pinned subproblem search, every group's active members are
+    computed from its family once, at the root; choice edits patch them and
+    start edits (the search's only timing edits) share them."""
+    inst, msol, _, _ = pinned_sub_model_and_hint()
     kinds, calls = [], []
     propagate, active_members = _Compiled.propagate, _Compiled._active_members
 
@@ -131,26 +162,28 @@ def test_start_and_end_edits_compute_no_active_members(monkeypatch):
         return propagate(self, st, cap, _edit)
 
     def counted(self, st, p):
-        calls.append(kinds[-1])
+        calls.append((kinds[-1], p))
         return active_members(self, st, p)
 
     monkeypatch.setattr(_Compiled, "propagate", tracked)
     monkeypatch.setattr(_Compiled, "_active_members", counted)
-    res = solve_sub(inst, msol, node_budget=200, lb_floor=max(floor, msol.lower_bound))
+    floor = max(best_lb(inst).best, msol.lower_bound)
+    res = solve_sub(inst, msol, node_budget=200, lb_floor=floor)
     assert res.nodes == len(kinds) == 200
-    assert "start" in kinds and None in calls and "choice" in calls
     assert set(kinds) == {None, "choice", "start"}
-    assert "start" not in calls
+    assert {kind for kind, _ in calls} == {None}
+    assert len(calls) == len({p for _, p in calls})  # each group once
 
 
-def test_a_machine_choice_edit_recomputes_only_the_chosen_machines_groups(monkeypatch):
+def test_a_machine_choice_edit_patches_only_the_chosen_machines_groups(monkeypatch):
     """The group 1 full model holds one member per operation and kind (a
     process and a crew per operation, and one buffer member per wait, however
     many machines a stage has) in the tuples it builds: the 13 exit waits of
     stage s7 fit its 20-slot exit buffers, so their tuple is not built.
-    Deciding an operation's machine recomputes the active lists of that
-    machine's no-overlap group and of the buffers that hold the operation's
-    waits only: a job's first operation has no wait before it."""
+    Deciding an operation's machine computes no list from a family, and gives
+    new lists to that machine's no-overlap group and to the buffers that hold
+    the operation's waits only: a job's first operation has no wait before
+    it."""
     model, hint = full_model_and_hint()
     cons = model.constraints
     families = {id(g.members): g.members for g in cons.disjunctives + cons.cumulatives}
@@ -162,13 +195,13 @@ def test_a_machine_choice_edit_recomputes_only_the_chosen_machines_groups(monkey
     comp, root = root_state(model)
     assert comp.propagate(root, cap) is None
     assert _pick_branch(comp, root) == ("choice", comp.cidx["m0"])
+    names = comp.disjunctives + [cid for cid, _ in comp.cumulatives]
 
     calls = []
     active_members = _Compiled._active_members
 
     def counted(self, st, p):
-        calls.append(comp.disjunctives[p - comp.disj0] if p < comp.cum0
-                     else comp.cumulatives[p - comp.cum0][0])
+        calls.append(p)
         return active_members(self, st, p)
 
     monkeypatch.setattr(_Compiled, "_active_members", counted)
@@ -177,7 +210,9 @@ def test_a_machine_choice_edit_recomputes_only_the_chosen_machines_groups(monkey
         branch = ("choice", comp.cidx[choice])
         child = root.copy()
         _child_edits(comp, branch)[0](child)
-        calls.clear()
         comp.propagate(child, cap, branch)
-        assert sorted(name.split(":")[0] for name in calls) == kinds
-        assert len({name.split(":")[1] for name in calls}) == 1
+        changed = [names[g] for g, entries in enumerate(child.active)
+                   if entries is not root.active[g]]
+        assert sorted(name.split(":")[0] for name in changed) == kinds
+        assert len({name.split(":")[1] for name in changed}) == 1
+    assert calls == []

@@ -230,3 +230,19 @@ def test_a_search_proven_optimal_at_its_budget_is_not_kept():
                 break
             res.drop()
     assert proven_at_stop > 0
+
+
+def test_a_continued_search_decodes_only_an_improved_incumbent():
+    """Continued from 25 nodes, a search that keeps its incumbent returns the
+    paused result's schedule itself; one that improves it returns a newly
+    decoded schedule that passes the validator."""
+    inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))
+    msol = solve_master(inst, [], 0, node_budget=25)
+    for budget, improves in ((50, False), (200, True)):
+        first = solve_sub(inst, msol, node_budget=25, lb_floor=53)
+        res = solve_sub(inst, msol, node_budget=budget, lb_floor=53, paused=first)
+        assert (res.zeta < first.zeta) == improves
+        assert (res.schedule is first.schedule) == (not improves)
+        assert res.schedule.makespan == res.zeta
+        assert validate_schedule(inst, res.schedule) == []
+        res.drop()
