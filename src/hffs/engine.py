@@ -58,11 +58,10 @@ segment lies inside it or outside it.  A segment inside it already carries w
 once (check_model admits a task once per member tuple), so after the
 overload check it holds level - w + w <= cap and cannot push; only a segment
 outside it with level + w > cap can.  Two exits skip the profile and are
-exact: when the active members' total weight, which the state keeps with
-their list, is at most the capacity, no segment exceeds it and a segment
-outside a member's own part holds at most total - w, so none blocks; and
-with no mandatory part there is no segment.  Both rest on check_model's rule
-that no weight is negative.
+exact: with no mandatory part there is no segment, and when the active
+members' total weight is at most the capacity no segment exceeds it and a
+segment outside a member's own part holds at most total - w, so none blocks.
+Both rest on check_model's rule that no weight is negative.
 
 A node is a leaf once every choice is decided and every start fixed, and
 its earliest ends (elastic ones too) are its incumbent.  At such a fixpoint
@@ -108,14 +107,13 @@ deciding a choice changes an entry only where the choice routes the member
 or its menu's duration (its entry (task, weight, duration) is replaced, or
 added when its minimum weight was 0).  Compilation lists those members per
 choice with their positions in the family, so an edit copies each list it
-changes once per member, inserts or replaces at the position that family
-order gives (a binary search) and moves the cumulative's total weight by the
-entry's change; a list equals what the root's computation would give in the
-child, since every other member's entry reads no value the edit set.  A menu's
-duration extremes over the root domain are compiled and serve every state in
-which its choice is open.  A member routed by a choice whose root domain is
-one value v sits unconditionally in the family's value-v groups and in no
-other, and a delta table over two one-value root domains is a constant;
+changes once per member, inserts or replaces at the position that family order
+gives (a binary search); a list equals what the root's computation would give
+in the child, since every other member's entry reads no value the edit set.  A
+menu's duration extremes over the root domain are compiled and serve every
+state in which its choice is open.  A member routed by a choice whose root
+domain is one value v sits unconditionally in the family's value-v groups and
+in no other, and a delta table over two one-value root domains is a constant;
 neither watches the choice.  Every propagator narrows monotonically and a
 failure stays a failure, so by the chaotic-iteration argument any visiting
 order (the root sweep and the two FIFOs are such orders) reaches the
@@ -265,12 +263,6 @@ class SearchResult:
     runs: dict[str, int]
     fails: dict[str, int]
     paused: "_Search | None" = field(default=None, repr=False, compare=False)
-
-
-class _Entries(list):
-    """A cumulative's active entries and their total weight."""
-
-    __slots__ = ("weight",)
 
 
 class State:
@@ -495,17 +487,11 @@ class _Compiled:
                 if ci is not None:
                     choice_watch[ci].append(p)
 
-        cheap_watch = task_watch[0]  # windows and links, inline: there are many
-        for ti, ci in enumerate(menu_ci):
-            cheap_watch[ti].append(ti)
-            if ci is not None:
-                choice_watch[ci].append(ti)
+        for ti in range(nt):
+            reads(ti, ti, menu_ci[ti])
         for p, (pi, si, _, _, table) in enumerate(self.links, nt):
-            cheap_watch[pi].append(p)
-            cheap_watch[si].append(p)
-            if table:
-                choice_watch[table[0]].append(p)
-                choice_watch[table[1]].append(p)
+            reads(p, pi)
+            reads(p, si, *(table[:2] if table else ()))
         self.interned: dict = {}  # states keep active lists: share equal entries
 
         # Group watches, once per family and kind (a cumulative also reads its
@@ -758,15 +744,13 @@ class _Compiled:
     def _active_members(self, st: State, p: int) -> list:
         """Active-certain members of group propagator ``p``, in family order,
         computed from the family: task indices for a disjunctive, (task, min
-        weight, min duration) with a positive weight for a cumulative, an
-        ``_Entries`` that also holds their total weight."""
+        weight, min duration) with a positive weight for a cumulative."""
         values = st.values
         g = p - self.disj0
         here = self.group_value[g]
         if p < self.cum0:
             return [m[0] for m in self.groups[g] if m[3] is None or values[m[3]] == here]
-        entries = _Entries()
-        total = 0
+        entries = []
         intern, min_value, windows = self.interned.setdefault, self.min_value, self.windows
         for ti, w, wci, on in self.groups[g]:
             if on is not None and values[on] != here:
@@ -781,8 +765,6 @@ class _Compiled:
                     d = menu[1][values[menu[0]]]
                 e = (ti, w, d)
                 entries.append(intern(e, e))
-                total += w
-        entries.weight = total
         return entries
 
     def _patch(self, st: State, patches) -> None:
@@ -814,15 +796,12 @@ class _Compiled:
             e = intern(e, e)
             for p in groups:
                 old = active[p - disj0]
-                new = active[p - disj0] = _Entries(old)
-                new.weight = old.weight
+                new = active[p - disj0] = old.copy()
                 i = bisect_left(old, k, key=at)  # where family order puts it
                 if i < len(old) and old[i][0] == ti:  # its entry before the edit
-                    new.weight -= old[i][1]
                     del new[i]
                 if w > 0:
                     new.insert(i, e)
-                    new.weight += w
 
     def _disjunctive(self, st: State, g: int, active: list[int], moved) -> str | None:
         """Detectable precedences by two sorts and two monotone sweeps (see
@@ -876,18 +855,18 @@ class _Compiled:
     def _cumulative(self, st: State, c: int, active: list, moved) -> str | None:
         """Timetable over the mandatory parts [s_hi, e_lo) of the active
         members: fail on overload, else lift starts (see ``_lift_starts``)."""
-        cid, cap = self.cumulatives[c]
-        if active.weight <= cap:
-            return None  # no segment can exceed or block: see the module docstring
         s_hi, e_lo = st.s_hi, st.e_lo
+        cid, cap = self.cumulatives[c]
         events = []
+        total = 0
         for ti, w, _ in active:
+            total += w
             lo, hi = s_hi[ti], e_lo[ti]
             if lo < hi:
                 events.append((lo, w))
                 events.append((hi, -w))
-        if not events:
-            return None  # no mandatory part, no segment
+        if total <= cap or not events:
+            return None  # no segment can exceed or block: see the module docstring
         events.sort()
         # Events sort by (time, delta), so at each time point the running
         # level peaks after the point's last event.  That peak is the level of

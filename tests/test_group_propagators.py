@@ -151,15 +151,15 @@ def wide_cumulative_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=wide_cumulative_cases())
 @example(case=([(2, 1, False, None)] * 14 + [(3, None, True, 2), (3, None, False, 1)],
-               17, [(0, 0, 2, 2)] * 14 + [(0, 0, 5, 5), (1, 1, 4, 4)]))  # stored weight = capacity
+               17, [(0, 0, 2, 2)] * 14 + [(0, 0, 5, 5), (1, 1, 4, 4)]))  # active weight = capacity
 @example(case=([(2, 1, False, None)] * 14 + [(3, None, True, 2), (3, None, False, 1)],
                16, [(0, 0, 2, 2)] * 14 + [(0, 0, 5, 5), (1, 1, 4, 4)]))  # one above: overload
 @example(case=([(2, 1, False, None)] * 14 + [(3, None, True, 0), (3, None, False, None)],
                13, [(0, 5, 2, 7)] * 14 + [(0, 0, 3, 3), (1, 1, 4, 4)]))  # weight-0 choices
 def test_wide_patched_cumulative_gives_the_full_profiles_outcome(case):
     """Each decided choice patches the root's list, as a choice edit does: the
-    patched entries and their stored weight equal a recomputation, and the
-    run gives the round-robin timetable's outcome."""
+    patched entries equal a recomputation, and the run gives the round-robin
+    timetable's outcome."""
     members, cap, rows = case
     tasks, choices, cums = [], [], []
     for i, (d, w, menu, _) in enumerate(members):
@@ -182,7 +182,7 @@ def test_wide_patched_cumulative_gives_the_full_profiles_outcome(case):
             state.values[ci] = v
             comp._patch(state, comp.patches[ci])
     entries, fresh = state.active[0], comp._active_members(state, comp.cum0)
-    assert entries == fresh and entries.weight == fresh.weight
+    assert entries == fresh
     assert_cumulative_matches_the_timetable(model, comp, state, entries, rows)
 
 
