@@ -1,0 +1,79 @@
+"""Pinned propagator counters of real node-budget searches.
+
+The other goldens pin what a search finds; these pin how much propagation it
+took to find it: the runs and failures per propagator kind (``KINDS``) of
+``engine.solve`` with the serial hint, next to its node count and objective.
+A restatement of the compiled model that wakes one propagator more or less
+at one node changes a row here, even when every fixpoint stays the same.
+
+The three model kinds are the group 1 full model (routed machine groups,
+worker choices, menus), the group 2 master (routed machine groups only) and
+the group 2 full model under a round-robin machine map (worker choices only,
+as in a subproblem).
+"""
+
+from collections import Counter
+
+import pytest
+
+from hffs.bounds import best_lb
+from hffs.engine import KINDS, solve
+from hffs.full_model import build_full, schedule_to_assignment
+from hffs.instance_gen import GenSpec, generate
+from hffs.master import build_master
+from hffs.model import serial_schedule
+
+# (model, seed) -> (nodes, objective, runs per kind, fails per kind)
+COUNTERS = {
+    ("full-group1", 0): (60, 1274, (2456, 4298, 301, 557), (0, 0, 0, 0)),
+    ("full-group1", 1): (60, 1356, (2129, 3691, 305, 563), (0, 0, 0, 0)),
+    ("full-group1", 2): (60, 879, (2015, 3480, 323, 591), (0, 0, 0, 0)),
+    ("master-group2", 0): (200, 70, (1269, 1524, 378, 340), (40, 0, 24, 0)),
+    ("master-group2", 1): (200, 70, (1605, 2002, 475, 432), (48, 0, 9, 9)),
+    ("master-group2", 2): (200, 74, (1778, 2214, 557, 496), (25, 0, 35, 2)),
+    ("pinned-group2", 0): (200, 352, (1136, 1686, 210, 497), (0, 0, 0, 60)),
+    ("pinned-group2", 1): (200, 365, (1147, 1700, 257, 562), (0, 0, 0, 50)),
+    ("pinned-group2", 2): (200, 290, (1285, 1943, 261, 580), (0, 0, 0, 50)),
+}
+
+
+def round_robin(inst):
+    """Each operation's machine, taken in turn over its stage's machines."""
+    seen = Counter()
+    machine_of = {}
+    for job, stage in inst.ops():
+        machines = inst.machines_of(stage)
+        machine_of[job, stage] = machines[seen[stage] % len(machines)]
+        seen[stage] += 1
+    return machine_of
+
+
+def encoding(kind, seed):
+    """The model, its serial hint and the node budget of a pinned search."""
+    if kind == "full-group1":
+        inst = generate(GenSpec(group=1, jobs=20, seed=seed))
+        base = serial_schedule(inst)
+        enc = build_full(inst, horizon=base.makespan, lb_floor=best_lb(inst).best)
+        return enc, base, 60
+    inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=seed))
+    if kind == "master-group2":
+        base = serial_schedule(inst)
+        enc = build_master(inst, [], best_lb(inst).best, horizon=base.makespan)
+        return enc, base, 200
+    machine_of = round_robin(inst)
+    base = serial_schedule(inst, machine_of)
+    enc = build_full(inst, horizon=base.makespan, lb_floor=best_lb(inst).best,
+                     machine_of=machine_of)
+    return enc, base, 200
+
+
+def counters(kind, seed):
+    enc, base, nodes = encoding(kind, seed)
+    res = solve(enc.model, node_budget=nodes, hint=schedule_to_assignment(enc, base))
+    return (res.nodes, res.objective,
+            tuple(res.runs[k] for k in KINDS), tuple(res.fails[k] for k in KINDS))
+
+
+@pytest.mark.parametrize("key", sorted(COUNTERS), ids=str)
+def test_search_counters_are_pinned(key):
+    assert counters(*key) == COUNTERS[key]
