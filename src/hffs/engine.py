@@ -77,50 +77,52 @@ leaf below the node has less, so branching on ends could only add nodes.
 Propagation is event driven: the AC-3 queue (Mackworth, 1977) applied to
 bounds.  Compilation numbers one propagator per task window, offset,
 precedence, disjunctive and cumulative, with watch lists: task -> the
-propagators reading its bounds, choice -> those whose menu, delta table or
-weight reads its domain, and for a routed member (task, choice) -> the groups
-of each value.  A routed member sits in no group until its choice is decided,
-so a choice edit to v seeds only the value-v groups that route on the choice
-and adds them to the watchers of the tasks it routes.  A propagator that moves
-a task bound queues that task's watchers (not itself: each is idempotent).
-The queue is two FIFOs: windows and links always run before disjunctives and
-cumulatives (Schulte & Stuckey, TOPLAS 31(1), 2008).  Windows and links are
-compiled by kind (a fixed, menu or elastic duration; a constant or table
-delta) and run inline in the queue loop.  An elastic window takes an
-unbounded maximum duration for max(0, e_hi - s_lo): the two give the same
-bounds when the window does not fail, and fail together.  The root first runs
-every window and link once in a topological order of the tasks by links
-(Kahn; each task's window, then its outgoing links; tasks on a link cycle
-follow in index order), which settles lower bounds along each chain, then
-queues that order reversed, which carries upper bounds back up the chains,
-and every group propagator; the sweep runs through the same loop with all of
-these already queued, so its moves wake nothing.  Each run and each failure is
+propagators reading its bounds, and choice -> the windows and links whose
+menu or delta table reads its domain.  A propagator that moves a task bound
+queues that task's watchers (not itself: each is idempotent).  The queue is
+two FIFOs: windows and links always run before disjunctives and cumulatives
+(Schulte & Stuckey, TOPLAS 31(1), 2008).  Windows and links are compiled by
+kind (a fixed, menu or elastic duration; a constant or table delta) and run
+inline in the queue loop.  An elastic window takes an unbounded maximum
+duration for max(0, e_hi - s_lo): the two give the same bounds when the
+window does not fail, and fail together.  The root first runs every window
+and link once in a topological order of the tasks by links (Kahn; each
+task's window, then its outgoing links; tasks on a link cycle follow in
+index order), which settles lower bounds along each chain, then queues that
+order reversed, which carries upper bounds back up the chains, and every
+group propagator; the sweep runs through the same loop with all of these
+already queued, so its moves wake nothing.  Each run and each failure is
 counted per kind (``KINDS``) for ``SearchResult``.  A child starts from its
 parent's fixpoint and queues only the watchers of the variable its branching
-edit changed and of the objective tasks the incumbent cap moved.  No
-propagator narrows a choice domain, so choice-derived data changes only at a
-choice edit: each group's active members and each task's watchers live in the
-search state, and a start edit shares the parent's lists.  Only the root
-computes the active lists from the families.  A choice edit patches them:
-deciding a choice changes an entry only where the choice routes the member
-(it joins the groups of the value taken) or, in a cumulative, sets its weight
-or its menu's duration (its entry (task, weight, duration) is replaced, or
-added when its minimum weight was 0).  Compilation lists those members per
-choice with their positions in the family, so an edit copies each list it
-changes once per member, inserts or replaces at the position that family order
-gives (a binary search); a list equals what the root's computation would give
-in the child, since every other member's entry reads no value the edit set.  A
-menu's duration extremes over the root domain are compiled and serve every
-state in which its choice is open.  A member routed by a choice whose root
-domain is one value v sits unconditionally in the family's value-v groups and
-in no other, and a delta table over two one-value root domains is a constant;
-neither watches the choice.  Every propagator narrows monotonically and a
-failure stays a failure, so by the chaotic-iteration argument any visiting
-order (the root sweep and the two FIFOs are such orders) reaches the
-round-robin sweep's greatest fixpoint and fail/no-fail outcome; only the name
-of the failing constraint may differ.  A group reads the bounds of its active
-members only, so not waking it for the moves of a member that is not active
-leaves that fixpoint unchanged.
+edit changed and of the objective tasks the incumbent cap moved.
+
+No propagator narrows a choice domain, so choice-derived data changes only
+at a choice edit: each group's active members and each task's group
+watchers live in the search state, and a start edit shares the parent's
+lists.  Only the root computes the active lists from the families, which
+compilation sorts by task index, so every list goes by task index.  A
+choice edit patches them: deciding a choice changes an entry only where the
+choice routes the member (it joins the groups of the value taken) or, in a
+cumulative, sets its weight or its menu's duration (its entry (task,
+weight, duration) is replaced, or added when its minimum weight was 0).
+Compilation lists those members per choice, so an edit copies each list it
+changes once per member and inserts or replaces at the task's slot (a
+binary search); a list equals what the root's computation would give in the
+child, since every other member's entry reads no value the edit set.  The
+groups whose lists an edit changed are the groups it seeds, as nothing else
+they read changed, and those a routed member joins are the groups its task
+starts watching: a routed member sits in no group until its choice is
+decided.  A menu's duration extremes over the root domain are compiled and
+serve every state in which its choice is open.  A member routed by a choice
+whose root domain is one value v sits unconditionally in the family's
+value-v groups and in no other, and a delta table over two one-value root
+domains is a constant; neither watches the choice.  Every propagator
+narrows monotonically and a failure stays a failure, so by the
+chaotic-iteration argument any visiting order (the root sweep and the two
+FIFOs are such orders) reaches the round-robin sweep's greatest fixpoint and
+fail/no-fail outcome; only the name of the failing constraint may differ.  A
+group reads the bounds of its active members only, so not waking it for the
+moves of a member that is not active leaves that fixpoint unchanged.
 
 A search stopped at its budget can be continued (``resume``): its stack,
 incumbent and node count are kept, so continuing to a larger budget gives
@@ -137,6 +139,7 @@ import time as _time
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 INF = float("inf")
 KINDS = ("window", "link", "disjunctive", "cumulative")  # propagator kinds, counted
@@ -269,12 +272,12 @@ class State:
     """Mutable search state: task time bounds plus one value per choice,
     None while the choice is open (its domain is then its root domain).
 
-    ``active`` holds one entry per group propagator, its active members, and
-    ``watch`` one entry per task, the propagators its moves wake, routed
-    groups included once their choice is decided; ``propagate`` keeps both.
-    A copy shares the lists, and ``propagate`` gives a state its own copies
-    of those a choice edit changes, so states that share a list have equal
-    values."""
+    ``active`` holds one entry per group propagator, its active members in
+    task order, and ``watch`` one entry per task, the groups its moves wake,
+    routed groups included once their choice is decided; ``propagate`` keeps
+    both.  A copy shares the lists, and a choice edit gives a state its own
+    copies of those it changes (``_Compiled._patch``), so states that share
+    a list have equal values."""
 
     __slots__ = ("s_lo", "s_hi", "e_lo", "e_hi", "values", "active", "watch")
 
@@ -440,8 +443,8 @@ class _Compiled:
         cons = model.constraints
         group_defs = [*cons.disjunctives, *cons.cumulatives]
         shared = {id(g.members): g.members for g in group_defs}  # groups may share one
-        families = {  # (task, weight, weight choice, routing choice) per member
-            key: [
+        families = {  # (task, weight, weight choice, routing choice) per member, by task
+            key: sorted(
                 (
                     self.tidx[m.task],
                     m.weight,
@@ -449,7 +452,7 @@ class _Compiled:
                     None if m.on is None else self.cidx[m.on],
                 )
                 for m in members
-            ]
+            )
             for key, members in shared.items()
         }
         self.disjunctives = [g.id for g in cons.disjunctives]
@@ -472,17 +475,16 @@ class _Compiled:
         self.disj0 = nt + len(self.links)
         self.cum0 = self.disj0 + len(self.disjunctives)
         self.nprops = self.cum0 + len(self.cumulatives)
-        disj0 = self.disj0
-        # task -> the windows and links, and the groups, that read its bounds
-        task_watch = ([[] for _ in range(nt)], [[] for _ in range(nt)])
+        # task -> the windows and links, and the groups, that read its bounds;
+        # choice -> the windows and links whose menu or delta table reads it
+        cheap_watch: list[list[int]] = [[] for _ in range(nt)]
+        group_watch: list[list[int]] = [[] for _ in range(nt)]
         choice_watch: list[list[int]] = [[] for _ in self.choices]
-
         menu_ci = [w[2] and w[2][0] for w in self.windows]
 
-        def reads(p: int, ti: int | None, *cis) -> None:
-            """Propagator p reads task ti's bounds and choices cis."""
-            if ti is not None:
-                task_watch[p >= disj0][ti].append(p)
+        def reads(p: int, ti: int, *cis) -> None:
+            """Window or link p reads task ti's bounds and choices cis."""
+            cheap_watch[ti].append(p)
             for ci in cis:
                 if ci is not None:
                     choice_watch[ci].append(p)
@@ -494,55 +496,38 @@ class _Compiled:
             reads(p, si, *(table[:2] if table else ()))
         self.interned: dict = {}  # states keep active lists: share equal entries
 
-        # Group watches, once per family and kind (a cumulative also reads its
-        # members' menus: it lifts by minimum duration); a routed member's
-        # choice maps its task to the family's groups per value, for ``_route``.
-        # Patches, per choice: the group entries that deciding it changes
-        # (see ``_patch``), one per member whose routing choice, or for a
-        # cumulative whose weight choice or menu, it is: the groups the member
-        # can sit in (all of the family's, or when routed those of each
-        # value), the member and its position in the family.  A one-value
-        # choice is decided at the root and never edited; a member of fixed
-        # weight 0 is in no cumulative list.
+        # Patches, per choice: one per member whose list entries deciding it
+        # changes (see ``_patch``), the member it routes and, in a cumulative,
+        # the member whose weight choice or menu it is (a cumulative lifts by
+        # minimum duration).  A patch holds the member's groups: all of the
+        # family's, or those of its one-value route's value, or, routed by a
+        # choice of more values, those of each value, which its task watches
+        # once the route is decided; the others it watches from the root.  A
+        # one-value choice is decided at the root and never edited; a member
+        # of fixed weight 0 is in no cumulative list: no patch, no watch.
         kinds: dict[tuple[int, bool], dict] = {}  # (family, kind) -> value -> groups
         for p, g in enumerate(group_defs, self.disj0):
             kinds.setdefault((id(g.members), p >= self.cum0), {}).setdefault(g.value, []).append(p)
         multi = [len(c.values) > 1 for c in self.choices]
-        route_tasks: list[dict] = [{} for _ in self.choices]
-        route_watch: list[dict] = [{} for _ in self.choices]
         self.patches = patches = [[] for _ in self.choices]
         for (key, is_cum), by_value in kinds.items():
             ps = [p for same in by_value.values() for p in same]
-            pos: dict[int, int] = {}  # task -> its position in the family
-            at = (lambda e, pos=pos: pos[e[0]]) if is_cum else pos.__getitem__
-            for k, (ti, w, wci, ci) in enumerate(families[key]):
-                pos[ti] = k
-                menu = menu_ci[ti] if is_cum else None
-                if not is_cum or wci is not None or w > 0:
-                    patch = (ps if ci is None else by_value, ti, k, at, w, wci, ci)
-                    if ci is not None and multi[ci]:
-                        patches[ci].append(patch)
-                    if wci is not None and wci != ci and is_cum and multi[wci]:
-                        patches[wci].append(patch)
-                    if menu is not None and menu != ci and menu != wci and multi[menu]:
-                        patches[menu].append(patch)
-                if ci is None:
-                    targets, watched = ps, ti
-                elif not multi[ci]:
-                    targets, watched = by_value.get(self.choices[ci].values[0], ()), ti
-                else:  # the task wakes a group through its route only
-                    route_tasks[ci][ti, id(by_value)] = (ti, by_value)
-                    route_watch[ci][id(by_value)] = by_value
-                    if wci is None and menu is None:
-                        continue
-                    targets, watched = ps, None
-                for p in targets:
-                    reads(p, watched, wci, menu)
-        self.cheap_watch = tuple(map(tuple, task_watch[0]))  # in order already
-        self.group_watch = tuple(tuple(sorted(set(w))) for w in task_watch[1])
-        self.route_tasks = tuple(tuple(r.values()) for r in route_tasks)
+            for ti, w, wci, ci in families[key]:
+                if is_cum and wci is None and w == 0:
+                    continue
+                routed = ci is not None and multi[ci]
+                if routed:
+                    groups = by_value
+                else:
+                    groups = ps if ci is None else by_value.get(self.choices[ci].values[0], ())
+                    group_watch[ti] += groups
+                patch = (groups, ti, w, wci, ci if routed else None)
+                for c in dict.fromkeys((ci, wci, menu_ci[ti]) if is_cum else (ci,)):
+                    if c is not None and multi[c]:
+                        patches[c].append(patch)
+        self.cheap_watch = tuple(map(tuple, cheap_watch))  # in order already
+        self.group_watch = tuple(tuple(sorted(w)) for w in group_watch)
         self.choice_watch = tuple(tuple(sorted(set(w))) for w in choice_watch)
-        self.route_watch = tuple(tuple(r.values()) for r in route_watch)
 
         # Root sweep: tasks in Kahn's topological order by links (tasks on a
         # link cycle, or behind one, follow in index order), each task's
@@ -604,15 +589,9 @@ class _Compiled:
             self.queued = [tick] * (nprops + 1)
         elif _edit[0] == "choice":
             idx = _edit[1]
-            value = st.values[idx]
-            seeds = (*self.choice_watch[idx],
-                     *(p for by_value in self.route_watch[idx]
-                       for p in by_value.get(value, ())))
+            seeds = self.choice_watch[idx]
             if self.patches[idx]:
-                self._patch(st, self.patches[idx])
-            if self.route_tasks[idx]:
-                st.watch = list(st.watch)
-                self._route(st, idx)
+                seeds = (*seeds, *self._patch(st, idx))
             queued = self.queued
             for p in seeds:
                 if queued[p] != tick:
@@ -734,15 +713,8 @@ class _Compiled:
             self.fails[0 if p < nt else 1 if p < disj0 else 2 if p < cum0 else 3] += 1
         return fail
 
-    def _route(self, st: State, ci: int) -> None:
-        """Let the tasks that choice ``ci`` routes wake the groups of its
-        decided value (``st.watch`` must be the state's own list)."""
-        value = st.values[ci]
-        for ti, by_value in self.route_tasks[ci]:
-            st.watch[ti] = (*st.watch[ti], *by_value.get(value, ()))
-
     def _active_members(self, st: State, p: int) -> list:
-        """Active-certain members of group propagator ``p``, in family order,
+        """Active-certain members of group propagator ``p``, in task order,
         computed from the family: task indices for a disjunctive, (task, min
         weight, min duration) with a positive weight for a cumulative."""
         values = st.values
@@ -767,22 +739,31 @@ class _Compiled:
                 entries.append(intern(e, e))
         return entries
 
-    def _patch(self, st: State, patches) -> None:
-        """Apply a choice edit's patches to the parent's active lists (see the
-        module docstring).  A changed list is a copy, so the parent's stays
-        as it was."""
+    def _patch(self, st: State, c: int) -> list[int]:
+        """Apply the patches of choice ``c``, just decided, to the parent's
+        active lists, and let each member that ``c`` routes be watched by the
+        groups it joins (see the module docstring); return the groups whose
+        lists changed.  A changed list, and the watch table when a member
+        joins, is a copy, so the parent's stays as it was."""
         values, min_value, windows = st.values, self.min_value, self.windows
         intern, disj0, cum0 = self.interned.setdefault, self.disj0, self.cum0
         active = st.active = list(st.active)
-        for groups, ti, k, at, w, wci, on in patches:
+        watch = None
+        changed: list[int] = []
+        for groups, ti, w, wci, on in self.patches[c]:
             if on is not None:  # routed: a member of the groups of its value only
                 groups = groups.get(values[on], ())
             if not groups:
                 continue
-            if groups[0] < cum0:  # a routed member joins
+            changed += groups
+            if on == c:  # the member joins them
+                if watch is None:
+                    watch = st.watch = list(st.watch)
+                watch[ti] = (*watch[ti], *groups)
+            if groups[0] < cum0:  # a disjunctive: only a route patches it
                 for p in groups:
                     new = active[p - disj0].copy()
-                    new.insert(bisect_left(new, k, key=at), ti)
+                    new.insert(bisect_left(new, ti), ti)
                     active[p - disj0] = new
                 continue
             if wci is not None:  # the entry as _active_members computes it
@@ -797,11 +778,12 @@ class _Compiled:
             for p in groups:
                 old = active[p - disj0]
                 new = active[p - disj0] = old.copy()
-                i = bisect_left(old, k, key=at)  # where family order puts it
+                i = bisect_left(old, ti, key=itemgetter(0))  # the task's slot
                 if i < len(old) and old[i][0] == ti:  # its entry before the edit
                     del new[i]
                 if w > 0:
                     new.insert(i, e)
+        return changed
 
     def _disjunctive(self, st: State, g: int, active: list[int], moved) -> str | None:
         """Detectable precedences by two sorts and two monotone sweeps (see

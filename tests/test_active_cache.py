@@ -1,7 +1,7 @@
 """Choice-derived data carried by the search: each state's active-member
-lists and the compiled menu extremes equal a fresh recomputation at every
-node, only the root computes a list from its family, and a machine-choice
-edit patches only the chosen machine's groups."""
+lists and group watch lists and the compiled menu extremes equal a fresh
+recomputation at every node, only the root computes a list from its family,
+and a machine-choice edit patches only the chosen machine's groups."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +19,7 @@ from hffs.engine import (
     evaluate_objective,
     root_state,
 )
-from hffs.full_model import schedule_to_assignment
+from hffs.full_model import build_full, schedule_to_assignment
 from hffs.instance_gen import GenSpec, generate
 from hffs.master import solve_master
 from hffs.model import serial_schedule
@@ -29,16 +29,33 @@ from test_engine import model_of, small_models
 from test_root_sweep import full_model_and_hint, master_model_and_hint
 
 
+def group_watchers(comp, state):
+    """Each task's group watchers, recomputed from the families: the groups
+    that hold it under the state's decided routes, leaving out cumulatives
+    it is a member of fixed weight 0 of (such a member is in no list)."""
+    watchers = [[] for _ in comp.tasks]
+    for g, family in enumerate(comp.groups):
+        p = comp.disj0 + g
+        for ti, w, wci, on in family:
+            if on is not None and state.values[on] != comp.group_value[g]:
+                continue
+            if p >= comp.cum0 and wci is None and w == 0:
+                continue
+            watchers[ti].append(p)
+    return watchers
+
+
 def assert_cache_matches_recomputation(comp, state, settled):
     """Every computed active list equals a fresh one (all are computed when
-    ``settled``), and every menu task's compiled duration bounds, which its
-    window reads while the menu's choice is open, equal a scan of its root
-    domain."""
+    ``settled``), each task's group watchers equal a fresh set, and every
+    menu task's compiled duration bounds, which its window reads while the
+    menu's choice is open, equal a scan of its root domain."""
     assert len(state.active) == len(comp.groups)
     for g, cached in enumerate(state.active):
         assert cached is not None or not settled
         if cached is not None:
             assert cached == comp._active_members(state, comp.disj0 + g)
+    assert [sorted(w) for w in state.watch] == group_watchers(comp, state)
     for dmin, dmax, menu in comp.windows:
         if menu is not None:
             durations = [menu[1][v] for v in comp.choices[menu[0]].values]
@@ -143,6 +160,26 @@ def test_master_routing_patches_match_recomputation():
     assert all(m.weight_choice is None for m in members(model))
     kinds = walk(model, evaluate_objective(model, hint) - 1, nodes=200)
     assert len(kinds) == 200 and "choice" in kinds
+
+
+def test_unpinned_group2_routing_and_weight_patches_match_recomputation(monkeypatch):
+    """The unpinned group 2 full model is where routing patches (machine
+    groups and buffers) and weight and menu patches (workers) meet: the walk
+    decides machine and worker choices both."""
+    inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))
+    base = serial_schedule(inst)
+    enc = build_full(inst, horizon=base.makespan, lb_floor=best_lb(inst).best)
+    decided = []
+    patch = _Compiled._patch
+
+    def recorded(self, st, c):
+        decided.append(self.cids[c][0])
+        return patch(self, st, c)
+
+    monkeypatch.setattr(_Compiled, "_patch", recorded)
+    cap = evaluate_objective(enc.model, schedule_to_assignment(enc, base)) - 1
+    assert len(walk(enc.model, cap, nodes=200)) == 200
+    assert set(decided) == {"m", "w"}
 
 
 def test_only_the_root_computes_active_members(monkeypatch):

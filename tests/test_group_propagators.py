@@ -180,7 +180,7 @@ def test_wide_patched_cumulative_gives_the_full_profiles_outcome(case):
         if w is None and v is not None:
             ci = comp.cidx[f"c{i}"]
             state.values[ci] = v
-            comp._patch(state, comp.patches[ci])
+            comp._patch(state, ci)
     entries, fresh = state.active[0], comp._active_members(state, comp.cum0)
     assert entries == fresh
     assert_cumulative_matches_the_timetable(model, comp, state, entries, rows)
