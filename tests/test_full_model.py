@@ -1,14 +1,16 @@
 """Monolithic model: encoding shape, exact optima, budget behaviour."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import make_instance, sample_tiny
 
+from hffs.bounds import best_lb
 from hffs.engine import Assignment, check_assignment
 from hffs.full_model import build_full, solve_full
-from hffs.model import validate_schedule
+from hffs.model import serial_schedule, validate_schedule
 
 from oracles import brute_force_optimum
 
@@ -87,7 +89,8 @@ def test_referee_reports_a_buffer_overflow_against_its_machine():
 
 
 def test_single_chain_optimum_is_path_length():
-    res, sched = solve_full(chain_instance())
+    inst = chain_instance()
+    res, sched = solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best)
     assert res.status == "optimal"
     assert res.objective == 12
     assert sched is not None
@@ -107,7 +110,7 @@ def test_workers_menu_uses_faster_crew():
         transport={},
         workers_total=2,
     )
-    res, sched = solve_full(inst)
+    res, sched = solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best)
     # one machine: both run with the full crew back to back
     assert res.objective == 6
     assert set(sched.workers_of.values()) == {2}
@@ -126,7 +129,7 @@ def test_worker_pool_blocks_double_crewing():
         transport={},
         workers_total=2,
     )
-    res, _ = solve_full(inst)
+    res, _ = solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best)
     # two machines but only two workers: either both single-crewed in
     # parallel (6) or crewed-up serially (6); never 3+3 in parallel
     assert res.objective == 6
@@ -136,7 +139,7 @@ def test_returned_schedule_validates():
     rng = random.Random(321)
     for _ in range(8):
         inst = sample_tiny(rng)
-        res, sched = solve_full(inst)
+        res, sched = solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best)
         assert res.status == "optimal"
         assert sched is not None
         assert validate_schedule(inst, sched) == []
@@ -147,21 +150,34 @@ def test_matches_brute_force_on_samples():
     rng = random.Random(654)
     for _ in range(6):
         inst = sample_tiny(rng)
-        res, _ = solve_full(inst)
+        res, _ = solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best)
         assert res.objective == brute_force_optimum(inst)
 
 
 def test_node_budget_still_returns_incumbent():
     rng = random.Random(955)
     inst = sample_tiny(rng)
-    res, sched = solve_full(inst, node_budget=1)
+    res, sched = solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best,
+                            node_budget=1)
     assert sched is not None  # warm start guarantees an incumbent
     assert res.objective is not None
     assert validate_schedule(inst, sched) == []
 
 
+def test_search_starts_from_the_callers_schedule():
+    inst = sample_tiny(random.Random(955))
+    floor = best_lb(inst).best
+    _, start = solve_full(inst, start=serial_schedule(inst), lb_floor=floor, node_budget=20)
+    assert start.makespan < serial_schedule(inst).makespan  # not the serial start
+    res, sched = solve_full(inst, start=start, lb_floor=floor)
+    assert res.ub_history[0] == (0, start.makespan)
+    assert res.objective <= start.makespan
+    assert validate_schedule(inst, sched) == []
+
+
 def test_lb_floor_respected_in_result():
-    res, _ = solve_full(chain_instance(), lb_floor=12)
+    inst = chain_instance()
+    res, _ = solve_full(inst, start=serial_schedule(inst), lb_floor=12)
     assert res.status == "optimal"
     assert res.lower_bound >= 12
 
@@ -173,15 +189,17 @@ def test_invalid_instance_rejected():
         proc={("a", "s1", 1): 4, ("a", "s2", 1): 3},
         transport={},  # missing required transport entry
     )
-    with pytest.raises(ValueError):
-        solve_full(inst)
+    start = serial_schedule(replace(inst, transport={("m1", "m2"): 5}))  # repaired copy
+    with pytest.raises(ValueError, match="invalid instance"):
+        solve_full(inst, start=start, lb_floor=0)
 
 
 def test_determinism_across_runs():
     rng = random.Random(4321)
     inst = sample_tiny(rng)
-    a, _ = solve_full(inst, node_budget=5_000)
-    b, _ = solve_full(inst, node_budget=5_000)
+    start, floor = serial_schedule(inst), best_lb(inst).best
+    a, _ = solve_full(inst, start=start, lb_floor=floor, node_budget=5_000)
+    b, _ = solve_full(inst, start=start, lb_floor=floor, node_budget=5_000)
     assert (a.status, a.objective, a.lower_bound, a.nodes) == (
         b.status,
         b.objective,
