@@ -19,7 +19,6 @@ from .model import (
     instance_to_json,
     schedule_from_json,
     schedule_to_json,
-    serial_schedule,
     validate_instance,
     validate_schedule,
 )
@@ -120,8 +119,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return 1
     if args.method == "cp":
         best = best_lb(inst).best
-        result, sched = solve_full(inst, start=serial_schedule(inst), lb_floor=best,
-                                   node_budget=args.node_budget, deadline=budgets.deadline)
+        result, sched = solve_full(
+            inst, node_budget=args.node_budget, deadline=budgets.deadline, lb_floor=best
+        )
         log = RunLog(  # no iterations
             best, result.lower_bound, result.objective, result.status, nodes=result.nodes,
             schedule=sched,

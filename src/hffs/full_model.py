@@ -23,9 +23,9 @@ model is the decomposition's subproblem: the engine compiles its one-value
 routes and transport tables away, so it searches exactly the model with
 fixed machines.
 
-``solve_full`` warm-starts the search from its caller's feasible schedule,
-whose makespan is also the horizon, and floors the objective at its caller's
-proven bound, so a feasible incumbent exists at every budget.
+``solve_full`` warm-starts the search from the serial baseline schedule,
+whose makespan it also passes as the horizon, so a feasible incumbent exists
+at every budget, and floors the objective at its caller's proven bound.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .model import (
     Schedule,
     check_machine_map,
     makespan_of,
-    serial_schedule,  # noqa: F401 -- looked up here by perfbench/tracer.py
+    serial_schedule,
     validate_instance,
     validate_schedule,
 )
@@ -238,8 +238,8 @@ def assignment_to_schedule(enc: Encoding, asg: Assignment) -> Schedule:
 def incumbent_schedule(
     inst: Instance, enc: Encoding, result: SearchResult
 ) -> Schedule:
-    """Decode the search's incumbent (the caller's warm start guarantees one)
-    and re-check it with the independent validator."""
+    """Decode the search's incumbent (the serial hint guarantees one) and
+    re-check it with the independent validator."""
     schedule = assignment_to_schedule(enc, result.incumbent)
     bad = validate_schedule(inst, schedule)
     if bad:
@@ -252,24 +252,24 @@ def incumbent_schedule(
 def solve_full(
     inst: Instance,
     *,
-    start: Schedule,
     lb_floor: int,
     node_budget: int | None = None,
     deadline: float | None = None,
 ) -> tuple[SearchResult, Schedule]:
-    """Solve the monolithic model from ``start``, a feasible schedule whose
-    makespan is the horizon, above the proven bound ``lb_floor``; the returned
-    schedule (``start`` guarantees one) has passed the full validator.
-    ``deadline`` is a ``time.perf_counter()`` reading (see ``engine.solve``);
-    the encoding runs before the search and spends its time."""
+    """Solve the monolithic model above ``lb_floor``, a proven lower bound;
+    the returned schedule (the serial warm start guarantees an incumbent) has
+    passed the full validator.  ``deadline`` is a ``time.perf_counter()``
+    reading (see ``engine.solve``); the warm start and the encoding run
+    before the search and spend its time."""
     errors = validate_instance(inst)
     if errors:
         raise ValueError(f"invalid instance: {errors[0]}")
-    enc = build_full(inst, horizon=start.makespan, lb_floor=lb_floor)
+    base = serial_schedule(inst)
+    enc = build_full(inst, horizon=base.makespan, lb_floor=lb_floor)
     result = solve(
         enc.model,
         node_budget=node_budget,
         deadline=deadline,
-        hint=schedule_to_assignment(enc, start),
+        hint=schedule_to_assignment(enc, base),
     )
     return result, incumbent_schedule(inst, enc, result)

@@ -22,12 +22,11 @@ ends.  Node counts are the work done: a kept master counts 0 nodes and a
 continued subproblem the nodes it searched in that iteration.  Only
 optimality cuts are needed (Hooker, "Planning and scheduling by logic-based
 Benders decomposition", Oper. Res. 55(3), 2007): the serial schedule under
-any machine assignment is feasible, so no subproblem is infeasible.  The run
-builds it once to warm-start every master, and on a master's machines to
-warm-start each fresh subproblem.  A master solution whose fingerprint
-already has a cut skips its subproblem, which was solved and whose zeta the
-upper bound already holds: the iteration records the cut's zeta and 0
-subproblem nodes, and doubles the master's node budget.
+any machine assignment is feasible and warm-starts every subproblem, so no
+subproblem is infeasible.  A master solution whose fingerprint already has
+a cut skips its subproblem, which was solved and whose zeta the upper bound
+already holds: the iteration records the cut's zeta and 0 subproblem nodes,
+and doubles the master's node budget.
 Time: ``Budgets.deadline`` is one ``time.perf_counter()`` reading shared by
 every layer.  Each master stops at the midpoint between its start and the
 deadline, and the subproblem runs to the deadline, so a subproblem keeps
@@ -35,7 +34,7 @@ about half the time left (Hooker's scheme needs both to run in each
 iteration).  The deadline is the one time budget; only node budgets
 double.  It is checked from the second iteration on: as the engine always
 propagates its root, the first iteration runs its master and subproblem
-even past the deadline, so a run returns a fresh subproblem's start or better.
+even past the deadline, so a run returns the serial schedule or better.
 Termination: bound meets upper bound (optimal), or iteration budget or
 deadline (feasible with gap).  Under node budgets alone the loop ends
 optimal: each iteration installs a cut on a new fingerprint (there are
@@ -58,7 +57,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .bounds import best_lb
 from .master import MasterSolution, solve_master
-from .model import Instance, Op, Schedule, schedule_to_dict, serial_schedule, validate_instance
+from .model import Instance, Op, Schedule, schedule_to_dict, validate_instance
 from .subproblem import SubResult, solve_sub
 
 Fingerprint = tuple[tuple[Op, str], ...]
@@ -160,7 +159,6 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
     t0 = _time.perf_counter()
     deterministic, deadline = budgets.deterministic, budgets.deadline
     seed_lb = best_lb(inst).best
-    start = serial_schedule(inst)  # every master's warm start
     lb = seed_lb
     ub: int | None = None
     best_sched: Schedule | None = None
@@ -180,7 +178,10 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
         k += 1
         if held is None:
             msol = solve_master(
-                inst, cuts.values(), lb, start=start, node_budget=master_budget,
+                inst,
+                cuts.values(),
+                lb,
+                node_budget=master_budget,
                 deadline=None if deadline is None else (_time.perf_counter() + deadline) / 2,
             )
             master_nodes, master_wall = msol.nodes, msol.wall_time
@@ -196,9 +197,13 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
             if master_budget is not None:
                 master_budget *= 2
         else:
-            sres = solve_sub(  # a continued search reads no start
-                inst, msol, node_budget=sub_nodes, deadline=deadline, lb_floor=lb, paused=held,
-                start=serial_schedule(inst, msol.machine_of) if held is None else held.schedule,
+            sres = solve_sub(
+                inst,
+                msol,
+                node_budget=sub_nodes,
+                deadline=deadline,
+                lb_floor=lb,
+                paused=held,
             )
             held = sres if sres.paused is not None else None
             zeta, nodes, wall = sres.zeta, sres.nodes, sres.wall_time

@@ -16,13 +16,14 @@ is the malleable worker-pool bound.  Every cut is installed as a
 conditional bound over the full machine fingerprint, and the objective is
 floored at the caller's proven lower bound, so the master's proven bound is
 valid for the original problem.  Cuts only raise the objective and forbid
-no assignment, so the caller's start that warm-starts every solve stays
+no assignment, so the serial assignment that warm-starts every solve stays
 feasible and the master always returns one.
 
 The encoding is the full model's ``Encoding`` type and shares its transport
-tables (``transport_tables``), its hint translation (``schedule_to_assignment``
-of the caller's start, whose makespan is also the horizon) and its machine
-decoding (``machine_map``), which yields the solution's ``machine_of`` map.
+tables (``transport_tables``), its warm start (``schedule_to_assignment`` of
+the serial schedule, whose makespan ``solve_master`` also passes as the
+horizon) and its machine decoding (``machine_map``), which yields the
+solution's ``machine_of`` map.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from .engine import (
     solve,
 )
 from .full_model import Encoding, machine_map, schedule_to_assignment, transport_tables
-from .model import Instance, Op, Schedule, validate_instance
-from .model import serial_schedule  # noqa: F401 -- looked up here by perfbench/tracer.py
+from .model import Instance, Op, serial_schedule, validate_instance
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,24 +129,21 @@ def solve_master(
     cuts: Iterable,
     lb_floor: int,
     *,
-    start: Schedule,
     node_budget: int | None = None,
     deadline: float | None = None,
 ) -> MasterSolution:
-    """Anytime master solve from ``start``, a feasible schedule whose makespan
-    is the horizon; its process intervals become the hint's relaxed tasks, so
-    each must use its operation's fastest worker count, as ``serial_schedule``
-    does.  The returned bound is proven for the original problem, and
-    ``start`` gives an incumbent at every budget."""
+    """Anytime master solve; the returned bound is proven for the original
+    problem, and the serial warm start gives an incumbent at every budget."""
     errors = validate_instance(inst)
     if errors:
         raise ValueError(f"invalid instance: {errors[0]}")
-    enc = build_master(inst, cuts, lb_floor, horizon=start.makespan)
+    base = serial_schedule(inst)
+    enc = build_master(inst, cuts, lb_floor, horizon=base.makespan)
     result = solve(
         enc.model,
         node_budget=node_budget,
         deadline=deadline,
-        hint=schedule_to_assignment(enc, start),
+        hint=schedule_to_assignment(enc, base),
     )
     return MasterSolution(
         machine_of=machine_map(enc, result.incumbent),

@@ -9,11 +9,9 @@ between consecutive operations of a job (a job's outer waits are zero length,
 as in the full model) with exact transport constants between the assigned
 machines, machine no-overlap groups and buffer cumulatives over only the
 operations assigned to each machine, and the global worker cumulative
-weighted by the chosen count.  A search warm-starts from its caller's
-feasible schedule on the master's machines, whose makespan is the horizon.
-Any optimum here is feasible for the original problem, so it yields an upper
-bound; the returned schedule is decoded and re-validated by the full model's
-own step.
+weighted by the chosen count.  Any optimum here is feasible for the original
+problem, so it yields an upper bound; the returned schedule is decoded and
+re-validated by the full model's own step.
 
 A search that stops at its node budget without proving its optimum can be
 continued instead of built and searched again (``solve_sub``'s ``paused``):
@@ -42,7 +40,7 @@ from .master import MasterSolution
 from .model import (
     Instance,
     Schedule,
-    serial_schedule,  # noqa: F401 -- looked up here by perfbench/tracer.py
+    serial_schedule,
     validate_instance,
     validate_schedule,  # noqa: F401 -- looked up here by perfbench/tracer.py
 )
@@ -85,34 +83,33 @@ def solve_sub(
     inst: Instance,
     msol: MasterSolution,
     *,
-    start: Schedule,
     node_budget: int | None = None,
     deadline: float | None = None,
     lb_floor: int = 0,
     paused: SubResult | None = None,
 ) -> SubResult:
-    """Anytime subproblem solve from ``start``, a feasible schedule on
-    ``msol``'s machines (see the module docstring).  ``lb_floor`` may be any
-    proven lower bound of the ORIGINAL problem (the subproblem restricts it,
-    so the bound stays valid and never inflates the reported optimum).
+    """Anytime subproblem solve.  ``lb_floor`` may be any proven lower bound
+    of the ORIGINAL problem (the subproblem restricts it, so the bound stays
+    valid and never inflates the reported optimum).
 
     A result that stopped at its node budget without proving its optimum
     keeps its search (its ``paused``).  Passing that result as ``paused``,
     with the same instance and master solution, continues the search to
     ``node_budget`` nodes in total or to the ``deadline`` (a
-    ``time.perf_counter()`` reading, as in ``engine.solve``) and reads no
-    ``start``; the floor must stay below its incumbent (see the module
-    docstring).  The returned ``nodes`` and ``wall_time`` are this call's."""
+    ``time.perf_counter()`` reading, as in ``engine.solve``); the floor must
+    stay below its incumbent (see the module docstring).  The returned
+    ``nodes`` and ``wall_time`` are those of this call."""
     if paused is None:
         errors = validate_instance(inst)
         if errors:
             raise ValueError(f"invalid instance: {errors[0]}")
-        enc = build_sub(inst, msol, horizon=start.makespan, lb_floor=lb_floor)
+        base = serial_schedule(inst, msol.machine_of)  # rejects a bad machine map
+        enc = build_sub(inst, msol, horizon=base.makespan, lb_floor=lb_floor)
         result = solve(
             enc.model,
             node_budget=node_budget,
             deadline=deadline,
-            hint=schedule_to_assignment(enc, start),
+            hint=schedule_to_assignment(enc, base),
             resumable=True,
         )
         nodes_before, wall_before = 0, 0.0

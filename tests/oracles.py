@@ -23,7 +23,7 @@ from hffs.lbbd import (
     fingerprint_of,
 )
 from hffs.master import solve_master
-from hffs.model import Instance, serial_schedule
+from hffs.model import Instance
 from hffs.subproblem import solve_sub
 
 # ------------------------------------------------------------ brute force
@@ -791,7 +791,6 @@ def restarting_lbbd(inst: Instance, budgets: Budgets) -> RunLog:
     search it runs."""
     assert budgets.deterministic
     lb = best = best_lb(inst).best
-    start = serial_schedule(inst)  # every master's warm start, built once as in ``run``
     ub = None
     best_sched = None
     cuts: dict = {}
@@ -803,7 +802,7 @@ def restarting_lbbd(inst: Instance, budgets: Budgets) -> RunLog:
             status = "feasible" if ub is not None else "unknown"
             break
         k += 1
-        msol = solve_master(inst, cuts.values(), lb, start=start, node_budget=master_nodes)
+        msol = solve_master(inst, cuts.values(), lb, node_budget=master_nodes)
         log.nodes += msol.nodes
         lb = max(lb, msol.lower_bound)
         fp = fingerprint_of(inst, msol)
@@ -818,8 +817,7 @@ def restarting_lbbd(inst: Instance, budgets: Budgets) -> RunLog:
                 k, msol.lower_bound, _hash_fingerprint(fp), cuts[fp].zeta, lb, ub,
                 msol.nodes, 0, None))
             continue
-        sres = solve_sub(inst, msol, start=serial_schedule(inst, msol.machine_of),
-                         node_budget=sub_nodes, lb_floor=lb)
+        sres = solve_sub(inst, msol, node_budget=sub_nodes, lb_floor=lb)
         sres.drop()
         log.nodes += sres.nodes
         if ub is None or sres.zeta < ub:

@@ -139,7 +139,7 @@ def pinned_sub_model_and_hint():
     choice edit decides a worker count, which sets a weight and a duration."""
     inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))
     floor = best_lb(inst).best
-    msol = solve_master(inst, [], floor, start=serial_schedule(inst), node_budget=25)
+    msol = solve_master(inst, [], floor, node_budget=25)
     base = serial_schedule(inst, msol.machine_of)
     enc = build_sub(inst, msol, horizon=base.makespan,
                     lb_floor=max(floor, msol.lower_bound))
@@ -201,8 +201,7 @@ def test_only_the_root_computes_active_members(monkeypatch):
     monkeypatch.setattr(_Compiled, "propagate", tracked)
     monkeypatch.setattr(_Compiled, "_active_members", counted)
     floor = max(best_lb(inst).best, msol.lower_bound)
-    res = solve_sub(inst, msol, start=serial_schedule(inst, msol.machine_of), node_budget=200,
-                    lb_floor=floor)
+    res = solve_sub(inst, msol, node_budget=200, lb_floor=floor)
     assert res.nodes == len(kinds) == 200
     assert set(kinds) == {None, "choice", "start"}
     assert {kind for kind, _ in calls} == {None}

@@ -1,7 +1,6 @@
 """Monolithic model: encoding shape, exact optima, budget behaviour."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -10,7 +9,7 @@ from conftest import make_instance, sample_tiny
 from hffs.bounds import best_lb
 from hffs.engine import Assignment, check_assignment
 from hffs.full_model import build_full, solve_full
-from hffs.model import serial_schedule, validate_schedule
+from hffs.model import validate_schedule
 
 from oracles import brute_force_optimum
 
@@ -88,9 +87,13 @@ def test_referee_reports_a_buffer_overflow_against_its_machine():
     assert check_assignment(model, asg) == []
 
 
+def solve_floored(inst, **budgets):
+    """``solve_full`` above the bound module's best value, as ``hffs solve`` runs it."""
+    return solve_full(inst, lb_floor=best_lb(inst).best, **budgets)
+
+
 def test_single_chain_optimum_is_path_length():
-    inst = chain_instance()
-    res, sched = solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best)
+    res, sched = solve_floored(chain_instance())
     assert res.status == "optimal"
     assert res.objective == 12
     assert sched is not None
@@ -110,7 +113,7 @@ def test_workers_menu_uses_faster_crew():
         transport={},
         workers_total=2,
     )
-    res, sched = solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best)
+    res, sched = solve_floored(inst)
     # one machine: both run with the full crew back to back
     assert res.objective == 6
     assert set(sched.workers_of.values()) == {2}
@@ -129,7 +132,7 @@ def test_worker_pool_blocks_double_crewing():
         transport={},
         workers_total=2,
     )
-    res, _ = solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best)
+    res, _ = solve_floored(inst)
     # two machines but only two workers: either both single-crewed in
     # parallel (6) or crewed-up serially (6); never 3+3 in parallel
     assert res.objective == 6
@@ -139,7 +142,7 @@ def test_returned_schedule_validates():
     rng = random.Random(321)
     for _ in range(8):
         inst = sample_tiny(rng)
-        res, sched = solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best)
+        res, sched = solve_floored(inst)
         assert res.status == "optimal"
         assert sched is not None
         assert validate_schedule(inst, sched) == []
@@ -150,34 +153,21 @@ def test_matches_brute_force_on_samples():
     rng = random.Random(654)
     for _ in range(6):
         inst = sample_tiny(rng)
-        res, _ = solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best)
+        res, _ = solve_floored(inst)
         assert res.objective == brute_force_optimum(inst)
 
 
 def test_node_budget_still_returns_incumbent():
     rng = random.Random(955)
     inst = sample_tiny(rng)
-    res, sched = solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best,
-                            node_budget=1)
+    res, sched = solve_floored(inst, node_budget=1)
     assert sched is not None  # warm start guarantees an incumbent
     assert res.objective is not None
     assert validate_schedule(inst, sched) == []
 
 
-def test_search_starts_from_the_callers_schedule():
-    inst = sample_tiny(random.Random(955))
-    floor = best_lb(inst).best
-    _, start = solve_full(inst, start=serial_schedule(inst), lb_floor=floor, node_budget=20)
-    assert start.makespan < serial_schedule(inst).makespan  # not the serial start
-    res, sched = solve_full(inst, start=start, lb_floor=floor)
-    assert res.ub_history[0] == (0, start.makespan)
-    assert res.objective <= start.makespan
-    assert validate_schedule(inst, sched) == []
-
-
 def test_lb_floor_respected_in_result():
-    inst = chain_instance()
-    res, _ = solve_full(inst, start=serial_schedule(inst), lb_floor=12)
+    res, _ = solve_full(chain_instance(), lb_floor=12)
     assert res.status == "optimal"
     assert res.lower_bound >= 12
 
@@ -189,17 +179,15 @@ def test_invalid_instance_rejected():
         proc={("a", "s1", 1): 4, ("a", "s2", 1): 3},
         transport={},  # missing required transport entry
     )
-    start = serial_schedule(replace(inst, transport={("m1", "m2"): 5}))  # repaired copy
     with pytest.raises(ValueError, match="invalid instance"):
-        solve_full(inst, start=start, lb_floor=0)
+        solve_full(inst, lb_floor=0)
 
 
 def test_determinism_across_runs():
     rng = random.Random(4321)
     inst = sample_tiny(rng)
-    start, floor = serial_schedule(inst), best_lb(inst).best
-    a, _ = solve_full(inst, start=start, lb_floor=floor, node_budget=5_000)
-    b, _ = solve_full(inst, start=start, lb_floor=floor, node_budget=5_000)
+    a, _ = solve_floored(inst, node_budget=5_000)
+    b, _ = solve_floored(inst, node_budget=5_000)
     assert (a.status, a.objective, a.lower_bound, a.nodes) == (
         b.status,
         b.objective,

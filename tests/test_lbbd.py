@@ -11,7 +11,7 @@ import hffs.lbbd as lbbd
 from hffs.instance_gen import GenSpec, generate
 from hffs.lbbd import BendersCut, Budgets, fingerprint_of, gaps, run
 from hffs.master import solve_master
-from hffs.model import schedule_to_json, serial_schedule, validate_schedule
+from hffs.model import schedule_to_json, validate_schedule
 from oracles import brute_force_optimum
 
 
@@ -143,7 +143,7 @@ def test_fingerprint_follows_instance_operation_order():
         proc={("a", "s1", 1): 2, ("a", "s2", 1): 3, ("b", "s2", 1): 4},
         transport={("m1", "m2"): 1, ("m1", "m3"): 1},
     )
-    msol = solve_master(inst, [], 0, start=serial_schedule(inst))
+    msol = solve_master(inst, [], 0)
     fp = fingerprint_of(inst, msol)
     assert [op for op, _ in fp] == [("a", "s1"), ("a", "s2"), ("b", "s2")]
     assert all(inst.machines[m] == s for (_, s), m in fp)
@@ -173,37 +173,6 @@ def test_node_budgets_alone_end_optimal(suite50, suite_optima, nodes):
     for inst, optimum in zip(suite50, suite_optima):
         log = run(inst, budgets)
         assert (log.status, log.lb, log.ub) == ("optimal", optimum, optimum)
-
-
-def test_a_run_builds_one_master_start_and_one_per_fresh_subproblem(monkeypatch):
-    """Every master warm-starts from the one serial schedule of the run; each
-    fresh subproblem gets the serial schedule on its master's machines, and a
-    continued one builds none."""
-    starts, subs = [], []
-
-    def spy_start(inst, machine_of=None):
-        starts.append(machine_of)
-        return serial_schedule(inst, machine_of)
-
-    def spy_sub(inst, msol, *, paused=None, **kwargs):
-        subs.append(None if paused is not None else msol.machine_of)
-        return lbbd_solve_sub(inst, msol, paused=paused, **kwargs)
-
-    lbbd_solve_sub = lbbd.solve_sub
-    monkeypatch.setattr(lbbd, "serial_schedule", spy_start)
-    monkeypatch.setattr(lbbd, "solve_sub", spy_sub)
-    rng = random.Random(7)
-    covered = 0  # runs with two masters, two fresh and one continued subproblem
-    for _ in range(5):
-        starts.clear()
-        subs.clear()
-        log = run(sample_tiny(rng), Budgets(master_nodes=2, sub_nodes=2))
-        assert log.status == "optimal"
-        fresh = [m for m in subs if m is not None]
-        assert starts == [None] + fresh
-        masters = sum(it.master_nodes > 0 for it in log.iterations)
-        covered += masters >= 2 and len(fresh) >= 2 and None in subs
-    assert covered >= 2
 
 
 def test_the_master_stops_halfway_to_the_deadline(monkeypatch):

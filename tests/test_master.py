@@ -1,7 +1,6 @@
 """Relaxed master: machine choice + sequencing under relaxed durations."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -22,7 +21,7 @@ def test_master_never_exceeds_the_true_optimum():
     for _ in range(8):
         inst = sample_tiny(rng)
         opt = brute_force_optimum(inst)
-        sol = solve_master(inst, [], 0, start=serial_schedule(inst))
+        sol = solve_master(inst, [], 0)
         assert sol.status == "optimal"
         assert sol.lower_bound <= opt
         assert sol.objective <= opt
@@ -50,7 +49,7 @@ def test_single_stage_master_packs_two_machines():
         transport={},
         workers_total=2,
     )
-    sol = solve_master(inst, [], 0, start=serial_schedule(inst))
+    sol = solve_master(inst, [], 0)
     # loads 2+2+4 over two machines: pair the short jobs against the long one
     assert sol.objective == 4
     assert sol.lower_bound == 4
@@ -66,7 +65,7 @@ def test_transport_acts_as_a_minimum_delay():
         proc={("j", "s1", 1): 3, ("j", "s2", 1): 4},
         transport={("m1", "m21"): 9, ("m1", "m22"): 2},
     )
-    sol = solve_master(inst, [], 0, start=serial_schedule(inst))
+    sol = solve_master(inst, [], 0)
     assert sol.objective == 3 + 2 + 4
     assert sol.machine_of == {("j", "s1"): "m1", ("j", "s2"): "m22"}
 
@@ -78,7 +77,7 @@ def test_objective_floor_lifts_bound_and_incumbent():
         proc={("a", "s1", 1): 3},
         transport={},
     )
-    sol = solve_master(inst, [], 44, start=serial_schedule(inst))
+    sol = solve_master(inst, [], 44)
     assert sol.objective == 44
     assert sol.lower_bound == 44
     assert sol.status == "optimal"
@@ -89,7 +88,7 @@ def test_floor_from_bound_module_is_respected():
     for _ in range(6):
         inst = sample_tiny(rng)
         floor = best_lb(inst).best
-        sol = solve_master(inst, [], floor, start=serial_schedule(inst))
+        sol = solve_master(inst, [], floor)
         assert sol.lower_bound >= floor
 
 
@@ -101,7 +100,7 @@ def test_cut_on_forced_fingerprint_raises_the_bound():
         transport={},
     )
     fp = ((("a", "s1"), "m1"), (("b", "s1"), "m1"))
-    sol = solve_master(inst, [BendersCut(fp, 45)], 0, start=serial_schedule(inst))
+    sol = solve_master(inst, [BendersCut(fp, 45)], 0)
     # the single machine makes the fingerprint unavoidable
     assert sol.objective == 45
     assert sol.lower_bound == 45
@@ -116,7 +115,7 @@ def test_master_routes_around_a_cut_fingerprint():
         transport={},
     )
     cut = BendersCut(((("a", "s1"), "m11"),), 45)
-    sol = solve_master(inst, [cut], 0, start=serial_schedule(inst))
+    sol = solve_master(inst, [cut], 0)
     assert sol.machine_of == {("a", "s1"): "m12"}
     assert sol.objective == 3
     assert sol.lower_bound == 3
@@ -129,16 +128,14 @@ def test_master_rejects_invalid_instances():
         proc={("j", "s1", 1): 3, ("j", "s2", 1): 4},
         transport={},  # missing the (m1, m2) entry
     )
-    start = serial_schedule(replace(inst, transport={("m1", "m2"): 1}))  # repaired copy
     with pytest.raises(ValueError, match="invalid instance"):
-        solve_master(inst, [], 0, start=start)
+        solve_master(inst, [], 0)
 
 
 def test_master_is_deterministic_across_seeds():
     rng = random.Random(4103)
     inst = sample_tiny(rng)
-    start = serial_schedule(inst)
-    a = solve_master(inst, [], 0, start=start)
-    b = solve_master(inst, [], 0, start=start)
+    a = solve_master(inst, [], 0)
+    b = solve_master(inst, [], 0)
     assert (a.machine_of, a.lower_bound, a.objective, a.nodes, a.status) == (
         b.machine_of, b.lower_bound, b.objective, b.nodes, b.status)

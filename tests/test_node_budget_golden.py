@@ -19,7 +19,6 @@ from hffs.bounds import best_lb
 from hffs.full_model import solve_full
 from hffs.instance_gen import GenSpec, generate
 from hffs.lbbd import Budgets, run
-from hffs.model import serial_schedule
 
 # Search nodes of criterion 1's 50 proofs to optimality (tests/test_acceptance.py).
 CRITERION_1_NODES = 4_442
@@ -57,16 +56,14 @@ def test_solve_full_node_budget_results_are_pinned(key):
         _, jobs, stages, seed = key
         inst = generate(GenSpec(group=2, jobs=jobs, stages=stages, variant=1, seed=seed))
         nodes = 300
-    res, _ = solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best,
-                        node_budget=nodes)
+    res, _ = solve_full(inst, lb_floor=best_lb(inst).best, node_budget=nodes)
     assert (res.status, res.objective, res.lower_bound, res.nodes, res.ub_history) == FULL[key]
 
 
 def test_lbbd_node_budget_results_are_pinned(monkeypatch):
     """The first subproblem stops at its budget, so the second iteration
     reuses the master solution (0 nodes) and continues that search from 25
-    to 50 nodes: one master solve and one subproblem build in all, and two
-    serial starts, the masters' and the fresh subproblem's."""
+    to 50 nodes: one master solve and one subproblem build in all."""
     calls = []
 
     def counted(module, name):
@@ -80,21 +77,18 @@ def test_lbbd_node_budget_results_are_pinned(monkeypatch):
 
     counted(lbbd, "solve_master")
     counted(subproblem, "build_sub")
-    counted(lbbd, "serial_schedule")
     inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))
     log = run(inst, Budgets(master_nodes=25, sub_nodes=25, max_iterations=2))
     assert (log.ub, log.lb, [it.jstar_hash for it in log.iterations]) == (
         329, 53, ["63fddc41b4ae15f5", "63fddc41b4ae15f5"])
     assert [(it.master_nodes, it.sub_nodes) for it in log.iterations] == [(25, 25), (0, 25)]
     assert log.nodes == 75
-    assert sorted(calls) == ["build_sub", "serial_schedule", "serial_schedule", "solve_master"]
+    assert sorted(calls) == ["build_sub", "solve_master"]
 
 
 def test_criterion_1_proofs_take_the_pinned_node_total(suite50):
     results = [
-        solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best,
-                   node_budget=2_000_000)[0]
-        for inst in suite50
+        solve_full(inst, lb_floor=best_lb(inst).best, node_budget=2_000_000)[0] for inst in suite50
     ]
     assert [r.status for r in results] == ["optimal"] * len(suite50)
     assert sum(r.nodes for r in results) == CRITERION_1_NODES

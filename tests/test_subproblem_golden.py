@@ -15,7 +15,6 @@ import hffs.subproblem as subproblem
 from hffs.bounds import best_lb
 from hffs.instance_gen import GenSpec, generate
 from hffs.master import solve_master
-from hffs.model import serial_schedule
 
 # (jobs, stages, variant, seed, sub nodes) ->
 # (status, zeta, lower_bound, nodes, ub_history) of solve_sub.
@@ -57,7 +56,7 @@ def test_solve_sub_node_budget_results_are_pinned(key, monkeypatch):
     jobs, stages, variant, seed, nodes = key
     inst = generate(GenSpec(group=2, jobs=jobs, stages=stages, variant=variant, seed=seed))
     floor = best_lb(inst).best
-    msol = solve_master(inst, [], floor, start=serial_schedule(inst), node_budget=25)
+    msol = solve_master(inst, [], floor, node_budget=25)
 
     searches = []
 
@@ -68,8 +67,7 @@ def test_solve_sub_node_budget_results_are_pinned(key, monkeypatch):
     engine_solve = subproblem.solve
     monkeypatch.setattr(subproblem, "solve", recording_solve)
     res = subproblem.solve_sub(
-        inst, msol, start=serial_schedule(inst, msol.machine_of), node_budget=nodes,
-        lb_floor=max(floor, msol.lower_bound))
+        inst, msol, node_budget=nodes, lb_floor=max(floor, msol.lower_bound))
     assert len(searches) == 1
     got = (res.status, res.zeta, res.lower_bound, res.nodes, searches[0].ub_history)
     assert got == SUB[key]
@@ -82,7 +80,7 @@ def test_a_continued_subproblem_search_matches_the_pinned_larger_budget(key, mon
     jobs, stages, variant, seed, _ = key
     inst = generate(GenSpec(group=2, jobs=jobs, stages=stages, variant=variant, seed=seed))
     floor = best_lb(inst).best
-    msol = solve_master(inst, [], floor, start=serial_schedule(inst), node_budget=25)
+    msol = solve_master(inst, [], floor, node_budget=25)
     lb_floor = max(floor, msol.lower_bound)
 
     searches = []
@@ -93,11 +91,9 @@ def test_a_continued_subproblem_search_matches_the_pinned_larger_budget(key, mon
 
     engine_solve = subproblem.solve
     monkeypatch.setattr(subproblem, "solve", recording_solve)
-    first = subproblem.solve_sub(inst, msol, start=serial_schedule(inst, msol.machine_of),
-                                 node_budget=25, lb_floor=lb_floor)
+    first = subproblem.solve_sub(inst, msol, node_budget=25, lb_floor=lb_floor)
     assert first.paused is not None
-    res = subproblem.solve_sub(inst, msol, start=first.schedule, node_budget=200,
-                               lb_floor=lb_floor, paused=first)
+    res = subproblem.solve_sub(inst, msol, node_budget=200, lb_floor=lb_floor, paused=first)
     assert len(searches) == 1
     got = (res.status, res.zeta, res.lower_bound, first.nodes + res.nodes,
            searches[0].ub_history)
