@@ -144,14 +144,20 @@ from operator import itemgetter
 INF = float("inf")
 KINDS = ("window", "link", "disjunctive", "cumulative")  # propagator kinds, counted
 
+# Model records are plain slotted dataclasses, not frozen ones: an encoding
+# builds them by the thousand, and a frozen record costs about three times as
+# much to build.  The engine only reads them: compiling, solving and resuming
+# never change a model, and compilation shares work by the identity of member
+# tuples and delta tables, so a caller must not change a model it has handed in.
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(slots=True)
 class ChoiceVar:
     id: str
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TaskVar:
     """Interval task; exactly one of duration / duration_menu / elastic."""
 
@@ -163,7 +169,7 @@ class TaskVar:
     lct: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Member:
     """Membership of a task in a disjunctive group or cumulative: always, or,
     when routed ``on`` a choice, exactly while that choice takes the group's
@@ -178,7 +184,7 @@ class Member:
 Delta = tuple[str, str, dict[tuple[int, int], int]]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class OffsetLink:
     """start(succ) = end(pred) + delta (table keyed by two choice values wins)."""
 
@@ -188,7 +194,7 @@ class OffsetLink:
     table: Delta | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Precedence:
     """end(pred) + delta <= start(succ)."""
 
@@ -198,14 +204,14 @@ class Precedence:
     table: Delta | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Disjunctive:
     id: str
     members: tuple[Member, ...]
     value: int | None = None  # the value that routes a routed member here
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Cumulative:
     id: str
     capacity: int
@@ -213,7 +219,7 @@ class Cumulative:
     value: int | None = None  # the value that routes a routed member here
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ConditionalBound:
     """If every listed choice takes its listed value, objective >= bound."""
 
@@ -394,34 +400,54 @@ class _Compiled:
         self.tidx = {t: i for i, t in enumerate(self.tids)}
         self.cids = list(model.choices)
         self.cidx = {c: i for i, c in enumerate(self.cids)}
-        self.tasks = [model.tasks[t] for t in self.tids]
-        self.choices = [model.choices[c] for c in self.cids]
+        self.tasks = list(model.tasks.values())
+        self.choices = list(model.choices.values())
 
-        def compile_window(t: TaskVar):
-            """(min, max, menu) duration by kind: (d, d, None) for a fixed
-            duration d; a menu's extremes over its root domain, which serve
-            while its choice is open, and (choice, table); (0, INF, None) for
-            an elastic task (see the module docstring)."""
+        # Windows: (min, max, menu) duration by kind: (d, d, None) for a fixed
+        # duration d; a menu's extremes over its root domain, which serve
+        # while its choice is open, and (choice, table); (0, INF, None) for an
+        # elastic task (see the module docstring).  Watch lists: task -> the
+        # windows and links, and the groups, that read its bounds; choice ->
+        # the windows and links whose menu or delta table reads it.
+        nt = len(self.tasks)
+        self.windows = windows = []
+        cheap_watch: list[list[int]] = [[ti] for ti in range(nt)]  # its own window
+        choice_watch: list[list[int]] = [[] for _ in self.choices]
+        menu_ci: list[int | None] = [None] * nt
+        for ti, t in enumerate(self.tasks):
             if t.duration is not None:
-                return (t.duration, t.duration, None)
-            if t.elastic:
-                return (0, INF, None)
-            cid, table = t.duration_menu
-            root = [table[v] for v in model.choices[cid].values]
-            return (min(root), max(root), (self.cidx[cid], table))
+                windows.append((t.duration, t.duration, None))
+            elif t.elastic:
+                windows.append((0, INF, None))
+            else:
+                cid, table = t.duration_menu
+                ci = menu_ci[ti] = self.cidx[cid]
+                root = [table[v] for v in self.choices[ci].values]
+                windows.append((min(root), max(root), (ci, table)))
+                choice_watch[ci].append(ti)
 
-        self.windows = [compile_window(t) for t in self.tasks]
-
+        # Links, offsets then precedences: (pred, succ, min, max, None) for a
+        # constant delta; (pred, succ, root min, root max, (ca, cb, table,
+        # row, column)) for a table, where row[a] and column[b] are the
+        # extremes of the table's row a and column b over the root domains.
+        # A table over two one-value root domains is a constant.  The same
+        # pass gives each task its outgoing links for the root sweep.
         extremes: dict = {}  # (id of a table, the two root domains) -> its extremes
-
-        def compile_delta(link):
-            """(min, max, None) for a constant; (root min, root max, (ca, cb,
-            table, row, column)) for a table, where row[a] and column[b] are
-            the extremes of the table's row a and column b over the root
-            domains.  A table over two one-value root domains is a constant."""
-            if link.table is None:
-                return (link.delta, link.delta, None)
-            ca, cb, table = link.table
+        self.links = links = []
+        out: list[list[int]] = [[] for _ in range(nt)]
+        indeg = [0] * nt
+        cons = model.constraints
+        tidx, cidx = self.tidx, self.cidx
+        for p, l in enumerate((*cons.offsets, *cons.precedences), nt):
+            pi, si = tidx[l.pred], tidx[l.succ]
+            cheap_watch[pi].append(p)
+            cheap_watch[si].append(p)
+            out[pi].append(p)
+            indeg[si] += 1
+            if l.table is None:
+                links.append((pi, si, l.delta, l.delta, None))
+                continue
+            ca, cb, table = l.table
             va, vb = model.choices[ca].values, model.choices[cb].values
             key = (id(table), va, vb)
             if key not in extremes:
@@ -432,70 +458,37 @@ class _Compiled:
                 extremes[key] = (len(va) * len(vb), lo, hi, rows, cols)
             n, lo, hi, rows, cols = extremes[key]
             if n == 1:
-                return (lo, lo, None)
-            return (lo, hi, (self.cidx[ca], self.cidx[cb], table, rows, cols))
+                links.append((pi, si, lo, lo, None))
+                continue
+            ca, cb = cidx[ca], cidx[cb]
+            links.append((pi, si, lo, hi, (ca, cb, table, rows, cols)))
+            choice_watch[ca].append(p)
+            choice_watch[cb].append(p)
 
-        self.links = [  # offsets, then precedences
-            (self.tidx[l.pred], self.tidx[l.succ], *compile_delta(l))
-            for l in model.constraints.offsets + model.constraints.precedences
-        ]
-
-        cons = model.constraints
-        group_defs = [*cons.disjunctives, *cons.cumulatives]
-        shared = {id(g.members): g.members for g in group_defs}  # groups may share one
-        families = {  # (task, weight, weight choice, routing choice) per member, by task
-            key: sorted(
-                (
-                    self.tidx[m.task],
-                    m.weight,
-                    None if m.weight_choice is None else self.cidx[m.weight_choice],
-                    None if m.on is None else self.cidx[m.on],
-                )
-                for m in members
-            )
-            for key, members in shared.items()
-        }
         self.disjunctives = [g.id for g in cons.disjunctives]
         self.cumulatives = [(c.id, c.capacity) for c in cons.cumulatives]
-        self.groups = [families[id(g.members)] for g in group_defs]
-        self.group_value = [g.value for g in group_defs]
         self.cond_bounds = [
-            ([(self.cidx[cid], val) for cid, val in cb.fingerprint], cb.bound)
-            for cb in model.constraints.conditional_bounds
+            ([(cidx[cid], val) for cid, val in cb.fingerprint], cb.bound)
+            for cb in cons.conditional_bounds
         ]
-        self.obj_tasks = [self.tidx[t] for t in model.objective_tasks]
+        self.obj_tasks = [tidx[t] for t in model.objective_tasks]
         self.floor = model.objective_floor
         self.min_value = [min(c.values) for c in self.choices]
         self.elastic_flag = [t.elastic for t in self.tasks]
 
         # Propagator numbering: task windows, offsets, precedences,
         # disjunctives, cumulatives, in that order.
-        nt = len(self.tasks)
-        self.prec0 = nt + len(model.constraints.offsets)
-        self.disj0 = nt + len(self.links)
+        self.prec0 = nt + len(cons.offsets)
+        self.disj0 = nt + len(links)
         self.cum0 = self.disj0 + len(self.disjunctives)
         self.nprops = self.cum0 + len(self.cumulatives)
-        # task -> the windows and links, and the groups, that read its bounds;
-        # choice -> the windows and links whose menu or delta table reads it
-        cheap_watch: list[list[int]] = [[] for _ in range(nt)]
-        group_watch: list[list[int]] = [[] for _ in range(nt)]
-        choice_watch: list[list[int]] = [[] for _ in self.choices]
-        menu_ci = [w[2] and w[2][0] for w in self.windows]
-
-        def reads(p: int, ti: int, *cis) -> None:
-            """Window or link p reads task ti's bounds and choices cis."""
-            cheap_watch[ti].append(p)
-            for ci in cis:
-                if ci is not None:
-                    choice_watch[ci].append(p)
-
-        for ti in range(nt):
-            reads(ti, ti, menu_ci[ti])
-        for p, (pi, si, _, _, table) in enumerate(self.links, nt):
-            reads(p, pi)
-            reads(p, si, *(table[:2] if table else ()))
         self.interned: dict = {}  # states keep active lists: share equal entries
 
+        # Groups of one member tuple and kind share a family: its members as
+        # (task, weight, weight choice, routing choice), sorted by task,
+        # compiled once and read once here.  ``kinds`` lists each family and
+        # kind with its groups by value, for the root's active lists.
+        #
         # Patches, per choice: one per member whose list entries deciding it
         # changes (see ``_patch``), the member it routes and, in a cumulative,
         # the member whose weight choice or menu it is (a cumulative lifts by
@@ -505,14 +498,30 @@ class _Compiled:
         # once the route is decided; the others it watches from the root.  A
         # one-value choice is decided at the root and never edited; a member
         # of fixed weight 0 is in no cumulative list: no patch, no watch.
-        kinds: dict[tuple[int, bool], dict] = {}  # (family, kind) -> value -> groups
+        group_defs = [*cons.disjunctives, *cons.cumulatives]
+        by_kind: dict[tuple[int, bool], tuple] = {}  # -> (members, value -> groups)
         for p, g in enumerate(group_defs, self.disj0):
-            kinds.setdefault((id(g.members), p >= self.cum0), {}).setdefault(g.value, []).append(p)
+            key = (id(g.members), p >= self.cum0)
+            if key not in by_kind:
+                by_kind[key] = (g.members, {})
+            by_kind[key][1].setdefault(g.value, []).append(p)
+        families: dict[int, list] = {}
+        group_watch: list[list[int]] = [[] for _ in range(nt)]
         multi = [len(c.values) > 1 for c in self.choices]
         self.patches = patches = [[] for _ in self.choices]
-        for (key, is_cum), by_value in kinds.items():
+        self.kinds = []
+        for (key, is_cum), (members, by_value) in by_kind.items():
+            family = families.get(key)
+            if family is None:
+                family = families[key] = sorted(
+                    (tidx[m.task], m.weight,
+                     None if m.weight_choice is None else cidx[m.weight_choice],
+                     None if m.on is None else cidx[m.on])
+                    for m in members
+                )
+            self.kinds.append((family, is_cum, by_value))
             ps = [p for same in by_value.values() for p in same]
-            for ti, w, wci, ci in families[key]:
+            for ti, w, wci, ci in family:
                 if is_cum and wci is None and w == 0:
                     continue
                 routed = ci is not None and multi[ci]
@@ -522,9 +531,16 @@ class _Compiled:
                     groups = ps if ci is None else by_value.get(self.choices[ci].values[0], ())
                     group_watch[ti] += groups
                 patch = (groups, ti, w, wci, ci if routed else None)
-                for c in dict.fromkeys((ci, wci, menu_ci[ti]) if is_cum else (ci,)):
-                    if c is not None and multi[c]:
-                        patches[c].append(patch)
+                if routed:
+                    patches[ci].append(patch)
+                if is_cum:  # its weight choice, then its menu's, once each
+                    if wci is not None and wci != ci and multi[wci]:
+                        patches[wci].append(patch)
+                    mc = menu_ci[ti]
+                    if mc is not None and mc != ci and mc != wci and multi[mc]:
+                        patches[mc].append(patch)
+        self.groups = [families[id(g.members)] for g in group_defs]
+        self.group_value = [g.value for g in group_defs]
         self.cheap_watch = tuple(map(tuple, cheap_watch))  # in order already
         self.group_watch = tuple(tuple(sorted(w)) for w in group_watch)
         self.choice_watch = tuple(tuple(sorted(set(w))) for w in choice_watch)
@@ -532,20 +548,19 @@ class _Compiled:
         # Root sweep: tasks in Kahn's topological order by links (tasks on a
         # link cycle, or behind one, follow in index order), each task's
         # window followed by its outgoing links.
-        out: list[list[int]] = [[] for _ in range(nt)]
-        indeg = [0] * nt
-        for p, (pi, si, *_) in enumerate(self.links, nt):
-            out[pi].append(p)
-            indeg[si] += 1
         order = [ti for ti in range(nt) if indeg[ti] == 0]
         for ti in order:  # grows while it is read: a FIFO
             for p in out[ti]:
-                si = self.links[p - nt][1]
+                si = links[p - nt][1]
                 indeg[si] -= 1
                 if indeg[si] == 0:
                     order.append(si)
         order += [ti for ti in range(nt) if indeg[ti] > 0]
-        self.sweep = tuple(p for ti in order for p in (ti, *out[ti]))
+        sweep = []
+        for ti in order:
+            sweep.append(ti)
+            sweep += out[ti]
+        self.sweep = tuple(sweep)
 
         # Queue marks: propagator p is queued in a call iff queued[p] is that
         # call's tick; the last slot takes the unmark of a root-sweep run.
@@ -580,7 +595,7 @@ class _Compiled:
         self.tick = tick = self.tick + 1
         sweep = ()
         if _edit is None:
-            st.active = [self._active_members(st, p) for p in range(disj0, nprops)]
+            st.active = self._active_lists(st)
             st.watch = list(self.group_watch)
             # Everything is queued behind the sweep, so its moves wake nothing.
             sweep = self.sweep
@@ -713,31 +728,44 @@ class _Compiled:
             self.fails[0 if p < nt else 1 if p < disj0 else 2 if p < cum0 else 3] += 1
         return fail
 
-    def _active_members(self, st: State, p: int) -> list:
-        """Active-certain members of group propagator ``p``, in task order,
-        computed from the family: task indices for a disjunctive, (task, min
-        weight, min duration) with a positive weight for a cumulative."""
-        values = st.values
-        g = p - self.disj0
-        here = self.group_value[g]
-        if p < self.cum0:
-            return [m[0] for m in self.groups[g] if m[3] is None or values[m[3]] == here]
-        entries = []
+    def _active_lists(self, st: State) -> list[list]:
+        """Every group's active-certain members, in task order, computed from
+        the families, each read once per kind and bucketed by the value its
+        routed members' choices take: task indices for a disjunctive, (task,
+        min weight, min duration) with a positive weight for a cumulative.
+        Groups of one family, kind and value share their list."""
+        values, disj0 = st.values, self.disj0
         intern, min_value, windows = self.interned.setdefault, self.min_value, self.windows
-        for ti, w, wci, on in self.groups[g]:
-            if on is not None and values[on] != here:
-                continue
-            if wci is not None:
-                w = values[wci]
-                if w is None:
-                    w = min_value[wci]
-            if w > 0:
-                d, _, menu = windows[ti]
-                if menu is not None and values[menu[0]] is not None:
-                    d = menu[1][values[menu[0]]]
-                e = (ti, w, d)
-                entries.append(intern(e, e))
-        return entries
+        active: list = [None] * (self.nprops - disj0)
+        for family, is_cum, by_value in self.kinds:
+            lists = {v: [] for v in by_value}
+            every = tuple(lists.values())  # an unrouted member's lists
+            for ti, w, wci, on in family:
+                if on is None:
+                    into = every
+                else:
+                    into = lists.get(values[on])
+                    if into is None:  # open, or routed to no group of this kind
+                        continue
+                    into = (into,)
+                if is_cum:
+                    if wci is not None:
+                        w = values[wci]
+                        if w is None:
+                            w = min_value[wci]
+                    if w <= 0:
+                        continue
+                    d, _, menu = windows[ti]
+                    if menu is not None and values[menu[0]] is not None:
+                        d = menu[1][values[menu[0]]]
+                    e = (ti, w, d)
+                    ti = intern(e, e)
+                for entries in into:
+                    entries.append(ti)
+            for v, ps in by_value.items():
+                for p in ps:
+                    active[p - disj0] = lists[v]
+        return active
 
     def _patch(self, st: State, c: int) -> list[int]:
         """Apply the patches of choice ``c``, just decided, to the parent's
@@ -766,7 +794,7 @@ class _Compiled:
                     new.insert(bisect_left(new, ti), ti)
                     active[p - disj0] = new
                 continue
-            if wci is not None:  # the entry as _active_members computes it
+            if wci is not None:  # the entry as _active_lists computes it
                 w = values[wci]
                 if w is None:
                     w = min_value[wci]
@@ -923,12 +951,12 @@ def check_assignment(model: EngineModel, asg: Assignment) -> list[str]:
         return v
 
     spans: dict[str, tuple[int, int]] = {}
+    starts, ends = asg.starts, asg.ends
     for tid, t in model.tasks.items():
-        if tid not in asg.starts or tid not in asg.ends:
+        if tid not in starts or tid not in ends:
             v.append(f"task {tid} unassigned")
             continue
-        s, e = asg.starts[tid], asg.ends[tid]
-        spans[tid] = (s, e)
+        s, e = spans[tid] = starts[tid], ends[tid]
         if s < t.est or e > t.lct:
             v.append(f"task {tid} outside window [{t.est},{t.lct}]")
         if t.duration is not None and e - s != t.duration:
@@ -964,19 +992,30 @@ def check_assignment(model: EngineModel, asg: Assignment) -> list[str]:
         elif spans[link.pred][1] + d > spans[link.succ][0]:
             v.append(f"precedence {link.pred}->{link.succ} violated")
 
+    # A member tuple's events are read once per kind and bucketed by the
+    # value its routed members' choices take (None: unrouted).  An event is
+    # (time, delta, position in the tuple, task), so sorting a group's events
+    # puts ends first at a time and keeps member order within a tie.
+    buckets: dict[tuple[int, bool], dict] = {}
     for group in model.constraints.disjunctives + model.constraints.cumulatives:
         unit = isinstance(group, Disjunctive)  # capacity 1, every member weighs 1
         capacity = 1 if unit else group.capacity
-        events: list[tuple[int, int, str]] = []
-        for m in group.members:
-            s, e = spans[m.task]
-            if e > s and (m.on is None or choices[m.on] == group.value):
-                w = m.weight if m.weight_choice is None else choices[m.weight_choice]
-                w = 1 if unit else w
-                events.append((s, w, m.task))
-                events.append((e, -w, m.task))
+        by_value = buckets.get((id(group.members), unit))
+        if by_value is None:
+            by_value = buckets[id(group.members), unit] = {}
+            for i, m in enumerate(group.members):
+                s, e = spans[m.task]
+                if e > s:
+                    w = m.weight if m.weight_choice is None else choices[m.weight_choice]
+                    w = 1 if unit else w
+                    at = by_value.setdefault(None if m.on is None else choices[m.on], [])
+                    at.append((s, w, i, m.task))
+                    at.append((e, -w, i, m.task))
+        events = by_value.get(None, [])
+        if group.value is not None:
+            events = events + by_value.get(group.value, [])
         level, opened = 0, ""
-        for _, delta, tid in sorted(events, key=lambda ev: ev[:2]):  # ends first at a time
+        for _, delta, _, tid in sorted(events):
             level += delta
             if level > capacity:
                 v.append(f"disjunctive {group.id}: {opened} overlaps {tid}" if unit

@@ -95,13 +95,16 @@ def build_full(
 
     tasks: dict[str, TaskVar] = {}
     choices: dict[str, ChoiceVar] = {}  # every m{k}, then every w{k}: the branching order
+    machine_domain = {s: tuple(range(len(ms))) for s, ms in stage_machines.items()}
+    worker_domain = {s: tuple(inst.worker_window(s)) for s in inst.stages}
     for k, (j, s) in enumerate(ops):
-        machs = stage_machines[s]
-        pinned = machine_of is not None
-        values = (machs.index(machine_of[(j, s)]),) if pinned else tuple(range(len(machs)))
+        if machine_of is None:
+            values = machine_domain[s]
+        else:
+            values = (stage_machines[s].index(machine_of[(j, s)]),)
         choices[f"m{k}"] = ChoiceVar(f"m{k}", values)
     for k, (j, s) in enumerate(ops):
-        choices[f"w{k}"] = ChoiceVar(f"w{k}", tuple(inst.worker_window(s)))
+        choices[f"w{k}"] = ChoiceVar(f"w{k}", worker_domain[s])
     cs = ConstraintSet()
     proc_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
     in_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
@@ -109,22 +112,25 @@ def build_full(
     worker_members: list[Member] = []
     last_pr: dict[str, str] = {}
 
+    proc_time = inst.proc_time
     for k, (j, s) in enumerate(ops):
-        mc, wc = choices[f"m{k}"], choices[f"w{k}"]
-        menu = {w: inst.proc_time[(j, s, w)] for w in wc.values}
+        mc, wc, pr = f"m{k}", f"w{k}", f"pr{k}"
+        menu = {w: proc_time[(j, s, w)] for w in worker_domain[s]}
         chain = inst.eligible_stages[j]
         if s != chain[0]:  # only a wait between two operations can be nonzero
-            tasks[f"wb{k}"] = TaskVar(f"wb{k}", elastic=True, est=0, lct=horizon)
-            cs.offsets.append(OffsetLink(f"wb{k}", f"pr{k}", 0))
-            in_members[s].append(Member(f"wb{k}", on=mc.id))
-        pr = tasks[f"pr{k}"] = TaskVar(f"pr{k}", duration_menu=(wc.id, menu), est=0, lct=horizon)
+            wb = f"wb{k}"
+            tasks[wb] = TaskVar(wb, elastic=True, est=0, lct=horizon)
+            cs.offsets.append(OffsetLink(wb, pr, 0))
+            in_members[s].append(Member(wb, on=mc))
+        tasks[pr] = TaskVar(pr, duration_menu=(wc, menu), est=0, lct=horizon)
         if s != chain[-1]:
-            tasks[f"wa{k}"] = TaskVar(f"wa{k}", elastic=True, est=0, lct=horizon)
-            cs.offsets.append(OffsetLink(pr.id, f"wa{k}", 0))
-            out_members[s].append(Member(f"wa{k}", on=mc.id))
-        proc_members[s].append(Member(pr.id, on=mc.id))
-        worker_members.append(Member(pr.id, weight_choice=wc.id))
-        last_pr[j] = pr.id
+            wa = f"wa{k}"
+            tasks[wa] = TaskVar(wa, elastic=True, est=0, lct=horizon)
+            cs.offsets.append(OffsetLink(pr, wa, 0))
+            out_members[s].append(Member(wa, on=mc))
+        proc_members[s].append(Member(pr, on=mc))
+        worker_members.append(Member(pr, weight_choice=wc))
+        last_pr[j] = pr
 
     for ka, kb, table in transport_tables(inst, ops, stage_machines, choices):
         cs.offsets.append(
@@ -196,18 +202,17 @@ def schedule_to_assignment(enc: Encoding, sched: Schedule) -> Assignment:
     choices: dict[str, int] = {}
     starts: dict[str, int] = {}
     ends: dict[str, int] = {}
-    tables = (("wb", sched.wait_before), ("pr", sched.process), ("wa", sched.wait_after))
-    for k, op in enumerate(enc.ops):
-        choices[f"m{k}"] = enc.stage_machines[op[1]].index(sched.machine_of[op])
-        choices[f"w{k}"] = sched.workers_of[op]
-        for prefix, table in tables:
-            starts[f"{prefix}{k}"], ends[f"{prefix}{k}"] = table[op]
-    tasks, own_choices = enc.model.tasks, enc.model.choices
-    return Assignment(
-        choices={c: v for c, v in choices.items() if c in own_choices},
-        starts={t: v for t, v in starts.items() if t in tasks},
-        ends={t: v for t, v in ends.items() if t in tasks},
-    )
+    tables = {"wb": sched.wait_before, "pr": sched.process, "wa": sched.wait_after}
+    ops, stage_machines = enc.ops, enc.stage_machines
+    for cid in enc.model.choices:  # m{k} or w{k}
+        op = ops[int(cid[1:])]
+        if cid[0] == "m":
+            choices[cid] = stage_machines[op[1]].index(sched.machine_of[op])
+        else:
+            choices[cid] = sched.workers_of[op]
+    for tid in enc.model.tasks:  # wb{k}, pr{k} or wa{k}
+        starts[tid], ends[tid] = tables[tid[:2]][ops[int(tid[2:])]]
+    return Assignment(choices=choices, starts=starts, ends=ends)
 
 
 def machine_map(enc: Encoding, asg: Assignment) -> dict[Op, str]:

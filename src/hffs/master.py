@@ -83,14 +83,14 @@ def build_master(
     stage_members: dict[str, list[Member]] = {s: [] for s in inst.stages}
     last_task: dict[str, str] = {}
 
+    machine_domain = {s: tuple(range(len(ms))) for s, ms in stage_machines.items()}
     for k, (j, s) in enumerate(ops):
-        mc = ChoiceVar(f"m{k}", tuple(range(len(stage_machines[s]))))
-        choices[mc.id] = mc
-        task = TaskVar(f"pr{k}", duration=relaxed[(j, s)], est=0, lct=horizon)
-        tasks[task.id] = task
-        machine_members[s].append(Member(task.id, on=mc.id))
-        stage_members[s].append(Member(task.id))
-        last_task[j] = task.id
+        mc, pr = f"m{k}", f"pr{k}"
+        choices[mc] = ChoiceVar(mc, machine_domain[s])
+        tasks[pr] = TaskVar(pr, duration=relaxed[(j, s)], est=0, lct=horizon)
+        machine_members[s].append(Member(pr, on=mc))
+        stage_members[s].append(Member(pr))
+        last_task[j] = pr
 
     for ka, kb, table in transport_tables(inst, ops, stage_machines, choices):
         cs.precedences.append(

@@ -267,9 +267,8 @@ def _instance_violations(inst: Instance) -> list[str]:
         for a, b in stage_pairs
         for pair in product(inst.machines_of(a), inst.machines_of(b))
     }
-    for pair in sorted(needed_pairs):
-        if pair not in inst.transport:
-            v.append(f"missing transport entry for machine pair {pair[0]} -> {pair[1]}")
+    for m, n in sorted(needed_pairs - inst.transport.keys()):  # sort only the missing
+        v.append(f"missing transport entry for machine pair {m} -> {n}")
     for (m, n), t in inst.transport.items():
         if m not in inst.machines or n not in inst.machines:
             v.append(f"transport time listed for unknown machine pair {m} -> {n}")

@@ -51,10 +51,11 @@ def assert_cache_matches_recomputation(comp, state, settled):
     menu task's compiled duration bounds, which its window reads while the
     menu's choice is open, equal a scan of its root domain."""
     assert len(state.active) == len(comp.groups)
+    fresh = comp._active_lists(state)
     for g, cached in enumerate(state.active):
         assert cached is not None or not settled
         if cached is not None:
-            assert cached == comp._active_members(state, comp.disj0 + g)
+            assert cached == fresh[g]
     assert [sorted(w) for w in state.watch] == group_watchers(comp, state)
     for dmin, dmax, menu in comp.windows:
         if menu is not None:
@@ -188,24 +189,23 @@ def test_only_the_root_computes_active_members(monkeypatch):
     start edits (the search's only timing edits) share them."""
     inst, msol, _, _ = pinned_sub_model_and_hint()
     kinds, calls = [], []
-    propagate, active_members = _Compiled.propagate, _Compiled._active_members
+    propagate, active_lists = _Compiled.propagate, _Compiled._active_lists
 
     def tracked(self, st, cap, _edit=None):
         kinds.append(None if _edit is None else _edit[0])
         return propagate(self, st, cap, _edit)
 
-    def counted(self, st, p):
-        calls.append((kinds[-1], p))
-        return active_members(self, st, p)
+    def counted(self, st):
+        calls.append(kinds[-1])
+        return active_lists(self, st)
 
     monkeypatch.setattr(_Compiled, "propagate", tracked)
-    monkeypatch.setattr(_Compiled, "_active_members", counted)
+    monkeypatch.setattr(_Compiled, "_active_lists", counted)
     floor = max(best_lb(inst).best, msol.lower_bound)
     res = solve_sub(inst, msol, node_budget=200, lb_floor=floor)
     assert res.nodes == len(kinds) == 200
     assert set(kinds) == {None, "choice", "start"}
-    assert {kind for kind, _ in calls} == {None}
-    assert len(calls) == len({p for _, p in calls})  # each group once
+    assert calls == [None]  # every group's list, once, at the root
 
 
 def test_a_machine_choice_edit_patches_only_the_chosen_machines_groups(monkeypatch):
@@ -231,13 +231,13 @@ def test_a_machine_choice_edit_patches_only_the_chosen_machines_groups(monkeypat
     names = comp.disjunctives + [cid for cid, _ in comp.cumulatives]
 
     calls = []
-    active_members = _Compiled._active_members
+    active_lists = _Compiled._active_lists
 
-    def counted(self, st, p):
-        calls.append(p)
-        return active_members(self, st, p)
+    def counted(self, st):
+        calls.append(st)
+        return active_lists(self, st)
 
-    monkeypatch.setattr(_Compiled, "_active_members", counted)
+    monkeypatch.setattr(_Compiled, "_active_lists", counted)
     # job 0's first and second operations
     for choice, kinds in (("m0", ["mach", "out"]), ("m1", ["in", "mach", "out"])):
         branch = ("choice", comp.cidx[choice])

@@ -127,7 +127,7 @@ def test_cumulative_early_exits_give_the_full_profiles_outcome(case):
     comp, _ = root_state(model)
     state = state_of(comp, rows)
     assert_cumulative_matches_the_timetable(
-        model, comp, state, comp._active_members(state, comp.cum0), rows)
+        model, comp, state, comp._active_lists(state)[0], rows)
 
 
 @st.composite
@@ -175,13 +175,13 @@ def test_wide_patched_cumulative_gives_the_full_profiles_outcome(case):
     model = model_of(tasks, choices=choices, cumulatives=[Cumulative("r", cap, tuple(cums))])
     comp, _ = root_state(model)
     state = state_of(comp, rows)
-    state.active = [comp._active_members(state, comp.cum0)]
+    state.active = comp._active_lists(state)
     for i, (_, w, _, v) in enumerate(members):
         if w is None and v is not None:
             ci = comp.cidx[f"c{i}"]
             state.values[ci] = v
             comp._patch(state, ci)
-    entries, fresh = state.active[0], comp._active_members(state, comp.cum0)
+    entries, fresh = state.active[0], comp._active_lists(state)[0]
     assert entries == fresh
     assert_cumulative_matches_the_timetable(model, comp, state, entries, rows)
 
