@@ -100,11 +100,13 @@ No propagator narrows a choice domain, so choice-derived data changes only
 at a choice edit: each group's active members and each task's group
 watchers live in the search state, and a start edit shares the parent's
 lists.  Only the root computes the active lists from the families, which
-compilation sorts by task index, so every list goes by task index.  A
-choice edit patches them: deciding a choice changes an entry only where the
-choice routes the member (it joins the groups of the value taken) or, in a
-cumulative, sets its weight or its menu's duration (its entry (task,
-weight, duration) is replaced, or added when its minimum weight was 0).
+compilation sorts by task index, so every list goes by task index; it reads
+each family once per kind and puts each member in the lists of the groups
+of the value its routing choice takes.  A choice edit patches them:
+deciding a choice changes an entry only where the choice routes the member
+(it joins the groups of the value taken) or, in a cumulative, sets its
+weight or its menu's duration (its entry (task, weight, duration) is
+replaced, or added when its minimum weight was 0).
 Compilation lists those members per choice, so an edit copies each list it
 changes once per member and inserts or replaces at the task's slot (a
 binary search); a list equals what the root's computation would give in the
@@ -414,11 +416,12 @@ class _Compiled:
         cheap_watch: list[list[int]] = [[ti] for ti in range(nt)]  # its own window
         choice_watch: list[list[int]] = [[] for _ in self.choices]
         menu_ci: list[int | None] = [None] * nt
+        elastic = (0, INF, None)  # one tuple for every elastic window
         for ti, t in enumerate(self.tasks):
             if t.duration is not None:
                 windows.append((t.duration, t.duration, None))
             elif t.elastic:
-                windows.append((0, INF, None))
+                windows.append(elastic)
             else:
                 cid, table = t.duration_menu
                 ci = menu_ci[ti] = self.cidx[cid]
@@ -463,7 +466,8 @@ class _Compiled:
             ca, cb = cidx[ca], cidx[cb]
             links.append((pi, si, lo, hi, (ca, cb, table, rows, cols)))
             choice_watch[ca].append(p)
-            choice_watch[cb].append(p)
+            if cb != ca:
+                choice_watch[cb].append(p)
 
         self.disjunctives = [g.id for g in cons.disjunctives]
         self.cumulatives = [(c.id, c.capacity) for c in cons.cumulatives]
@@ -484,10 +488,11 @@ class _Compiled:
         self.nprops = self.cum0 + len(self.cumulatives)
         self.interned: dict = {}  # states keep active lists: share equal entries
 
-        # Groups of one member tuple and kind share a family: its members as
-        # (task, weight, weight choice, routing choice), sorted by task,
-        # compiled once and read once here.  ``kinds`` lists each family and
-        # kind with its groups by value, for the root's active lists.
+        # Groups of one member tuple share a family: its members as (task,
+        # weight, weight choice, routing choice), sorted by task, compiled
+        # once.  ``families`` holds each family once per kind, with the kind
+        # (cumulative or not) and its groups by value, and is read once here
+        # and once per root (``_active_lists``).
         #
         # Patches, per choice: one per member whose list entries deciding it
         # changes (see ``_patch``), the member it routes and, in a cumulative,
@@ -505,21 +510,21 @@ class _Compiled:
             if key not in by_kind:
                 by_kind[key] = (g.members, {})
             by_kind[key][1].setdefault(g.value, []).append(p)
-        families: dict[int, list] = {}
+        compiled: dict[int, list] = {}  # id of a member tuple -> its family
         group_watch: list[list[int]] = [[] for _ in range(nt)]
         multi = [len(c.values) > 1 for c in self.choices]
         self.patches = patches = [[] for _ in self.choices]
-        self.kinds = []
+        self.families = []
         for (key, is_cum), (members, by_value) in by_kind.items():
-            family = families.get(key)
+            family = compiled.get(key)
             if family is None:
-                family = families[key] = sorted(
+                family = compiled[key] = sorted(
                     (tidx[m.task], m.weight,
                      None if m.weight_choice is None else cidx[m.weight_choice],
                      None if m.on is None else cidx[m.on])
                     for m in members
                 )
-            self.kinds.append((family, is_cum, by_value))
+            self.families.append((family, is_cum, by_value))
             ps = [p for same in by_value.values() for p in same]
             for ti, w, wci, ci in family:
                 if is_cum and wci is None and w == 0:
@@ -539,11 +544,12 @@ class _Compiled:
                     mc = menu_ci[ti]
                     if mc is not None and mc != ci and mc != wci and multi[mc]:
                         patches[mc].append(patch)
-        self.groups = [families[id(g.members)] for g in group_defs]
-        self.group_value = [g.value for g in group_defs]
-        self.cheap_watch = tuple(map(tuple, cheap_watch))  # in order already
-        self.group_watch = tuple(tuple(sorted(w)) for w in group_watch)
-        self.choice_watch = tuple(tuple(sorted(set(w))) for w in choice_watch)
+        for watchers in group_watch:
+            watchers.sort()
+        # Watch lists are never written after this; cheap and choice watchers
+        # were found in propagator order, so they are sorted already.
+        self.cheap_watch, self.group_watch = cheap_watch, group_watch
+        self.choice_watch = choice_watch
 
         # Root sweep: tasks in Kahn's topological order by links (tasks on a
         # link cycle, or behind one, follow in index order), each task's
@@ -737,7 +743,7 @@ class _Compiled:
         values, disj0 = st.values, self.disj0
         intern, min_value, windows = self.interned.setdefault, self.min_value, self.windows
         active: list = [None] * (self.nprops - disj0)
-        for family, is_cum, by_value in self.kinds:
+        for family, is_cum, by_value in self.families:
             lists = {v: [] for v in by_value}
             every = tuple(lists.values())  # an unrouted member's lists
             for ti, w, wci, on in family:

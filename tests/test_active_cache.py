@@ -3,6 +3,8 @@ lists and group watch lists and the compiled menu extremes equal a fresh
 recomputation at every node, only the root computes a list from its family,
 and a machine-choice edit patches only the chosen machine's groups."""
 
+from operator import itemgetter
+
 import pytest
 from hypothesis import assume, given, settings
 
@@ -34,10 +36,12 @@ def group_watchers(comp, state):
     that hold it under the state's decided routes, leaving out cumulatives
     it is a member of fixed weight 0 of (such a member is in no list)."""
     watchers = [[] for _ in comp.tasks]
-    for g, family in enumerate(comp.groups):
-        p = comp.disj0 + g
+    groups = sorted(((p, family, value) for family, _, by_value in comp.families
+                     for value, ps in by_value.items() for p in ps), key=itemgetter(0))
+    assert [p for p, _, _ in groups] == list(range(comp.disj0, comp.nprops))
+    for p, family, value in groups:
         for ti, w, wci, on in family:
-            if on is not None and state.values[on] != comp.group_value[g]:
+            if on is not None and state.values[on] != value:
                 continue
             if p >= comp.cum0 and wci is None and w == 0:
                 continue
@@ -50,7 +54,7 @@ def assert_cache_matches_recomputation(comp, state, settled):
     ``settled``), each task's group watchers equal a fresh set, and every
     menu task's compiled duration bounds, which its window reads while the
     menu's choice is open, equal a scan of its root domain."""
-    assert len(state.active) == len(comp.groups)
+    assert len(state.active) == comp.nprops - comp.disj0
     fresh = comp._active_lists(state)
     for g, cached in enumerate(state.active):
         assert cached is not None or not settled
