@@ -196,9 +196,10 @@ def transport_tables(
 
 
 def schedule_to_assignment(enc: Encoding, sched: Schedule) -> Assignment:
-    """Translate a Schedule into the encoding's engine assignment.  Only the
-    encoding's own variables are set: the master has no worker choices and
-    no waits, and its relaxed task takes the schedule's process interval."""
+    """Translate a Schedule into the encoding's engine assignment, reading
+    the operation from each of the encoding's own ids (see ``Encoding``), so
+    only its own variables are set: the master has no worker choices and no
+    waits, and its relaxed task takes the schedule's process interval."""
     choices: dict[str, int] = {}
     starts: dict[str, int] = {}
     ends: dict[str, int] = {}
