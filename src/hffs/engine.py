@@ -754,6 +754,7 @@ class _Compiled:
                     if into is None:  # open, or routed to no group of this kind
                         continue
                     into = (into,)
+                entry = ti
                 if is_cum:
                     if wci is not None:
                         w = values[wci]
@@ -764,10 +765,10 @@ class _Compiled:
                     d, _, menu = windows[ti]
                     if menu is not None and values[menu[0]] is not None:
                         d = menu[1][values[menu[0]]]
-                    e = (ti, w, d)
-                    ti = intern(e, e)
+                    entry = (ti, w, d)
+                    entry = intern(entry, entry)
                 for entries in into:
-                    entries.append(ti)
+                    entries.append(entry)
             for v, ps in by_value.items():
                 for p in ps:
                     active[p - disj0] = lists[v]
