@@ -345,7 +345,7 @@ def _impact_table(rows: list[dict[str, object]]) -> None:
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         rows = _read_rows(args.results)
-    except (OSError, ValueError) as exc:  # a decoding error is a ValueError
+    except (OSError, ValueError, csv.Error) as exc:  # a decoding error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not rows:

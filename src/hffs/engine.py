@@ -55,13 +55,17 @@ The timetable pushes a member's earliest start past each constant segment
 of the mandatory profile that the member, of weight w, cannot join.  Its own
 mandatory part [s_hi, e_lo) starts and ends at profile events, so each
 segment lies inside it or outside it.  A segment inside it already carries w
-once (check_model admits a task once per member tuple), so after the
+once (compilation admits a task once per member tuple), so after the
 overload check it holds level - w + w <= cap and cannot push; only a segment
-outside it with level + w > cap can.  Two exits skip the profile and are
-exact: with no mandatory part there is no segment, and when the active
-members' total weight is at most the capacity no segment exceeds it and a
-segment outside a member's own part holds at most total - w, so none blocks.
-Both rest on check_model's rule that no weight is negative.
+outside it with level + w > cap can.  Three exits skip the profile and are
+exact.  With no mandatory part there is no segment.  When the active
+members' total weight is at most the capacity, and more generally when the
+weight M of the members with a mandatory part plus the heaviest member
+without one is (the total is at least that sum, so one test makes both
+exits), no segment exceeds the capacity, as none holds more than M, and
+none blocks: a segment outside a member's own part holds at most M - w if
+the member has a mandatory part, and at most M if it has none.  The exits
+rest on compilation's rule that no weight is negative.
 
 A node is a leaf once every choice is decided and every start fixed, and
 its earliest ends (elastic ones too) are its incumbent.  At such a fixpoint
@@ -76,25 +80,37 @@ leaf below the node has less, so branching on ends could only add nodes.
 
 Propagation is event driven: the AC-3 queue (Mackworth, 1977) applied to
 bounds.  Compilation numbers one propagator per task window, offset,
-precedence, disjunctive and cumulative, with watch lists: task -> the
-propagators reading its bounds, and choice -> the windows and links whose
-menu or delta table reads its domain.  A propagator that moves a task bound
-queues that task's watchers (not itself: each is idempotent).  The queue is
-two FIFOs: windows and links always run before disjunctives and cumulatives
-(Schulte & Stuckey, TOPLAS 31(1), 2008).  Windows and links are compiled by
-kind (a fixed, menu or elastic duration; a constant or table delta) and run
-inline in the queue loop.  An elastic window takes an unbounded maximum
-duration for max(0, e_hi - s_lo): the two give the same bounds when the
-window does not fail, and fail together.  The root first runs every window
-and link once in a topological order of the tasks by links (Kahn; each
-task's window, then its outgoing links; tasks on a link cycle follow in
-index order), which settles lower bounds along each chain, then queues that
-order reversed, which carries upper bounds back up the chains, and every
-group propagator; the sweep runs through the same loop with all of these
-already queued, so its moves wake nothing.  Each run and each failure is
-counted per kind (``KINDS``) for ``SearchResult``.  A child starts from its
-parent's fixpoint and queues only the watchers of the variable its branching
-edit changed and of the objective tasks the incumbent cap moved.
+precedence, disjunctive and cumulative, with watch lists: side -> the
+windows and links reading it, task -> the groups reading its bounds, and
+choice -> the windows and links whose menu or delta table reads its domain.
+A side is a task's starts (s_lo, s_hi) or its ends (e_lo, e_hi).  A window
+reads both sides of its task, a link only its pred's ends and its succ's
+starts, and a group every bound of its active members.  A propagator that
+moves a bound reports the side it moved, which queues that side's windows
+and links and the task's groups (not itself: each is idempotent).  So a
+start edit wakes no link out of the task, and a move of its ends none into
+it.  A propagator that is not woken reads no bound that moved, so a run
+would move nothing, and the fixpoint and the failure outcome stay those of
+waking every reader of the task.  The queue is two FIFOs: windows and links
+always run before disjunctives and cumulatives (Schulte & Stuckey, TOPLAS
+31(1), 2008).  Windows and links are compiled by kind (a fixed, menu or
+elastic duration; a constant or table delta) and run inline in the queue
+loop.  An elastic window takes an unbounded maximum duration for max(0,
+e_hi - s_lo): the two give the same bounds when the window does not fail,
+and fail together.  The root first runs every window and link once in a
+topological order of the tasks by links (Kahn; each task's window, then its
+outgoing links; tasks on a link cycle follow in index order), which settles
+lower bounds along each chain, then queues that order reversed, which
+carries upper bounds back up the chains, and every group propagator; the
+sweep runs through the same loop with all of these already queued, so its
+moves wake nothing.  Each run and each failure is counted per kind
+(``KINDS``) for ``SearchResult``.  A child starts from its parent's fixpoint
+and queues only the watchers of the variable its branching edit changed (a
+start edit moves the task's starts) and of the ends the incumbent cap moved.
+A search frame keeps its node's state and the values its children take
+(``_child_values``: a choice's root domain, or FIX then BUMP for a start);
+each child is a copy made by ``_apply``, except the last, which takes over
+the node's state once its frame is popped.
 
 No propagator narrows a choice domain, so choice-derived data changes only
 at a choice edit: each group's active members and each task's group
@@ -306,155 +322,123 @@ class State:
 
 
 def check_model(model: EngineModel) -> None:
-    """Validate structural sanity; raise ValueError on a malformed model."""
-    tasks, choices = model.tasks, model.choices
-    for cid, c in choices.items():
-        if cid != c.id:
-            raise ValueError(f"choice key {cid} != id {c.id}")
-        if not c.values:
-            raise ValueError(f"choice {cid} has an empty domain")
-        if len(set(c.values)) != len(c.values):
-            raise ValueError(f"choice {cid} has duplicate domain values")
-    for tid, t in tasks.items():
-        if tid != t.id:
-            raise ValueError(f"task key {tid} != id {t.id}")
-        kinds = (t.duration is not None) + (t.duration_menu is not None) + t.elastic
-        if kinds != 1:
-            raise ValueError(f"task {tid} must have exactly one duration mode")
-        if t.duration is not None and t.duration < 0:
-            raise ValueError(f"task {tid} has negative duration")
-        if t.duration_menu is not None:
-            cid, menu = t.duration_menu
-            if cid not in choices:
-                raise ValueError(f"task {tid} menu references unknown choice {cid}")
-            missing = [v for v in choices[cid].values if v not in menu]
-            if missing:
-                raise ValueError(f"task {tid} menu misses durations for {missing}")
-            if any(d < 0 for d in menu.values()):
-                raise ValueError(f"task {tid} has a negative menu duration")
-        if t.est < 0 or t.lct < t.est:
-            raise ValueError(f"task {tid} has an invalid window [{t.est},{t.lct}]")
-
-    read: set[int] = set()  # ids of the member tuples read: groups may share one
-
-    def check_group(where: str, group) -> None:
-        if id(group.members) not in read:
-            read.add(id(group.members))
-            if len({m.task for m in group.members}) != len(group.members):
-                raise ValueError(f"{where} lists a task twice")
-            for m in group.members:
-                if m.task not in tasks:
-                    raise ValueError(f"{where} references unknown task {m.task}")
-                if m.weight_choice is None:
-                    if m.weight < 0:
-                        raise ValueError(f"{where} has a negative weight for task {m.task}")
-                elif m.weight_choice not in choices:
-                    raise ValueError(f"{where} references unknown weight choice")
-                elif min(choices[m.weight_choice].values) < 0:
-                    raise ValueError(f"{where} has a negative weight for task {m.task}")
-                if m.on is not None and m.on not in choices:
-                    raise ValueError(f"{where} references unknown routing choice {m.on}")
-        if group.value is None and any(m.on is not None for m in group.members):
-            raise ValueError(f"{where} has routed members but no value")
-
-    cs = model.constraints
-    tables: set = set()  # (id of a table, the two domains) already read
-    for link in list(cs.offsets) + list(cs.precedences):
-        for tid in (link.pred, link.succ):
-            if tid not in tasks:
-                raise ValueError(f"link references unknown task {tid}")
-        if link.table is not None:
-            ca, cb, table = link.table
-            for cid in (ca, cb):
-                if cid not in choices:
-                    raise ValueError(f"link table references unknown choice {cid}")
-            key = (id(table), choices[ca].values, choices[cb].values)
-            if key in tables:
-                continue
-            tables.add(key)
-            for va in choices[ca].values:
-                for vb in choices[cb].values:
-                    if (va, vb) not in table:
-                        raise ValueError(
-                            f"link table misses delta for ({va},{vb}) of ({ca},{cb})"
-                        )
-    for group in cs.disjunctives:
-        check_group(f"disjunctive {group.id}", group)
-    for cum in cs.cumulatives:
-        if cum.capacity < 0:
-            raise ValueError(f"cumulative {cum.id} has negative capacity")
-        check_group(f"cumulative {cum.id}", cum)
-    for cb in cs.conditional_bounds:
-        for cid, _ in cb.fingerprint:
-            if cid not in choices:
-                raise ValueError(f"conditional bound references unknown choice {cid}")
-    for tid in model.objective_tasks:
-        if tid not in tasks:
-            raise ValueError(f"objective references unknown task {tid}")
+    """Validate structural sanity; raise ValueError on a malformed model.
+    Compilation makes every check as it reads the model (see ``_Compiled``),
+    so this compiles the model and drops the result."""
+    _Compiled(model)
 
 
 class _Compiled:
-    """Index-based view of an EngineModel plus the propagation routines."""
+    """Index-based view of an EngineModel plus the propagation routines.
+
+    Compiling checks the model as it reads it and raises ValueError on the
+    first fault, in a fixed order: choices, tasks, links, disjunctives,
+    cumulatives, conditional bounds, objective tasks."""
 
     def __init__(self, model: EngineModel) -> None:
-        check_model(model)
+        choices = model.choices
+        self.cids = list(choices)
+        self.cidx = cidx = {c: i for i, c in enumerate(self.cids)}
+        self.choices = list(choices.values())
+        self.min_value = min_value = []
+        lows: dict[int, int] = {}  # id of a domain tuple -> its minimum: choices share them
+        for cid, c in choices.items():
+            values = c.values
+            if cid != c.id:
+                raise ValueError(f"choice key {cid} != id {c.id}")
+            low = lows.get(id(values))
+            if low is None:
+                if not values:
+                    raise ValueError(f"choice {cid} has an empty domain")
+                if len(set(values)) != len(values):
+                    raise ValueError(f"choice {cid} has duplicate domain values")
+                low = lows[id(values)] = min(values)
+            min_value.append(low)
         self.tids = list(model.tasks)
-        self.tidx = {t: i for i, t in enumerate(self.tids)}
-        self.cids = list(model.choices)
-        self.cidx = {c: i for i, c in enumerate(self.cids)}
+        self.tidx = tidx = {t: i for i, t in enumerate(self.tids)}
         self.tasks = list(model.tasks.values())
-        self.choices = list(model.choices.values())
 
         # Windows: (min, max, menu) duration by kind: (d, d, None) for a fixed
         # duration d; a menu's extremes over its root domain, which serve
         # while its choice is open, and (choice, table); (0, INF, None) for an
-        # elastic task (see the module docstring).  Watch lists: task -> the
-        # windows and links, and the groups, that read its bounds; choice ->
-        # the windows and links whose menu or delta table reads it.
+        # elastic task (see the module docstring).  Watch lists: side ->
+        # the windows and links that read it, where side 2 * ti is task ti's
+        # starts and 2 * ti + 1 its ends; task -> the groups that read its
+        # bounds; choice -> the windows and links whose menu or delta table
+        # reads it.
         nt = len(self.tasks)
         self.windows = windows = []
-        cheap_watch: list[list[int]] = [[ti] for ti in range(nt)]  # its own window
+        cheap_watch: list[list[int]] = [[k >> 1] for k in range(2 * nt)]  # its own window
         choice_watch: list[list[int]] = [[] for _ in self.choices]
         menu_ci: list[int | None] = [None] * nt
         elastic = (0, INF, None)  # one tuple for every elastic window
-        for ti, t in enumerate(self.tasks):
-            if t.duration is not None:
-                windows.append((t.duration, t.duration, None))
+        for ti, (tid, t) in enumerate(model.tasks.items()):
+            if tid != t.id:
+                raise ValueError(f"task key {tid} != id {t.id}")
+            d, menu = t.duration, t.duration_menu
+            if (d is not None) + (menu is not None) + t.elastic != 1:
+                raise ValueError(f"task {tid} must have exactly one duration mode")
+            if d is not None:
+                if d < 0:
+                    raise ValueError(f"task {tid} has negative duration")
+                windows.append((d, d, None))
             elif t.elastic:
                 windows.append(elastic)
             else:
-                cid, table = t.duration_menu
-                ci = menu_ci[ti] = self.cidx[cid]
-                root = [table[v] for v in self.choices[ci].values]
+                cid, table = menu
+                ci = menu_ci[ti] = cidx.get(cid)
+                if ci is None:
+                    raise ValueError(f"task {tid} menu references unknown choice {cid}")
+                domain = self.choices[ci].values
+                root = [table.get(v) for v in domain]
+                if None in root:
+                    missing = [v for v in domain if v not in table]
+                    raise ValueError(f"task {tid} menu misses durations for {missing}")
+                if min(table.values()) < 0:
+                    raise ValueError(f"task {tid} has a negative menu duration")
                 windows.append((min(root), max(root), (ci, table)))
                 choice_watch[ci].append(ti)
+            if t.est < 0 or t.lct < t.est:
+                raise ValueError(f"task {tid} has an invalid window [{t.est},{t.lct}]")
 
         # Links, offsets then precedences: (pred, succ, min, max, None) for a
         # constant delta; (pred, succ, root min, root max, (ca, cb, table,
         # row, column)) for a table, where row[a] and column[b] are the
         # extremes of the table's row a and column b over the root domains.
-        # A table over two one-value root domains is a constant.  The same
-        # pass gives each task its outgoing links for the root sweep.
+        # A table over two one-value root domains is a constant.  A link
+        # reads its pred's ends and its succ's starts.  The same pass gives
+        # each task its outgoing links for the root sweep.
         extremes: dict = {}  # (id of a table, the two root domains) -> its extremes
         self.links = links = []
         out: list[list[int]] = [[] for _ in range(nt)]
         indeg = [0] * nt
         cons = model.constraints
-        tidx, cidx = self.tidx, self.cidx
         for p, l in enumerate((*cons.offsets, *cons.precedences), nt):
-            pi, si = tidx[l.pred], tidx[l.succ]
-            cheap_watch[pi].append(p)
-            cheap_watch[si].append(p)
+            try:
+                pi, si = tidx[l.pred], tidx[l.succ]
+            except KeyError as err:
+                raise ValueError(f"link references unknown task {err.args[0]}") from None
+            cheap_watch[2 * pi + 1].append(p)
+            cheap_watch[2 * si].append(p)
             out[pi].append(p)
             indeg[si] += 1
             if l.table is None:
                 links.append((pi, si, l.delta, l.delta, None))
                 continue
             ca, cb, table = l.table
-            va, vb = model.choices[ca].values, model.choices[cb].values
+            for cid in (ca, cb):
+                if cid not in choices:
+                    raise ValueError(f"link table references unknown choice {cid}")
+            va, vb = choices[ca].values, choices[cb].values
             key = (id(table), va, vb)
             if key not in extremes:
-                grid = [[table[(a, b)] for b in vb] for a in va]
+                try:
+                    grid = [[table[a, b] for b in vb] for a in va]
+                except KeyError as err:
+                    a, b = err.args[0]
+                    raise ValueError(
+                        f"link table misses delta for ({a},{b}) of ({ca},{cb})"
+                    ) from None
                 rows = dict(zip(va, zip(map(min, grid), map(max, grid))))
                 cols = dict(zip(vb, zip(map(min, zip(*grid)), map(max, zip(*grid)))))
                 lo, hi = min(r[0] for r in rows.values()), max(r[1] for r in rows.values())
@@ -471,13 +455,7 @@ class _Compiled:
 
         self.disjunctives = [g.id for g in cons.disjunctives]
         self.cumulatives = [(c.id, c.capacity) for c in cons.cumulatives]
-        self.cond_bounds = [
-            ([(cidx[cid], val) for cid, val in cb.fingerprint], cb.bound)
-            for cb in cons.conditional_bounds
-        ]
-        self.obj_tasks = [tidx[t] for t in model.objective_tasks]
         self.floor = model.objective_floor
-        self.min_value = [min(c.values) for c in self.choices]
         self.elastic_flag = [t.elastic for t in self.tasks]
 
         # Propagator numbering: task windows, offsets, precedences,
@@ -490,7 +468,8 @@ class _Compiled:
 
         # Groups of one member tuple share a family: its members as (task,
         # weight, weight choice, routing choice), sorted by task, compiled
-        # once.  ``families`` holds each family once per kind, with the kind
+        # and checked once, when the first group that lists it is read.
+        # ``families`` holds each family once per kind, with the kind
         # (cumulative or not) and its groups by value, and is read once here
         # and once per root (``_active_lists``).
         #
@@ -503,27 +482,41 @@ class _Compiled:
         # once the route is decided; the others it watches from the root.  A
         # one-value choice is decided at the root and never edited; a member
         # of fixed weight 0 is in no cumulative list: no patch, no watch.
-        group_defs = [*cons.disjunctives, *cons.cumulatives]
         by_kind: dict[tuple[int, bool], tuple] = {}  # -> (members, value -> groups)
-        for p, g in enumerate(group_defs, self.disj0):
-            key = (id(g.members), p >= self.cum0)
+        compiled: dict[int, tuple] = {}  # id of a member tuple -> (family, routed?)
+        for p, g in enumerate((*cons.disjunctives, *cons.cumulatives), self.disj0):
+            is_cum = p >= self.cum0
+            kind = "cumulative" if is_cum else "disjunctive"
+            if is_cum and g.capacity < 0:
+                raise ValueError(f"cumulative {g.id} has negative capacity")
+            members = g.members
+            if id(members) not in compiled:
+                compiled[id(members)] = self._family(f"{kind} {g.id}", members, tidx, cidx)
+            if g.value is None and compiled[id(members)][1]:
+                raise ValueError(f"{kind} {g.id} has routed members but no value")
+            key = (id(members), is_cum)
             if key not in by_kind:
-                by_kind[key] = (g.members, {})
+                by_kind[key] = (members, {})
             by_kind[key][1].setdefault(g.value, []).append(p)
-        compiled: dict[int, list] = {}  # id of a member tuple -> its family
+        try:
+            self.cond_bounds = [
+                ([(cidx[cid], val) for cid, val in cb.fingerprint], cb.bound)
+                for cb in cons.conditional_bounds
+            ]
+        except KeyError as err:
+            raise ValueError(
+                f"conditional bound references unknown choice {err.args[0]}") from None
+        try:
+            self.obj_tasks = [tidx[t] for t in model.objective_tasks]
+        except KeyError as err:
+            raise ValueError(f"objective references unknown task {err.args[0]}") from None
+
         group_watch: list[list[int]] = [[] for _ in range(nt)]
         multi = [len(c.values) > 1 for c in self.choices]
         self.patches = patches = [[] for _ in self.choices]
         self.families = []
         for (key, is_cum), (members, by_value) in by_kind.items():
-            family = compiled.get(key)
-            if family is None:
-                family = compiled[key] = sorted(
-                    (tidx[m.task], m.weight,
-                     None if m.weight_choice is None else cidx[m.weight_choice],
-                     None if m.on is None else cidx[m.on])
-                    for m in members
-                )
+            family = compiled[key][0]
             self.families.append((family, is_cum, by_value))
             ps = [p for same in by_value.values() for p in same]
             for ti, w, wci, ci in family:
@@ -570,10 +563,41 @@ class _Compiled:
 
         # Queue marks: propagator p is queued in a call iff queued[p] is that
         # call's tick; the last slot takes the unmark of a root-sweep run.
+        # The two FIFOs and the list of moved sides serve every call, and a
+        # call that fails empties them.
         self.queued = [0] * (self.nprops + 1)
         self.tick = 0
+        self.cheap, self.groups, self.moved = deque(), deque(), []
         self.runs = [0] * len(KINDS)  # propagator runs and failures per kind
         self.fails = [0] * len(KINDS)
+
+    def _family(self, where: str, members, tidx, cidx) -> tuple[list, bool]:
+        """A member tuple's family, sorted by task, and whether a member is
+        routed; raise on its first faulty member, in tuple order."""
+        if len({m.task for m in members}) != len(members):
+            raise ValueError(f"{where} lists a task twice")
+        family, routed, min_value = [], False, self.min_value
+        for m in members:
+            ti = tidx.get(m.task)
+            if ti is None:
+                raise ValueError(f"{where} references unknown task {m.task}")
+            wci, ci = m.weight_choice, m.on
+            if wci is None:
+                if m.weight < 0:
+                    raise ValueError(f"{where} has a negative weight for task {m.task}")
+            else:
+                wci = cidx.get(wci)
+                if wci is None:
+                    raise ValueError(f"{where} references unknown weight choice")
+                if min_value[wci] < 0:
+                    raise ValueError(f"{where} has a negative weight for task {m.task}")
+            if ci is not None:
+                routed, ci = True, cidx.get(ci)
+                if ci is None:
+                    raise ValueError(f"{where} references unknown routing choice {m.on}")
+            family.append((ti, m.weight, wci, ci))
+        family.sort()
+        return family, routed
 
     # -- state helpers ------------------------------------------------------
 
@@ -596,8 +620,8 @@ class _Compiled:
         sweeps windows and links once in topological order and then queues
         everything."""
         nt, disj0, cum0, nprops = len(self.tasks), self.disj0, self.cum0, self.nprops
-        cheap, groups = deque(), deque()  # windows and links run first
-        moved: list[int] = []  # tasks whose bounds moved, to wake their watchers
+        cheap, groups = self.cheap, self.groups  # windows and links run first
+        moved = self.moved  # the sides (2 * task + 0 starts, 1 ends) that moved
         self.tick = tick = self.tick + 1
         sweep = ()
         if _edit is None:
@@ -619,13 +643,13 @@ class _Compiled:
                     queued[p] = tick
                     (cheap if p < disj0 else groups).append(p)
         else:
-            moved.append(_edit[1])  # a start edit wakes the task's watchers
+            moved.append(2 * _edit[1])  # a start edit wakes the readers of its starts
         if obj_cap < INF:
             cap = int(obj_cap)
             for ti in self.obj_tasks:
                 if st.e_hi[ti] > cap:
                     st.e_hi[ti] = cap
-                    moved.append(ti)
+                    moved.append(2 * ti + 1)
 
         s_lo, s_hi, e_lo, e_hi, values = st.s_lo, st.s_hi, st.e_lo, st.e_hi, st.values
         active, watch, queued = st.active, st.watch, self.queued
@@ -637,12 +661,12 @@ class _Compiled:
         swept, nsweep, done = 0, len(sweep), nprops
         while True:
             if moved:
-                for ti in moved:
-                    for q in cheap_watch[ti]:
+                for side in moved:
+                    for q in cheap_watch[side]:
                         if queued[q] != tick:
                             queued[q] = tick
                             cheap.append(q)
-                    for q in watch[ti]:
+                    for q in watch[side >> 1]:
                         if queued[q] != tick:
                             queued[q] = tick
                             groups.append(q)
@@ -675,9 +699,12 @@ class _Compiled:
                     first = slo
                 if last > shi:
                     last = shi
-                if first != slo or last != shi or lo != elo or hi != ehi:
-                    s_lo[p], s_hi[p], e_lo[p], e_hi[p] = first, last, lo, hi
-                    moved.append(p)
+                if first != slo or last != shi:
+                    s_lo[p], s_hi[p] = first, last
+                    moved.append(2 * p)
+                if lo != elo or hi != ehi:
+                    e_lo[p], e_hi[p] = lo, hi
+                    moved.append(2 * p + 1)
                 if first > last or lo > hi:
                     fail = f"task:{self.tids[p]}"
                     break
@@ -697,20 +724,20 @@ class _Compiled:
                 x = e_lo[pi] + dmin
                 if s_lo[si] < x:
                     s_lo[si] = x
-                    moved.append(si)
+                    moved.append(2 * si)
                 if p < prec0:
                     x = e_hi[pi] + dmax
                     if s_hi[si] > x:
                         s_hi[si] = x
-                        moved.append(si)
+                        moved.append(2 * si)
                     x = s_lo[si] - dmax
                     if e_lo[pi] < x:
                         e_lo[pi] = x
-                        moved.append(pi)
+                        moved.append(2 * pi + 1)
                 x = s_hi[si] - dmin
                 if e_hi[pi] > x:
                     e_hi[pi] = x
-                    moved.append(pi)
+                    moved.append(2 * pi + 1)
                 if s_lo[si] > s_hi[si] or e_lo[pi] > e_hi[pi]:
                     kind = "offset" if p < prec0 else "precedence"
                     fail = f"{kind}:{self.tids[pi]}->{self.tids[si]}"
@@ -732,6 +759,9 @@ class _Compiled:
         runs[3] += cumulative_runs
         if fail is not None:
             self.fails[0 if p < nt else 1 if p < disj0 else 2 if p < cum0 else 3] += 1
+            cheap.clear()
+            groups.clear()
+            moved.clear()
         return fail
 
     def _active_lists(self, st: State) -> list[list]:
@@ -849,7 +879,7 @@ class _Compiled:
                 if v > s_hi[b]:  # b and that other must each precede the other
                     return f"disjunctive:{self.disjunctives[g]}"
                 s_lo[b] = v
-                moved.append(b)
+                moved.append(2 * b)
         # Descending starts: a's latest end falls to the earliest latest start
         # of the others that cannot end before a starts.
         j, low, second, low_task = n - 1, INF, INF, -1
@@ -866,7 +896,7 @@ class _Compiled:
             v = second if low_task == a else low
             if v < e_hi[a]:
                 e_hi[a] = v
-                moved.append(a)
+                moved.append(2 * a + 1)
         return None
 
     def _cumulative(self, st: State, c: int, active: list, moved) -> str | None:
@@ -875,20 +905,22 @@ class _Compiled:
         s_hi, e_lo = st.s_hi, st.e_lo
         cid, cap = self.cumulatives[c]
         events = []
-        total = 0
+        mandatory = heaviest = 0  # the weight with a mandatory part; the heaviest without
         for ti, w, _ in active:
-            total += w
             lo, hi = s_hi[ti], e_lo[ti]
             if lo < hi:
+                mandatory += w
                 events.append((lo, w))
                 events.append((hi, -w))
-        if total <= cap or not events:
+            elif w > heaviest:
+                heaviest = w
+        if not events or mandatory + heaviest <= cap:
             return None  # no segment can exceed or block: see the module docstring
         events.sort()
         # Events sort by (time, delta), so at each time point the running
         # level peaks after the point's last event.  That peak is the level of
         # the segment starting there, and after the final event the level is
-        # 0.  With cap >= 0 (check_model), the mandatory profile exceeds the
+        # 0.  With cap >= 0 (compilation checks it), the mandatory profile exceeds the
         # capacity exactly when some segment's level does.
         segs = []  # constant positive-level segments (lo, hi, level)
         level, prev = 0, None
@@ -920,7 +952,7 @@ class _Compiled:
                     t = hi
             if t > s_lo[ti]:
                 s_lo[ti] = t
-                moved.append(ti)
+                moved.append(2 * ti)
 
     # -- node bound and leaf extraction ---------------------------------------
 
@@ -1079,20 +1111,25 @@ def _pick_branch(comp: _Compiled, st: State):
     return None if pick is None else ("start", pick)
 
 
-def _child_edits(comp: _Compiled, branch):
-    """Ordered child edits for a branching decision (an exhaustive split)."""
+FIX, BUMP = "fix", "bump"  # a start branch's children: s_hi = s_lo, then s_lo + 1
+
+
+def _child_values(comp: _Compiled, branch) -> tuple:
+    """The values a branching decision's children take, in order (an
+    exhaustive split): a choice's root domain, or FIX then BUMP."""
+    kind, idx = branch
+    return comp.choices[idx].values if kind == "choice" else (FIX, BUMP)
+
+
+def _apply(st: State, branch, value) -> None:
+    """Make ``st`` the child of ``branch`` that takes ``value``, in place."""
     kind, idx = branch
     if kind == "choice":
-        def assign(value):
-            def edit(s: State) -> None:
-                s.values[idx] = value
-            return edit
-        return [assign(v) for v in comp.choices[idx].values]
-    def fix(s: State) -> None:
-        s.s_hi[idx] = s.s_lo[idx]
-    def bump(s: State) -> None:
-        s.s_lo[idx] = s.s_lo[idx] + 1
-    return [fix, bump]
+        st.values[idx] = value
+    elif value is FIX:
+        st.s_hi[idx] = st.s_lo[idx]
+    else:
+        st.s_lo[idx] += 1
 
 
 def solve(
@@ -1189,7 +1226,7 @@ class _Search:
                 self.incumbent, self.ub = asg, obj
                 self.history.append((self.nodes, obj))
             return
-        self.stack.append([state, _child_edits(comp, branch), 0, lb, branch])
+        self.stack.append([state, _child_values(comp, branch), 0, lb, branch])
 
     def run(
         self,
@@ -1210,20 +1247,18 @@ class _Search:
                 budget_hit = True
             elif deadline is not None and _time.perf_counter() >= deadline:
                 budget_hit = True
-            if budget_hit:
-                for frame in stack:
-                    if frame[2] < len(frame[1]):
-                        frontier_min = min(frontier_min, frame[3])
+            if budget_hit:  # every frame on the stack has a child left
+                frontier_min = min(frame[3] for frame in stack)
                 break
             frame = stack[-1]
-            if frame[2] >= len(frame[1]):
+            state, children, i, _, branch = frame
+            if i + 1 < len(children):
+                frame[2] = i + 1
+                state = state.copy()
+            else:  # the last child takes over its parent's state
                 stack.pop()
-                continue
-            edit = frame[1][frame[2]]
-            frame[2] += 1
-            child = frame[0].copy()
-            edit(child)
-            process(child, frame[4])
+            _apply(state, branch, children[i])
+            process(state, branch)
         self.wall += _time.perf_counter() - t0
 
         ub = self.ub

@@ -436,7 +436,10 @@ def _require(value: object, kind: type, where: str):
 
 def _document(text: str, what: str, fields: set[str]) -> dict:
     """The top-level object of a document with exactly ``fields``."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ValueError(f"{what} document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{what} document must be a JSON object")
     unknown = set(doc) - fields

@@ -15,7 +15,8 @@ from hffs.engine import (
     Cumulative,
     Member,
     TaskVar,
-    _child_edits,
+    _apply,
+    _child_values,
     _Compiled,
     _pick_branch,
     evaluate_objective,
@@ -82,9 +83,9 @@ def walk(model, cap, nodes=40):
             continue
         branch = _pick_branch(comp, state)
         if branch is not None:
-            for child_edit in reversed(_child_edits(comp, branch)):
+            for value in reversed(_child_values(comp, branch)):
                 child = state.copy()
-                child_edit(child)
+                _apply(child, branch, value)
                 stack.append((child, branch))
     return kinds
 
@@ -246,7 +247,7 @@ def test_a_machine_choice_edit_patches_only_the_chosen_machines_groups(monkeypat
     for choice, kinds in (("m0", ["mach", "out"]), ("m1", ["in", "mach", "out"])):
         branch = ("choice", comp.cidx[choice])
         child = root.copy()
-        _child_edits(comp, branch)[0](child)
+        _apply(child, branch, _child_values(comp, branch)[0])
         comp.propagate(child, cap, branch)
         changed = [names[g] for g, entries in enumerate(child.active)
                    if entries is not root.active[g]]

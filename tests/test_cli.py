@@ -297,6 +297,40 @@ def test_an_unreadable_report_gives_one_error_line(tmp_path, capsys, content):
     assert one_error_line(err)
 
 
+def test_a_report_field_over_the_csv_limit_gives_one_error_line(tmp_path, capsys):
+    """The csv module refuses a field longer than 131,072 characters."""
+    bad = tmp_path / "cp.csv"
+    bad.write_text(CSV_HEADER + "\n25_1," + "9" * 140_000 + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "report", str(bad))
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err) and "field limit" in err
+
+
+DEEP = "[" * 200_000 + "]" * 200_000  # deeper than the JSON decoder can recurse
+
+
+@pytest.mark.parametrize("command", ["bounds", "solve", "validate"])
+def test_a_deeply_nested_instance_gives_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP, encoding="utf-8")
+    argv = [command, str(path)] + ([str(path)] if command == "validate" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err) and "instance document is nested too deeply" in err
+
+
+def test_a_deeply_nested_schedule_gives_one_error_line(tmp_path, capsys):
+    path = gen_instance(tmp_path, capsys)
+    deep = tmp_path / "sched.json"
+    deep.write_text(DEEP, encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path), str(deep))
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err) and "schedule document is nested too deeply" in err
+
+
 @pytest.mark.parametrize("budget", ["1", "10"])
 def test_solve_ends_optimal_where_the_master_repeats_a_cut_assignment(tmp_path, capsys, budget):
     """At these budgets the master proposes an assignment whose subproblem was

@@ -25,15 +25,15 @@ from hffs.model import serial_schedule
 
 # (model, seed) -> (nodes, objective, runs per kind, fails per kind)
 COUNTERS = {
-    ("full-group1", 0): (60, 1274, (2456, 4298, 301, 557), (0, 0, 0, 0)),
-    ("full-group1", 1): (60, 1356, (2129, 3691, 305, 563), (0, 0, 0, 0)),
-    ("full-group1", 2): (60, 879, (2015, 3480, 323, 591), (0, 0, 0, 0)),
-    ("master-group2", 0): (200, 70, (1269, 1524, 378, 340), (40, 0, 24, 0)),
-    ("master-group2", 1): (200, 70, (1605, 2002, 475, 432), (48, 0, 9, 9)),
-    ("master-group2", 2): (200, 74, (1778, 2214, 557, 496), (25, 0, 35, 2)),
-    ("pinned-group2", 0): (200, 352, (1136, 1686, 210, 497), (0, 0, 0, 60)),
-    ("pinned-group2", 1): (200, 365, (1147, 1700, 257, 562), (0, 0, 0, 50)),
-    ("pinned-group2", 2): (200, 290, (1285, 1943, 261, 580), (0, 0, 0, 50)),
+    ("full-group1", 0): (60, 1274, (2456, 2384, 301, 557), (0, 0, 0, 0)),
+    ("full-group1", 1): (60, 1356, (2129, 2068, 305, 563), (0, 0, 0, 0)),
+    ("full-group1", 2): (60, 879, (2015, 1972, 323, 591), (0, 0, 0, 0)),
+    ("master-group2", 0): (200, 70, (1272, 992, 378, 340), (40, 0, 24, 0)),
+    ("master-group2", 1): (200, 70, (1611, 1393, 475, 432), (47, 1, 9, 9)),
+    ("master-group2", 2): (200, 74, (1785, 1624, 557, 496), (25, 0, 35, 2)),
+    ("pinned-group2", 0): (200, 352, (1136, 817, 210, 497), (0, 0, 0, 60)),
+    ("pinned-group2", 1): (200, 365, (1147, 838, 257, 562), (0, 0, 0, 50)),
+    ("pinned-group2", 2): (200, 290, (1285, 960, 261, 580), (0, 0, 0, 50)),
 }
 
 

@@ -24,7 +24,8 @@ from hffs.engine import (
     TaskVar,
     check_assignment,
     evaluate_objective,
-    _child_edits,
+    _apply,
+    _child_values,
     _pick_branch,
     propagate,
     resume,
@@ -360,7 +361,7 @@ def first_child_fixpoints(model, pick):
     assert comp.propagate(state, INF) is None
     branch = _pick_branch(comp, state)
     child = state.copy()
-    _child_edits(comp, branch)[pick](child)
+    _apply(child, branch, _child_values(comp, branch)[pick])
     reference = child.copy()
     assert comp.propagate(child, INF, branch) is None
     assert RoundRobinFixpoint(model).propagate(reference, INF) is None
@@ -402,7 +403,7 @@ def test_start_edit_wakes_the_group_a_decided_route_selects():
         branch = _pick_branch(comp, state)
         assert branch == expected
         parent, state = state, state.copy()
-        _child_edits(comp, branch)[0](state)
+        _apply(state, branch, _child_values(comp, branch)[0])
         reference = state.copy()
         fails.append((comp.propagate(state, INF, branch),
                       RoundRobinFixpoint(m).propagate(reference, INF)))
@@ -573,9 +574,9 @@ def test_queue_fixpoint_matches_round_robin_oracle(model, caps):
         assert bounds_of(state) == bounds_of(reference)
         branch = _pick_branch(comp, state)
         if branch is not None:
-            for child_edit in reversed(_child_edits(comp, branch)):
+            for value in reversed(_child_values(comp, branch)):
                 child = state.copy()
-                child_edit(child)
+                _apply(child, branch, value)
                 stack.append((child, branch))
 
 
@@ -611,9 +612,9 @@ def test_a_node_with_every_start_fixed_is_a_leaf_at_its_bound(model, data):
             assert check_assignment(model, asg) == []
             assert evaluate_objective(model, asg) == comp.node_lb(state)
             continue
-        for child_edit in reversed(_child_edits(comp, branch)):
+        for value in reversed(_child_values(comp, branch)):
             child = state.copy()
-            child_edit(child)
+            _apply(child, branch, value)
             stack.append((child, branch))
 
 

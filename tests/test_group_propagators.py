@@ -102,8 +102,9 @@ def assert_disjunctive_matches_the_pairwise_rule(rows, order):
     if fail is None:
         assert (state.s_lo, state.e_hi) == (reference.s_lo, reference.e_hi)
         assert (state.s_hi, state.e_lo) == (reference.s_hi, reference.e_lo)
-        assert set(moved) == {i for i in range(n) if state.s_lo[i] != rows[i][0]
-                              or state.e_hi[i] != rows[i][3]}
+        assert set(moved) == (
+            {2 * i for i in range(n) if state.s_lo[i] != rows[i][0]}
+            | {2 * i + 1 for i in range(n) if state.e_hi[i] != rows[i][3]})
 
 
 @st.composite
@@ -197,4 +198,4 @@ def assert_cumulative_matches_the_timetable(model, comp, state, entries, rows):
     if fail is None:
         oracle._lift_starts(reference, cap, members)
         assert state.s_lo == reference.s_lo
-        assert set(moved) == {i for i, row in enumerate(rows) if state.s_lo[i] != row[0]}
+        assert set(moved) == {2 * i for i, row in enumerate(rows) if state.s_lo[i] != row[0]}

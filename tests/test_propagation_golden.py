@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 
 from hffs.bounds import best_lb
-from hffs.engine import _child_edits, _pick_branch, evaluate_objective, root_state
+from hffs.engine import _apply, _child_values, _pick_branch, evaluate_objective, root_state
 from hffs.full_model import build_full, schedule_to_assignment
 from hffs.instance_gen import GenSpec, generate
 from hffs.model import serial_schedule
@@ -64,9 +64,9 @@ def fixpoint_digest(model, hint, nodes):
             continue
         branch = _pick_branch(comp, state)
         if branch is not None:
-            for child_edit in reversed(_child_edits(comp, branch)):
+            for value in reversed(_child_values(comp, branch)):
                 child = state.copy()
-                child_edit(child)
+                _apply(child, branch, value)
                 stack.append((child, branch))
     assert visited == nodes
     return digest.hexdigest()

@@ -15,7 +15,8 @@ from hffs.engine import (
     Member,
     OffsetLink,
     TaskVar,
-    _child_edits,
+    _apply,
+    _child_values,
     _pick_branch,
     evaluate_objective,
     root_state,
@@ -66,9 +67,9 @@ def test_real_model_fixpoints_match_round_robin_oracle(make):
         assert bounds_of(state) == bounds_of(reference)
         branch = _pick_branch(comp, state)
         if branch is not None:
-            for child_edit in reversed(_child_edits(comp, branch)):
+            for value in reversed(_child_values(comp, branch)):
                 child = state.copy()
-                child_edit(child)
+                _apply(child, branch, value)
                 stack.append((child, branch))
     assert visited == 31
 
@@ -151,7 +152,7 @@ def test_a_child_runs_a_group_once_after_its_chain_settles():
     branch = _pick_branch(comp, root)
     assert branch == ("start", 0)
     child = root.copy()
-    _child_edits(comp, branch)[0](child)  # t0 starts at 0
+    _apply(child, branch, _child_values(comp, branch)[0])  # t0 starts at 0
     runs: dict[int, int] = {}
     counting(comp, "_disjunctive", runs)
     before = runs_of(comp)
@@ -159,3 +160,31 @@ def test_a_child_runs_a_group_once_after_its_chain_settles():
     assert child.s_hi[4] == 4
     assert runs == {0: 1, 1: 1}
     assert runs_of(comp)["disjunctive"] - before["disjunctive"] == 2
+
+
+def test_a_start_edit_at_the_head_of_an_offset_chain_runs_each_link_once():
+    """Fixing the head's start moves its starts, which wake its window and
+    no link (a link reads its pred's ends and its succ's starts).  The wave
+    then runs each link once: a link's move of its succ's starts wakes that
+    task's window, whose move of the ends wakes the next link and not the
+    link behind it."""
+    n = 6
+    tasks = [TaskVar(f"t{i}", duration=1, est=0, lct=20) for i in range(n)]
+    model = EngineModel(
+        {t.id: t for t in tasks},
+        {},
+        ConstraintSet(offsets=[OffsetLink(f"t{i}", f"t{i + 1}") for i in range(n - 1)]),
+        [f"t{n - 1}"],
+    )
+    comp, root = root_state(model)
+    assert comp.propagate(root, INF) is None
+    branch = _pick_branch(comp, root)
+    assert branch == ("start", 0)
+    child = root.copy()
+    _apply(child, branch, _child_values(comp, branch)[0])  # t0 starts at 0
+    before = runs_of(comp)
+    assert comp.propagate(child, INF, branch) is None
+    assert child.s_hi == list(range(n))  # the edit reached the tail
+    after = runs_of(comp)
+    assert after["link"] - before["link"] == n - 1
+    assert after["window"] - before["window"] == n
