@@ -285,8 +285,9 @@ def test_solve_rejects_a_budget_that_cannot_double(tmp_path, capsys, method, bud
     [
         (CSV_HEADER + "\n25_1,14,x,25,44.00,44.00,0,10,0.5,feasible\n").encode(),
         b"\xff\xfe" + CSV_HEADER.encode(),
+        (CSV_HEADER + "\n25_1," + "9" * 140_000 + "\n").encode(),  # over csv's field limit
     ],
-    ids=["non-integer", "non-utf8"],
+    ids=["non-integer", "non-utf8", "field-over-limit"],
 )
 def test_an_unreadable_report_gives_one_error_line(tmp_path, capsys, content):
     bad = tmp_path / "cp.csv"
@@ -297,38 +298,20 @@ def test_an_unreadable_report_gives_one_error_line(tmp_path, capsys, content):
     assert one_error_line(err)
 
 
-def test_a_report_field_over_the_csv_limit_gives_one_error_line(tmp_path, capsys):
-    """The csv module refuses a field longer than 131,072 characters."""
-    bad = tmp_path / "cp.csv"
-    bad.write_text(CSV_HEADER + "\n25_1," + "9" * 140_000 + "\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "report", str(bad))
-    assert code == 1
-    assert out == ""
-    assert one_error_line(err) and "field limit" in err
-
-
-DEEP = "[" * 200_000 + "]" * 200_000  # deeper than the JSON decoder can recurse
-
-
-@pytest.mark.parametrize("command", ["bounds", "solve", "validate"])
-def test_a_deeply_nested_instance_gives_one_error_line(tmp_path, capsys, command):
-    path = tmp_path / "deep.json"
-    path.write_text(DEEP, encoding="utf-8")
-    argv = [command, str(path)] + ([str(path)] if command == "validate" else [])
+@pytest.mark.parametrize("command, document", [
+    ("bounds", "instance"), ("solve", "instance"), ("validate", "instance"),
+    ("validate", "schedule"),
+])
+def test_a_deeply_nested_document_gives_one_error_line(tmp_path, capsys, command, document):
+    """200,000 nested arrays: deeper than the JSON decoder can recurse."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    inst = deep if document == "instance" else gen_instance(tmp_path, capsys)
+    argv = [command, str(inst)] + ([str(deep)] if command == "validate" else [])
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert one_error_line(err) and "instance document is nested too deeply" in err
-
-
-def test_a_deeply_nested_schedule_gives_one_error_line(tmp_path, capsys):
-    path = gen_instance(tmp_path, capsys)
-    deep = tmp_path / "sched.json"
-    deep.write_text(DEEP, encoding="utf-8")
-    code, out, err = run_cli(capsys, "validate", str(path), str(deep))
-    assert code == 1
-    assert out == ""
-    assert one_error_line(err) and "schedule document is nested too deeply" in err
+    assert one_error_line(err) and f"{document} document is nested too deeply" in err
 
 
 @pytest.mark.parametrize("budget", ["1", "10"])
