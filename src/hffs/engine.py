@@ -491,7 +491,7 @@ class _Compiled:
                 raise ValueError(f"cumulative {g.id} has negative capacity")
             members = g.members
             if id(members) not in compiled:
-                compiled[id(members)] = self._family(f"{kind} {g.id}", members, tidx, cidx)
+                compiled[id(members)] = self._family(f"{kind} {g.id}", members)
             if g.value is None and compiled[id(members)][1]:
                 raise ValueError(f"{kind} {g.id} has routed members but no value")
             key = (id(members), is_cum)
@@ -571,12 +571,13 @@ class _Compiled:
         self.runs = [0] * len(KINDS)  # propagator runs and failures per kind
         self.fails = [0] * len(KINDS)
 
-    def _family(self, where: str, members, tidx, cidx) -> tuple[list, bool]:
+    def _family(self, where: str, members) -> tuple[list, bool]:
         """A member tuple's family, sorted by task, and whether a member is
         routed; raise on its first faulty member, in tuple order."""
         if len({m.task for m in members}) != len(members):
             raise ValueError(f"{where} lists a task twice")
-        family, routed, min_value = [], False, self.min_value
+        family, routed = [], False
+        tidx, cidx, min_value = self.tidx, self.cidx, self.min_value
         for m in members:
             ti = tidx.get(m.task)
             if ti is None:
