@@ -39,6 +39,7 @@ from .model import (
     Interval,
     Op,
     Schedule,
+    insertion_schedule,
     instance_from_json,
     instance_to_json,
     makespan_of,
@@ -86,6 +87,7 @@ __all__ = [
     "fingerprint_of",
     "gaps",
     "generate",
+    "insertion_schedule",
     "instance_from_json",
     "instance_to_json",
     "makespan_of",

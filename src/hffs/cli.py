@@ -15,6 +15,7 @@ from .instance_gen import GenSpec, generate
 from .lbbd import Budgets, RunLog, gaps, run
 from .model import (
     Instance,
+    insertion_schedule,
     instance_from_json,
     instance_to_json,
     schedule_from_json,
@@ -120,7 +121,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.method == "cp":
         best = best_lb(inst).best
         result, sched = solve_full(
-            inst, node_budget=args.node_budget, deadline=budgets.deadline, lb_floor=best
+            inst, start=insertion_schedule(inst), node_budget=args.node_budget,
+            deadline=budgets.deadline, lb_floor=best,
         )
         log = RunLog(  # no iterations
             best, result.lower_bound, result.objective, result.status, nodes=result.nodes,
@@ -208,7 +210,11 @@ def _read_rows(paths: list[str]) -> list[dict[str, object]]:
         if method.endswith(".csv"):
             method = method[:-4]
         with open(path, encoding="utf-8") as fh:
-            for rec in csv.DictReader(fh):
+            try:
+                records = list(csv.DictReader(fh))
+            except csv.Error as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            for rec in records:
                 label = (rec.get("instance") or "").strip()
                 if not label:
                     continue
@@ -345,7 +351,7 @@ def _impact_table(rows: list[dict[str, object]]) -> None:
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         rows = _read_rows(args.results)
-    except (OSError, ValueError, csv.Error) as exc:  # a decoding error is a ValueError
+    except (OSError, ValueError) as exc:  # a decoding or CSV error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not rows:

@@ -23,9 +23,10 @@ model is the decomposition's subproblem: the engine compiles its one-value
 routes and transport tables away, so it searches exactly the model with
 fixed machines.
 
-``solve_full`` warm-starts the search from the serial baseline schedule,
-whose makespan it also passes as the horizon, so a feasible incumbent exists
-at every budget, and floors the objective at its caller's proven bound.
+``solve_full`` warm-starts the search from its caller's feasible schedule
+(``hffs solve`` hands in ``model.insertion_schedule``), whose makespan it
+also passes as the horizon, so a feasible incumbent exists at every budget,
+and floors the objective at its caller's proven bound.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .model import (
     Schedule,
     check_machine_map,
     makespan_of,
-    serial_schedule,
+    serial_schedule,  # noqa: F401 -- looked up here by perfbench/tracer.py
     validate_instance,
     validate_schedule,
 )
@@ -199,7 +200,9 @@ def schedule_to_assignment(enc: Encoding, sched: Schedule) -> Assignment:
     """Translate a Schedule into the encoding's engine assignment, reading
     the operation from each of the encoding's own ids (see ``Encoding``), so
     only its own variables are set: the master has no worker choices and no
-    waits, and its relaxed task takes the schedule's process interval."""
+    waits.  A fixed-duration task, the master's relaxed process task, starts
+    where the schedule's process does and keeps its own duration, which is
+    at most the scheduled one, so it ends no later."""
     choices: dict[str, int] = {}
     starts: dict[str, int] = {}
     ends: dict[str, int] = {}
@@ -211,8 +214,9 @@ def schedule_to_assignment(enc: Encoding, sched: Schedule) -> Assignment:
             choices[cid] = stage_machines[op[1]].index(sched.machine_of[op])
         else:
             choices[cid] = sched.workers_of[op]
-    for tid in enc.model.tasks:  # wb{k}, pr{k} or wa{k}
-        starts[tid], ends[tid] = tables[tid[:2]][ops[int(tid[2:])]]
+    for tid, task in enc.model.tasks.items():  # wb{k}, pr{k} or wa{k}
+        lo, hi = tables[tid[:2]][ops[int(tid[2:])]]
+        starts[tid], ends[tid] = lo, hi if task.duration is None else lo + task.duration
     return Assignment(choices=choices, starts=starts, ends=ends)
 
 
@@ -244,7 +248,7 @@ def assignment_to_schedule(enc: Encoding, asg: Assignment) -> Schedule:
 def incumbent_schedule(
     inst: Instance, enc: Encoding, result: SearchResult
 ) -> Schedule:
-    """Decode the search's incumbent (the serial hint guarantees one) and
+    """Decode the search's incumbent (the warm start guarantees one) and
     re-check it with the independent validator."""
     schedule = assignment_to_schedule(enc, result.incumbent)
     bad = validate_schedule(inst, schedule)
@@ -258,24 +262,25 @@ def incumbent_schedule(
 def solve_full(
     inst: Instance,
     *,
+    start: Schedule,
     lb_floor: int,
     node_budget: int | None = None,
     deadline: float | None = None,
 ) -> tuple[SearchResult, Schedule]:
-    """Solve the monolithic model above ``lb_floor``, a proven lower bound;
-    the returned schedule (the serial warm start guarantees an incumbent) has
-    passed the full validator.  ``deadline`` is a ``time.perf_counter()``
-    reading (see ``engine.solve``); the warm start and the encoding run
-    before the search and spend its time."""
+    """Solve the monolithic model above ``lb_floor``, a proven lower bound,
+    from ``start``, a feasible schedule: the search's hint, whose makespan
+    is its horizon.  The returned schedule (the start guarantees an
+    incumbent) has passed the full validator.  ``deadline`` is a
+    ``time.perf_counter()`` reading (see ``engine.solve``); the encoding runs
+    before the search and spends its time."""
     errors = validate_instance(inst)
     if errors:
         raise ValueError(f"invalid instance: {errors[0]}")
-    base = serial_schedule(inst)
-    enc = build_full(inst, horizon=base.makespan, lb_floor=lb_floor)
+    enc = build_full(inst, horizon=start.makespan, lb_floor=lb_floor)
     result = solve(
         enc.model,
         node_budget=node_budget,
         deadline=deadline,
-        hint=schedule_to_assignment(enc, base),
+        hint=schedule_to_assignment(enc, start),
     )
     return result, incumbent_schedule(inst, enc, result)

@@ -21,12 +21,14 @@ most one paused search and drops it once a cut is installed or the loop
 ends.  Node counts are the work done: a kept master counts 0 nodes and a
 continued subproblem the nodes it searched in that iteration.  Only
 optimality cuts are needed (Hooker, "Planning and scheduling by logic-based
-Benders decomposition", Oper. Res. 55(3), 2007): the serial schedule under
-any machine assignment is feasible and warm-starts every subproblem, so no
-subproblem is infeasible.  A master solution whose fingerprint already has
-a cut skips its subproblem, which was solved and whose zeta the upper bound
-already holds: the iteration records the cut's zeta and 0 subproblem nodes,
-and doubles the master's node budget.
+Benders decomposition", Oper. Res. 55(3), 2007): ``model.insertion_schedule``
+under any machine assignment is feasible and warm-starts every fresh
+subproblem, so no subproblem is infeasible.  Every master starts from the
+run's one insertion schedule, built before the first, and so does a fresh
+subproblem whose master kept its machines.  A master solution whose
+fingerprint already has a cut skips its subproblem, which was solved and
+whose zeta the upper bound already holds: the iteration records the cut's
+zeta and 0 subproblem nodes, and doubles the master's node budget.
 Time: ``Budgets.deadline`` is one ``time.perf_counter()`` reading shared by
 every layer.  Each master stops at the midpoint between its start and the
 deadline, and the subproblem runs to the deadline, so a subproblem keeps
@@ -34,7 +36,7 @@ about half the time left (Hooker's scheme needs both to run in each
 iteration).  The deadline is the one time budget; only node budgets
 double.  It is checked from the second iteration on: as the engine always
 propagates its root, the first iteration runs its master and subproblem
-even past the deadline, so a run returns the serial schedule or better.
+even past the deadline, so a run always returns a schedule.
 Termination: bound meets upper bound (optimal), or iteration budget or
 deadline (feasible with gap).  Under node budgets alone the loop ends
 optimal: each iteration installs a cut on a new fingerprint (there are
@@ -57,7 +59,14 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .bounds import best_lb
 from .master import MasterSolution, solve_master
-from .model import Instance, Op, Schedule, schedule_to_dict, validate_instance
+from .model import (
+    Instance,
+    Op,
+    Schedule,
+    insertion_schedule,
+    schedule_to_dict,
+    validate_instance,
+)
 from .subproblem import SubResult, solve_sub
 
 Fingerprint = tuple[tuple[Op, str], ...]
@@ -159,6 +168,7 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
     t0 = _time.perf_counter()
     deterministic, deadline = budgets.deterministic, budgets.deadline
     seed_lb = best_lb(inst).best
+    start = insertion_schedule(inst)  # every master's hint and horizon
     lb = seed_lb
     ub: int | None = None
     best_sched: Schedule | None = None
@@ -181,6 +191,7 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
                 inst,
                 cuts.values(),
                 lb,
+                start=start,
                 node_budget=master_budget,
                 deadline=None if deadline is None else (_time.perf_counter() + deadline) / 2,
             )
@@ -197,9 +208,16 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
             if master_budget is not None:
                 master_budget *= 2
         else:
+            if held is not None:
+                sub_start = None  # the paused search continues
+            elif msol.machine_of == start.machine_of:
+                sub_start = start  # the master kept the run's machines
+            else:
+                sub_start = insertion_schedule(inst, msol.machine_of)
             sres = solve_sub(
                 inst,
                 msol,
+                start=sub_start,
                 node_budget=sub_nodes,
                 deadline=deadline,
                 lb_floor=lb,

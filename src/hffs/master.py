@@ -16,12 +16,13 @@ is the malleable worker-pool bound.  Every cut is installed as a
 conditional bound over the full machine fingerprint, and the objective is
 floored at the caller's proven lower bound, so the master's proven bound is
 valid for the original problem.  Cuts only raise the objective and forbid
-no assignment, so the serial assignment that warm-starts every solve stays
-feasible and the master always returns one.
+no assignment, so the caller's feasible schedule that warm-starts every
+solve (``hffs.lbbd`` hands in ``model.insertion_schedule``) stays feasible
+for the relaxation, and the master always returns an assignment.
 
 The encoding is the full model's ``Encoding`` type and shares its transport
 tables (``transport_tables``), its warm start (``schedule_to_assignment`` of
-the serial schedule, whose makespan ``solve_master`` also passes as the
+the caller's schedule, whose makespan ``solve_master`` also passes as the
 horizon) and its machine decoding (``machine_map``), which yields the
 solution's ``machine_of`` map.
 """
@@ -46,7 +47,13 @@ from .engine import (
     solve,
 )
 from .full_model import Encoding, machine_map, schedule_to_assignment, transport_tables
-from .model import Instance, Op, serial_schedule, validate_instance
+from .model import (
+    Instance,
+    Op,
+    Schedule,
+    serial_schedule,  # noqa: F401 -- looked up here by perfbench/tracer.py
+    validate_instance,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,21 +136,22 @@ def solve_master(
     cuts: Iterable,
     lb_floor: int,
     *,
+    start: Schedule,
     node_budget: int | None = None,
     deadline: float | None = None,
 ) -> MasterSolution:
-    """Anytime master solve; the returned bound is proven for the original
-    problem, and the serial warm start gives an incumbent at every budget."""
+    """Anytime master solve from ``start``, a feasible schedule: the hint,
+    whose makespan is the horizon.  The returned bound is proven for the
+    original problem, and the start gives an incumbent at every budget."""
     errors = validate_instance(inst)
     if errors:
         raise ValueError(f"invalid instance: {errors[0]}")
-    base = serial_schedule(inst)
-    enc = build_master(inst, cuts, lb_floor, horizon=base.makespan)
+    enc = build_master(inst, cuts, lb_floor, horizon=start.makespan)
     result = solve(
         enc.model,
         node_budget=node_budget,
         deadline=deadline,
-        hint=schedule_to_assignment(enc, base),
+        hint=schedule_to_assignment(enc, start),
     )
     return MasterSolution(
         machine_of=machine_map(enc, result.incumbent),

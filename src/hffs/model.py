@@ -20,6 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
@@ -140,6 +141,229 @@ def serial_schedule(
             t += p
             prev = m
     return Schedule(chosen_machine, workers_of, wb, pr, wa, makespan=t)
+
+
+def _peak(times: list[int], levels: list[int], a: int, b: int) -> int:
+    """Highest level of a step profile over ``[a, b)``, ``a < b``.  The
+    profile holds ``levels[i]`` on ``[times[i], times[i + 1])``; ``times[0]``
+    is 0 and the last level, which holds to infinity, is 0."""
+    return max(levels[bisect_right(times, a) - 1 : bisect_left(times, b)])
+
+
+def _add(times: list[int], levels: list[int], a: int, b: int, weight: int) -> None:
+    """Raise the profile by ``weight`` on ``[a, b)``, ``a < b``."""
+    i = bisect_right(times, a) - 1
+    if times[i] != a:
+        i += 1
+        times.insert(i, a)
+        levels.insert(i, levels[i - 1])
+    k = bisect_right(times, b) - 1
+    if times[k] != b:
+        k += 1
+        times.insert(k, b)
+        levels.insert(k, levels[k - 1])
+    for x in range(i, k):
+        levels[x] += weight
+
+
+def _earliest(times: list[int], levels: list[int], t: int, p: int, limit: int) -> int:
+    i, n = bisect_right(times, t) - 1, len(times)
+    while True:
+        while levels[i] > limit:
+            i += 1
+        if times[i] > t:
+            t = times[i]
+        k = i + 1
+        while k < n and times[k] < t + p:
+            if levels[k] > limit:
+                break
+            k += 1
+        else:
+            return t
+        i = k
+
+
+def insertion_schedule(
+    inst: Instance, machine_of: dict[Op, str] | None = None
+) -> Schedule:
+    """A constructive schedule, never longer than ``serial_schedule`` on the
+    same machine map: the serial schedule-generation scheme with insertion
+    (Kolisch, EJOR 90(2), 1996).
+
+    Jobs are taken once, in LPT order: total minimum processing time,
+    descending, ties in instance order.  Each operation of a job, in stage
+    order, gets the (machine, worker count, start) with the earliest end,
+    ties to fewer workers and then to the earlier machine; ``machine_of``
+    (checked by ``check_machine_map``) leaves each operation its one machine.
+    The start is the earliest at which the machine is free and enough
+    workers are free for the whole process, at or after the job's arrival
+    (0 at first) for its first operation, and the previous operation's end
+    plus the exact transport for the others.  Each machine keeps its busy
+    intervals sorted and searched with ``bisect``; the worker pool and every
+    entry and exit buffer are step profiles.  A job's outer waits are zero
+    length.  A positive wait between two operations goes into the next
+    machine's entry buffer, after the transport, or else into the previous
+    machine's exit buffer, before it; a candidate with room in neither is
+    passed over.  Waiting longer only grows either wait interval, so a later
+    start would not make room that the earliest lacks.  An operation left
+    with no candidate sends the job back to arrive later: at its first start
+    plus the shortest wait that found no room.
+
+    Let ``C`` be the makespan before the job and ``L`` the length of its
+    serial chain: the chain that ``serial_schedule`` gives it (the first
+    machine of each stage or the pinned one, the fastest worker count with
+    the fewest workers on ties, back to back with exact transports).  The
+    job is committed whole, or, when its last end would pass ``C + L``, by
+    the serial step, which starts that chain at ``C``.
+
+    The retries end: nothing committed reaches past ``C``, so an operation
+    released at or after ``C`` starts at its release without a wait, and
+    one released at ``r < C`` waits at most ``C - r``.  A failing
+    operation's release exceeds the job's first start, so each retry's
+    arrival is later than the last one's and still before ``C``: there are
+    fewer than ``C`` retries.
+
+    Feasible: a job's operations use different machines and buffers (one
+    machine per stage, one visit per stage) and never overlap in time, so
+    checking each against the profiles of the jobs committed before it
+    checks it against everything.  A committed placement respects every
+    machine, worker and buffer limit and every transport by construction,
+    and its waits chain its process intervals exactly.  A serial step meets
+    nothing: every interval committed before it ends by ``C``, its waits are
+    zero length and its operations follow one another, each with at most
+    ``workers_total`` workers (``validate_instance``'s worker window).
+
+    Never longer than ``serial_schedule``: each job raises the makespan from
+    ``C`` to at most ``C + L``, so the makespan is at most the sum of the
+    jobs' chain lengths, which is the serial schedule's makespan.
+    Deterministic: no choice depends on anything but the instance and
+    ``machine_of``.
+    """
+    if machine_of is not None:
+        check_machine_map(inst, machine_of)
+    proc_time, transport, cap = inst.proc_time, inst.transport, inst.workers_total
+    windows = {s: inst.worker_window(s) for s in inst.stages}
+    chains = []  # per job: [(op, machines, menu sorted by (p, w))], serial chain length
+    work = []  # per job: total minimum processing time
+    for j in inst.jobs:
+        chain, total, length, prev = [], 0, 0, None
+        for s in inst.eligible_stages[j]:
+            op = (j, s)
+            ms = inst.machines_of(s) if machine_of is None else (machine_of[op],)
+            menu = [(proc_time[(j, s, w)], w) for w in windows[s]]
+            menu.sort()
+            total += menu[0][0]
+            if prev is not None:
+                length += transport[(prev, ms[0])]
+            chain.append((op, ms, menu))
+            prev = ms[0]
+        chains.append((chain, total + length))
+        work.append(total)
+    order = sorted(range(len(chains)), key=lambda i: -work[i])
+
+    busy: dict[str, tuple[list[int], list[int]]] = {m: ([], []) for m in inst.machines}
+    wt, wl = [0], [0]  # the worker pool's profile
+    bin_ = {m: ([0], [0]) for m in inst.machines}
+    bout = {m: ([0], [0]) for m in inst.machines}
+    moves: dict[tuple, list[tuple[int, int, str]]] = {}
+    never = float("inf")
+
+    def place(chain: list, arrival: int) -> tuple[list | None, int]:
+        """The job placed from ``arrival`` on, as (m, w, start, end, wait in
+        the exit buffer) per operation, or None and the later arrival to
+        try when an operation has no candidate."""
+        plan, prev_m, prev_end, short = [], None, arrival, never
+        for _, ms, menu in chain:
+            # (transport, machine index, machine) by transport: a release
+            # only grows along it
+            cands = moves.get((prev_m, ms))
+            if cands is None:
+                cands = moves[(prev_m, ms)] = sorted(
+                    [(0 if prev_m is None else transport[(prev_m, m)], idx, m)
+                     for idx, m in enumerate(ms)])
+            first = prev_end + cands[0][0]
+            end = never  # the best (end, w, machine index) so far, and its choice
+            for p, w in menu:
+                if first + p > end:
+                    break  # the menu is sorted by p: no later entry ends earlier
+                limit = cap - w
+                floor = _earliest(wt, wl, first, p, limit)  # no start with w comes earlier
+                for move, idx, m in cands:
+                    release = prev_end + move
+                    t = release if release > floor else floor
+                    if t + p >= end:
+                        if t + p > end:
+                            break  # no later machine starts earlier
+                        if (w, idx) > (best_w, best_idx):
+                            continue
+                    starts, ends = busy[m]
+                    free = t == floor  # the workers are free on [t, t + p)
+                    while True:  # until the machine is free there too
+                        i = bisect_right(ends, t)
+                        if i < len(starts) and starts[i] < t + p:
+                            t, free = ends[i], False
+                        elif free:
+                            break
+                        else:
+                            u = _earliest(wt, wl, t, p, limit)
+                            if u == t:
+                                break
+                            t, free = u, True
+                    to_exit = False
+                    if t > release and prev_m is not None:
+                        if _peak(*bin_[m], release, t) >= inst.buffer_in[m]:
+                            wait_end = prev_end + t - release
+                            if _peak(*bout[prev_m], prev_end, wait_end) >= inst.buffer_out[prev_m]:
+                                short = min(short, t - release)
+                                continue
+                            to_exit = True
+                    if t + p < end or t + p == end and (w, idx) < (best_w, best_idx):
+                        end, best_w, best_idx, best = t + p, w, idx, (m, w, t, t + p, to_exit)
+            if end is never:
+                return None, plan[0][2] + short
+            plan.append(best)
+            prev_m, prev_end = best[0], end
+        return plan, arrival
+
+    chosen: dict[Op, str] = {}
+    workers_of: dict[Op, int] = {}
+    wb: dict[Op, Interval] = {}
+    pr: dict[Op, Interval] = {}
+    wa: dict[Op, Interval] = {}
+    makespan = 0
+    for chain, length in (chains[i] for i in order):
+        plan, arrival = place(chain, 0)
+        while plan is None:
+            plan, arrival = place(chain, arrival)
+        if plan[-1][3] > makespan + length:  # the serial step
+            plan, t, prev_m = [], makespan, None
+            for _, ms, ((p, w), *_) in chain:
+                if prev_m is not None:
+                    t += transport[(prev_m, ms[0])]
+                plan.append((ms[0], w, t, t + p, False))
+                prev_m, t = ms[0], t + p
+        prev = None
+        for (op, _, _), (m, w, t, end, to_exit) in zip(chain, plan):
+            starts, ends = busy[m]
+            i = bisect_right(ends, t)
+            starts.insert(i, t)
+            ends.insert(i, end)
+            _add(wt, wl, t, end, w)
+            chosen[op], workers_of[op], pr[op] = m, w, (t, end)
+            wb[op] = (t, t)
+            wa[op] = (end, end)
+            if prev is not None:
+                pop, pm, pend = prev
+                gap = t - pend - transport[(pm, m)]
+                if gap and to_exit:
+                    wa[pop] = (pend, pend + gap)
+                    _add(*bout[pm], pend, pend + gap, 1)
+                elif gap:
+                    wb[op] = (t - gap, t)
+                    _add(*bin_[m], t - gap, t, 1)
+            prev = (op, m, end)
+        makespan = max(makespan, end)
+    return Schedule(chosen, workers_of, wb, pr, wa, makespan=makespan)
 
 
 def check_machine_map(inst: Instance, machine_of: dict[Op, str]) -> None:

@@ -23,7 +23,7 @@ from hffs.lbbd import (
     fingerprint_of,
 )
 from hffs.master import solve_master
-from hffs.model import Instance
+from hffs.model import Instance, insertion_schedule
 from hffs.subproblem import solve_sub
 
 # ------------------------------------------------------------ brute force
@@ -788,7 +788,9 @@ def restarting_lbbd(inst: Instance, budgets: Budgets) -> RunLog:
     master solution and continues the paused search.  A master that repeats
     a fingerprint with a cut skips the subproblem and doubles the master's
     node budget, as ``run`` does.  Frozen; node counts are those of every
-    search it runs."""
+    search it runs.  Its warm starts are ``run``'s: one insertion schedule
+    for every master, which a subproblem on its machines takes too, and one
+    on the master's machines for any other subproblem."""
     assert budgets.deterministic
     lb = best = best_lb(inst).best
     ub = None
@@ -796,13 +798,14 @@ def restarting_lbbd(inst: Instance, budgets: Budgets) -> RunLog:
     cuts: dict = {}
     log = RunLog(best_lb=best, lb=lb, ub=None, status="unknown")
     master_nodes, sub_nodes = budgets.master_nodes, budgets.sub_nodes
+    start = insertion_schedule(inst)
     k = 0
     while True:
         if budgets.max_iterations is not None and k >= budgets.max_iterations:
             status = "feasible" if ub is not None else "unknown"
             break
         k += 1
-        msol = solve_master(inst, cuts.values(), lb, node_budget=master_nodes)
+        msol = solve_master(inst, cuts.values(), lb, start=start, node_budget=master_nodes)
         log.nodes += msol.nodes
         lb = max(lb, msol.lower_bound)
         fp = fingerprint_of(inst, msol)
@@ -817,7 +820,11 @@ def restarting_lbbd(inst: Instance, budgets: Budgets) -> RunLog:
                 k, msol.lower_bound, _hash_fingerprint(fp), cuts[fp].zeta, lb, ub,
                 msol.nodes, 0, None))
             continue
-        sres = solve_sub(inst, msol, node_budget=sub_nodes, lb_floor=lb)
+        if msol.machine_of == start.machine_of:
+            sub_start = start
+        else:
+            sub_start = insertion_schedule(inst, msol.machine_of)
+        sres = solve_sub(inst, msol, start=sub_start, node_budget=sub_nodes, lb_floor=lb)
         sres.drop()
         log.nodes += sres.nodes
         if ub is None or sres.zeta < ub:

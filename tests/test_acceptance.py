@@ -18,7 +18,7 @@ from hffs.full_model import solve_full
 from hffs.instance_gen import GenSpec, generate
 from hffs.lbbd import Budgets, BendersCut, fingerprint_of, gaps, run
 from hffs.master import solve_master
-from hffs.model import validate_schedule
+from hffs.model import serial_schedule, validate_schedule
 from oracles import brute_force_optimum, lp_lower_bound
 
 DATA = Path(__file__).parent / "data"
@@ -27,7 +27,8 @@ DATA = Path(__file__).parent / "data"
 def test_criterion_1_exact_model_matches_brute_force(suite50, suite_optima):
     started = time.perf_counter()
     for inst, opt in zip(suite50, suite_optima):
-        result, sched = solve_full(inst, lb_floor=best_lb(inst).best, node_budget=2_000_000)
+        result, sched = solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best,
+                                   node_budget=2_000_000)
         assert result.status == "optimal"
         assert result.objective == opt
         assert sched.makespan == opt
@@ -294,11 +295,11 @@ def test_criterion_8_installed_cuts_bind_the_master():
     repeats = 0
     for _ in range(100):
         inst = sample_tiny(rng)
-        base = solve_master(inst, [], 0, node_budget=30_000)
+        base = solve_master(inst, [], 0, node_budget=30_000, start=serial_schedule(inst))
         fp = fingerprint_of(inst, base)
         zeta = base.objective + rng.randint(1, 6)
         again = solve_master(inst, [BendersCut(fp, zeta)], 0,
-                             node_budget=30_000)
+                             node_budget=30_000, start=serial_schedule(inst))
         if fingerprint_of(inst, again) == fp:
             repeats += 1
             assert again.objective >= zeta

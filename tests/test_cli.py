@@ -281,21 +281,24 @@ def test_solve_rejects_a_budget_that_cannot_double(tmp_path, capsys, method, bud
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, names_the_file",
     [
-        (CSV_HEADER + "\n25_1,14,x,25,44.00,44.00,0,10,0.5,feasible\n").encode(),
-        b"\xff\xfe" + CSV_HEADER.encode(),
-        (CSV_HEADER + "\n25_1," + "9" * 140_000 + "\n").encode(),  # over csv's field limit
+        ((CSV_HEADER + "\n25_1,14,x,25,44.00,44.00,0,10,0.5,feasible\n").encode(), True),
+        (b"\xff\xfe" + CSV_HEADER.encode(), False),
+        ((CSV_HEADER + "\n25_1," + "9" * 140_000 + "\n").encode(), True),  # over the field limit
     ],
     ids=["non-integer", "non-utf8", "field-over-limit"],
 )
-def test_an_unreadable_report_gives_one_error_line(tmp_path, capsys, content):
-    bad = tmp_path / "cp.csv"
+def test_an_unreadable_report_gives_one_error_line(tmp_path, capsys, content, names_the_file):
+    good, bad = tmp_path / "cp.csv", tmp_path / "lbbd.csv"
+    good.write_text(CSV_HEADER + "\n25_1,14,14,25,44.00,44.00,0,10,0.5,feasible\n")
     bad.write_bytes(content)
-    code, out, err = run_cli(capsys, "report", str(bad))
+    code, out, err = run_cli(capsys, "report", str(good), str(bad))
     assert code == 1
     assert out == ""
     assert one_error_line(err)
+    if names_the_file:
+        assert err.startswith(f"error: {bad}: ")
 
 
 @pytest.mark.parametrize("command, document", [

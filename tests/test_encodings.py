@@ -30,7 +30,8 @@ def pinned_sub(inst):
     """The full model pinned to a short master search's machines, as the
     decomposition's subproblem is."""
     floor = best_lb(inst).best
-    machine_of = solve_master(inst, [], floor, node_budget=25).machine_of
+    machine_of = solve_master(
+        inst, [], floor, start=serial_schedule(inst), node_budget=25).machine_of
     base = serial_schedule(inst, machine_of)
     return build_full(inst, horizon=base.makespan, lb_floor=floor, machine_of=machine_of), base
 

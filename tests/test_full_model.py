@@ -1,6 +1,7 @@
 """Monolithic model: encoding shape, exact optima, budget behaviour."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +10,7 @@ from conftest import make_instance, sample_tiny
 from hffs.bounds import best_lb
 from hffs.engine import Assignment, check_assignment
 from hffs.full_model import build_full, solve_full
-from hffs.model import validate_schedule
+from hffs.model import serial_schedule, validate_schedule
 
 from oracles import brute_force_optimum
 
@@ -88,8 +89,9 @@ def test_referee_reports_a_buffer_overflow_against_its_machine():
 
 
 def solve_floored(inst, **budgets):
-    """``solve_full`` above the bound module's best value, as ``hffs solve`` runs it."""
-    return solve_full(inst, lb_floor=best_lb(inst).best, **budgets)
+    """``solve_full`` from the serial schedule above the bound module's best
+    value."""
+    return solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best, **budgets)
 
 
 def test_single_chain_optimum_is_path_length():
@@ -167,7 +169,8 @@ def test_node_budget_still_returns_incumbent():
 
 
 def test_lb_floor_respected_in_result():
-    res, _ = solve_full(chain_instance(), lb_floor=12)
+    inst = chain_instance()
+    res, _ = solve_full(inst, start=serial_schedule(inst), lb_floor=12)
     assert res.status == "optimal"
     assert res.lower_bound >= 12
 
@@ -179,8 +182,9 @@ def test_invalid_instance_rejected():
         proc={("a", "s1", 1): 4, ("a", "s2", 1): 3},
         transport={},  # missing required transport entry
     )
+    start = serial_schedule(replace(inst, transport={("m1", "m2"): 1}))
     with pytest.raises(ValueError, match="invalid instance"):
-        solve_full(inst, lb_floor=0)
+        solve_full(inst, start=start, lb_floor=0)
 
 
 def test_determinism_across_runs():

@@ -11,7 +11,7 @@ import hffs.lbbd as lbbd
 from hffs.instance_gen import GenSpec, generate
 from hffs.lbbd import BendersCut, Budgets, fingerprint_of, gaps, run
 from hffs.master import solve_master
-from hffs.model import schedule_to_json, validate_schedule
+from hffs.model import schedule_to_json, serial_schedule, validate_schedule
 from oracles import brute_force_optimum
 
 
@@ -143,7 +143,7 @@ def test_fingerprint_follows_instance_operation_order():
         proc={("a", "s1", 1): 2, ("a", "s2", 1): 3, ("b", "s2", 1): 4},
         transport={("m1", "m2"): 1, ("m1", "m3"): 1},
     )
-    msol = solve_master(inst, [], 0)
+    msol = solve_master(inst, [], 0, start=serial_schedule(inst))
     fp = fingerprint_of(inst, msol)
     assert [op for op, _ in fp] == [("a", "s1"), ("a", "s2"), ("b", "s2")]
     assert all(inst.machines[m] == s for (_, s), m in fp)

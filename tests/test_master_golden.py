@@ -24,6 +24,7 @@ import hffs.master as master
 from hffs.bounds import best_lb
 from hffs.instance_gen import GenSpec, generate
 from hffs.lbbd import BendersCut, Budgets, _hash_fingerprint, fingerprint_of, run
+from hffs.model import serial_schedule
 
 # (jobs, stages, variant, seed, master nodes, cut) ->
 # (status, objective, lower_bound, nodes, ub_history, fingerprint hash).
@@ -82,7 +83,7 @@ def test_solve_master_node_budget_results_are_pinned(key, monkeypatch):
     floor = best_lb(inst).best
     cuts = []
     if cut:
-        first = master.solve_master(inst, [], floor, node_budget=25)
+        first = master.solve_master(inst, [], floor, node_budget=25, start=serial_schedule(inst))
         cuts = [BendersCut(fingerprint_of(inst, first), 2 * first.objective)]
 
     searches = []
@@ -93,7 +94,7 @@ def test_solve_master_node_budget_results_are_pinned(key, monkeypatch):
 
     engine_solve = master.solve
     monkeypatch.setattr(master, "solve", recording_solve)
-    sol = master.solve_master(inst, cuts, floor, node_budget=nodes)
+    sol = master.solve_master(inst, cuts, floor, node_budget=nodes, start=serial_schedule(inst))
     assert len(searches) == 1
     got = (sol.status, sol.objective, sol.lower_bound, sol.nodes,
            searches[0].ub_history, _hash_fingerprint(fingerprint_of(inst, sol)))
@@ -118,7 +119,8 @@ def test_group1_master_node_budget_results_are_pinned(key):
     seed, floor = key
     inst = generate(GenSpec(group=1, jobs=20, seed=seed))
     sol = master.solve_master(
-        inst, [], best_lb(inst).best if floor == "best" else 0, node_budget=1000)
+        inst, [], best_lb(inst).best if floor == "best" else 0, start=serial_schedule(inst),
+        node_budget=1000)
     got = (sol.status, sol.objective, sol.lower_bound, sol.nodes,
            _hash_fingerprint(fingerprint_of(inst, sol)))
     assert got == GROUP1_MASTER[key]
@@ -127,9 +129,9 @@ def test_group1_master_node_budget_results_are_pinned(key):
 def test_stage_cumulative_lifts_the_tiny_master_above_the_best_bound():
     inst = generate(GenSpec(group=2, jobs=4, stages=2, variant=1, seed=26048))
     assert best_lb(inst).best == 8
-    sol = master.solve_master(inst, [], 8, node_budget=60)
+    sol = master.solve_master(inst, [], 8, node_budget=60, start=serial_schedule(inst))
     assert (sol.status, sol.objective, sol.lower_bound, sol.nodes) == ("optimal", 10, 10, 47)
     log = run(inst, Budgets(master_nodes=60, sub_nodes=60, max_iterations=2))
     assert (log.status, log.lb, log.ub) == ("optimal", 10, 10)
     assert [(r.master_lb, r.master_nodes, r.sub_nodes, r.lb, r.ub)
-            for r in log.iterations] == [(10, 47, 60, 10, 15), (10, 0, 44, 10, 10)]
+            for r in log.iterations] == [(10, 1, 1, 10, 10)]

@@ -19,9 +19,12 @@ from hffs.bounds import best_lb
 from hffs.full_model import solve_full
 from hffs.instance_gen import GenSpec, generate
 from hffs.lbbd import Budgets, run
+from hffs.model import insertion_schedule, serial_schedule
 
-# Search nodes of criterion 1's 50 proofs to optimality (tests/test_acceptance.py).
+# Search nodes of criterion 1's 50 proofs to optimality (tests/test_acceptance.py),
+# from the serial schedule and from the insertion schedule.
 CRITERION_1_NODES = 4_442
+CRITERION_1_INSERTION_NODES = 2_386
 
 # (status, objective, lower_bound, nodes, ub_history) of solve_full.
 FULL = {
@@ -56,7 +59,8 @@ def test_solve_full_node_budget_results_are_pinned(key):
         _, jobs, stages, seed = key
         inst = generate(GenSpec(group=2, jobs=jobs, stages=stages, variant=1, seed=seed))
         nodes = 300
-    res, _ = solve_full(inst, lb_floor=best_lb(inst).best, node_budget=nodes)
+    res, _ = solve_full(
+        inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best, node_budget=nodes)
     assert (res.status, res.objective, res.lower_bound, res.nodes, res.ub_history) == FULL[key]
 
 
@@ -80,7 +84,7 @@ def test_lbbd_node_budget_results_are_pinned(monkeypatch):
     inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))
     log = run(inst, Budgets(master_nodes=25, sub_nodes=25, max_iterations=2))
     assert (log.ub, log.lb, [it.jstar_hash for it in log.iterations]) == (
-        329, 53, ["63fddc41b4ae15f5", "63fddc41b4ae15f5"])
+        66, 53, ["c9f1209e0afe7d0b", "c9f1209e0afe7d0b"])
     assert [(it.master_nodes, it.sub_nodes) for it in log.iterations] == [(25, 25), (0, 25)]
     assert log.nodes == 75
     assert sorted(calls) == ["build_sub", "solve_master"]
@@ -88,7 +92,21 @@ def test_lbbd_node_budget_results_are_pinned(monkeypatch):
 
 def test_criterion_1_proofs_take_the_pinned_node_total(suite50):
     results = [
-        solve_full(inst, lb_floor=best_lb(inst).best, node_budget=2_000_000)[0] for inst in suite50
+        solve_full(inst, start=serial_schedule(inst), lb_floor=best_lb(inst).best,
+                   node_budget=2_000_000)[0]
+        for inst in suite50
     ]
     assert [r.status for r in results] == ["optimal"] * len(suite50)
     assert sum(r.nodes for r in results) == CRITERION_1_NODES
+
+
+def test_criterion_1_proofs_from_the_insertion_start_take_the_pinned_node_total(
+        suite50, suite_optima):
+    results = [
+        solve_full(inst, start=insertion_schedule(inst), lb_floor=best_lb(inst).best,
+                   node_budget=2_000_000)[0]
+        for inst in suite50
+    ]
+    assert [r.status for r in results] == ["optimal"] * len(suite50)
+    assert [r.objective for r in results] == suite_optima
+    assert sum(r.nodes for r in results) == CRITERION_1_INSERTION_NODES

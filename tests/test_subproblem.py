@@ -9,7 +9,7 @@ from conftest import make_instance, sample_tiny
 from hffs.bounds import best_lb
 from hffs.instance_gen import GenSpec, generate
 from hffs.master import MasterSolution, solve_master
-from hffs.model import validate_schedule
+from hffs.model import serial_schedule, validate_schedule
 from hffs.subproblem import build_sub, solve_sub
 from oracles import brute_force_optimum
 
@@ -18,6 +18,12 @@ def fixed(machine_of):
     """Wrap a machine map in the solution shape the subproblem expects."""
     return MasterSolution(machine_of=machine_of, lower_bound=0,
                           status="optimal", objective=0, nodes=0, wall_time=0.0)
+
+
+def solve_fresh(inst, msol, **budgets):
+    """A fresh subproblem solve from the serial schedule on the master's
+    machines."""
+    return solve_sub(inst, msol, start=serial_schedule(inst, msol.machine_of), **budgets)
 
 
 def two_stage_instance():
@@ -75,7 +81,7 @@ def test_single_job_chain_completes_at_speedup_plus_transport():
         transport={("m1", "m2"): 2},
         workers_total=3,
     )
-    res = solve_sub(inst, fixed({("j", "s1"): "m1", ("j", "s2"): "m2"}))
+    res = solve_fresh(inst, fixed({("j", "s1"): "m1", ("j", "s2"): "m2"}))
     assert res.status == "optimal"
     assert res.zeta == 3 + 2 + 2
     assert res.schedule is not None
@@ -92,7 +98,7 @@ def test_zero_entry_buffer_forces_zero_length_waits():
         buffer_in=0,
         buffer_out=0,
     )
-    res = solve_sub(inst, fixed({("a", "s1"): "m1", ("b", "s1"): "m1"}))
+    res = solve_fresh(inst, fixed({("a", "s1"): "m1", ("b", "s1"): "m1"}))
     assert res.zeta == 7
     for op in inst.ops():
         lo, hi = res.schedule.wait_before[op]
@@ -103,7 +109,7 @@ def test_zero_entry_buffer_forces_zero_length_waits():
 
 def test_two_job_two_stage_optimum_with_overlap():
     inst = two_stage_instance()
-    res = solve_sub(inst, fixed(STRAIGHT))
+    res = solve_fresh(inst, fixed(STRAIGHT))
     # a: s1 [0,2) -> s2 [3,6); b: s1 [2,5) -> s2 [6,8)
     assert res.zeta == 8
     assert res.status == "optimal"
@@ -119,7 +125,7 @@ def test_worker_pool_blocks_double_crewing():
         transport={},
         workers_total=2,
     )
-    res = solve_sub(inst, fixed({("a", "s1"): "m1", ("b", "s1"): "m2"}))
+    res = solve_fresh(inst, fixed({("a", "s1"): "m1", ("b", "s1"): "m2"}))
     # two crews of two would need four workers; best is 6 either way
     assert res.zeta == 6
 
@@ -143,7 +149,7 @@ def test_minimum_over_all_machine_maps_is_the_true_optimum():
         ops = inst.ops()
         best = None
         for combo in itertools.product(*(inst.machines_of(s) for _, s in ops)):
-            res = solve_sub(inst, fixed(dict(zip(ops, combo))))
+            res = solve_fresh(inst, fixed(dict(zip(ops, combo))))
             assert res.status == "optimal"
             best = res.zeta if best is None else min(best, res.zeta)
         assert best == brute_force_optimum(inst)
@@ -151,7 +157,7 @@ def test_minimum_over_all_machine_maps_is_the_true_optimum():
 
 def test_schedule_repeats_the_fixed_machines():
     inst = two_stage_instance()
-    res = solve_sub(inst, fixed(STRAIGHT))
+    res = solve_fresh(inst, fixed(STRAIGHT))
     assert res.schedule.machine_of[("a", "s1")] == "m1"
     assert res.schedule.machine_of[("b", "s2")] == "m2"
 
@@ -163,7 +169,7 @@ def test_malformed_machine_sequences_are_rejected():
     def build_sub_at_horizon(inst, msol):
         return build_sub(inst, msol, horizon=50)
 
-    for entry in (build_sub_at_horizon, solve_sub):
+    for entry in (build_sub_at_horizon, solve_fresh):
         with pytest.raises(ValueError, match="does not cover"):
             entry(inst, fixed(missing_op))
         with pytest.raises(ValueError, match="not in stage"):
@@ -174,10 +180,26 @@ def test_malformed_machine_sequences_are_rejected():
             entry(inst, fixed({**STRAIGHT, ("c", "s1"): "m1"}))
 
 
+def test_a_fresh_subproblem_needs_a_start_on_the_masters_machines():
+    inst = make_instance(
+        jobs={"a": ["s1"], "b": ["s1"]},
+        stage_machines={"s1": ("m1", "m2")},
+        proc={("a", "s1", 1): 3, ("b", "s1", 1): 4},
+        transport={},
+        workers_total=2,
+    )
+    apart = {("a", "s1"): "m1", ("b", "s1"): "m2"}
+    together = {("a", "s1"): "m1", ("b", "s1"): "m1"}
+    for start in (serial_schedule(inst, together), None):
+        with pytest.raises(ValueError, match="on the master's machines"):
+            solve_sub(inst, fixed(apart), start=start)
+    assert solve_sub(inst, fixed(apart), start=serial_schedule(inst, apart)).zeta == 4
+
+
 def test_floor_below_the_optimum_changes_nothing():
     inst = two_stage_instance()
-    plain = solve_sub(inst, fixed(STRAIGHT))
-    floored = solve_sub(inst, fixed(STRAIGHT), lb_floor=5)
+    plain = solve_fresh(inst, fixed(STRAIGHT))
+    floored = solve_fresh(inst, fixed(STRAIGHT), lb_floor=5)
     assert floored.zeta == plain.zeta == 8
     assert floored.lower_bound >= 5
     assert validate_schedule(inst, floored.schedule) == []
@@ -187,8 +209,8 @@ def test_subproblem_is_deterministic_across_seeds():
     rng = random.Random(4202)
     inst = sample_tiny(rng)
     machine_of = {op: inst.machines_of(op[1])[0] for op in inst.ops()}
-    a = solve_sub(inst, fixed(machine_of))
-    b = solve_sub(inst, fixed(machine_of))
+    a = solve_fresh(inst, fixed(machine_of))
+    b = solve_fresh(inst, fixed(machine_of))
     assert (a.zeta, a.nodes, a.status) == (b.zeta, b.nodes, b.status)
     assert a.schedule.process == b.schedule.process
 
@@ -197,17 +219,17 @@ def test_a_continued_search_at_a_raised_floor_equals_a_fresh_one():
     """A floor raised between the stop and the continuation changes only the
     reported bound: the result is a fresh search's at the raised floor."""
     inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))
-    msol = solve_master(inst, [], 0, node_budget=25)
-    first = solve_sub(inst, msol, node_budget=25, lb_floor=53)
-    raised = solve_sub(inst, msol, node_budget=200, lb_floor=90, paused=first)
-    fresh = solve_sub(inst, msol, node_budget=200, lb_floor=90)
+    msol = solve_master(inst, [], 0, node_budget=25, start=serial_schedule(inst))
+    first = solve_fresh(inst, msol, node_budget=25, lb_floor=53)
+    raised = solve_sub(inst, msol, start=None, node_budget=200, lb_floor=90, paused=first)
+    fresh = solve_fresh(inst, msol, node_budget=200, lb_floor=90)
     assert raised.lower_bound == 90 > 53
     assert first.nodes + raised.nodes == fresh.nodes == 200
     assert (raised.status, raised.zeta, raised.lower_bound, raised.schedule) == (
         fresh.status, fresh.zeta, fresh.lower_bound, fresh.schedule)
     fresh.drop()
     with pytest.raises(ValueError, match="below its incumbent"):
-        solve_sub(inst, msol, node_budget=400, lb_floor=raised.zeta, paused=raised)
+        solve_sub(inst, msol, start=None, node_budget=400, lb_floor=raised.zeta, paused=raised)
     raised.drop()
     assert raised.paused is None
 
@@ -220,13 +242,14 @@ def test_a_search_proven_optimal_at_its_budget_is_not_kept():
     for _ in range(6):
         inst = sample_tiny(rng)
         floor = best_lb(inst).best
-        msol = solve_master(inst, [], floor, node_budget=25)
+        msol = solve_master(inst, [], floor, node_budget=25, start=serial_schedule(inst))
         floor = max(floor, msol.lower_bound)
         for budget in range(1, 30):
-            res = solve_sub(inst, msol, node_budget=budget, lb_floor=floor)
+            res = solve_fresh(inst, msol, node_budget=budget, lb_floor=floor)
             assert (res.paused is None) == (res.status == "optimal")
             if res.status == "optimal":
-                proven_at_stop += res.nodes == budget < solve_sub(inst, msol, lb_floor=floor).nodes
+                unbounded = solve_fresh(inst, msol, lb_floor=floor)
+                proven_at_stop += res.nodes == budget < unbounded.nodes
                 break
             res.drop()
     assert proven_at_stop > 0
@@ -237,10 +260,10 @@ def test_a_continued_search_decodes_only_an_improved_incumbent():
     paused result's schedule itself; one that improves it returns a newly
     decoded schedule that passes the validator."""
     inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))
-    msol = solve_master(inst, [], 0, node_budget=25)
+    msol = solve_master(inst, [], 0, node_budget=25, start=serial_schedule(inst))
     for budget, improves in ((50, False), (200, True)):
-        first = solve_sub(inst, msol, node_budget=25, lb_floor=53)
-        res = solve_sub(inst, msol, node_budget=budget, lb_floor=53, paused=first)
+        first = solve_fresh(inst, msol, node_budget=25, lb_floor=53)
+        res = solve_sub(inst, msol, start=None, node_budget=budget, lb_floor=53, paused=first)
         assert (res.zeta < first.zeta) == improves
         assert (res.schedule is first.schedule) == (not improves)
         assert res.schedule.makespan == res.zeta
