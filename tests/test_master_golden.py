@@ -133,5 +133,7 @@ def test_stage_cumulative_lifts_the_tiny_master_above_the_best_bound():
     assert (sol.status, sol.objective, sol.lower_bound, sol.nodes) == ("optimal", 10, 10, 47)
     log = run(inst, Budgets(master_nodes=60, sub_nodes=60, max_iterations=2))
     assert (log.status, log.lb, log.ub) == ("optimal", 10, 10)
+    # from the run's insertion start one iteration proves 10; a run that keeps
+    # a master and continues its subproblem is pinned in test_node_budget_golden
     assert [(r.master_lb, r.master_nodes, r.sub_nodes, r.lb, r.ub)
             for r in log.iterations] == [(10, 1, 1, 10, 10)]

@@ -85,7 +85,10 @@ def test_lbbd_node_budget_results_are_pinned(monkeypatch):
     log = run(inst, Budgets(master_nodes=25, sub_nodes=25, max_iterations=2))
     assert (log.ub, log.lb, [it.jstar_hash for it in log.iterations]) == (
         66, 53, ["c9f1209e0afe7d0b", "c9f1209e0afe7d0b"])
-    assert [(it.master_nodes, it.sub_nodes) for it in log.iterations] == [(25, 25), (0, 25)]
+    # (master_lb, master_nodes, sub_nodes, zeta, lb, ub): the second master
+    # is kept and its subproblem continued
+    assert [(it.master_lb, it.master_nodes, it.sub_nodes, it.zeta, it.lb, it.ub)
+            for it in log.iterations] == [(53, 25, 25, 66, 53, 66), (53, 0, 25, 66, 53, 66)]
     assert log.nodes == 75
     assert sorted(calls) == ["build_sub", "solve_master"]
 

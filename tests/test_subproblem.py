@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -169,7 +170,13 @@ def test_malformed_machine_sequences_are_rejected():
     def build_sub_at_horizon(inst, msol):
         return build_sub(inst, msol, horizon=50)
 
-    for entry in (build_sub_at_horizon, solve_fresh):
+    def solve_from_a_start_on_the_map(inst, msol):
+        # a valid schedule relabelled with the malformed map passes the
+        # start check, so the error comes from the subproblem's own check
+        start = replace(serial_schedule(inst, STRAIGHT), machine_of=msol.machine_of)
+        return solve_sub(inst, msol, start=start)
+
+    for entry in (build_sub_at_horizon, solve_from_a_start_on_the_map):
         with pytest.raises(ValueError, match="does not cover"):
             entry(inst, fixed(missing_op))
         with pytest.raises(ValueError, match="not in stage"):
