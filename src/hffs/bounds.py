@@ -75,34 +75,38 @@ def relaxed_times(inst: Instance) -> dict[Op, int]:
     }
 
 
-def _transport_prefix(inst: Instance, elig: tuple[str, ...]) -> dict[str, int]:
-    """Cheapest total transport from the chain's first stage up to each of
-    its stages, minimised over machine choices (layered shortest path)."""
-    best: dict[str, int] = {elig[0]: 0}
-    layer = {m: 0 for m in inst.machines_of(elig[0])}
-    for cur in elig[1:]:
-        nxt: dict[str, int] = {}
-        for n in inst.machines_of(cur):
-            costs = []
-            for m, acc in layer.items():
-                t = inst.transport.get((m, n))
-                if t is None:
-                    raise ValueError(f"missing transport entry for machine pair {m} -> {n}")
-                costs.append(acc + t)
-            nxt[n] = min(costs)
-        layer = nxt
-        best[cur] = min(layer.values())
-    return best
-
-
 def _transport_prefixes(inst: Instance) -> dict[str, dict[str, int]]:
-    """Each job's transport prefix, computed once per distinct eligible-stage
-    chain (jobs on one chain share the dict)."""
+    """Each job's transport prefix: the cheapest total transport from its
+    chain's first stage up to each of its stages, minimised over machine
+    choices (a layered shortest path).  A layer, the cheapest transport to
+    each machine of a stage, depends only on the chain up to that stage, so
+    chains that share a prefix share its layers: one step per distinct
+    prefix, and jobs on one chain share the dict."""
+    layers: dict[tuple[str, ...], tuple[dict[str, int], int]] = {}  # -> (layer, its min)
     by_chain: dict[tuple[str, ...], dict[str, int]] = {}
+    transport = inst.transport
     for j in inst.jobs:
         chain = inst.eligible_stages[j]
-        if chain not in by_chain:
-            by_chain[chain] = _transport_prefix(inst, chain)
+        if chain in by_chain:
+            continue
+        best = by_chain[chain] = {}
+        for i, cur in enumerate(chain, 1):
+            prefix = chain[:i]
+            if prefix not in layers:
+                machines = inst.machines_of(cur)
+                if i == 1:
+                    layer = dict.fromkeys(machines, 0)
+                else:
+                    prev = layers[chain[: i - 1]][0].items()
+                    try:
+                        layer = {n: min(acc + transport[m, n] for m, acc in prev)
+                                 for n in machines}
+                    except KeyError as err:
+                        m, n = err.args[0]
+                        raise ValueError(
+                            f"missing transport entry for machine pair {m} -> {n}") from None
+                layers[prefix] = (layer, min(layer.values()))
+            best[cur] = layers[prefix][1]
     return {j: by_chain[inst.eligible_stages[j]] for j in inst.jobs}
 
 

@@ -120,14 +120,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return 1
     if args.method == "cp":
         best = best_lb(inst).best
-        result, sched = solve_full(
-            inst, start=insertion_schedule(inst), node_budget=args.node_budget,
-            deadline=budgets.deadline, lb_floor=best,
-        )
-        log = RunLog(  # no iterations
-            best, result.lower_bound, result.objective, result.status, nodes=result.nodes,
-            schedule=sched,
-        )
+        start = insertion_schedule(inst)
+        if best >= start.makespan:  # the start is optimal: no encoding, no search
+            bad = validate_schedule(inst, start)
+            if bad:
+                raise RuntimeError(f"the insertion start is invalid: {bad[0]}")
+            log = RunLog(best, best, start.makespan, "optimal", schedule=start)
+        else:
+            result, sched = solve_full(
+                inst, start=start, node_budget=args.node_budget,
+                deadline=budgets.deadline, lb_floor=best,
+            )
+            log = RunLog(  # no iterations
+                best, result.lower_bound, result.objective, result.status,
+                nodes=result.nodes, schedule=sched,
+            )
     else:
         log = run(inst, budgets=budgets)
     wall_time = time.perf_counter() - started

@@ -24,11 +24,15 @@ every choice edit decides its choice, so a search state holds one value per
 choice, None while the choice is open, when its domain is its root domain; a
 choice whose root domain is one value is decided at the root.  Search is
 depth-first branch and bound in two phases: open choices first, in model
-order, each tried at the values of its root domain in order, then
-chronological start-time fixing.  The first descent therefore behaves like a
-greedy earliest-start dive.  Bounds propagation runs at every node (time
-windows through offsets and precedences, detectable precedences on
-disjunctives, timetable reasoning over mandatory parts of cumulatives).
+order, then chronological start-time fixing.  A choice is tried first at the
+incumbent's value and then at the rest of its root domain in order
+(solution-guided search, Beck, JAIR 29, 2007); with no incumbent yet, in
+root order.  The split stays exhaustive, only its order moves, so the first
+descent is an earliest-start dive along the incumbent's choices, and each
+improving leaf redirects the dives that follow.  Bounds propagation runs at
+every node (time windows through offsets and precedences, detectable
+precedences on disjunctives, timetable reasoning over mandatory parts of
+cumulatives).
 Every incumbent is re-checked against the raw constraints by an independent
 evaluator before it is stored.
 
@@ -108,9 +112,10 @@ moves wake nothing.  Each run and each failure is counted per kind
 and queues only the watchers of the variable its branching edit changed (a
 start edit moves the task's starts) and of the ends the incumbent cap moved.
 A search frame keeps its node's state and the values its children take
-(``_child_values``: a choice's root domain, or FIX then BUMP for a start);
-each child is a copy made by ``_apply``, except the last, which takes over
-the node's state once its frame is popped.
+(``_child_values``: a choice's root domain, or FIX then BUMP for a start; a
+choice's frame moves the incumbent's value to the front); each child is a
+copy made by ``_apply``, except the last, which takes over the node's state
+once its frame is popped.
 
 No propagator narrows a choice domain, so choice-derived data changes only
 at a choice edit: each group's active members and each task's group
@@ -143,8 +148,8 @@ group reads the bounds of its active members only, so not waking it for the
 moves of a member that is not active leaves that fixpoint unchanged.
 
 A search stopped at its budget can be continued (``resume``): its stack,
-incumbent and node count are kept, so continuing to a larger budget gives
-what a fresh search at that budget gives.
+incumbent (and so its value order) and node count are kept, so continuing
+to a larger budget gives what a fresh search at that budget gives.
 
 Determinism: the search draws no randomness.  With a node budget, results
 are a pure function of (model, budget, hint); nothing reads the clock except
@@ -1117,7 +1122,8 @@ FIX, BUMP = "fix", "bump"  # a start branch's children: s_hi = s_lo, then s_lo +
 
 def _child_values(comp: _Compiled, branch) -> tuple:
     """The values a branching decision's children take, in order (an
-    exhaustive split): a choice's root domain, or FIX then BUMP."""
+    exhaustive split): a choice's root domain, or FIX then BUMP.  A search
+    with an incumbent moves its value to the front (``_Search.process``)."""
     kind, idx = branch
     return comp.choices[idx].values if kind == "choice" else (FIX, BUMP)
 
@@ -1183,16 +1189,23 @@ def resume(
 
 
 class _Search:
-    """Depth-first branch and bound whose stack outlives a budget stop."""
+    """Depth-first branch and bound whose stack outlives a budget stop.
 
-    __slots__ = ("model", "comp", "incumbent", "ub", "history", "nodes", "stack", "wall")
+    ``guide`` holds the incumbent's value per choice, index-aligned with the
+    compiled choices (None while there is no incumbent), and ``orders`` each
+    (choice, value) pair's guided value order once it has been built."""
+
+    __slots__ = ("model", "comp", "incumbent", "ub", "history", "nodes", "stack", "wall",
+                 "guide", "orders")
 
     def __init__(self, model: EngineModel, hint: Assignment | None) -> None:
         self.model = model
-        self.comp = _Compiled(model)
+        self.comp = comp = _Compiled(model)
         self.incumbent: Assignment | None = None
         self.ub: float = INF
         self.history: list[tuple[int, int]] = []
+        self.guide: list[int] | None = None
+        self.orders: dict[tuple[int, int], tuple] = {}
         if hint is not None:
             bad = check_assignment(model, hint)
             if bad:
@@ -1200,6 +1213,7 @@ class _Search:
             self.incumbent = hint
             self.ub = evaluate_objective(model, hint)
             self.history.append((0, int(self.ub)))
+            self.guide = [hint.choices[cid] for cid in comp.cids]
         self.nodes = 0
         self.stack: list[list] = []
         self.wall = 0.0
@@ -1226,8 +1240,18 @@ class _Search:
             if obj < ub:
                 self.incumbent, self.ub = asg, obj
                 self.history.append((self.nodes, obj))
+                self.guide = state.values
             return
-        self.stack.append([state, _child_values(comp, branch), 0, lb, branch])
+        children = _child_values(comp, branch)
+        if branch[0] == "choice" and self.guide is not None:
+            v = self.guide[branch[1]]
+            if v != children[0]:  # the incumbent's value first, the rest in root order
+                key = (branch[1], v)
+                order = self.orders.get(key)
+                if order is None:
+                    order = self.orders[key] = (v, *(u for u in children if u != v))
+                children = order
+        self.stack.append([state, children, 0, lb, branch])
 
     def run(
         self,

@@ -25,10 +25,15 @@ Benders decomposition", Oper. Res. 55(3), 2007): ``model.insertion_schedule``
 under any machine assignment is feasible and warm-starts every fresh
 subproblem, so no subproblem is infeasible.  Every master starts from the
 run's one insertion schedule, built before the first, and so does a fresh
-subproblem whose master kept its machines.  A master solution whose
-fingerprint already has a cut skips its subproblem, which was solved and
-whose zeta the upper bound already holds: the iteration records the cut's
-zeta and 0 subproblem nodes, and doubles the master's node budget.
+subproblem whose master kept its machines.  That schedule is also the run's
+first upper bound and schedule: a run whose seed bound meets it returns it
+after no iteration, and a master whose bound meets it skips its subproblem.
+A subproblem schedule of equal makespan, decoded and validated, replaces it,
+so the start itself is validated only when the run returns it.
+A master solution whose fingerprint already has a cut skips its subproblem,
+which was solved and whose zeta the upper bound already holds: the
+iteration records the cut's zeta and 0 subproblem nodes, and doubles the
+master's node budget.
 Time: ``Budgets.deadline`` is one ``time.perf_counter()`` reading shared by
 every layer.  Each master stops at the midpoint between its start and the
 deadline, and the subproblem runs to the deadline, so a subproblem keeps
@@ -66,6 +71,7 @@ from .model import (
     insertion_schedule,
     schedule_to_dict,
     validate_instance,
+    validate_schedule,
 )
 from .subproblem import SubResult, solve_sub
 
@@ -115,7 +121,7 @@ class IterationRecord:
     jstar_hash: str
     zeta: int | None
     lb: int
-    ub: int | None
+    ub: int
     master_nodes: int
     sub_nodes: int
     wall_time: float | None
@@ -125,7 +131,7 @@ class IterationRecord:
 class RunLog:
     best_lb: int
     lb: int
-    ub: int | None
+    ub: int
     status: str
     iterations: list[IterationRecord] = field(default_factory=list)
     nodes: int = 0
@@ -170,8 +176,7 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
     seed_lb = best_lb(inst).best
     start = insertion_schedule(inst)  # every master's hint and horizon
     lb = seed_lb
-    ub: int | None = None
-    best_sched: Schedule | None = None
+    ub, best_sched = start.makespan, start  # the first upper bound
     cuts: dict[Fingerprint, BendersCut] = {}
     iterations: list[IterationRecord] = []
     master_budget, sub_nodes = budgets.master_nodes, budgets.sub_nodes
@@ -180,6 +185,9 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
     held: SubResult | None = None  # paused at its budget; msol is its master's
 
     while True:
+        if lb >= ub:
+            status = "optimal"
+            break
         if (budgets.max_iterations is not None and k >= budgets.max_iterations) or (
             k > 0 and deadline is not None and _time.perf_counter() >= deadline
         ):
@@ -201,7 +209,7 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
         lb = max(lb, msol.lower_bound)
         fp = fingerprint_of(inst, msol)
         zeta, nodes, wall = None, 0, 0.0
-        if ub is not None and lb >= ub:
+        if lb >= ub:
             pass  # proven by the master: no subproblem
         elif fp in cuts:  # solved already: only a larger master budget moves on
             zeta = cuts[fp].zeta
@@ -225,7 +233,7 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
             )
             held = sres if sres.paused is not None else None
             zeta, nodes, wall = sres.zeta, sres.nodes, sres.wall_time
-            if ub is None or zeta < ub:
+            if zeta < ub or zeta == ub and best_sched is start:  # a tie: the validated one
                 ub = zeta
                 best_sched = sres.schedule
             if sres.status == "optimal":
@@ -239,10 +247,11 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
                 master_nodes, nodes, None if deterministic else master_wall + wall,
             )
         )
-        if lb >= ub:
-            status = "optimal"
-            break
     if held is not None:
         held.drop()
+    if best_sched is start:  # no subproblem matched it: check it as they were checked
+        bad = validate_schedule(inst, start)
+        if bad:
+            raise RuntimeError(f"the insertion start is invalid: {bad[0]}")
     wall_time = None if deterministic else _time.perf_counter() - t0
     return RunLog(seed_lb, lb, ub, status, iterations, total_nodes, wall_time, best_sched)

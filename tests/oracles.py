@@ -790,30 +790,33 @@ def restarting_lbbd(inst: Instance, budgets: Budgets) -> RunLog:
     node budget, as ``run`` does.  Frozen; node counts are those of every
     search it runs.  Its warm starts are ``run``'s: one insertion schedule
     for every master, which a subproblem on its machines takes too, and one
-    on the master's machines for any other subproblem."""
+    on the master's machines for any other subproblem.  That start is also
+    its first upper bound and schedule, which a subproblem's schedule of
+    equal makespan replaces, as in ``run``."""
     assert budgets.deterministic
     lb = best = best_lb(inst).best
-    ub = None
-    best_sched = None
     cuts: dict = {}
-    log = RunLog(best_lb=best, lb=lb, ub=None, status="unknown")
     master_nodes, sub_nodes = budgets.master_nodes, budgets.sub_nodes
     start = insertion_schedule(inst)
+    ub, best_sched = start.makespan, start
+    log = RunLog(best_lb=best, lb=lb, ub=ub, status="unknown")
     k = 0
     while True:
+        if lb >= ub:
+            status = "optimal"
+            break
         if budgets.max_iterations is not None and k >= budgets.max_iterations:
-            status = "feasible" if ub is not None else "unknown"
+            status = "feasible"
             break
         k += 1
         msol = solve_master(inst, cuts.values(), lb, start=start, node_budget=master_nodes)
         log.nodes += msol.nodes
         lb = max(lb, msol.lower_bound)
         fp = fingerprint_of(inst, msol)
-        if ub is not None and lb >= ub:
+        if lb >= ub:
             log.iterations.append(IterationRecord(
                 k, msol.lower_bound, _hash_fingerprint(fp), None, lb, ub, msol.nodes, 0, None))
-            status = "optimal"
-            break
+            continue
         if fp in cuts:
             master_nodes *= 2
             log.iterations.append(IterationRecord(
@@ -827,7 +830,7 @@ def restarting_lbbd(inst: Instance, budgets: Budgets) -> RunLog:
         sres = solve_sub(inst, msol, start=sub_start, node_budget=sub_nodes, lb_floor=lb)
         sres.drop()
         log.nodes += sres.nodes
-        if ub is None or sres.zeta < ub:
+        if sres.zeta < ub or sres.zeta == ub and best_sched is start:
             ub = sres.zeta
             best_sched = sres.schedule
         if sres.status == "optimal":
@@ -838,8 +841,5 @@ def restarting_lbbd(inst: Instance, budgets: Budgets) -> RunLog:
         log.iterations.append(IterationRecord(
             k, msol.lower_bound, _hash_fingerprint(fp), sres.zeta, lb, ub,
             msol.nodes, sres.nodes, None))
-        if lb >= ub:
-            status = "optimal"
-            break
     log.lb, log.ub, log.status, log.schedule = lb, ub, status, best_sched
     return log

@@ -6,6 +6,7 @@ import time
 import pytest
 
 import hffs.cli as cli
+import hffs.lbbd as lbbd
 from hffs.bounds import best_lb
 from hffs.cli import CSV_HEADER, main
 from hffs.instance_gen import GenSpec, generate
@@ -374,3 +375,23 @@ def test_the_runlog_wall_time_is_the_rows(tmp_path, capsys, method):
     assert f"{log['wall_time']:.3f}" == row["wall_time"]
     for key in ("best_lb", "lb", "ub", "nodes", "status"):
         assert str(log[key]) == row[key]
+
+
+@pytest.mark.parametrize("method", ["cp", "lbbd"])
+def test_a_start_at_the_best_bound_is_returned_without_a_search(
+        tmp_path, capsys, monkeypatch, method):
+    """The bounds (9) meet the insertion start's makespan, so both methods
+    return the start as optimal with 0 nodes: cp builds no model and lbbd
+    runs no iteration.  The written schedule validates."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("no search was needed")
+
+    monkeypatch.setattr(cli, "solve_full", no_search)
+    monkeypatch.setattr(lbbd, "solve_master", no_search)
+    sched_path = tmp_path / "sched.json"
+    row = solve_row(tmp_path, capsys, GenSpec(group=2, jobs=3, stages=2, variant=1, seed=0),
+                    "--method", method, "-o", str(sched_path))
+    assert [row[k] for k in ("best_lb", "lb", "ub", "iterations", "nodes", "status")] == [
+        "9", "9", "9", "0", "0", "optimal"]
+    code, out, _ = run_cli(capsys, "validate", str(tmp_path / "inst.json"), str(sched_path))
+    assert (code, out.strip()) == (0, "OK makespan=9")

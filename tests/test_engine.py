@@ -24,6 +24,7 @@ from hffs.engine import (
     TaskVar,
     check_assignment,
     evaluate_objective,
+    _Search,
     _apply,
     _child_values,
     _pick_branch,
@@ -33,6 +34,10 @@ from hffs.engine import (
     solve,
 )
 
+from hffs.bounds import best_lb
+from hffs.full_model import build_full, schedule_to_assignment
+from hffs.instance_gen import GenSpec, generate
+from hffs.model import serial_schedule
 from oracles import RoundRobinFixpoint
 
 
@@ -646,3 +651,58 @@ def test_a_continued_search_equals_a_fresh_search_at_its_budget(model, budgets):
     stopped = solve(model, node_budget=1)
     assert stopped.paused is None
     assert resume(stopped, node_budget=None) is stopped
+
+
+def two_menu_chain() -> EngineModel:
+    """a's task then b's, each taking 5, 3 or 4 time units at value 0, 1 or
+    2 of its choice; the makespan is the two durations' sum."""
+    menu = {0: 5, 1: 3, 2: 4}
+    return model_of(
+        [TaskVar("ta", duration_menu=("a", menu), est=0, lct=20),
+         TaskVar("tb", duration_menu=("b", menu), est=0, lct=20)],
+        [ChoiceVar("a", (0, 1, 2)), ChoiceVar("b", (0, 1, 2))],
+        objective=["tb"],
+        offsets=[OffsetLink("ta", "tb")],
+    )
+
+
+def test_a_choice_frame_takes_the_incumbents_value_first():
+    """From the hint a = b = 2 (makespan 8) both choices try 2 first.  Below
+    a = 2 only b = 1 beats 8; that leaf (makespan 7) becomes the incumbent,
+    so the frame for b below a = 1 tries 1 first, and a = 0 fails at once.
+    The rest of each root domain follows in root order."""
+    m = two_menu_chain()
+    search = _Search(m, Assignment({"a": 2, "b": 2}, {"ta": 0, "tb": 4}, {"ta": 4, "tb": 8}))
+    pushed = []
+
+    class Recording(list):
+        def append(self, frame):
+            kind, idx = frame[4]
+            if kind == "choice":
+                pushed.append((search.comp.cids[idx], frame[1]))
+            super().append(frame)
+
+    search.stack = Recording()
+    res = search.run(None, None)
+    assert pushed == [("a", (2, 0, 1)), ("b", (2, 0, 1)), ("b", (1, 0, 2))]
+    assert [obj for _, obj in res.ub_history] == [8, 7, 6]
+    assert (res.status, res.objective) == ("optimal", 6)
+    assert _child_values(search.comp, ("choice", 0)) == (0, 1, 2)  # root order kept
+
+
+def test_a_continued_search_whose_incumbent_moves_equals_a_fresh_one():
+    """The incumbent changes before the stop and after it, so the continued
+    search orders its frames by a value that the stopped one set; at every
+    budget it equals a fresh search."""
+    inst = generate(GenSpec(group=2, jobs=4, stages=2, variant=1, seed=2))
+    enc = build_full(inst, horizon=serial_schedule(inst).makespan, lb_floor=best_lb(inst).best)
+    hint = schedule_to_assignment(enc, serial_schedule(inst))
+    res = solve(enc.model, node_budget=30, hint=hint, resumable=True)
+    changes = [nodes for nodes, _ in res.ub_history]
+    assert changes[0] == 0 < changes[-1] <= 30
+    for budget in (60, 90, None):
+        resume(res, node_budget=budget)
+        assert search_outcome(res) == search_outcome(
+            solve(enc.model, node_budget=budget, hint=hint))
+    assert res.status == "optimal"
+    assert [nodes for nodes, _ in res.ub_history if nodes > 30]  # moved after the stop

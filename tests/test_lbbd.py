@@ -11,7 +11,7 @@ import hffs.lbbd as lbbd
 from hffs.instance_gen import GenSpec, generate
 from hffs.lbbd import BendersCut, Budgets, fingerprint_of, gaps, run
 from hffs.master import solve_master
-from hffs.model import schedule_to_json, serial_schedule, validate_schedule
+from hffs.model import insertion_schedule, schedule_to_json, serial_schedule, validate_schedule
 from oracles import brute_force_optimum
 
 
@@ -191,3 +191,15 @@ def test_the_master_stops_halfway_to_the_deadline(monkeypatch):
     assert calls
     for called, stop in calls:
         assert called < stop <= (called + deadline) / 2
+
+
+def test_the_runs_start_is_its_first_upper_bound():
+    """The master moves machines, and the 1-node subproblem keeps its own
+    start on them (makespan 25); the run reports its own start (18), whose
+    schedule it returns validated."""
+    inst = generate(GenSpec(group=2, jobs=4, stages=3, variant=1, seed=4242095))
+    start = insertion_schedule(inst)
+    log = run(inst, Budgets(master_nodes=60, sub_nodes=1, max_iterations=1))
+    assert [(it.zeta, it.ub) for it in log.iterations] == [(25, 18)]
+    assert (log.status, log.ub, log.schedule) == ("feasible", 18, start)
+    assert validate_schedule(inst, log.schedule) == []

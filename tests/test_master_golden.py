@@ -4,7 +4,10 @@ Each master runs with the floor the decomposition loop would pass it first
 (the bound module's best value).  Statuses, bounds, node counts, incumbent
 histories and the hash of the returned machine fingerprint must not move
 when the master's encoding is only restated; a change here means search or
-propagation strength changed and must be reported as such.  The cut cases
+propagation strength changed and must be reported as such.  Four rows were
+re-recorded when each choice began to take the incumbent's value first:
+their objectives and bounds held, and their histories and two fingerprints
+moved.  The cut cases
 install a cut on the instance's own cut-free 25-node fingerprint, so the
 fingerprint-to-choice translation is exercised on a real model.
 
@@ -52,21 +55,21 @@ MASTER = {
     (4, 2, 1, 2, 25, False): ("feasible", 17, 13, 25, [
         (0, 39), (13, 17)], "6a05ca42dd31f0a9"),
     (4, 2, 1, 2, 200, False): ("optimal", 13, 13, 57, [
-        (0, 39), (13, 17), (28, 15), (47, 13)], "0f343140f497c8ec"),
+        (0, 39), (13, 17), (28, 15), (48, 13)], "0f343140f497c8ec"),
     (4, 3, 1, 3, 25, False): ("feasible", 28, 22, 25, [
         (0, 64), (19, 28)], "bc9c12a7a13180e0"),
     (4, 3, 1, 3, 200, False): ("optimal", 22, 22, 129, [
-        (0, 64), (19, 28), (44, 27), (80, 24), (98, 23), (119, 22)], "9629852dffe38144"),
+        (0, 64), (19, 28), (44, 27), (84, 24), (99, 23), (117, 22)], "9629852dffe38144"),
     (5, 2, 1, 4, 25, False): ("feasible", 26, 9, 25, [
         (0, 56), (19, 26)], "bd1406cfb1e443da"),
     (5, 2, 1, 4, 200, False): ("feasible", 13, 9, 200, [
-        (0, 56), (19, 26), (26, 25), (37, 21), (48, 20), (96, 18), (130, 17),
-        (151, 15), (177, 14), (189, 13)], "6d1caa51a6ac14e3"),
+        (0, 56), (19, 26), (26, 25), (37, 21), (48, 20), (96, 18), (133, 17),
+        (157, 15), (180, 14), (191, 13)], "a39a04bbc56b82ec"),
     (5, 3, 1, 5, 25, False): ("feasible", 37, 14, 25, [
         (0, 98), (25, 37)], "01544a837b7f0b15"),
     (5, 3, 1, 5, 200, False): ("feasible", 26, 14, 200, [
-        (0, 98), (25, 37), (43, 34), (74, 33), (98, 30), (121, 29), (154, 27),
-        (190, 26)], "7ae8bd5c0635a181"),
+        (0, 98), (25, 37), (43, 34), (74, 33), (98, 30), (120, 29), (152, 27),
+        (189, 26)], "1370f6fe9de8958b"),
     (20, 3, 2, 0, 25, True): ("feasible", 658, 53, 25, [(0, 658)], "63fddc41b4ae15f5"),
     (20, 3, 2, 0, 200, True): ("feasible", 70, 53, 200, [
         (0, 658), (77, 80), (85, 77), (109, 73), (134, 72), (158, 71),
@@ -133,7 +136,9 @@ def test_stage_cumulative_lifts_the_tiny_master_above_the_best_bound():
     assert (sol.status, sol.objective, sol.lower_bound, sol.nodes) == ("optimal", 10, 10, 47)
     log = run(inst, Budgets(master_nodes=60, sub_nodes=60, max_iterations=2))
     assert (log.status, log.lb, log.ub) == ("optimal", 10, 10)
-    # from the run's insertion start one iteration proves 10; a run that keeps
-    # a master and continues its subproblem is pinned in test_node_budget_golden
+    # the run's insertion start (makespan 10) is its first upper bound, so
+    # the master's bound of 10 ends the run with no subproblem; a run that
+    # keeps a master and continues its subproblem is pinned in
+    # test_node_budget_golden
     assert [(r.master_lb, r.master_nodes, r.sub_nodes, r.lb, r.ub)
-            for r in log.iterations] == [(10, 1, 1, 10, 10)]
+            for r in log.iterations] == [(10, 1, 0, 10, 10)]

@@ -228,9 +228,9 @@ def test_a_continued_search_at_a_raised_floor_equals_a_fresh_one():
     inst = generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))
     msol = solve_master(inst, [], 0, node_budget=25, start=serial_schedule(inst))
     first = solve_fresh(inst, msol, node_budget=25, lb_floor=53)
-    raised = solve_sub(inst, msol, start=None, node_budget=200, lb_floor=90, paused=first)
-    fresh = solve_fresh(inst, msol, node_budget=200, lb_floor=90)
-    assert raised.lower_bound == 90 > 53
+    raised = solve_sub(inst, msol, start=None, node_budget=200, lb_floor=70, paused=first)
+    fresh = solve_fresh(inst, msol, node_budget=200, lb_floor=70)
+    assert raised.lower_bound == 70 > 53
     assert first.nodes + raised.nodes == fresh.nodes == 200
     assert (raised.status, raised.zeta, raised.lower_bound, raised.schedule) == (
         fresh.status, fresh.zeta, fresh.lower_bound, fresh.schedule)
