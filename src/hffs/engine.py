@@ -27,14 +27,34 @@ depth-first branch and bound in two phases: open choices first, in model
 order, then chronological start-time fixing.  A choice is tried first at the
 incumbent's value and then at the rest of its root domain in order
 (solution-guided search, Beck, JAIR 29, 2007); with no incumbent yet, in
-root order.  The split stays exhaustive, only its order moves, so the first
-descent is an earliest-start dive along the incumbent's choices, and each
-improving leaf redirects the dives that follow.  Bounds propagation runs at
+root order.  The order only moves, so the first descent is an earliest-start
+dive along the incumbent's choices, and each improving leaf redirects the
+dives that follow.  Bounds propagation runs at
 every node (time windows through offsets and precedences, detectable
 precedences on disjunctives, timetable reasoning over mandatory parts of
 cumulatives).
 Every incumbent is re-checked against the raw constraints by an independent
 evaluator before it is stored.
+
+A choice's frame holds only the values that a forward check (Haralick &
+Elliott, AI 14(3), 1980) does not refute on the node's own fixpoint.  The
+check runs each watcher that deciding the choice wakes directly, in the
+child's terms: a menu window that reads the choice must fit the value's
+duration d, e_lo - s_hi <= d <= e_hi - s_lo; a delta-table link that reads
+it, at the extremes of the value's row or column (one delta once both of its
+choices are decided), must keep e_lo[pred] + dmin <= s_hi[succ] and, for an
+offset, s_lo[succ] - dmax <= e_hi[pred]; and a member the choice routes into
+a disjunctive must find no active member b of the value's groups with s_hi[b]
+< e_lo[t] and s_hi[t] < e_lo[b], a pair that must each precede the other.
+The window and link tests are exactly when one run of that watcher fails,
+and the disjunctive's first sweep fails on every such pair.  A child starts
+from its parent's bounds, and propagation and the incumbent cap, which only
+falls, only narrow them, so a test that fails on the parent's bounds fails
+in the child, whose fixpoint then cannot exist: the child fails.  So the
+split stays exhaustive over every value that can still lead to a feasible
+completion, the surviving values keep their guided order, a node none of
+whose values survives pushes no frame, and a refuted value costs no copy,
+patch, propagation or node.
 
 The disjunctive rule is pairwise: when of two members only a can precede b,
 b's earliest start rises to e_lo[a] and a's latest end falls to s_hi[b], and
@@ -113,7 +133,8 @@ and queues only the watchers of the variable its branching edit changed (a
 start edit moves the task's starts) and of the ends the incumbent cap moved.
 A search frame keeps its node's state and the values its children take
 (``_child_values``: a choice's root domain, or FIX then BUMP for a start; a
-choice's frame moves the incumbent's value to the front); each child is a
+choice's frame moves the incumbent's value to the front and drops the values
+its forward check refutes); each child is a
 copy made by ``_apply``, except the last, which takes over the node's state
 once its frame is popped.
 
@@ -280,8 +301,10 @@ class Assignment:
 @dataclass(slots=True)
 class SearchResult:
     """A search's outcome.  ``runs`` and ``fails`` count the propagator runs
-    and failures of the whole search per kind (``KINDS``); like ``nodes``
-    they are a pure function of (model, node budget, hint).  ``paused`` is
+    and failures of the whole search per kind (``KINDS``), and ``refuted``
+    the choice values that forward checks dropped, by the kind of the
+    watcher that refuted them (never a cumulative); like ``nodes`` they are a
+    pure function of (model, node budget, hint).  ``paused`` is
     the search itself when it was resumable and stopped at its budget (see
     ``resume``); setting it to None frees that search."""
 
@@ -294,6 +317,7 @@ class SearchResult:
     ub_history: list[tuple[int, int]]
     runs: dict[str, int]
     fails: dict[str, int]
+    refuted: dict[str, int]
     paused: "_Search | None" = field(default=None, repr=False, compare=False)
 
 
@@ -519,6 +543,7 @@ class _Compiled:
         group_watch: list[list[int]] = [[] for _ in range(nt)]
         multi = [len(c.values) > 1 for c in self.choices]
         self.patches = patches = [[] for _ in self.choices]
+        self.routes = routes = [[] for _ in self.choices]  # its routed disjunctive members
         self.families = []
         for (key, is_cum), (members, by_value) in by_kind.items():
             family = compiled[key][0]
@@ -536,6 +561,8 @@ class _Compiled:
                 patch = (groups, ti, w, wci, ci if routed else None)
                 if routed:
                     patches[ci].append(patch)
+                    if not is_cum:
+                        routes[ci].append((ti, by_value))
                 if is_cum:  # its weight choice, then its menu's, once each
                     if wci is not None and wci != ci and multi[wci]:
                         patches[wci].append(patch)
@@ -575,6 +602,7 @@ class _Compiled:
         self.cheap, self.groups, self.moved = deque(), deque(), []
         self.runs = [0] * len(KINDS)  # propagator runs and failures per kind
         self.fails = [0] * len(KINDS)
+        self.refuted = [0] * len(KINDS)  # choice values that forward checks drop, per kind
 
     def _family(self, where: str, members) -> tuple[list, bool]:
         """A member tuple's family, sorted by task, and whether a member is
@@ -960,6 +988,62 @@ class _Compiled:
                 s_lo[ti] = t
                 moved.append(2 * ti)
 
+    def forward_check(self, st: State, c: int, values: tuple) -> tuple:
+        """The values of open choice ``c`` that no direct watcher of ``c``
+        refutes on ``st``'s own fixpoint, in the given order; each value
+        dropped is counted under the kind of its first refuting watcher (see
+        the module docstring).  The watchers are ``c``'s menu windows and
+        delta-table links (``choice_watch``), then the disjunctive members it
+        routes (``routes``).  A window or link whose root extremes fit the
+        node's bounds refutes no value and is passed over."""
+        watchers, routes = self.choice_watch[c], self.routes[c]
+        if not watchers and not routes:
+            return values
+        s_lo, s_hi, e_lo, e_hi, st_values = st.s_lo, st.s_hi, st.e_lo, st.e_hi, st.values
+        nt, prec0, disj0 = len(self.tasks), self.prec0, self.disj0
+        dropped: dict = {}  # refuted value -> the kind of its first refuting watcher
+        for p in watchers:
+            if p < nt:  # a menu window: the value's duration must fit its bounds
+                dmin, dmax, (_, durations) = self.windows[p]
+                low, high = e_lo[p] - s_hi[p], e_hi[p] - s_lo[p]
+                if low <= dmin and dmax <= high:
+                    continue
+                for v in values:
+                    if not low <= durations[v] <= high:
+                        dropped.setdefault(v, 0)
+                continue
+            # A delta-table link, at the value's row or column extremes: dmin
+            # at most high, and for an offset dmax at least low.
+            pi, si, dmin, dmax, (ca, cb, deltas, rows, cols) = self.links[p - nt]
+            high, low = s_hi[si] - e_lo[pi], (s_lo[si] - e_hi[pi] if p < prec0 else -INF)
+            if dmax <= high and dmin >= low:
+                continue
+            for v in values:
+                va = v if ca == c else st_values[ca]
+                vb = v if cb == c else st_values[cb]
+                if va is None:
+                    dmin, dmax = cols[vb]
+                elif vb is None:
+                    dmin, dmax = rows[va]
+                else:
+                    dmin = dmax = deltas[va, vb]
+                if dmin > high or dmax < low:
+                    dropped.setdefault(v, 1)
+        active = st.active
+        for ti, by_value in routes:  # no pair of members may each have to precede the other
+            lo, hi = s_hi[ti], e_lo[ti]
+            for v in values:
+                if v not in dropped:
+                    for g in by_value.get(v, ()):
+                        for b in active[g - disj0]:
+                            if s_hi[b] < hi and lo < e_lo[b]:
+                                dropped[v] = 2
+        if not dropped:
+            return values
+        for kind in dropped.values():
+            self.refuted[kind] += 1
+        return tuple(v for v in values if v not in dropped)
+
     # -- node bound and leaf extraction ---------------------------------------
 
     def node_lb(self, st: State) -> int:
@@ -1123,7 +1207,8 @@ FIX, BUMP = "fix", "bump"  # a start branch's children: s_hi = s_lo, then s_lo +
 def _child_values(comp: _Compiled, branch) -> tuple:
     """The values a branching decision's children take, in order (an
     exhaustive split): a choice's root domain, or FIX then BUMP.  A search
-    with an incumbent moves its value to the front (``_Search.process``)."""
+    with an incumbent moves its value to the front, and a search drops the
+    values a forward check refutes (``_Search.process``)."""
     kind, idx = branch
     return comp.choices[idx].values if kind == "choice" else (FIX, BUMP)
 
@@ -1243,14 +1328,18 @@ class _Search:
                 self.guide = state.values
             return
         children = _child_values(comp, branch)
-        if branch[0] == "choice" and self.guide is not None:
-            v = self.guide[branch[1]]
-            if v != children[0]:  # the incumbent's value first, the rest in root order
-                key = (branch[1], v)
-                order = self.orders.get(key)
-                if order is None:
-                    order = self.orders[key] = (v, *(u for u in children if u != v))
-                children = order
+        if branch[0] == "choice":
+            if self.guide is not None:
+                v = self.guide[branch[1]]
+                if v != children[0]:  # the incumbent's value first, the rest in root order
+                    key = (branch[1], v)
+                    order = self.orders.get(key)
+                    if order is None:
+                        order = self.orders[key] = (v, *(u for u in children if u != v))
+                    children = order
+            children = comp.forward_check(state, branch[1], children)
+            if not children:  # every value refuted: no feasible completion
+                return
         self.stack.append([state, children, 0, lb, branch])
 
     def run(
@@ -1300,10 +1389,10 @@ class _Search:
             lb = int(frontier_min) if frontier_min < INF else self.comp.floor
         values = (status, obj, lb, self.incumbent, self.nodes, self.wall, self.history,
                   dict(zip(KINDS, self.comp.runs)), dict(zip(KINDS, self.comp.fails)),
-                  self if budget_hit else None)
+                  dict(zip(KINDS, self.comp.refuted)), self if budget_hit else None)
         if result is None:
             return SearchResult(*values)
         (result.status, result.objective, result.lower_bound, result.incumbent,
          result.nodes, result.wall_time, result.ub_history, result.runs, result.fails,
-         result.paused) = values
+         result.refuted, result.paused) = values
         return result

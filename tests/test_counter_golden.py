@@ -2,16 +2,20 @@
 
 The other goldens pin what a search finds; these pin how much propagation it
 took to find it: the runs and failures per propagator kind (``KINDS``) of
-``engine.solve`` with the serial hint, next to its node count and objective.
+``engine.solve`` with the serial hint, next to its node count and objective,
+and the choice values its forward checks refuted, per kind of the refuting
+watcher.
 A restatement of the compiled model that wakes one propagator more or less
 at one node changes a row here, even when every fixpoint stays the same.
 
-The three model kinds are the group 1 full model (routed machine groups,
-worker choices, menus), the group 2 master (routed machine groups only) and
-the group 2 full model under a round-robin machine map (worker choices only,
-as in a subproblem).  The pinned-group2 rows were re-recorded when each
-choice began to take the incumbent's value first: their objectives fell from
-290-365 to 76-85.
+The four model kinds are the group 1 full model (routed machine groups,
+worker choices, menus), the group 2 master (routed machine groups only), the
+group 2 full model under a round-robin machine map (worker choices only, as
+in a subproblem) and the tiny group 2 full model (3 jobs, 3 stages), where
+forward checks refute values of every probed kind within 60 nodes; on the
+20-job rows they refute none within their budgets.  The pinned-group2 rows
+were re-recorded when each choice began to take the incumbent's value first:
+their objectives fell from 290-365 to 76-85.
 """
 
 from collections import Counter
@@ -25,17 +29,21 @@ from hffs.instance_gen import GenSpec, generate
 from hffs.master import build_master
 from hffs.model import serial_schedule
 
-# (model, seed) -> (nodes, objective, runs per kind, fails per kind)
+# (model, seed) -> (nodes, objective, runs, fails and refuted values per kind)
+NONE = (0, 0, 0, 0)
 COUNTERS = {
-    ("full-group1", 0): (60, 1274, (2456, 2384, 301, 557), (0, 0, 0, 0)),
-    ("full-group1", 1): (60, 1356, (2129, 2068, 305, 563), (0, 0, 0, 0)),
-    ("full-group1", 2): (60, 879, (2015, 1972, 323, 591), (0, 0, 0, 0)),
-    ("master-group2", 0): (200, 70, (1272, 992, 378, 340), (40, 0, 24, 0)),
-    ("master-group2", 1): (200, 70, (1611, 1393, 475, 432), (47, 1, 9, 9)),
-    ("master-group2", 2): (200, 74, (1785, 1624, 557, 496), (25, 0, 35, 2)),
-    ("pinned-group2", 0): (200, 76, (2360, 1672, 294, 572), (28, 0, 10, 14)),
-    ("pinned-group2", 1): (200, 78, (2623, 1884, 471, 862), (20, 0, 26, 4)),
-    ("pinned-group2", 2): (200, 85, (2398, 1791, 343, 678), (34, 0, 4, 6)),
+    ("full-group1", 0): (60, 1274, (2456, 2384, 301, 557), NONE, NONE),
+    ("full-group1", 1): (60, 1356, (2129, 2068, 305, 563), NONE, NONE),
+    ("full-group1", 2): (60, 879, (2015, 1972, 323, 591), NONE, NONE),
+    ("master-group2", 0): (200, 70, (1272, 992, 378, 340), (40, 0, 24, 0), NONE),
+    ("master-group2", 1): (200, 70, (1611, 1393, 475, 432), (47, 1, 9, 9), NONE),
+    ("master-group2", 2): (200, 74, (1785, 1624, 557, 496), (25, 0, 35, 2), NONE),
+    ("pinned-group2", 0): (200, 76, (2360, 1672, 294, 572), (28, 0, 10, 14), NONE),
+    ("pinned-group2", 1): (200, 78, (2623, 1884, 471, 862), (20, 0, 26, 4), NONE),
+    ("pinned-group2", 2): (200, 85, (2398, 1791, 343, 678), (34, 0, 4, 6), NONE),
+    ("tiny-group2", 0): (60, 15, (241, 136, 47, 48), (10, 4, 8, 0), (11, 4, 1, 0)),
+    ("tiny-group2", 1): (60, 6, (153, 53, 30, 36), (23, 1, 4, 0), (5, 0, 0, 0)),
+    ("tiny-group2", 2): (60, 27, (198, 104, 40, 83), (23, 0, 0, 0), (3, 0, 0, 0)),
 }
 
 
@@ -52,8 +60,9 @@ def round_robin(inst):
 
 def encoding(kind, seed):
     """The model, its serial hint and the node budget of a pinned search."""
-    if kind == "full-group1":
-        inst = generate(GenSpec(group=1, jobs=20, seed=seed))
+    if kind in ("full-group1", "tiny-group2"):
+        inst = generate(GenSpec(group=1, jobs=20, seed=seed) if kind == "full-group1"
+                        else GenSpec(group=2, jobs=3, stages=3, variant=1, seed=seed))
         base = serial_schedule(inst)
         enc = build_full(inst, horizon=base.makespan, lb_floor=best_lb(inst).best)
         return enc, base, 60
@@ -72,8 +81,8 @@ def encoding(kind, seed):
 def counters(kind, seed):
     enc, base, nodes = encoding(kind, seed)
     res = solve(enc.model, node_budget=nodes, hint=schedule_to_assignment(enc, base))
-    return (res.nodes, res.objective,
-            tuple(res.runs[k] for k in KINDS), tuple(res.fails[k] for k in KINDS))
+    return (res.nodes, res.objective, *(
+        tuple(counts[k] for k in KINDS) for counts in (res.runs, res.fails, res.refuted)))
 
 
 @pytest.mark.parametrize("key", sorted(COUNTERS), ids=str)

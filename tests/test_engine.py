@@ -321,8 +321,8 @@ def test_node_budget_determinism():
     )
     assert a.ub_history == b.ub_history
     assert a.incumbent == b.incumbent
-    assert (a.runs, a.fails) == (b.runs, b.fails)
-    assert list(a.runs) == list(a.fails) == list(KINDS)
+    assert (a.runs, a.fails, a.refuted) == (b.runs, b.fails, b.refuted)
+    assert list(a.runs) == list(a.fails) == list(a.refuted) == list(KINDS)
     assert a.runs["window"] > a.runs["cumulative"] > 0 and a.runs["link"] == 0
 
 
@@ -667,10 +667,13 @@ def two_menu_chain() -> EngineModel:
 
 
 def test_a_choice_frame_takes_the_incumbents_value_first():
-    """From the hint a = b = 2 (makespan 8) both choices try 2 first.  Below
-    a = 2 only b = 1 beats 8; that leaf (makespan 7) becomes the incumbent,
-    so the frame for b below a = 1 tries 1 first, and a = 0 fails at once.
-    The rest of each root domain follows in root order."""
+    """From the hint a = b = 2 (makespan 8) a tries 2 first, then 1: under
+    the cap 7 ta may last at most 4, so the forward check drops a = 0 (5
+    units) before it is pushed.  Below a = 2, tb has 3 units left, so b's
+    frame holds 1 alone; that leaf (makespan 7) becomes the incumbent, and
+    below a = 1, under the cap 6, b = 1 again is the one value that fits.
+    The values that survive keep the guided order, and ``_child_values``
+    keeps root order."""
     m = two_menu_chain()
     search = _Search(m, Assignment({"a": 2, "b": 2}, {"ta": 0, "tb": 4}, {"ta": 4, "tb": 8}))
     pushed = []
@@ -684,7 +687,9 @@ def test_a_choice_frame_takes_the_incumbents_value_first():
 
     search.stack = Recording()
     res = search.run(None, None)
-    assert pushed == [("a", (2, 0, 1)), ("b", (2, 0, 1)), ("b", (1, 0, 2))]
+    assert pushed == [("a", (2, 1)), ("b", (1,)), ("b", (1,))]
+    assert all(0 not in values for cid, values in pushed if cid == "a")
+    assert res.refuted == {"window": 5, "link": 0, "disjunctive": 0, "cumulative": 0}
     assert [obj for _, obj in res.ub_history] == [8, 7, 6]
     assert (res.status, res.objective) == ("optimal", 6)
     assert _child_values(search.comp, ("choice", 0)) == (0, 1, 2)  # root order kept

@@ -7,7 +7,9 @@ when the master's encoding is only restated; a change here means search or
 propagation strength changed and must be reported as such.  Four rows were
 re-recorded when each choice began to take the incumbent's value first:
 their objectives and bounds held, and their histories and two fingerprints
-moved.  The cut cases
+moved.  Two rows were re-recorded when each choice frame began to drop the
+values its forward check refutes: their objectives, bounds and fingerprints
+held, and their proofs took 49 -> 46 and 57 -> 56 nodes.  The cut cases
 install a cut on the instance's own cut-free 25-node fingerprint, so the
 fingerprint-to-choice translation is exercised on a real model.
 
@@ -50,12 +52,12 @@ MASTER = {
         (0, 19), (9, 13), (20, 9)], "fdfdedb11eec459c"),
     (3, 3, 1, 1, 25, False): ("feasible", 9, 4, 25, [
         (0, 15), (9, 11), (17, 9)], "3e9e185b70d506aa"),
-    (3, 3, 1, 1, 200, False): ("optimal", 4, 4, 49, [
-        (0, 15), (9, 11), (17, 9), (30, 6), (37, 5), (46, 4)], "6b94b36593f28191"),
+    (3, 3, 1, 1, 200, False): ("optimal", 4, 4, 46, [
+        (0, 15), (9, 11), (17, 9), (30, 6), (37, 5), (45, 4)], "6b94b36593f28191"),
     (4, 2, 1, 2, 25, False): ("feasible", 17, 13, 25, [
         (0, 39), (13, 17)], "6a05ca42dd31f0a9"),
-    (4, 2, 1, 2, 200, False): ("optimal", 13, 13, 57, [
-        (0, 39), (13, 17), (28, 15), (48, 13)], "0f343140f497c8ec"),
+    (4, 2, 1, 2, 200, False): ("optimal", 13, 13, 56, [
+        (0, 39), (13, 17), (28, 15), (47, 13)], "0f343140f497c8ec"),
     (4, 3, 1, 3, 25, False): ("feasible", 28, 22, 25, [
         (0, 64), (19, 28)], "bc9c12a7a13180e0"),
     (4, 3, 1, 3, 200, False): ("optimal", 22, 22, 129, [
