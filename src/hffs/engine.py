@@ -168,9 +168,10 @@ fail/no-fail outcome; only the name of the failing constraint may differ.  A
 group reads the bounds of its active members only, so not waking it for the
 moves of a member that is not active leaves that fixpoint unchanged.
 
-A search stopped at its budget can be continued (``resume``): its stack,
-incumbent (and so its value order) and node count are kept, so continuing
-to a larger budget gives what a fresh search at that budget gives.
+A search stopped at its budget without a proof can be continued into a new
+result (``resume``; ``hffs.subproblem`` proves a raised floor sound): its
+stack, incumbent (and so its value order) and node count are kept, so
+continuing to a larger budget gives what a fresh search at that budget gives.
 
 Determinism: the search draws no randomness.  With a node budget, results
 are a pure function of (model, budget, hint); nothing reads the clock except
@@ -304,9 +305,9 @@ class SearchResult:
     and failures of the whole search per kind (``KINDS``), and ``refuted``
     the choice values that forward checks dropped, by the kind of the
     watcher that refuted them (never a cumulative); like ``nodes`` they are a
-    pure function of (model, node budget, hint).  ``paused`` is
-    the search itself when it was resumable and stopped at its budget (see
-    ``resume``); setting it to None frees that search."""
+    pure function of (model, node budget, hint).  A result never changes once
+    returned; ``paused`` holds its search while that search stopped at its
+    budget without a proof (see ``resume``)."""
 
     status: str  # optimal | feasible | infeasible | unknown
     objective: int | None
@@ -1230,7 +1231,6 @@ def solve(
     node_budget: int | None = None,
     deadline: float | None = None,
     hint: Assignment | None = None,
-    resumable: bool = False,
 ) -> SearchResult:
     """Anytime branch-and-bound minimisation of the model's makespan.
 
@@ -1240,14 +1240,11 @@ def solve(
     after the deadline (non-deterministic).  A ``hint`` assignment, if given,
     must pass the constraint checker and seeds the incumbent.  The returned
     lower bound is proven: no feasible assignment has an objective below it.
-    With ``resumable``, a search that stops at its budget keeps its stack and
-    incumbent in the result's ``paused`` for ``resume``; without it they are
-    freed on return.
+    A search that stops at its budget without a proof keeps its stack and
+    incumbent in the result's ``paused`` for ``resume``; they are freed with
+    the result.
     """
-    result = _Search(model, hint).run(node_budget, deadline)
-    if not resumable:
-        result.paused = None
-    return result
+    return _Search(model, hint).run(node_budget, deadline)
 
 
 def resume(
@@ -1260,17 +1257,21 @@ def resume(
 
     ``node_budget`` counts every node of the search, those searched before
     included; ``deadline`` is a ``time.perf_counter()`` reading, and a
-    deadline already past adds no node.  The result is
-    updated in place and returned.  The search continues from the frame it
+    deadline already past adds no node.  It returns the continued result and
+    leaves ``result`` as it was.  The search continues from the frame it
     stopped in with the same incumbent and cap, so with node budgets the
-    result equals a fresh ``solve`` at the larger budget in status,
+    continued result equals a fresh ``solve`` at the larger budget in status,
     objective, bound, nodes, history and incumbent; only ``wall_time``, the
     sum of both calls, may differ.  A result with no paused search (the
-    search finished, or was not resumable) is returned unchanged.
+    search finished or proved its optimum) is returned as it is, and one
+    whose search has been continued since is a ValueError.
     """
-    if result.paused is None:
+    search = result.paused
+    if search is None:
         return result
-    return result.paused.run(node_budget, deadline, result)
+    if search.nodes != result.nodes:
+        raise ValueError("this result's search has been continued already")
+    return search.run(node_budget, deadline)
 
 
 class _Search:
@@ -1281,7 +1282,7 @@ class _Search:
     (choice, value) pair's guided value order once it has been built."""
 
     __slots__ = ("model", "comp", "incumbent", "ub", "history", "nodes", "stack", "wall",
-                 "guide", "orders")
+                 "guide", "orders", "__weakref__")
 
     def __init__(self, model: EngineModel, hint: Assignment | None) -> None:
         self.model = model
@@ -1342,14 +1343,9 @@ class _Search:
                 return
         self.stack.append([state, children, 0, lb, branch])
 
-    def run(
-        self,
-        node_budget: int | None,
-        deadline: float | None,
-        result: SearchResult | None = None,
-    ) -> SearchResult:
-        """Search until the stack empties or a budget is spent; fill ``result``
-        in place, or a new result when there is none yet."""
+    def run(self, node_budget: int | None, deadline: float | None) -> SearchResult:
+        """Search until the stack empties or a budget is spent; return a new
+        result, which holds this search while it can be continued."""
         t0 = _time.perf_counter()
         if not self.nodes:
             self.process(self.comp.root_state())
@@ -1387,12 +1383,7 @@ class _Search:
         else:
             status, obj = "unknown", None
             lb = int(frontier_min) if frontier_min < INF else self.comp.floor
-        values = (status, obj, lb, self.incumbent, self.nodes, self.wall, self.history,
-                  dict(zip(KINDS, self.comp.runs)), dict(zip(KINDS, self.comp.fails)),
-                  dict(zip(KINDS, self.comp.refuted)), self if budget_hit else None)
-        if result is None:
-            return SearchResult(*values)
-        (result.status, result.objective, result.lower_bound, result.incumbent,
-         result.nodes, result.wall_time, result.ub_history, result.runs, result.fails,
-         result.refuted, result.paused) = values
-        return result
+        comp, paused = self.comp, self if budget_hit and status != "optimal" else None
+        return SearchResult(status, obj, lb, self.incumbent, self.nodes, self.wall,
+                            list(self.history), dict(zip(KINDS, comp.runs)),
+                            dict(zip(KINDS, comp.fails)), dict(zip(KINDS, comp.refuted)), paused)

@@ -283,4 +283,5 @@ def solve_full(
         deadline=deadline,
         hint=schedule_to_assignment(enc, start),
     )
+    result.paused = None  # never continued: free the search before decoding
     return result, incumbent_schedule(inst, enc, result)

@@ -12,15 +12,13 @@ iteration continues it to twice the node budget instead of restarting it.
 That iteration also keeps the master solution: no cut was added, so the
 master's model differs only in its floor, which the solution's own bound
 already meets, and a re-solve under the same node budget would return the
-same machines, objective, status and bound.  The continued search needs no change for the floor it is
-passed (see ``hffs.subproblem``): every floor is a proven bound of the
-original problem, so it lies below every leaf makespan and below the
-incumbent (else the loop would have stopped), and pruning, leaf objectives
-and status are those of a fresh search at that floor.  The loop holds at
-most one paused search and drops it once a cut is installed or the loop
-ends.  Node counts are the work done: a kept master counts 0 nodes and a
-continued subproblem the nodes it searched in that iteration.  Only
-optimality cuts are needed (Hooker, "Planning and scheduling by logic-based
+same machines, objective, status and bound.  The continued search needs no
+change for the raised floor it is passed (``hffs.subproblem`` proves it).
+The loop holds at most one paused search and lets it go, with its result,
+once a cut is installed or the loop ends.  Node counts are the work done: a
+kept master counts 0 nodes and a continued subproblem the nodes it searched
+in that iteration.
+Only optimality cuts are needed (Hooker, "Planning and scheduling by logic-based
 Benders decomposition", Oper. Res. 55(3), 2007): ``model.insertion_schedule``
 under any machine assignment is feasible and warm-starts every fresh
 subproblem, so no subproblem is infeasible.  Every master starts from the
@@ -247,8 +245,6 @@ def run(inst: Instance, budgets: Budgets = Budgets()) -> RunLog:
                 master_nodes, nodes, None if deterministic else master_wall + wall,
             )
         )
-    if held is not None:
-        held.drop()
     if best_sched is start:  # no subproblem matched it: check it as they were checked
         bad = validate_schedule(inst, start)
         if bad:

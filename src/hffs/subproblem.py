@@ -17,9 +17,10 @@ caller's feasible schedule on the master's machines (``hffs.lbbd`` hands in
 
 A search that stops at its node budget without proving its optimum can be
 continued instead of built and searched again (``solve_sub``'s ``paused``):
-the result keeps the encoding and the engine's paused search, and a later
-call resumes it up to its larger total budget or its deadline.  A raised ``lb_floor`` needs
-no change to that search.  Every floor the caller passes is a proven lower
+the result keeps the encoding and the engine's result, which holds the
+paused search, and a later call resumes it into a new result, up to its
+larger total budget or its deadline.  A raised ``lb_floor`` needs no change
+to that search.  Every floor the caller passes is a proven lower
 bound of the original problem, so it lies below every leaf makespan, and it
 lies below the paused incumbent (a caller whose bound met the incumbent
 would have stopped).  Pruning, leaf objectives and status are therefore
@@ -56,15 +57,9 @@ class SubResult:
     nodes: int
     wall_time: float
     lower_bound: int
-    # the encoding and the engine's search, while that search can be continued
+    # the encoding and the engine's result, while its search can be continued
     paused: tuple[Encoding, SearchResult] | None = field(
         default=None, repr=False, compare=False)
-
-    def drop(self) -> None:
-        """Free a paused search that will not be continued."""
-        if self.paused is not None:
-            self.paused[1].paused = None
-            self.paused = None
 
 
 def build_sub(
@@ -117,17 +112,14 @@ def solve_sub(
             node_budget=node_budget,
             deadline=deadline,
             hint=schedule_to_assignment(enc, start),
-            resumable=True,
         )
         nodes_before, wall_before = 0, 0.0
     else:
         if lb_floor >= paused.zeta:
             raise ValueError("a continued subproblem needs a floor below its incumbent")
-        enc, result = paused.paused
-        nodes_before, wall_before = result.nodes, result.wall_time
-        resume(result, node_budget=node_budget, deadline=deadline)
-    if result.status == "optimal":
-        result.paused = None  # proven: never continued
+        enc, before = paused.paused
+        nodes_before, wall_before = before.nodes, before.wall_time
+        result = resume(before, node_budget=node_budget, deadline=deadline)
     if paused is not None and result.objective == paused.zeta:
         schedule = paused.schedule  # the same incumbent, decoded and validated
     else:

@@ -828,7 +828,6 @@ def restarting_lbbd(inst: Instance, budgets: Budgets) -> RunLog:
         else:
             sub_start = insertion_schedule(inst, msol.machine_of)
         sres = solve_sub(inst, msol, start=sub_start, node_budget=sub_nodes, lb_floor=lb)
-        sres.drop()
         log.nodes += sres.nodes
         if sres.zeta < ub or sres.zeta == ub and best_sched is start:
             ub = sres.zeta

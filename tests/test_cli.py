@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, CSV and table output."""
 
+import gc
 import json
 import time
 
 import pytest
 
 import hffs.cli as cli
+import hffs.engine as engine
 import hffs.lbbd as lbbd
 from hffs.bounds import best_lb
 from hffs.cli import CSV_HEADER, main
@@ -395,3 +397,19 @@ def test_a_start_at_the_best_bound_is_returned_without_a_search(
         "9", "9", "9", "0", "0", "optimal"]
     code, out, _ = run_cli(capsys, "validate", str(tmp_path / "inst.json"), str(sched_path))
     assert (code, out.strip()) == (0, "OK makespan=9")
+
+
+@pytest.mark.parametrize("method", ["cp", "lbbd"])
+def test_a_search_stopped_at_its_budget_is_freed_by_the_end_of_solve(
+        tmp_path, capsys, method):
+    """Both methods stop a search at its 25-node budget (lbbd's one
+    subproblem stays paused when its one iteration ends); once ``solve``
+    returns, no engine search is left in memory, not even as garbage that
+    waits for the cycle collector."""
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if isinstance(o, engine._Search)}
+    row = solve_row(tmp_path, capsys, GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0),
+                    "--method", method, "--node-budget", "25", "--max-iterations", "1")
+    assert row["status"] == "feasible"
+    assert [o for o in gc.get_objects()
+            if isinstance(o, engine._Search) and id(o) not in before] == []

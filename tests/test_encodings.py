@@ -81,11 +81,9 @@ def test_a_paused_and_resumed_search_leaves_its_model_unchanged(build):
     enc, base = BUILDERS[build](generate(SPECS["group2"]))
     model = enc.model
     before, ids, shares = copy.deepcopy(model), list(map(id, records(model))), shared(model)
-    result = solve(model, node_budget=20, hint=schedule_to_assignment(enc, base),
-                   resumable=True)
+    result = solve(model, node_budget=20, hint=schedule_to_assignment(enc, base))
     assert result.paused is not None  # stopped at its budget, not finished
-    resume(result, node_budget=60)
-    assert result.nodes > 20
+    assert resume(result, node_budget=60).nodes > 20
     assert model == before
     assert list(map(id, records(model))) == ids
     assert shared(model) == shares

@@ -336,7 +336,7 @@ def test_a_passed_deadline_stops_at_the_root_and_resumes_no_node():
         cumulatives=[Cumulative("pool", 2, tuple(Member(t.id) for t in tasks))],
     )
     assert solve(m, deadline=time.perf_counter()).nodes == 1
-    res = solve(m, node_budget=5, resumable=True)
+    res = solve(m, node_budget=5)
     assert res.paused is not None
     before = search_outcome(res)
     assert search_outcome(resume(res, deadline=time.perf_counter())) == before
@@ -635,22 +635,26 @@ def search_outcome(res):
     budgets=st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(sorted),
 )
 def test_a_continued_search_equals_a_fresh_search_at_its_budget(model, budgets):
-    """A resumable search stopped at one node budget and continued to larger
-    ones (the last without a budget) equals a fresh search at each budget;
-    a finished search is returned unchanged, and so is a search that was
-    not resumable."""
-    res = solve(model, node_budget=budgets[0], resumable=True)
+    """A search stopped at one node budget and continued to larger ones (the
+    last without a budget) equals a fresh search at each budget, as a new
+    result that leaves the one it continued as it was; a result holds its
+    search exactly while it stopped without a proof, and a result without
+    one is returned as it is."""
+    res = solve(model, node_budget=budgets[0])
     assert search_outcome(res) == search_outcome(solve(model, node_budget=budgets[0]))
     for budget in budgets[1:] + [None]:
-        before, paused = search_outcome(res), res.paused
-        assert resume(res, node_budget=budget) is res
-        assert search_outcome(res) == search_outcome(solve(model, node_budget=budget))
-        if paused is None:
-            assert search_outcome(res) == before
-    assert res.paused is None
-    stopped = solve(model, node_budget=1)
-    assert stopped.paused is None
-    assert resume(stopped, node_budget=None) is stopped
+        assert (res.paused is not None) == (res.status in ("feasible", "unknown"))
+        before, history = search_outcome(res), res.ub_history
+        continued = resume(res, node_budget=budget)
+        assert search_outcome(res) == before and res.ub_history is history
+        fresh = solve(model, node_budget=budget)
+        if res.paused is None:  # finished, or proven at its stop
+            assert continued is res
+            assert search_outcome(res)[:4] == search_outcome(fresh)[:4]
+        else:
+            assert search_outcome(continued) == search_outcome(fresh)
+        res = continued
+    assert res.paused is None and res.status in ("optimal", "infeasible")
 
 
 def two_menu_chain() -> EngineModel:
@@ -698,16 +702,24 @@ def test_a_choice_frame_takes_the_incumbents_value_first():
 def test_a_continued_search_whose_incumbent_moves_equals_a_fresh_one():
     """The incumbent changes before the stop and after it, so the continued
     search orders its frames by a value that the stopped one set; at every
-    budget it equals a fresh search."""
+    budget it equals a fresh search, until it stops with a proof.  The first
+    result, whose search has moved on since, cannot be continued again."""
     inst = generate(GenSpec(group=2, jobs=4, stages=2, variant=1, seed=2))
     enc = build_full(inst, horizon=serial_schedule(inst).makespan, lb_floor=best_lb(inst).best)
     hint = schedule_to_assignment(enc, serial_schedule(inst))
-    res = solve(enc.model, node_budget=30, hint=hint, resumable=True)
+    res = first = solve(enc.model, node_budget=30, hint=hint)
     changes = [nodes for nodes, _ in res.ub_history]
     assert changes[0] == 0 < changes[-1] <= 30
     for budget in (60, 90, None):
-        resume(res, node_budget=budget)
-        assert search_outcome(res) == search_outcome(
-            solve(enc.model, node_budget=budget, hint=hint))
+        fresh = solve(enc.model, node_budget=budget, hint=hint)
+        if res.paused is None:  # proven at its stop: returned as it is
+            assert resume(res, node_budget=budget) is res
+            assert search_outcome(res)[:4] == search_outcome(fresh)[:4]
+        else:
+            res = resume(res, node_budget=budget)
+            assert search_outcome(res) == search_outcome(fresh)
     assert res.status == "optimal"
     assert [nodes for nodes, _ in res.ub_history if nodes > 30]  # moved after the stop
+    assert first.nodes == 30 and first.paused is not None
+    with pytest.raises(ValueError, match="continued already"):  # its search moved on
+        resume(first, node_budget=60)

@@ -2,6 +2,8 @@
 node budget and reuses that iteration's master solution; the restarting
 loop in ``oracles`` solves both again.  Everything but node counts agrees."""
 
+import weakref
+
 import pytest
 
 import hffs.subproblem as subproblem
@@ -50,17 +52,21 @@ def test_group2_matches_the_restarting_loop(seed, iterations):
 @pytest.mark.parametrize("iterations", [1, 2, 3])
 def test_the_loop_keeps_no_paused_search_once_it_ends(monkeypatch, suite50, iterations):
     """Every subproblem search is freed by the end of the loop: a proven one
-    when it returns, a paused one once the loop ends."""
-    searches = []
+    when it returns, a paused one once the loop ends.  The recording keeps
+    weak references to the paused searches, not the results that hold them."""
+    statuses, paused = set(), []
 
     def recording_solve(*args, **kwargs):
-        searches.append(engine_solve(*args, **kwargs))
-        return searches[-1]
+        result = engine_solve(*args, **kwargs)
+        statuses.add(result.status)
+        if result.paused is not None:
+            paused.append(weakref.ref(result.paused))
+        return result
 
     engine_solve = subproblem.solve
     monkeypatch.setattr(subproblem, "solve", recording_solve)
     budgets = Budgets(master_nodes=25, sub_nodes=25, max_iterations=iterations)
     for inst in suite50[:20] + [generate(GenSpec(group=2, jobs=20, stages=3, variant=2, seed=0))]:
         run(inst, budgets)
-    assert {s.status for s in searches} == {"optimal", "feasible"}
-    assert [s for s in searches if s.paused is not None] == []
+        assert [ref for ref in paused if ref() is not None] == []
+    assert statuses == {"optimal", "feasible"} and paused

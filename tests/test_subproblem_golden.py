@@ -84,22 +84,27 @@ def test_a_continued_subproblem_search_matches_the_pinned_larger_budget(key, mon
     msol = solve_master(inst, [], floor, node_budget=25, start=serial_schedule(inst))
     lb_floor = max(floor, msol.lower_bound)
 
-    searches = []
+    searches, continued = [], []
 
     def recording_solve(*args, **kwargs):
         searches.append(engine_solve(*args, **kwargs))
         return searches[-1]
 
-    engine_solve = subproblem.solve
+    def recording_resume(*args, **kwargs):
+        continued.append(engine_resume(*args, **kwargs))
+        return continued[-1]
+
+    engine_solve, engine_resume = subproblem.solve, subproblem.resume
     monkeypatch.setattr(subproblem, "solve", recording_solve)
+    monkeypatch.setattr(subproblem, "resume", recording_resume)
     first = subproblem.solve_sub(inst, msol, start=serial_schedule(inst, msol.machine_of),
                                  node_budget=5, lb_floor=lb_floor)
     assert first.paused is not None
     res = subproblem.solve_sub(
         inst, msol, start=None, node_budget=200, lb_floor=lb_floor, paused=first)
-    assert len(searches) == 1
+    assert len(searches) == len(continued) == 1
     got = (res.status, res.zeta, res.lower_bound, first.nodes + res.nodes,
-           searches[0].ub_history)
+           continued[0].ub_history)
     assert got == SUB[key[:-1] + (200,)]
     assert (res.paused is None) == (res.status == "optimal")
     assert res.schedule.makespan == res.zeta
