@@ -23,8 +23,9 @@ A choice is open or decided.  No propagator narrows a choice domain and
 every choice edit decides its choice, so a search state holds one value per
 choice, None while the choice is open, when its domain is its root domain; a
 choice whose root domain is one value is decided at the root.  Search is
-depth-first branch and bound in two phases: open choices first, in model
-order, then chronological start-time fixing.  A choice is tried first at the
+depth-first branch and bound: open choices first, in model order, then, at a
+node whose earliest-start schedule does not fit its groups, chronological
+start-time fixing.  A choice is tried first at the
 incumbent's value and then at the rest of its root domain in order
 (solution-guided search, Beck, JAIR 29, 2007); with no incumbent yet, in
 root order.  The order only moves, so the first descent is an earliest-start
@@ -91,16 +92,40 @@ none blocks: a segment outside a member's own part holds at most M - w if
 the member has a mandatory part, and at most M if it has none.  The exits
 rest on compilation's rule that no weight is negative.
 
-A node is a leaf once every choice is decided and every start fixed, and
-its earliest ends (elastic ones too) are its incumbent.  At such a fixpoint
-each window gives est <= s <= e_lo <= lct, with e_lo = s + d for a decided
-duration; each offset s(succ) = e_lo(pred) + d and each precedence
-s(succ) >= e_lo(pred) + d for its decided delta; two disjunctive members with
-neither order open fail the node; and a cumulative's mandatory parts are
-exactly the intervals [s, e_lo), which the timetable keeps within capacity.
-That assignment's objective is ``node_lb`` (the floor, the objective tasks'
-earliest ends, the conditional bounds every decided choice hits), and no
-leaf below the node has less, so branching on ends could only add nodes.
+A node is a leaf once every choice is decided and the earliest-start
+schedule of its fixpoint, each task over [s_lo, e_lo) (elastic ones too),
+fits every active disjunctive and cumulative (``_Compiled.earliest_fits``;
+the early-start leaf test of Demeulemeester & Herroelen, Management Science
+38(12), 1992); that schedule is its incumbent.  With every choice decided,
+the fixpoint's windows and links already hold at the earliest starts: each
+window gives est <= s_lo and e_lo <= lct, with e_lo = s_lo + d for a decided
+duration; each offset gives s_lo(succ) = e_lo(pred) + d and each precedence
+s_lo(succ) >= e_lo(pred) + d for its decided delta.  So when the groups fit
+too, the schedule satisfies every constraint.  Its objective is ``node_lb``
+(the floor, the objective tasks' earliest ends, the conditional bounds every
+decided choice hits), and no leaf below the node has less, so branching
+further could only add nodes.  A fixpoint with every start fixed always
+fits: two disjunctive members of positive length that overlap there have
+neither order open and fail the node, and a cumulative's mandatory parts
+[s_hi, e_lo) are then its members' intervals, which the timetable keeps
+within capacity.  So a node whose test fails has an open start, and branches
+on it.  At any fixpoint, only a time inside an open member's part [s_lo,
+min(s_hi, e_lo)) can overload a cumulative in the earliest schedule: any
+other time is covered by mandatory parts alone, as a fixed member's is its
+whole interval; so the test's sweep of a cumulative reads only the members
+over the hull of those parts.
+
+The search is the one that fixes starts down to a leaf, with fewer nodes:
+where the earliest schedule fits, it is a solution inside the bounds of
+every FIX child below the node.  No propagator removes a solution whose
+disjunctive members have positive length, as every encoding of ``hffs``
+gives them (the detectable-precedence rule orders a zero-length member
+against an interval around it, which the checker allows), and the incumbent
+cap stays above the schedule's objective.  So no FIX child fails or moves a
+lower bound, the FIX dive ends at the same schedule, and its BUMP siblings,
+bounded by that objective, are cut.  The search therefore finds the same
+incumbents in the same order, each at no later node, and at a node budget
+its upper bound is no higher and its proven bound no lower.
 
 Propagation is event driven: the AC-3 queue (Mackworth, 1977) applied to
 bounds.  Compilation numbers one propagator per task window, offset,
@@ -604,6 +629,7 @@ class _Compiled:
         self.runs = [0] * len(KINDS)  # propagator runs and failures per kind
         self.fails = [0] * len(KINDS)
         self.refuted = [0] * len(KINDS)  # choice values that forward checks drop, per kind
+        self.witness = None  # the last failed leaf test's (group, pair or time point)
 
     def _family(self, where: str, members) -> tuple[list, bool]:
         """A member tuple's family, sorted by task, and whether a member is
@@ -1045,6 +1071,72 @@ class _Compiled:
             self.refuted[kind] += 1
         return tuple(v for v in values if v not in dropped)
 
+    def earliest_fits(self, st: State) -> bool:
+        """Whether the earliest-start schedule of fixpoint ``st``, each task
+        over [s_lo, e_lo), fits every active group as ``check_assignment``
+        reads it: a disjunctive's members of positive length are pairwise
+        disjoint, and a cumulative's load is within its capacity at every
+        time.  A cumulative's sweep reads only the members over the hull of
+        its open members' parts [s_lo, min(s_hi, e_lo)), where alone it can
+        be overloaded (see the module docstring).  A test that fails keeps
+        its witness, the group and the pair that overlapped or the time that
+        was overloaded; the next test re-tests it first and, if it is gone,
+        sweeps the groups starting at its group."""
+        s_lo, s_hi, e_lo, active = st.s_lo, st.s_hi, st.e_lo, st.active
+        ndisj, start = self.cum0 - self.disj0, 0  # active[g] is a disjunctive's while g < ndisj
+        if self.witness is not None:
+            start, a, b = self.witness
+            members = active[start]
+            if start < ndisj:
+                if (s_lo[a] < e_lo[b] and s_lo[b] < e_lo[a] and s_lo[a] < e_lo[a]
+                        and s_lo[b] < e_lo[b] and a in members and b in members):
+                    return False
+            elif sum(w for ti, w, _ in members if s_lo[ti] <= a < e_lo[ti]) > \
+                    self.cumulatives[start - ndisj][1]:
+                return False
+        n = len(active)
+        for k in range(start, start + n):
+            g = k - n if k >= n else k
+            members = active[g]
+            if g < ndisj:  # by start, each member of positive length starts after the last ends
+                if len(members) < 2:
+                    continue
+                end, last = -INF, -1
+                for b in sorted(members, key=s_lo.__getitem__):
+                    s = s_lo[b]
+                    if s < e_lo[b]:
+                        if s < end:
+                            self.witness = (g, last, b)
+                            return False
+                        end, last = e_lo[b], b
+                continue
+            lo, hi = INF, -INF  # the hull of the open members' [s_lo, min(s_hi, e_lo))
+            for ti, _, _ in members:
+                s, h = s_lo[ti], s_hi[ti]
+                if s < h:
+                    e = e_lo[ti]
+                    if s < lo:
+                        lo = s
+                    if e > h:
+                        e = h
+                    if e > hi:
+                        hi = e
+            if lo >= hi:
+                continue
+            keys, weights = [], []  # a start at 2t + 1 sorts after an end at 2t
+            for ti, w, _ in members:
+                s, e = s_lo[ti], e_lo[ti]
+                if s < hi and lo < e and s < e:
+                    keys += (2 * (s if s > lo else lo) + 1, 2 * e)
+                    weights += (w, -w)
+            level, cap = 0, self.cumulatives[g - ndisj][1]
+            for i in sorted(range(len(keys)), key=keys.__getitem__):
+                level += weights[i]
+                if level > cap:
+                    self.witness = (g, keys[i] >> 1, None)
+                    return False
+        return True
+
     # -- node bound and leaf extraction ---------------------------------------
 
     def node_lb(self, st: State) -> int:
@@ -1189,11 +1281,16 @@ def propagate(model: EngineModel) -> tuple[State, str | None]:
 
 def _pick_branch(comp: _Compiled, st: State):
     """Deterministic branching decision, or None when the node is a leaf:
-    the first open choice, else the open start that is earliest, elastic
-    last, then first in index order."""
+    the first open choice; else None when the earliest-start schedule fits
+    every group (``_Compiled.earliest_fits``; see the module docstring);
+    else the open start that is earliest, elastic last, then first in index
+    order.  A failed test leaves a start open, as a fixpoint with every
+    start fixed always fits."""
     values = st.values
     if None in values:
         return ("choice", values.index(None))
+    if comp.earliest_fits(st):
+        return None
     s_lo, s_hi, elastic = st.s_lo, st.s_hi, comp.elastic_flag
     pick, at, pick_elastic = None, INF, True
     for ti, s in enumerate(s_lo):

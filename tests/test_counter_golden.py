@@ -15,7 +15,11 @@ in a subproblem) and the tiny group 2 full model (3 jobs, 3 stages), where
 forward checks refute values of every probed kind within 60 nodes; on the
 20-job rows they refute none within their budgets.  The pinned-group2 rows
 were re-recorded when each choice began to take the incumbent's value first:
-their objectives fell from 290-365 to 76-85.
+their objectives fell from 290-365 to 76-85.  Every group 2 row was
+re-recorded when a node became a leaf once its earliest-start schedule fits:
+the same budgets reach further into the tree, so the counters grew, and the
+objectives held or fell (pinned-group2 seed 2 85 -> 82; tiny-group2 15 -> 12,
+6 -> 5 and 27 -> 22).
 """
 
 from collections import Counter
@@ -35,15 +39,15 @@ COUNTERS = {
     ("full-group1", 0): (60, 1274, (2456, 2384, 301, 557), NONE, NONE),
     ("full-group1", 1): (60, 1356, (2129, 2068, 305, 563), NONE, NONE),
     ("full-group1", 2): (60, 879, (2015, 1972, 323, 591), NONE, NONE),
-    ("master-group2", 0): (200, 70, (1272, 992, 378, 340), (40, 0, 24, 0), NONE),
-    ("master-group2", 1): (200, 70, (1611, 1393, 475, 432), (47, 1, 9, 9), NONE),
-    ("master-group2", 2): (200, 74, (1785, 1624, 557, 496), (25, 0, 35, 2), NONE),
-    ("pinned-group2", 0): (200, 76, (2360, 1672, 294, 572), (28, 0, 10, 14), NONE),
-    ("pinned-group2", 1): (200, 78, (2623, 1884, 471, 862), (20, 0, 26, 4), NONE),
-    ("pinned-group2", 2): (200, 85, (2398, 1791, 343, 678), (34, 0, 4, 6), NONE),
-    ("tiny-group2", 0): (60, 15, (241, 136, 47, 48), (10, 4, 8, 0), (11, 4, 1, 0)),
-    ("tiny-group2", 1): (60, 6, (153, 53, 30, 36), (23, 1, 4, 0), (5, 0, 0, 0)),
-    ("tiny-group2", 2): (60, 27, (198, 104, 40, 83), (23, 0, 0, 0), (3, 0, 0, 0)),
+    ("master-group2", 0): (200, 70, (1668, 1334, 483, 435), (26, 0, 38, 2), NONE),
+    ("master-group2", 1): (200, 70, (1722, 1497, 522, 475), (42, 1, 13, 9), NONE),
+    ("master-group2", 2): (200, 74, (2024, 1899, 644, 567), (14, 0, 46, 2), NONE),
+    ("pinned-group2", 0): (200, 76, (2738, 1961, 330, 646), (11, 0, 12, 26), NONE),
+    ("pinned-group2", 1): (200, 78, (2652, 1906, 477, 873), (18, 0, 27, 4), NONE),
+    ("pinned-group2", 2): (200, 82, (3531, 2635, 576, 974), (23, 0, 12, 7), NONE),
+    ("tiny-group2", 0): (60, 12, (246, 141, 51, 49), (10, 4, 8, 0), (17, 6, 1, 0)),
+    ("tiny-group2", 1): (60, 5, (148, 51, 30, 39), (17, 2, 4, 1), (20, 2, 1, 0)),
+    ("tiny-group2", 2): (60, 22, (199, 85, 32, 61), (31, 0, 0, 0), (3, 0, 0, 0)),
 }
 
 

@@ -588,9 +588,11 @@ def test_queue_fixpoint_matches_round_robin_oracle(model, caps):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(model=small_models(), data=st.data())
 def test_a_node_with_every_start_fixed_is_a_leaf_at_its_bound(model, data):
-    """Once every choice is decided and every start fixed, the fixpoint's
-    earliest ends (elastic tasks included) satisfy every constraint and
-    reach the node bound, so the search stops branching there."""
+    """A node is a leaf exactly when every choice is decided and the
+    earliest-start schedule of its fixpoint (elastic ends included) satisfies
+    every constraint; a node with every start fixed always is one.  At a leaf
+    that schedule reaches the node bound, so the search stops branching
+    there."""
     def fingerprint():
         ids = data.draw(st.lists(st.sampled_from(list(model.choices)), min_size=1, unique=True))
         return tuple((c, data.draw(st.sampled_from(model.choices[c].values))) for c in ids)
@@ -611,10 +613,11 @@ def test_a_node_with_every_start_fixed_is_a_leaf_at_its_bound(model, data):
         branch = _pick_branch(comp, state)
         decided = None not in state.values
         fixed = all(lo == hi for lo, hi in zip(state.s_lo, state.s_hi))
-        assert (branch is None) == (decided and fixed)
+        asg = comp.extract(state)
+        fits = decided and check_assignment(model, asg) == []
+        assert (branch is None) == fits
+        assert fits or not (decided and fixed)
         if branch is None:
-            asg = comp.extract(state)
-            assert check_assignment(model, asg) == []
             assert evaluate_objective(model, asg) == comp.node_lb(state)
             continue
         for value in reversed(_child_values(comp, branch)):

@@ -72,7 +72,9 @@ def test_every_refuted_value_gives_a_failing_child(kind, jobs, stages, seed, bud
 def test_each_probed_kind_refutes_on_a_tiny_instance():
     """Group 2, 3 jobs, 3 stages, seed 0, at 60 nodes: menu windows, delta
     tables and routed disjunctive members each refute a value, and no
-    cumulative is probed."""
+    cumulative is probed.  The count was re-recorded (16 -> 24) when a node
+    became a leaf once its earliest-start schedule fits: the same 60 nodes
+    reach further into the tree."""
     res, checks = checked_search("full", 3, 3, 0, 60)
-    assert refuted_children_fail(checks) == 16
-    assert [res.refuted[k] for k in KINDS] == [11, 4, 1, 0]
+    assert refuted_children_fail(checks) == 24
+    assert [res.refuted[k] for k in KINDS] == [17, 6, 1, 0]

@@ -9,7 +9,12 @@ re-recorded when each choice began to take the incumbent's value first:
 their objectives and bounds held, and their histories and two fingerprints
 moved.  Two rows were re-recorded when each choice frame began to drop the
 values its forward check refutes: their objectives, bounds and fingerprints
-held, and their proofs took 49 -> 46 and 57 -> 56 nodes.  The cut cases
+held, and their proofs took 49 -> 46 and 57 -> 56 nodes.  Every small row
+and the 200-node 20-job rows were re-recorded when a node became a leaf once
+its earliest-start schedule fits every group: each 20-job row found the same
+incumbents at lower node indices, and each small row's objective and bound
+held or improved (three more proofs end within 25 nodes, and (5, 2, 1, 4)
+proves 12 at 200 nodes where it held 13 over a bound of 9).  The cut cases
 install a cut on the instance's own cut-free 25-node fingerprint, so the
 fingerprint-to-choice translation is exercised on a real model.
 
@@ -20,7 +25,9 @@ master, so only the master's own constraints can read the pool.
 
 One tiny group 2 instance is where the per-stage cumulative binds: it lifts
 the master's proven bound above the best bound while its machine choices
-are still open, which the per-machine groups cannot do.
+are still open, which the per-machine groups cannot do.  Its proof took
+47 -> 23 nodes when a node became a leaf once its earliest-start schedule
+fits.
 """
 
 import pytest
@@ -36,48 +43,49 @@ from hffs.model import serial_schedule
 MASTER = {
     (20, 3, 2, 0, 25, False): ("feasible", 329, 53, 25, [(0, 329)], "63fddc41b4ae15f5"),
     (20, 3, 2, 0, 200, False): ("feasible", 70, 53, 200, [
-        (0, 329), (76, 74), (96, 73), (118, 72), (170, 71), (195, 70)], "63fddc41b4ae15f5"),
+        (0, 329), (73, 74), (87, 73), (99, 72), (141, 71),
+        (157, 70)], "63fddc41b4ae15f5"),
     (20, 3, 2, 1, 25, False): ("feasible", 352, 57, 25, [(0, 352)], "cc5ff2b8c60ed942"),
     (20, 3, 2, 1, 200, False): ("feasible", 70, 57, 200, [
-        (0, 352), (81, 71), (107, 70)], "cc5ff2b8c60ed942"),
+        (0, 352), (80, 71), (98, 70)], "cc5ff2b8c60ed942"),
     (20, 3, 2, 2, 25, False): ("feasible", 336, 57, 25, [(0, 336)], "4835f97b631f3375"),
     (20, 3, 2, 2, 200, False): ("feasible", 74, 57, 200, [
-        (0, 336), (86, 80), (100, 76), (121, 75), (144, 74)], "4835f97b631f3375"),
+        (0, 336), (82, 80), (87, 76), (102, 75), (123, 74)], "4835f97b631f3375"),
     (20, 3, 2, 3, 25, False): ("feasible", 448, 66, 25, [(0, 448)], "f3c654cee69459b4"),
     (20, 3, 2, 3, 200, False): ("feasible", 92, 66, 200, [
-        (0, 448), (52, 92)], "f3c654cee69459b4"),
-    (3, 2, 1, 0, 25, False): ("optimal", 9, 9, 25, [
-        (0, 19), (9, 13), (20, 9)], "fdfdedb11eec459c"),
-    (3, 2, 1, 0, 200, False): ("optimal", 9, 9, 27, [
-        (0, 19), (9, 13), (20, 9)], "fdfdedb11eec459c"),
-    (3, 3, 1, 1, 25, False): ("feasible", 9, 4, 25, [
-        (0, 15), (9, 11), (17, 9)], "3e9e185b70d506aa"),
-    (3, 3, 1, 1, 200, False): ("optimal", 4, 4, 46, [
-        (0, 15), (9, 11), (17, 9), (30, 6), (37, 5), (45, 4)], "6b94b36593f28191"),
-    (4, 2, 1, 2, 25, False): ("feasible", 17, 13, 25, [
-        (0, 39), (13, 17)], "6a05ca42dd31f0a9"),
-    (4, 2, 1, 2, 200, False): ("optimal", 13, 13, 56, [
-        (0, 39), (13, 17), (28, 15), (47, 13)], "0f343140f497c8ec"),
+        (0, 448), (51, 92)], "f3c654cee69459b4"),
+    (3, 2, 1, 0, 25, False): ("optimal", 9, 9, 15, [
+        (0, 19), (6, 13), (11, 9)], "fdfdedb11eec459c"),
+    (3, 2, 1, 0, 200, False): ("optimal", 9, 9, 15, [
+        (0, 19), (6, 13), (11, 9)], "fdfdedb11eec459c"),
+    (3, 3, 1, 1, 25, False): ("optimal", 4, 4, 24, [
+        (0, 15), (6, 11), (9, 9), (17, 6), (19, 5), (24, 4)], "6b94b36593f28191"),
+    (3, 3, 1, 1, 200, False): ("optimal", 4, 4, 24, [
+        (0, 15), (6, 11), (9, 9), (17, 6), (19, 5), (24, 4)], "6b94b36593f28191"),
+    (4, 2, 1, 2, 25, False): ("optimal", 13, 13, 25, [
+        (0, 39), (10, 17), (16, 15), (23, 13)], "0f343140f497c8ec"),
+    (4, 2, 1, 2, 200, False): ("optimal", 13, 13, 26, [
+        (0, 39), (10, 17), (16, 15), (23, 13)], "0f343140f497c8ec"),
     (4, 3, 1, 3, 25, False): ("feasible", 28, 22, 25, [
-        (0, 64), (19, 28)], "bc9c12a7a13180e0"),
-    (4, 3, 1, 3, 200, False): ("optimal", 22, 22, 129, [
-        (0, 64), (19, 28), (44, 27), (84, 24), (99, 23), (117, 22)], "9629852dffe38144"),
-    (5, 2, 1, 4, 25, False): ("feasible", 26, 9, 25, [
-        (0, 56), (19, 26)], "bd1406cfb1e443da"),
-    (5, 2, 1, 4, 200, False): ("feasible", 13, 9, 200, [
-        (0, 56), (19, 26), (26, 25), (37, 21), (48, 20), (96, 18), (133, 17),
-        (157, 15), (180, 14), (191, 13)], "a39a04bbc56b82ec"),
-    (5, 3, 1, 5, 25, False): ("feasible", 37, 14, 25, [
-        (0, 98), (25, 37)], "01544a837b7f0b15"),
-    (5, 3, 1, 5, 200, False): ("feasible", 26, 14, 200, [
-        (0, 98), (25, 37), (43, 34), (74, 33), (98, 30), (120, 29), (152, 27),
-        (189, 26)], "1370f6fe9de8958b"),
+        (0, 64), (18, 28)], "bc9c12a7a13180e0"),
+    (4, 3, 1, 3, 200, False): ("optimal", 22, 22, 101, [
+        (0, 64), (18, 28), (41, 27), (78, 24), (86, 23), (94, 22)], "9629852dffe38144"),
+    (5, 2, 1, 4, 25, False): ("feasible", 20, 9, 25, [
+        (0, 56), (15, 26), (16, 25), (19, 21), (20, 20)], "bd1406cfb1e443da"),
+    (5, 2, 1, 4, 200, False): ("optimal", 12, 12, 178, [
+        (0, 56), (15, 26), (16, 25), (19, 21), (20, 20), (57, 18), (83, 17), (95, 15),
+        (106, 14), (111, 13), (125, 12)], "8001d9bea0afc8fc"),
+    (5, 3, 1, 5, 25, False): ("feasible", 34, 14, 25, [
+        (0, 98), (19, 37), (25, 34)], "01544a837b7f0b15"),
+    (5, 3, 1, 5, 200, False): ("feasible", 20, 14, 200, [
+        (0, 98), (19, 37), (25, 34), (44, 33), (53, 30), (61, 29), (79, 27), (100, 26),
+        (105, 25), (120, 23), (141, 22), (142, 20)], "15a020bc5b9901c0"),
     (20, 3, 2, 0, 25, True): ("feasible", 658, 53, 25, [(0, 658)], "63fddc41b4ae15f5"),
     (20, 3, 2, 0, 200, True): ("feasible", 70, 53, 200, [
-        (0, 658), (77, 80), (85, 77), (109, 73), (134, 72), (158, 71),
-        (182, 70)], "6ae91dd24c86d81c"),
-    (3, 2, 1, 0, 25, True): ("optimal", 9, 9, 25, [
-        (0, 19), (9, 13), (21, 9)], "b9108826dbcd1d78"),
+        (0, 658), (74, 80), (75, 77), (89, 73), (98, 72), (110, 71),
+        (128, 70)], "6ae91dd24c86d81c"),
+    (3, 2, 1, 0, 25, True): ("optimal", 9, 9, 13, [
+        (0, 19), (6, 13), (11, 9)], "b9108826dbcd1d78"),
 }
 
 
@@ -135,7 +143,7 @@ def test_stage_cumulative_lifts_the_tiny_master_above_the_best_bound():
     inst = generate(GenSpec(group=2, jobs=4, stages=2, variant=1, seed=26048))
     assert best_lb(inst).best == 8
     sol = master.solve_master(inst, [], 8, node_budget=60, start=serial_schedule(inst))
-    assert (sol.status, sol.objective, sol.lower_bound, sol.nodes) == ("optimal", 10, 10, 47)
+    assert (sol.status, sol.objective, sol.lower_bound, sol.nodes) == ("optimal", 10, 10, 23)
     log = run(inst, Budgets(master_nodes=60, sub_nodes=60, max_iterations=2))
     assert (log.status, log.lb, log.ub) == ("optimal", 10, 10)
     # the run's insertion start (makespan 10) is its first upper bound, so

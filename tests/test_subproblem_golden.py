@@ -8,7 +8,13 @@ changed and must be reported as such.  The values were re-recorded when the
 encoding dropped each job's first and last waits and the search stopped
 branching on elastic ends; every objective and bound held or improved.
 They were re-recorded again when each choice began to take the incumbent's
-value first; every objective and bound held or improved.
+value first; every objective and bound held or improved.  They were
+re-recorded again when a node became a leaf once its earliest-start schedule
+fits every group.  The 25-node master moved on (3, 3, 1, 1) and (4, 2, 1, 2),
+which proves the masters optimal with other machine maps, so those rows
+search other subproblems, and prove 4 and 13 where they held 9 and 17.  Every
+other row found the same incumbents at lower node indices, and its objective
+and bound held or improved.
 """
 
 import pytest
@@ -23,29 +29,33 @@ from hffs.model import serial_schedule
 # (status, zeta, lower_bound, nodes, ub_history) of solve_sub.
 SUB = {
     (20, 3, 2, 0, 25): ("feasible", 329, 53, 25, [(0, 329)]),
-    (20, 3, 2, 0, 200): ("feasible", 79, 53, 200, [
-        (0, 329), (101, 82), (125, 81), (151, 80), (185, 79)]),
+    (20, 3, 2, 0, 200): ("feasible", 78, 53, 200, [
+        (0, 329), (97, 82), (112, 81), (124, 80), (142, 79), (156, 78)]),
     (20, 3, 2, 1, 25): ("feasible", 352, 57, 25, [(0, 352)]),
-    (20, 3, 2, 1, 200): ("feasible", 76, 57, 200, [(0, 352), (113, 78), (142, 77), (178, 76)]),
+    (20, 3, 2, 1, 200): ("feasible", 76, 57, 200, [
+        (0, 352), (111, 78), (125, 77), (142, 76)]),
     (20, 3, 2, 2, 25): ("feasible", 336, 57, 25, [(0, 336)]),
-    (20, 3, 2, 2, 200): ("feasible", 89, 57, 200, [
-        (0, 336), (125, 97), (135, 94), (149, 92), (164, 91), (172, 90), (185, 89)]),
+    (20, 3, 2, 2, 200): ("feasible", 88, 57, 200, [
+        (0, 336), (121, 97), (122, 94), (124, 92), (129, 91), (131, 90), (137, 89),
+        (173, 88)]),
     (20, 3, 2, 3, 25): ("feasible", 448, 66, 25, [(0, 448)]),
     (20, 3, 2, 3, 200): ("feasible", 100, 66, 200, [
-        (0, 448), (120, 105), (141, 102), (174, 101), (192, 100)]),
-    (3, 2, 1, 0, 25): ("optimal", 9, 9, 21, [(0, 15), (9, 9)]),
-    (3, 2, 1, 0, 200): ("optimal", 9, 9, 21, [(0, 15), (9, 9)]),
-    (3, 3, 1, 1, 25): ("optimal", 9, 9, 25, [(0, 15), (9, 11), (17, 9)]),
-    (3, 3, 1, 1, 200): ("optimal", 9, 9, 29, [(0, 15), (9, 11), (17, 9)]),
-    (4, 2, 1, 2, 25): ("feasible", 17, 16, 25, [(0, 39), (13, 17)]),
-    (4, 2, 1, 2, 200): ("optimal", 17, 17, 31, [(0, 39), (13, 17)]),
-    (4, 3, 1, 3, 25): ("feasible", 28, 27, 25, [(0, 64), (20, 28)]),
-    (4, 3, 1, 3, 200): ("feasible", 28, 27, 200, [(0, 64), (20, 28)]),
-    (5, 2, 1, 4, 25): ("feasible", 26, 13, 25, [(0, 56), (19, 26)]),
+        (0, 448), (113, 105), (120, 102), (145, 101), (159, 100)]),
+    (3, 2, 1, 0, 25): ("optimal", 9, 9, 15, [(0, 15), (6, 9)]),
+    (3, 2, 1, 0, 200): ("optimal", 9, 9, 15, [(0, 15), (6, 9)]),
+    (3, 3, 1, 1, 25): ("optimal", 4, 4, 23, [(0, 10), (6, 6), (10, 5), (23, 4)]),
+    (3, 3, 1, 1, 200): ("optimal", 4, 4, 23, [(0, 10), (6, 6), (10, 5), (23, 4)]),
+    (4, 2, 1, 2, 25): ("optimal", 13, 13, 25, [(0, 34), (10, 14), (14, 13)]),
+    (4, 2, 1, 2, 200): ("optimal", 13, 13, 27, [(0, 34), (10, 14), (14, 13)]),
+    (4, 3, 1, 3, 25): ("feasible", 28, 27, 25, [(0, 64), (18, 28)]),
+    (4, 3, 1, 3, 200): ("feasible", 28, 27, 200, [(0, 64), (18, 28)]),
+    (5, 2, 1, 4, 25): ("feasible", 20, 13, 25, [
+        (0, 56), (15, 26), (16, 25), (19, 21), (20, 20)]),
     (5, 2, 1, 4, 200): ("feasible", 20, 13, 200, [
-        (0, 56), (19, 26), (26, 25), (37, 21), (48, 20)]),
-    (5, 3, 1, 5, 25): ("feasible", 98, 27, 25, [(0, 98)]),
-    (5, 3, 1, 5, 200): ("feasible", 33, 27, 200, [(0, 98), (26, 37), (46, 34), (80, 33)]),
+        (0, 56), (15, 26), (16, 25), (19, 21), (20, 20)]),
+    (5, 3, 1, 5, 25): ("feasible", 34, 27, 25, [(0, 98), (19, 37), (25, 34)]),
+    (5, 3, 1, 5, 200): ("feasible", 33, 27, 200, [
+        (0, 98), (19, 37), (25, 34), (44, 33)]),
 }
 
 
